@@ -11,16 +11,16 @@ prefix predicates and three candidate generators per iteration.
 from .vecspace import (
     BOOL, F32, F64, I8, I16, I32, I64, U8, U16, U32, U64,
     Comparator, ExtractionError, Kind, ScalarType, Signature, Valuation,
-    embed, extract, holds, opposite, round_vector,
+    embed, extract, round_vector,
 )
 from .problem import (
     BlackBoxFn, CoverageProblem, InvalidProblemError, Outcome,
     PrefixEvalRecord, Reduction, TraceAbe,
     dependency_closure, eval_prefix, from_trace, is_solution,
-    reduce_problem, validate,
+    reduce_problem,
 )
 from .numerics import NoStepError, epsilon_along_line, epsilon_from_value, finite_diff_gradient
-from .localspace import BasisChain, LocalBasis, next_basis, project_to_level, root_basis
+from .localspace import BasisChain, next_basis
 from .constraints import (
     Constraint, clip, make_constraint, satisfies, satisfies_all, transform_constraint,
 )

@@ -110,6 +110,14 @@ def _config_from_args(args: argparse.Namespace, seed: int | None = None) -> Solv
     )
 
 
+def _read_problem_file(path) -> str:
+    """A problem file's text; unreadable or non-UTF-8 files are input errors."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path.name}: {exc}") from exc
+
+
 def _load_problem(name: str, text: str, prefix: int | None):
     """Parse and compile a problem file; returns (problem, reduction)."""
     try:
@@ -170,12 +178,8 @@ def _print_human_report(report: RunReport, verbose: bool, out) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     path = Path(args.file)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run_problem(path.stem, text, _config_from_args(args), args.prefix)
+        report = run_problem(path.stem, _read_problem_file(path),
+                             _config_from_args(args), args.prefix)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -214,7 +218,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         name = entry.name[:-len(".prob")]
         config = _config_from_args(args, seed=args.seed + index)
         try:
-            report = run_problem(name, entry.read_text(), config)
+            report = run_problem(name, _read_problem_file(entry), config)
         except InputError as exc:
             results.append((name, None, str(exc)))
             continue

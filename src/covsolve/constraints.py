@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .localspace import LocalBasis
 from .numerics import epsilon_from_value
 from .vecspace import Comparator
 
@@ -90,7 +89,7 @@ def make_constraint(comp: Comparator, f_value: float, grad_norm: float,
     return Constraint(normal, offset, comp)
 
 
-def transform_constraint(constraint: Constraint, basis: LocalBasis) -> Constraint | None:
+def transform_constraint(constraint: Constraint, basis: np.ndarray) -> Constraint | None:
     """Carry a constraint into the next level's space.
 
     The normal is projected onto the new basis; the offset is rescaled so
@@ -99,7 +98,7 @@ def transform_constraint(constraint: Constraint, basis: LocalBasis) -> Constrain
     constraint cannot be expressed there and None is returned.
     """
     n = constraint.normal
-    m = basis.vectors @ n
+    m = basis @ n
     # n . n' with n' the back-lifted projection equals |m|^2
     nn_prime = float(m @ m)
     if nn_prime < DIVISION_GUARD:

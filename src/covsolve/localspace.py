@@ -10,39 +10,14 @@ approximately preserves all earlier predicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 #: Gram-Schmidt residuals below this norm count as the zero vector.
 ZERO_NORM = 1e-12
 
 
-@dataclass(frozen=True)
-class LocalBasis:
-    """Orthonormal basis at one level; rows live in the previous level's space."""
-
-    level: int
-    vectors: np.ndarray  # shape (size, prev_dim)
-
-    @property
-    def size(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def prev_dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-def root_basis(dim: int) -> LocalBasis:
-    """The axis basis of the input space (level 1)."""
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    return LocalBasis(1, np.eye(dim, dtype=np.float64))
-
-
-def next_basis(grad: np.ndarray, prev_dim: int, *, append_gradient: bool) -> LocalBasis:
-    """Basis of the next level, orthogonal to ``grad``.
+def next_basis(grad: np.ndarray, prev_dim: int, *, append_gradient: bool) -> np.ndarray:
+    """Basis of the next level, orthogonal to ``grad``, as ``(size, prev_dim)`` rows.
 
     A zero gradient means the function is constant and the space is kept:
     the axis basis is returned.  Otherwise each axis of the current space is
@@ -57,7 +32,7 @@ def next_basis(grad: np.ndarray, prev_dim: int, *, append_gradient: bool) -> Loc
         raise ValueError(f"gradient of dimension {grad.shape} in space of {prev_dim}")
     norm = float(np.linalg.norm(grad))
     if norm == 0.0:
-        return LocalBasis(0, np.eye(prev_dim, dtype=np.float64))
+        return np.eye(prev_dim, dtype=np.float64)
 
     unit_grad = grad / norm
     emitted: list[np.ndarray] = []
@@ -75,16 +50,7 @@ def next_basis(grad: np.ndarray, prev_dim: int, *, append_gradient: bool) -> Loc
         emitted.append(unit_grad)
     # an EQ predicate over a 1-dimensional space leaves an empty basis;
     # keep the two-dimensional shape so the chain stays well-formed
-    vectors = np.array(emitted, dtype=np.float64).reshape(len(emitted), prev_dim)
-    return LocalBasis(0, vectors)
-
-
-def project_to_level(w: np.ndarray, basis: LocalBasis) -> np.ndarray:
-    """Coordinates of ``w`` (previous-level vector) in the next level's basis."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (basis.prev_dim,):
-        raise ValueError(f"vector of dimension {w.shape} under basis over {basis.prev_dim}")
-    return basis.vectors @ w
+    return np.array(emitted, dtype=np.float64).reshape(len(emitted), prev_dim)
 
 
 class BasisChain:
@@ -96,9 +62,11 @@ class BasisChain:
     """
 
     def __init__(self, dim: int):
-        root = root_basis(dim)
-        self._bases: list[LocalBasis] = [root]
-        self._lifted: list[np.ndarray] = [root.vectors]
+        if dim < 1:
+            raise ValueError("dimension must be at least 1")
+        root = np.eye(dim, dtype=np.float64)
+        self._bases: list[np.ndarray] = [root]
+        self._lifted: list[np.ndarray] = [root]
 
     def __len__(self) -> int:
         return len(self._bases)
@@ -107,8 +75,8 @@ class BasisChain:
     def root_dim(self) -> int:
         return self._lifted[0].shape[1]
 
-    def basis(self, level: int) -> LocalBasis:
-        """The basis at 1-based ``level``."""
+    def basis(self, level: int) -> np.ndarray:
+        """The basis at 1-based ``level``, rows in the previous level's space."""
         return self._bases[level - 1]
 
     def lifted(self, level: int) -> np.ndarray:
@@ -116,18 +84,17 @@ class BasisChain:
         return self._lifted[level - 1]
 
     def dim_at(self, level: int) -> int:
-        return self._bases[level - 1].size
+        return self._bases[level - 1].shape[0]
 
-    def extend(self, basis: LocalBasis) -> LocalBasis:
+    def extend(self, basis: np.ndarray) -> np.ndarray:
         """Append the next level; the basis rows must live in the current top space."""
-        top = self._bases[-1]
-        if basis.prev_dim != top.size:
+        top_size = self._bases[-1].shape[0]
+        if basis.shape[1] != top_size:
             raise ValueError(
-                f"basis over dimension {basis.prev_dim} cannot follow level of size {top.size}")
-        leveled = LocalBasis(len(self._bases) + 1, basis.vectors)
-        self._bases.append(leveled)
-        self._lifted.append(leveled.vectors @ self._lifted[-1])
-        return leveled
+                f"basis over dimension {basis.shape[1]} cannot follow level of size {top_size}")
+        self._bases.append(basis)
+        self._lifted.append(basis @ self._lifted[-1])
+        return basis
 
     def lift(self, u: np.ndarray, level: int | None = None) -> np.ndarray:
         """Express a level-``level`` vector in root coordinates (the * operator)."""

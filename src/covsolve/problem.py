@@ -64,10 +64,6 @@ class PrefixEvalRecord:
     values: tuple[float, ...]
     diverged_at: int | None = None  # 1-based index of the failing step
 
-    @property
-    def last_value(self) -> float:
-        return self.values[-1]
-
 
 def eval_prefix(fns: Sequence[BlackBoxFn], comps: Sequence[Comparator],
                 valuation: Valuation) -> PrefixEvalRecord:
@@ -89,21 +85,12 @@ def eval_prefix(fns: Sequence[BlackBoxFn], comps: Sequence[Comparator],
     return PrefixEvalRecord(Outcome.FULL_TRUE, n, tuple(values))
 
 
-def validate(fns: Sequence[BlackBoxFn], comps: Sequence[Comparator],
-             init: Valuation) -> bool:
-    """Whether (fns, comps, init) is a coverage problem."""
-    if len(fns) != len(comps):
-        raise InvalidProblemError(
-            f"{len(fns)} functions but {len(comps)} comparators")
-    if not fns or not fns[-1].params:
-        return False
-    record = eval_prefix(fns, comps, init)
-    return record.outcome is Outcome.LAST_FALSE
-
-
 @dataclass(frozen=True)
 class CoverageProblem:
-    """A validated coverage problem (F, P, I) of size n = len(fns)."""
+    """A validated coverage problem (F, P, I) of size n = len(fns).
+
+    Construction is the one validity check; errors name the offending function.
+    """
 
     fns: tuple[BlackBoxFn, ...]
     comps: tuple[Comparator, ...]
@@ -115,19 +102,29 @@ class CoverageProblem:
                 f"{len(self.fns)} functions but {len(self.comps)} comparators")
         if not self.fns:
             raise InvalidProblemError("a coverage problem needs at least one function")
+        n = len(self.fns)
         if not self.fns[-1].params:
-            raise InvalidProblemError("the last function must have parameters")
+            raise InvalidProblemError(
+                f"{self._fn_name(n)} (the flip target) uses no variables")
         declared = set(self.init.signature.names)
-        for fn in self.fns:
+        for i, fn in enumerate(self.fns, start=1):
             missing = set(fn.params) - declared
             if missing:
                 raise InvalidProblemError(
-                    f"function {fn.name or '?'} uses undeclared variables {sorted(missing)}")
+                    f"{self._fn_name(i)} uses undeclared variables {sorted(missing)}")
         record = eval_prefix(self.fns, self.comps, self.init)
-        if record.outcome is not Outcome.LAST_FALSE:
+        if record.outcome is Outcome.FULL_TRUE:
             raise InvalidProblemError(
-                "initial valuation does not satisfy the prefix with a failing "
-                f"last predicate (got {record.outcome.value} at step {record.reached})")
+                f"not a coverage problem: {self._fn_name(n)} already holds "
+                "at the initial valuation")
+        if record.outcome is Outcome.DIVERGED:
+            raise InvalidProblemError(
+                f"not a coverage problem: {self._fn_name(record.diverged_at)} "
+                "fails at the initial valuation")
+
+    def _fn_name(self, index: int) -> str:
+        """The 1-based ``index``-th function's name, for error messages."""
+        return self.fns[index - 1].name or f"function {index}"
 
     @property
     def size(self) -> int:

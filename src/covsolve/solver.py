@@ -39,6 +39,18 @@ logger = logging.getLogger(__name__)
 #: Pivot coordinates below this magnitude cannot anchor a bit mutation.
 PIVOT_GUARD = 1e-12
 
+#: Weight of |F_n| against the landing point's magnitude in the grad-step epsilon.
+ALPHA = 0.01
+
+#: Descent steps per bit-mutation candidate.
+BIT_MUT_STEPS = 10
+
+#: Random samples drawn per cube.
+SAMPLES_PER_CUBE = 100
+
+#: Random cube half-edge per unit of log(|F_n| + 1).
+CUBE_SCALE = 100.0
+
 GRAD_STEP = "grad-step"
 BIT_MUT = "bit-mut"
 RANDOM = "random"
@@ -46,25 +58,17 @@ RANDOM = "random"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budgets and tuning knobs of the search."""
+    """Budgets, seed and clipping mode of the search."""
 
     max_iterations: int = 100
     max_evaluations: int = 100_000
     rng_seed: int = 0
-    clip_limit: int = 10
-    bit_mut_steps: int = 10
-    samples_per_cube: int = 100
-    alpha: float = 0.01
-    cube_scale: float = 100.0
     tangent_projection: bool = True
 
     def __post_init__(self):
-        for name in ("max_iterations", "max_evaluations", "clip_limit",
-                     "bit_mut_steps", "samples_per_cube"):
+        for name in ("max_iterations", "max_evaluations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 
@@ -166,8 +170,7 @@ def _local_gradient(fn: BlackBoxFn, origin_value: float, chain: BasisChain,
     return finite_diff_gradient(f_local, origin_value, lifted.shape[0], line_eps)
 
 
-def build_spaces(problem: CoverageProblem, valuation: Valuation,
-                 config: SolverConfig | None = None, *,
+def build_spaces(problem: CoverageProblem, valuation: Valuation, *,
                  fns: Sequence[BlackBoxFn] | None = None) -> IterationState:
     """Local bases, constraint sets, and the last function's gradient at ``valuation``.
 
@@ -176,9 +179,6 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation,
     next basis is built (with the gradient axis appended unless the
     comparator is equality), the predicate's own constraint is added, and
     all earlier constraints are carried over into the new space.
-
-    ``config`` is accepted for call-site uniformity; the construction has
-    no tunables (step seeds follow the current valuation).
     """
     fns = tuple(fns) if fns is not None else problem.fns
     comps = problem.comps
@@ -204,7 +204,7 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation,
         basis = chain.extend(next_basis(grad, chain.dim_at(i),
                                         append_gradient=append))
         items: list[Constraint] = []
-        fresh = make_constraint(comps[i - 1], values[i - 1], grad_norm, basis.size)
+        fresh = make_constraint(comps[i - 1], values[i - 1], grad_norm, basis.shape[0])
         if fresh is not None:
             items.append(fresh)
         for old in csets[i - 1]:
@@ -259,16 +259,15 @@ def grad_step_candidates(state: IterationState,
         if not math.isfinite(t):
             return
         d_root = state.chain.lift(direction)
-        z = ((1.0 - config.alpha) * float(np.max(np.abs(state.vec + t * d_root)))
-             + config.alpha * abs(f_n))
+        z = ((1.0 - ALPHA) * float(np.max(np.abs(state.vec + t * d_root)))
+             + ALPHA * abs(f_n))
         try:
             eps = epsilon_along_line(state.vec, d_root, epsilon_from_value(z),
                                      signature) if math.isfinite(z) else 0.0
         except NoStepError:
             eps = 0.0
         for p in _P_VALUES[comp](t, eps):
-            out.append(clip(p * direction, constraints, clip_grad,
-                            rounds=config.clip_limit))
+            out.append(clip(p * direction, constraints, clip_grad))
 
     with np.errstate(over="ignore", invalid="ignore"):
         steps_along(grad)
@@ -306,8 +305,7 @@ def plane_descent_gradient(u: np.ndarray, pivot: int,
     return g
 
 
-def bit_mutation_candidates(state: IterationState,
-                            config: SolverConfig) -> list[np.ndarray]:
+def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
     """One candidate per bit of each integer parameter of the last function.
 
     Flipping bit j of a value changes it by y = +-2**(j-1) (in unsigned
@@ -346,7 +344,7 @@ def bit_mutation_candidates(state: IterationState,
                 y = float((1 - 2 * bit) * (1 << (j - 1)))
                 u = np.zeros(dim_local, dtype=np.float64)
                 u[pivot] = y
-                for _ in range(config.bit_mut_steps):
+                for _ in range(BIT_MUT_STEPS):
                     g = plane_descent_gradient(u, pivot, coords)
                     gg = float(g @ g)
                     if gg > PIVOT_GUARD:
@@ -373,7 +371,7 @@ def random_candidates(state: IterationState, config: SolverConfig,
         return []
     constraints = state.final_constraints
     clip_grad = state.grad_n if config.tangent_projection else None
-    half_edge = config.cube_scale * math.log(abs(state.f_n) + 1.0)
+    half_edge = CUBE_SCALE * math.log(abs(state.f_n) + 1.0)
 
     centers = [np.zeros(dim_local, dtype=np.float64)]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -385,10 +383,9 @@ def random_candidates(state: IterationState, config: SolverConfig,
 
     out: list[np.ndarray] = []
     for center in centers:
-        for _ in range(config.samples_per_cube):
+        for _ in range(SAMPLES_PER_CUBE):
             sample = center + rng.uniform(-half_edge, half_edge, size=dim_local)
-            out.append(clip(sample, constraints, clip_grad,
-                            rounds=config.clip_limit))
+            out.append(clip(sample, constraints, clip_grad))
             out.append(sample)
     return out
 
@@ -408,7 +405,7 @@ def _candidates(state: IterationState, config: SolverConfig,
                 rng: np.random.Generator) -> Iterable[tuple[str, np.ndarray]]:
     for u in grad_step_candidates(state, config):
         yield GRAD_STEP, u
-    for u in bit_mutation_candidates(state, config):
+    for u in bit_mutation_candidates(state):
         yield BIT_MUT, u
     for u in random_candidates(state, config, rng):
         yield RANDOM, u
@@ -435,7 +432,7 @@ def solve(problem: CoverageProblem,
     try:
         while iteration < config.max_iterations:
             iteration += 1
-            state = build_spaces(problem, current, config, fns=fns)
+            state = build_spaces(problem, current, fns=fns)
             accepted: Valuation | None = None
             for source, u in _candidates(state, config, rng):
                 with np.errstate(over="ignore", invalid="ignore"):

@@ -216,16 +216,6 @@ _HOLDS = {
 }
 
 
-def opposite(comp: Comparator) -> Comparator:
-    """The comparator describing the negation of ``comp``."""
-    return comp.opposite
-
-
-def holds(comp: Comparator, a: float) -> bool:
-    """Truth of ``a comp 0`` for a finite 64-bit float ``a``."""
-    return comp.holds(a)
-
-
 @dataclass(frozen=True)
 class Signature:
     """Ordered variable declarations: distinct names with scalar types."""
@@ -252,12 +242,6 @@ class Signature:
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
-
-    def restrict(self, keep: Iterable[str]) -> "Signature":
-        """Sub-signature of the given names, in this signature's order."""
-        keep = set(keep)
-        pairs = [(n, t) for n, t in zip(self.names, self.types) if n in keep]
-        return Signature.of(pairs)
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,8 @@ class TestGoldenExamples:
     def test_basis_construction_drops_gradient_direction(self):
         state = build_spaces(problem_of(EQ_GE_TRACE), problem_of(EQ_GE_TRACE).init)
         basis = state.chain.basis(2)
-        assert basis.size == 1
-        assert np.max(np.abs(basis.vectors[0] - np.array([1 / SQ2, 1 / SQ2]))) <= 1e-9
+        assert basis.shape[0] == 1
+        assert np.max(np.abs(basis[0] - np.array([1 / SQ2, 1 / SQ2]))) <= 1e-9
 
     def test_half_space_constraint_for_inequality_prefix(self):
         problem = problem_of(LE_EQ_TRACE)
@@ -172,7 +172,7 @@ class TestOrthonormalityProperty:
                 chain.extend(next_basis(grad, size,
                                         append_gradient=bool(rng.integers(0, 2))))
             for level in range(1, len(chain) + 1):
-                assert orthonormality_error(chain.basis(level).vectors) <= 1e-9
+                assert orthonormality_error(chain.basis(level)) <= 1e-9
                 assert orthonormality_error(chain.lifted(level)) <= 1e-9
         assert time.perf_counter() - started < 30.0
 

@@ -90,6 +90,15 @@ class TestSolveCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.prob"
+        path.write_bytes(b"# caf\xe9\nvar x : f64\ninit x = 0\nabe x - 1 >= 0\n")
+        code = cli.main(["solve", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: latin1.prob:")
+        assert "Traceback" not in err
+
     def test_parse_error_exits_2_with_line(self, tmp_path, capsys):
         path = tmp_path / "bad.prob"
         path.write_text("var x : f64\ninit x = 0\nabe x $ 0\n")
@@ -166,6 +175,17 @@ class TestBenchCommand:
         assert code == 0
         assert "solved 2/3" in out
         assert "ERROR" in out
+
+    def test_undecodable_file_is_an_error_row(self, tmp_path, capsys):
+        (tmp_path / "a.prob").write_text(EQ_GE_TRACE)
+        (tmp_path / "b.prob").write_bytes(b"\xff\xfe" + EQ_GE_TRACE.encode())
+        (tmp_path / "c.prob").write_text(EQ_GE_TRACE)
+        code = cli.main(["bench", str(tmp_path), "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [p["name"] for p in doc["problems"]] == ["a", "b", "c"]
+        assert doc["solved"] == 2
+        assert "can't decode" in doc["problems"][1]["error"]
 
     def test_json_output(self, tmp_path, capsys):
         (tmp_path / "a.prob").write_text(EQ_GE_TRACE)

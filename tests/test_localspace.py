@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covsolve.localspace import (
-    BasisChain,
-    LocalBasis,
-    next_basis,
-    orthonormality_error,
-    project_to_level,
-    root_basis,
-)
+from covsolve.localspace import BasisChain, next_basis, orthonormality_error
 
 SQ2 = math.sqrt(2.0)
 
@@ -26,30 +19,30 @@ def three_level_chain():
 class TestRootBasis:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_axes(self, dim):
-        basis = root_basis(dim)
-        assert basis.level == 1
-        assert np.array_equal(basis.vectors, np.eye(dim))
+        chain = BasisChain(dim)
+        assert len(chain) == 1  # the axis basis is level 1
+        assert np.array_equal(chain.lifted(1), np.eye(dim))
 
     def test_dim_positive(self):
         with pytest.raises(ValueError):
-            root_basis(0)
+            BasisChain(0)
 
 
 class TestNextBasis:
     def test_equality_case_drops_gradient_direction(self):
         basis = next_basis(np.array([1.0, -1.0]), 2, append_gradient=False)
-        assert basis.size == 1
-        assert basis.vectors[0] == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-12)
+        assert basis.shape[0] == 1
+        assert basis[0] == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-12)
 
     def test_inequality_case_appends_gradient(self):
         basis = next_basis(np.array([1.0, -1.0]), 2, append_gradient=True)
-        assert basis.size == 2
-        assert basis.vectors[0] == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-12)
-        assert basis.vectors[1] == pytest.approx([1 / SQ2, -1 / SQ2], abs=1e-12)
+        assert basis.shape[0] == 2
+        assert basis[0] == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-12)
+        assert basis[1] == pytest.approx([1 / SQ2, -1 / SQ2], abs=1e-12)
 
     def test_zero_gradient_keeps_space(self):
         basis = next_basis(np.zeros(2), 2, append_gradient=True)
-        assert np.array_equal(basis.vectors, np.eye(2))
+        assert np.array_equal(basis, np.eye(2))
 
     def test_dimension_law(self):
         rng = np.random.default_rng(7)
@@ -57,21 +50,21 @@ class TestNextBasis:
             grad = rng.normal(size=dim)
             eq_case = next_basis(grad, dim, append_gradient=False)
             ineq_case = next_basis(grad, dim, append_gradient=True)
-            assert eq_case.size == dim - 1
-            assert ineq_case.size == dim
+            assert eq_case.shape[0] == dim - 1
+            assert ineq_case.shape[0] == dim
 
     def test_orthonormal_over_random_gradients(self):
         rng = np.random.default_rng(11)
         for dim in range(1, 17):
             grad = rng.normal(size=dim)
             basis = next_basis(grad, dim, append_gradient=True)
-            assert orthonormality_error(basis.vectors) <= 1e-9
+            assert orthonormality_error(basis) <= 1e-9
 
     def test_deterministic_bitwise(self):
         grad = np.array([0.3, -1.7, 0.0, 2.5])
         a = next_basis(grad, 4, append_gradient=True)
         b = next_basis(grad, 4, append_gradient=True)
-        assert a.vectors.tobytes() == b.vectors.tobytes()
+        assert a.tobytes() == b.tobytes()
 
 
 class TestLift:
@@ -111,27 +104,27 @@ class TestLift:
 class TestProjectToLevel:
     def test_gradient_into_level2(self):
         basis = next_basis(np.array([1.0, -1.0]), 2, append_gradient=True)
-        projected = project_to_level(np.array([1.0, 0.0]), basis)
+        projected = basis @ np.array([1.0, 0.0])
         assert projected == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-9)
 
     def test_own_basis_vector_projects_to_axis(self):
         basis = next_basis(np.array([0.3, 0.4, -1.0]), 3, append_gradient=True)
-        projected = project_to_level(basis.vectors[1], basis)
-        expected = np.zeros(basis.size)
+        projected = basis @ basis[1]
+        expected = np.zeros(basis.shape[0])
         expected[1] = 1.0
         assert projected == pytest.approx(expected, abs=1e-12)
 
     def test_normal_projected_into_third_level(self):
         chain = three_level_chain()
-        projected = project_to_level(np.array([0.0, 1.0]), chain.basis(3))
+        projected = chain.basis(3) @ np.array([0.0, 1.0])
         assert projected == pytest.approx([-1 / SQ2], abs=1e-9)
 
     def test_project_then_lift_recovers_in_subspace_component(self):
         rng = np.random.default_rng(5)
         basis = next_basis(rng.normal(size=4), 4, append_gradient=False)
-        inside = basis.vectors.T @ rng.normal(size=basis.size)
-        projected = project_to_level(inside, basis)
-        back = basis.vectors.T @ projected
+        inside = basis.T @ rng.normal(size=basis.shape[0])
+        projected = basis @ inside
+        back = basis.T @ projected
         assert back == pytest.approx(inside, abs=1e-9)
 
 
@@ -152,4 +145,4 @@ class TestBasisChain:
     def test_extend_checks_dimensions(self):
         chain = BasisChain(3)
         with pytest.raises(ValueError):
-            chain.extend(LocalBasis(0, np.eye(2)))
+            chain.extend(np.eye(2))

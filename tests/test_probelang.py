@@ -122,6 +122,15 @@ abe a - 1 >= 0
 """)
         assert spec.inits == (("a", float(np.float32(0.1))),)
 
+    @pytest.mark.parametrize("typ,literal", [
+        ("i64", "9007199254740993"),
+        ("u64", "18446744073709551615"),
+    ])
+    def test_64_bit_inits_are_exact(self, typ, literal):
+        spec = parse_spec(f"var a : {typ}\ninit a = {literal}\nabe a == 0\n")
+        assert spec.inits == (("a", int(literal)),)
+        assert parse_spec(format_spec(spec)) == spec
+
     def test_comments_and_blank_lines(self):
         spec = parse_spec("""
 
@@ -139,6 +148,8 @@ abe a + 5 == 0   # distance
         ("init b = 0\n", "undeclared"),
         ("var a : i32\ninit a = 1.5\n", "non-integer"),
         ("var a : u8\ninit a = 300\n", "does not fit"),
+        ("var a : i32\ninit a = 1e400\n", "does not fit"),
+        ("var a : u64\ninit a = 18446744073709551616\n", "does not fit"),
         ("var a : i32\ninit a = 0\n", "no abe"),
         ("var a : i32\nabe a == 0\n", "missing init"),
         ("var a : i32\ninit a = 0\nabe b == 0\n", "undeclared"),
@@ -146,6 +157,9 @@ abe a + 5 == 0   # distance
         ("var a : i32\ninit a = 0\nabe a ** 2 == 0\n", ""),
         ("var a : i32\ninit a = 0\nabe sin(a) == 0\n", "unknown function"),
         ("frob a\n", "unknown directive"),
+        pytest.param(
+            "var a : i32\ninit a = 0\nabe " + "(" * 3000 + "a" + ")" * 3000 + " == 0\n",
+            "line 3: expression nested too deeply", id="3000-parentheses"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(ParseError) as err:

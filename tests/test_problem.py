@@ -13,7 +13,6 @@ from covsolve.problem import (
     from_trace,
     is_solution,
     reduce_problem,
-    validate,
 )
 from covsolve.vecspace import F64, U8, Comparator, Valuation
 
@@ -121,28 +120,33 @@ class TestEvalPrefix:
 
 
 class TestValidate:
+    """Construction of a CoverageProblem is the one validity check."""
+
     def test_valid_at_origin(self):
         fns, comps, init = eq_ge_pair()
-        assert validate(fns, comps, init)
+        assert CoverageProblem(fns, comps, init).init == init
 
     def test_solution_is_not_valid_start(self):
         fns, comps, _ = eq_ge_pair()
-        assert not validate(fns, comps, val(10, 10))
+        with pytest.raises(InvalidProblemError, match="f2 already holds"):
+            CoverageProblem(fns, comps, val(10, 10))
 
     def test_diverging_prefix_is_invalid(self):
         fns, comps, _ = eq_ge_pair()
-        assert not validate(fns, comps, val(0, 1))
+        with pytest.raises(InvalidProblemError, match="f1 fails"):
+            CoverageProblem(fns, comps, val(0, 1))
 
     def test_last_fn_needs_params(self):
         fns = (fn((), lambda v: 1.0),)
-        assert not validate(fns, (Comparator.LT,), Valuation.of([("x1", F64, 0.0)]))
+        with pytest.raises(InvalidProblemError, match="function 1 .* uses no variables"):
+            CoverageProblem(fns, (Comparator.LT,), Valuation.of([("x1", F64, 0.0)]))
 
     def test_size_mismatch_raises(self):
         fns, comps, init = eq_ge_pair()
         with pytest.raises(InvalidProblemError):
-            validate(fns, comps[:1], init)
+            CoverageProblem(fns, comps[:1], init)
         with pytest.raises(InvalidProblemError):
-            validate((), comps, init)
+            CoverageProblem((), comps, init)
 
 
 class TestCoverageProblem:

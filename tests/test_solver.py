@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from covsolve import solver
+from covsolve.constraints import CLIP_ROUNDS
 from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import eval_prefix, is_solution
 from covsolve.solver import (
@@ -17,7 +19,7 @@ from covsolve.solver import (
     random_candidates,
     solve,
 )
-from covsolve.vecspace import Comparator, holds
+from covsolve.vecspace import Comparator
 
 SQ2 = math.sqrt(2.0)
 
@@ -80,18 +82,18 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.max_iterations == 100
         assert cfg.max_evaluations == 100_000
-        assert cfg.clip_limit == 10
-        assert cfg.bit_mut_steps == 10
-        assert cfg.samples_per_cube == 100
-        assert cfg.alpha == 0.01
-        assert cfg.cube_scale == 100.0
         assert cfg.tangent_projection
+        assert CLIP_ROUNDS == 10
+        assert solver.BIT_MUT_STEPS == 10
+        assert solver.SAMPLES_PER_CUBE == 100
+        assert solver.ALPHA == 0.01
+        assert solver.CUBE_SCALE == 100.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(alpha=1.0)
+        with pytest.raises(TypeError):
+            SolverConfig(alpha=1.0)  # a module constant, no longer a setting
 
 
 class TestBuildSpaces:
@@ -99,14 +101,14 @@ class TestBuildSpaces:
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init)
         basis = state.chain.basis(2)
-        assert basis.size == 1
-        assert basis.vectors[0] == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-9)
+        assert basis.shape[0] == 1
+        assert basis[0] == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-9)
         assert state.csets[1] == ()
 
     def test_inequality_prefix_constraint(self):
         problem = problem_of(LE_EQ_TRACE)
         state = build_spaces(problem, problem.init)
-        assert state.chain.basis(2).size == 2
+        assert state.chain.basis(2).shape[0] == 2
         (constraint,) = state.csets[1]
         assert constraint.normal == pytest.approx([0.0, 1.0], abs=1e-9)
         assert constraint.offset == pytest.approx(1 / SQ2, abs=1e-9)
@@ -171,7 +173,7 @@ init x = 0
 abe x - 100 >= 0
 """)
         state = build_spaces(problem, problem.init)
-        candidates = bit_mutation_candidates(state, SolverConfig())
+        candidates = bit_mutation_candidates(state)
         assert len(candidates) == 32
         for j, u in enumerate(candidates, start=1):
             assert u == pytest.approx([float(2 ** (j - 1))])
@@ -187,9 +189,9 @@ abe x1 - x2 == 0
 abe x1 + x2 - 5 >= 0
 """)
         state = build_spaces(problem, problem.init)
-        assert state.chain.basis(2).vectors[0] == pytest.approx(
+        assert state.chain.basis(2)[0] == pytest.approx(
             [1 / SQ2, 1 / SQ2], abs=1e-9)
-        candidates = bit_mutation_candidates(state, SolverConfig())
+        candidates = bit_mutation_candidates(state)
         assert len(candidates) == 64  # two i32 variables
         lifted = state.chain.lift(candidates[0])
         assert lifted == pytest.approx([1.0, 1.0], abs=1e-9)
@@ -207,13 +209,13 @@ abe x1 + x2 - 5 >= 0
 """)
         state = build_spaces(problem, problem.init)
         # B_2 = {(0,1)}: x1's axis is unreachable, only x2 mutates
-        candidates = bit_mutation_candidates(state, SolverConfig())
+        candidates = bit_mutation_candidates(state)
         assert len(candidates) == 32
 
     def test_float_variables_skipped(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init)
-        assert bit_mutation_candidates(state, SolverConfig()) == []
+        assert bit_mutation_candidates(state) == []
 
     def test_set_bit_mutates_downward(self):
         problem = problem_of("""
@@ -222,7 +224,7 @@ init x = 5
 abe x - 100 >= 0
 """)
         state = build_spaces(problem, problem.init)
-        candidates = bit_mutation_candidates(state, SolverConfig())
+        candidates = bit_mutation_candidates(state)
         # x = 0b101: bits 1 and 3 are set, so y is negative there
         assert candidates[0] == pytest.approx([-1.0])
         assert candidates[1] == pytest.approx([2.0])
@@ -327,9 +329,9 @@ abe a + b - 50 >= 0
         dim_local = state.chain.dim_at(len(state.chain))
         n_params = len(problem.fns[-1].params)
         assert len(grad_step_candidates(state, cfg)) <= 2 * (1 + dim_local)
-        assert len(bit_mutation_candidates(state, cfg)) <= 64 * n_params
+        assert len(bit_mutation_candidates(state)) <= 64 * n_params
         rng = np.random.default_rng(0)
-        assert len(random_candidates(state, cfg, rng)) <= 4 * cfg.samples_per_cube
+        assert len(random_candidates(state, cfg, rng)) <= 4 * solver.SAMPLES_PER_CUBE
 
 
 class TestRandomProblemFuzz:
@@ -446,6 +448,6 @@ abe x * x + 1 <= 0
             assert improves(comp, previous, entry.value)
             previous = entry.value
         if result.status is Status.SOLVED:
-            assert holds(comp, result.log[-1].value)
+            assert comp.holds(result.log[-1].value)
             for entry in result.log[:-1]:
-                assert not holds(comp, entry.value)
+                assert not comp.holds(entry.value)

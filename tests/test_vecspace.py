@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from covsolve.vecspace import (
     BOOL, F32, F64, I8, I16, I32, I64, U8, U16, U32, U64,
     Comparator, ExtractionError, Kind, ScalarType, Signature, Valuation,
-    embed, extract, holds, opposite, round_vector,
+    embed, extract, round_vector,
 )
 
 ALL_TYPES = [I8, I16, I32, I64, U8, U16, U32, U64, F32, F64]
@@ -16,29 +16,29 @@ ALL_TYPES = [I8, I16, I32, I64, U8, U16, U32, U64, F32, F64]
 
 class TestComparator:
     def test_opposite_table(self):
-        assert opposite(Comparator.EQ) is Comparator.NEQ
-        assert opposite(Comparator.NEQ) is Comparator.EQ
-        assert opposite(Comparator.LT) is Comparator.GE
-        assert opposite(Comparator.LE) is Comparator.GT
-        assert opposite(Comparator.GT) is Comparator.LE
-        assert opposite(Comparator.GE) is Comparator.LT
+        assert Comparator.EQ.opposite is Comparator.NEQ
+        assert Comparator.NEQ.opposite is Comparator.EQ
+        assert Comparator.LT.opposite is Comparator.GE
+        assert Comparator.LE.opposite is Comparator.GT
+        assert Comparator.GT.opposite is Comparator.LE
+        assert Comparator.GE.opposite is Comparator.LT
 
     @pytest.mark.parametrize("comp", list(Comparator))
     def test_opposite_is_involution(self, comp):
-        assert opposite(opposite(comp)) is comp
+        assert comp.opposite.opposite is comp
 
     def test_holds(self):
-        assert holds(Comparator.LE, -1.0)
-        assert holds(Comparator.EQ, 0.0)
-        assert not holds(Comparator.GE, -0.5)
-        assert holds(Comparator.NEQ, 0.5)
-        assert not holds(Comparator.LT, 0.0)
-        assert holds(Comparator.GT, 1e-300)
+        assert Comparator.LE.holds(-1.0)
+        assert Comparator.EQ.holds(0.0)
+        assert not Comparator.GE.holds(-0.5)
+        assert Comparator.NEQ.holds(0.5)
+        assert not Comparator.LT.holds(0.0)
+        assert Comparator.GT.holds(1e-300)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_holds_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
-            holds(Comparator.EQ, bad)
+            Comparator.EQ.holds(bad)
 
     def test_symbol_round_trip(self):
         for comp in Comparator:
