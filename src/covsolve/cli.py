@@ -16,85 +16,50 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
 from .probelang import CompileError, ParseError, compile_spec, parse_spec, prefix_spec
 from .problem import is_solution, reduce_problem
-from .solver import SolverConfig, Status, solve
+from .solver import SolverConfig, SolverResult, Status, solve
 from .vecspace import Valuation
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of solving one problem file."""
+    """Outcome of solving one problem file.
+
+    ``result`` is the solver's own record, except that its solution is
+    already extended over the reduced-away variables (named in
+    ``dropped``) and re-verified against the unreduced problem.
+    """
 
     name: str
-    status: str
-    solution: Valuation | None
-    iterations: int
-    evaluations: int
+    result: SolverResult
     wall_time: float
-    trace: tuple[tuple[int, str, float], ...]  # (iteration, source, value)
     dropped: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         """The machine-readable form; key order is part of the format."""
+        result = self.result
         solution = None
-        if self.solution is not None:
-            sig = self.solution.signature
-            solution = {
-                name: {"type": str(typ), "value": value}
-                for name, typ, value in zip(sig.names, sig.types, self.solution.values)
-            }
+        if result.solution is not None:
+            solution = {name: {"type": str(typ), "value": value}
+                        for name, typ, value in _typed_values(result.solution)}
         return {
-            "status": self.status,
+            "status": result.status.value,
             "solution": solution,
-            "iterations": self.iterations,
-            "evaluations": self.evaluations,
-            "trace": [
-                {"iteration": it, "source": source, "value": value}
-                for it, source, value in self.trace
-            ],
+            "iterations": result.iterations_used,
+            "evaluations": result.evaluations_used,
+            "trace": [asdict(record) for record in result.log],
         }
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    """Aggregate outcome of a benchmark directory run."""
-
-    entries: tuple[tuple[str, RunReport | None, str | None], ...]  # name, report, error
-    total_wall_time: float
-
-    @property
-    def count(self) -> int:
-        return len(self.entries)
-
-    @property
-    def solved(self) -> list[RunReport]:
-        return [r for _, r, _ in self.entries if r is not None and r.status == "SOLVED"]
-
-    @property
-    def mean_iterations_solved(self) -> float | None:
-        solved = self.solved
-        if not solved:
-            return None
-        return sum(r.iterations for r in solved) / len(solved)
-
-    def to_json(self) -> dict:
-        return {
-            "problems": [
-                {"name": name, "error": error,
-                 **(report.to_json() if report is not None else {})}
-                for name, report, error in self.entries
-            ],
-            "solved": len(self.solved),
-            "count": self.count,
-            "mean_iterations_solved": self.mean_iterations_solved,
-            "total_wall_time": self.total_wall_time,
-        }
+def _typed_values(valuation: Valuation):
+    sig = valuation.signature
+    return zip(sig.names, sig.types, valuation.values)
 
 
 class InputError(Exception):
@@ -137,42 +102,31 @@ def run_problem(name: str, text: str, config: SolverConfig,
     started = time.perf_counter()
     result = solve(reduction.problem, config)
     elapsed = time.perf_counter() - started
-
-    solution = None
-    status = result.status.value
-    if result.status is Status.SOLVED:
+    if result.solved:
         solution = reduction.extend(result.solution)
-        if not is_solution(problem, solution):  # pragma: no cover - safety net
-            status = Status.FAILED_NO_PROGRESS.value
-            solution = None
-    return RunReport(
-        name=name,
-        status=status,
-        solution=solution,
-        iterations=result.iterations_used,
-        evaluations=result.evaluations_used,
-        wall_time=elapsed,
-        trace=tuple((r.iteration, r.source, r.value) for r in result.log),
-        dropped=tuple(n for n, _, _ in reduction.dropped),
-    )
+        if is_solution(problem, solution):
+            result = replace(result, solution=solution)
+        else:  # pragma: no cover - safety net
+            result = replace(result, status=Status.FAILED_NO_PROGRESS, solution=None)
+    return RunReport(name, result, elapsed, tuple(n for n, _, _ in reduction.dropped))
 
 
 def _print_human_report(report: RunReport, verbose: bool, out) -> None:
+    result = report.result
     print(f"problem: {report.name}", file=out)
-    print(f"status: {report.status}", file=out)
-    if report.solution is not None:
+    print(f"status: {result.status.value}", file=out)
+    if result.solution is not None:
         print("solution:", file=out)
-        sig = report.solution.signature
-        for name, typ, value in zip(sig.names, sig.types, report.solution.values):
+        for name, typ, value in _typed_values(result.solution):
             print(f"  {name} : {typ} = {value!r}", file=out)
     if report.dropped:
         print(f"dropped by reduction: {', '.join(report.dropped)}", file=out)
-    print(f"iterations: {report.iterations}", file=out)
-    print(f"evaluations: {report.evaluations}", file=out)
+    print(f"iterations: {result.iterations_used}", file=out)
+    print(f"evaluations: {result.evaluations_used}", file=out)
     print(f"wall time: {report.wall_time:.3f} s", file=out)
     if verbose:
-        for iteration, source, value in report.trace:
-            print(f"  iter {iteration:3d}  {source:9s}  value {value!r}", file=out)
+        for r in result.log:
+            print(f"  iter {r.iteration:3d}  {r.source:9s}  value {r.value!r}", file=out)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -187,7 +141,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_json(), indent=2))
     else:
         _print_human_report(report, args.verbose, sys.stdout)
-    return 0 if report.status == Status.SOLVED.value else 1
+    return 0 if report.result.solved else 1
 
 
 def bundled_suite_dir():
@@ -212,36 +166,44 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    results: list[tuple[str, RunReport | None, str | None]] = []
-    total_time = 0.0
+    rows: list[tuple[str, RunReport | None, str | None]] = []  # name, report, error
     for index, entry in enumerate(entries):
         name = entry.name[:-len(".prob")]
         config = _config_from_args(args, seed=args.seed + index)
         try:
-            report = run_problem(name, _read_problem_file(entry), config)
+            rows.append((name, run_problem(name, _read_problem_file(entry), config), None))
         except InputError as exc:
-            results.append((name, None, str(exc)))
-            continue
-        total_time += report.wall_time
-        results.append((name, report, None))
-    suite = SuiteReport(tuple(results), total_time)
+            rows.append((name, None, str(exc)))
+    reports = [report for _, report, _ in rows if report is not None]
+    solved = [report.result for report in reports if report.result.solved]
+    mean_iters = (sum(r.iterations_used for r in solved) / len(solved)) if solved else None
+    total_time = sum(report.wall_time for report in reports)
 
     if args.json:
-        print(json.dumps(suite.to_json(), indent=2))
+        print(json.dumps({
+            "problems": [
+                {"name": name, "error": error,
+                 **(report.to_json() if report is not None else {})}
+                for name, report, error in rows
+            ],
+            "solved": len(solved),
+            "count": len(rows),
+            "mean_iterations_solved": mean_iters,
+            "total_wall_time": total_time,
+        }, indent=2))
         return 0
 
-    width = max((len(name) for name, _, _ in suite.entries), default=4)
-    for name, report, error in suite.entries:
+    width = max((len(name) for name, _, _ in rows), default=4)
+    for name, report, error in rows:
         if report is None:
             print(f"{name:<{width}}  ERROR  {error}")
         else:
-            print(f"{name:<{width}}  {report.status:<18}  "
-                  f"iters {report.iterations:3d}  evals {report.evaluations:6d}  "
+            result = report.result
+            print(f"{name:<{width}}  {result.status.value:<18}  "
+                  f"iters {result.iterations_used:3d}  evals {result.evaluations_used:6d}  "
                   f"{report.wall_time:7.3f} s")
-    solved = len(suite.solved)
-    fraction = (solved / suite.count) if suite.count else 0.0
-    mean_iters = suite.mean_iterations_solved
-    print(f"solved {solved}/{suite.count} ({fraction:.0%})"
+    fraction = (len(solved) / len(rows)) if rows else 0.0
+    print(f"solved {len(solved)}/{len(rows)} ({fraction:.0%})"
           + (f", mean iterations {mean_iters:.1f}" if mean_iters is not None else "")
           + f", total {total_time:.2f} s")
     return 0
@@ -253,12 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Search for inputs that flip the last branch of an executed path.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = SolverConfig()
+
     def add_common(p):
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--max-iterations", type=int, default=100,
-                       help="iteration budget (default 100)")
-        p.add_argument("--max-evals", type=int, default=100_000,
-                       help="black-box call budget (default 100000)")
+        p.add_argument("--max-iterations", type=int, default=defaults.max_iterations,
+                       help=f"iteration budget (default {defaults.max_iterations})")
+        p.add_argument("--max-evals", type=int, default=defaults.max_evaluations,
+                       help=f"black-box call budget (default {defaults.max_evaluations})")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
         p.add_argument("--no-tangent-projection", action="store_true",

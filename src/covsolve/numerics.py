@@ -43,10 +43,7 @@ def epsilon_from_value(a: float) -> float:
     else:
         m, e = math.frexp(a)  # |m| in [0.5, 1)
         n = e - 1 if abs(m) == 0.5 else e
-    try:
-        eps = math.ldexp(1.0, n - _HALF_DIGITS)
-    except OverflowError:
-        eps = math.inf
+    eps = math.ldexp(1.0, n - _HALF_DIGITS)  # n <= 1024: cannot overflow
     if eps == 0.0:
         return _SMALLEST_SUBNORMAL
     return eps

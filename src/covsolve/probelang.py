@@ -73,22 +73,39 @@ DistExpr = Var | Lit | Neg | BinOp | Call
 _FUNCTIONS = {"abs": 1, "min": 2, "max": 2, "f64": 1}
 
 
+def _left_spine(expr: DistExpr) -> tuple[list[BinOp], DistExpr]:
+    """The BinOp chain down ``expr``'s left operands (outermost first) and
+    the operand below it.
+
+    A sum or product parses into a left-deep chain as long as its line, so
+    the walks below loop down this spine and recurse only into right
+    operands, ``Neg`` and call arguments, whose nesting the parser caps.
+    """
+    spine = []
+    while isinstance(expr, BinOp):
+        spine.append(expr)
+        expr = expr.left
+    return spine, expr
+
+
 def free_vars(expr: DistExpr) -> set[str]:
-    match expr:
+    spine, leaf = _left_spine(expr)
+    out: set[str] = set()
+    for node in spine:
+        out |= free_vars(node.right)
+    match leaf:
         case Var(name):
-            return {name}
+            out.add(name)
         case Lit(_):
-            return set()
+            pass
         case Neg(operand):
-            return free_vars(operand)
-        case BinOp(_, left, right):
-            return free_vars(left) | free_vars(right)
+            out |= free_vars(operand)
         case Call(_, args):
-            out: set[str] = set()
             for a in args:
                 out |= free_vars(a)
-            return out
-    raise TypeError(f"not an expression: {expr!r}")
+        case _:
+            raise TypeError(f"not an expression: {leaf!r}")
+    return out
 
 
 def eval_expr(expr: DistExpr, valuation: Valuation) -> float | None:
@@ -97,47 +114,51 @@ def eval_expr(expr: DistExpr, valuation: Valuation) -> float | None:
     Division by zero and any non-finite intermediate fail the whole call,
     realising black-box functions that are partial on their inputs.
     """
-    match expr:
+    spine, leaf = _left_spine(expr)
+    match leaf:
         case Var(name):
-            return float(valuation[name])
+            a = float(valuation[name])
         case Lit(value):
-            return value
+            a = value
         case Neg(operand):
             v = eval_expr(operand, valuation)
-            return None if v is None else -v
-        case BinOp(op, left, right):
-            a = eval_expr(left, valuation)
-            if a is None:
+            if v is None:
                 return None
-            b = eval_expr(right, valuation)
-            if b is None:
-                return None
-            if op == "+":
-                r = a + b
-            elif op == "-":
-                r = a - b
-            elif op == "*":
-                r = a * b
-            else:
-                if b == 0.0:
-                    return None
-                r = a / b
-            return r if math.isfinite(r) else None
+            a = -v
         case Call(fn, args):
             vals = []
-            for a in args:
-                v = eval_expr(a, valuation)
+            for arg in args:
+                v = eval_expr(arg, valuation)
                 if v is None:
                     return None
                 vals.append(v)
             if fn == "abs":
-                return abs(vals[0])
-            if fn == "min":
-                return min(vals)
-            if fn == "max":
-                return max(vals)
-            return vals[0]  # f64: already wide
-    raise TypeError(f"not an expression: {expr!r}")
+                a = abs(vals[0])
+            elif fn == "min":
+                a = min(vals)
+            elif fn == "max":
+                a = max(vals)
+            else:
+                a = vals[0]  # f64: already wide
+        case _:
+            raise TypeError(f"not an expression: {leaf!r}")
+    for node in reversed(spine):
+        b = eval_expr(node.right, valuation)
+        if b is None:
+            return None
+        if node.op == "+":
+            a = a + b
+        elif node.op == "-":
+            a = a - b
+        elif node.op == "*":
+            a = a * b
+        else:
+            if b == 0.0:
+                return None
+            a = a / b
+        if not math.isfinite(a):
+            return None
+    return a
 
 
 # --- parsing --------------------------------------------------------------
@@ -314,6 +335,11 @@ def _parse_init_line(rest: str, lineno: int) -> tuple[str, str]:
     return m.group(1), m.group(2)
 
 
+# the midpoint between float32's largest value and 2**128: from here on
+# rounding to float32 overflows
+_F32_OVERFLOW = 2.0**128 - 2.0**103
+
+
 def _coerce_literal(literal: str, typ: ScalarType, lineno: int) -> int | float:
     too_big = ParseError(lineno, f"initial value {literal} does not fit {typ}")
     if typ.is_integer and re.fullmatch(r"-?\d+", literal):
@@ -327,6 +353,8 @@ def _coerce_literal(literal: str, typ: ScalarType, lineno: int) -> int | float:
         if not math.isfinite(real):
             raise too_big
         if not typ.is_integer:
+            if typ.bit_width == 32 and abs(real) >= _F32_OVERFLOW:
+                raise too_big
             return typ.nearest(real)  # float literals round like a compiler would
         if real != int(real):
             raise ParseError(lineno, f"non-integer initial value {real} for {typ} variable")
@@ -365,28 +393,30 @@ def format_expr(expr: DistExpr) -> str:
 
 
 def _fmt(expr: DistExpr) -> tuple[str, int]:
-    match expr:
+    spine, leaf = _left_spine(expr)
+    match leaf:
         case Var(name):
-            return name, _ATOM
+            text, prec = name, _ATOM
         case Lit(value):
-            return repr(value), _ATOM
+            text, prec = repr(value), _ATOM
         case Neg(operand):
             text, prec = _fmt(operand)
             if prec < _UNARY:
                 text = f"({text})"
-            return f"-{text}", _UNARY
-        case BinOp(op, left, right):
-            prec = _ADD if op in "+-" else _MUL
-            ltext, lprec = _fmt(left)
-            if lprec < prec:
-                ltext = f"({ltext})"
-            rtext, rprec = _fmt(right)
-            if rprec <= prec:
-                rtext = f"({rtext})"
-            return f"{ltext} {op} {rtext}", prec
+            text, prec = f"-{text}", _UNARY
         case Call(fn, args):
-            return f"{fn}({', '.join(format_expr(a) for a in args)})", _ATOM
-    raise TypeError(f"not an expression: {expr!r}")
+            text, prec = f"{fn}({', '.join(format_expr(a) for a in args)})", _ATOM
+        case _:
+            raise TypeError(f"not an expression: {leaf!r}")
+    for node in reversed(spine):
+        op_prec = _ADD if node.op in "+-" else _MUL
+        if prec < op_prec:
+            text = f"({text})"
+        rtext, rprec = _fmt(node.right)
+        if rprec <= op_prec:
+            rtext = f"({rtext})"
+        text, prec = f"{text} {node.op} {rtext}", op_prec
+    return text, prec
 
 
 def format_spec(spec: ProblemSpec) -> str:
@@ -417,7 +447,8 @@ def compile_spec(spec: ProblemSpec) -> CoverageProblem:
     fns = []
     comps = []
     for idx, (expr, comp) in enumerate(spec.abes, start=1):
-        params = tuple(n for n in order if n in free_vars(expr))
+        names = free_vars(expr)
+        params = tuple(n for n in order if n in names)
         fns.append(BlackBoxFn(
             params,
             lambda v, _expr=expr: eval_expr(_expr, v),

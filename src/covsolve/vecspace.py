@@ -135,7 +135,8 @@ def _nearest_float32(x: float) -> float:
         return math.copysign(_FLOAT32_MAX, x)
     if c == x:
         return c
-    other = float(np.nextafter(np.float32(c), np.float32(math.copysign(math.inf, x - c))))
+    with np.errstate(over="ignore"):  # stepping past the largest float32
+        other = float(np.nextafter(np.float32(c), np.float32(math.copysign(math.inf, x - c))))
     if math.isinf(other):
         return c
     dc, do = abs(c - x), abs(other - x)

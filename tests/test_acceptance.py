@@ -439,9 +439,9 @@ class TestMonotoneImprovementProperty:
                 cli.bundled_suite_dir().joinpath(report.name + ".prob").read_text()))
             comp = problem.comps[-1]
             previous = eval_prefix(problem.fns, problem.comps, problem.init).values[-1]
-            for _, _, value in report.trace:
-                assert improves(comp, previous, value)
-                previous = value
+            for record in report.result.log:
+                assert improves(comp, previous, record.value)
+                previous = record.value
 
 
 class TestDeterminismProperty:
@@ -459,7 +459,7 @@ class TestDeterminismProperty:
 class TestBundledSuite:
     def test_at_least_30_problems_and_90_percent_solved(self, bundled_reports):
         assert len(bundled_reports) >= 30
-        solved = sum(1 for r in bundled_reports if r.status == "SOLVED")
+        solved = sum(1 for r in bundled_reports if r.result.solved)
         assert solved / len(bundled_reports) >= 0.90
 
     def test_total_runtime_under_60s(self, bundled_reports):
@@ -467,8 +467,8 @@ class TestBundledSuite:
 
     def test_reported_solutions_reverify(self, bundled_reports):
         for report in bundled_reports:
-            if report.status != "SOLVED":
+            if not report.result.solved:
                 continue
             problem = compile_spec(parse_spec(
                 cli.bundled_suite_dir().joinpath(report.name + ".prob").read_text()))
-            assert is_solution(problem, report.solution)
+            assert is_solution(problem, report.result.solution)

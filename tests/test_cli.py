@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,8 @@ from covsolve import cli
 from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import is_solution
 from covsolve.vecspace import F64, Valuation
+
+GOLDEN = Path(__file__).with_name("golden_bundled.json")
 
 EQ_GE_TRACE = """\
 var x1 : f64
@@ -122,6 +125,17 @@ class TestSolveCommand:
         assert code == 1
         assert "FAILED" in out
 
+    @pytest.mark.parametrize("terms", [1000, 5000])
+    def test_long_sum_solves(self, tmp_path, capsys, terms):
+        path = tmp_path / "long.prob"
+        path.write_text("var x : f64\ninit x = 0\nabe "
+                        + " + ".join(["x"] * terms) + " - 1 > 0\n")
+        code = cli.main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "status: SOLVED" in captured.out
+        assert "Traceback" not in captured.err
+
     def test_prefix_flag(self, eq_ge_file, capsys):
         code = cli.main(["solve", str(eq_ge_file), "--prefix", "1", "--json"])
         assert code == 0
@@ -202,3 +216,16 @@ class TestBenchCommand:
         entries = [item for item in cli.bundled_suite_dir().iterdir()
                    if item.name.endswith(".prob")]
         assert len(entries) >= 30
+
+    def test_bundled_json_matches_golden(self, capsys):
+        golden = json.loads(GOLDEN.read_text())
+        assert cli.main(["bench", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["problems"] == [
+            {"name": name, "error": None, **record}
+            for name, record in sorted(golden.items())]
+        solved = [r for r in golden.values() if r["status"] == "SOLVED"]
+        assert doc["solved"] == len(solved)
+        assert doc["count"] == len(golden)
+        assert doc["mean_iterations_solved"] == (
+            sum(r["iterations"] for r in solved) / len(solved))

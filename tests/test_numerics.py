@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +38,9 @@ class TestEpsilonFromValue:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             epsilon_from_value(math.inf)
+
+    def test_largest_float_does_not_overflow(self):
+        assert epsilon_from_value(sys.float_info.max) == 2.0**998
 
     def test_underflow_clamps_to_subnormal(self):
         eps = epsilon_from_value(5e-324)

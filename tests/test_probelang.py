@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +133,13 @@ abe a - 1 >= 0
         assert spec.inits == (("a", int(literal)),)
         assert parse_spec(format_spec(spec)) == spec
 
+    def test_f32_max_literal_parses_without_warnings(self):
+        import numpy as np
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = parse_spec("var a : f32\ninit a = 3.4028235e38\nabe a > 0\n")
+        assert spec.inits == (("a", float(np.finfo(np.float32).max)),)
+
     def test_comments_and_blank_lines(self):
         spec = parse_spec("""
 
@@ -150,6 +159,8 @@ abe a + 5 == 0   # distance
         ("var a : u8\ninit a = 300\n", "does not fit"),
         ("var a : i32\ninit a = 1e400\n", "does not fit"),
         ("var a : u64\ninit a = 18446744073709551616\n", "does not fit"),
+        ("var a : f32\ninit a = 1e39\n", "does not fit"),
+        ("var a : f32\ninit a = -1e39\n", "does not fit"),
         ("var a : i32\ninit a = 0\n", "no abe"),
         ("var a : i32\nabe a == 0\n", "missing init"),
         ("var a : i32\ninit a = 0\nabe b == 0\n", "undeclared"),
@@ -189,6 +200,11 @@ abe abs(min(a, b) - max(a, -b)) > 0
 """
         spec = parse_spec(text)
         assert parse_spec(format_spec(spec)) == spec
+
+    def test_1000_term_sum(self):
+        # compared as text: dataclass equality recurses down the whole chain
+        text = "var x : f64\ninit x = 0.0\nabe " + " + ".join(["x"] * 1000) + " - 1.0 > 0\n"
+        assert format_spec(parse_spec(text)) == text
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=100, deadline=None)
