@@ -86,8 +86,6 @@ def epsilon_along_line(
     with np.errstate(over="ignore", invalid="ignore"):
         point = origin + eps1 * direction
         for _ in range(n_samples):
-            if not np.all(np.isfinite(point)):
-                break
             try:
                 rounded = round_vector(point, signature)
             except ExtractionError:

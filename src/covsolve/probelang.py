@@ -14,8 +14,16 @@ compared against zero::
 
 The expressions admit +, -, *, /, unary minus, abs, min, max and the
 widening cast f64(...); they compile to black-box functions whose calls
-fail on division by zero or any non-finite intermediate.  The last listed
-expression is the one the solver tries to flip.
+fail on division by zero or any non-finite result of + - * /.  The last
+listed expression is the one the solver tries to flip.
+
+Each expression is held as a flat program: a tuple of postfix steps
+``(op, arg)``, namely ``("var", name)``, ``("lit", value)``, ``("neg", None)``,
+``("+" | "-" | "*" | "/", None)`` and ``("abs" | "min" | "max" | "f64", None)``.
+``x1 - 10`` is ``(("var", "x1"), ("lit", 10.0), ("-", None))``.  Evaluating,
+printing and listing variables are single loops over the steps, and
+programs compare, hash and print as plain tuples, so a sum as long as its
+line needs no recursion anywhere.
 """
 
 from __future__ import annotations
@@ -38,127 +46,59 @@ class CompileError(ValueError):
     pass
 
 
-# --- expression trees ----------------------------------------------------
+# --- distance programs ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+#: One postfix step: ("var", name), ("lit", value), or an operator with arg None.
+Step = tuple[str, str | float | None]
 
-
-@dataclass(frozen=True)
-class Lit:
-    value: float
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "DistExpr"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "DistExpr"
-    right: "DistExpr"
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str  # abs, min, max, f64
-    args: tuple["DistExpr", ...]
-
-
-DistExpr = Var | Lit | Neg | BinOp | Call
+#: A distance expression as postfix steps, evaluated over one value stack.
+Program = tuple[Step, ...]
 
 _FUNCTIONS = {"abs": 1, "min": 2, "max": 2, "f64": 1}
 
 
-def _left_spine(expr: DistExpr) -> tuple[list[BinOp], DistExpr]:
-    """The BinOp chain down ``expr``'s left operands (outermost first) and
-    the operand below it.
-
-    A sum or product parses into a left-deep chain as long as its line, so
-    the walks below loop down this spine and recurse only into right
-    operands, ``Neg`` and call arguments, whose nesting the parser caps.
-    """
-    spine = []
-    while isinstance(expr, BinOp):
-        spine.append(expr)
-        expr = expr.left
-    return spine, expr
+def free_vars(program: Program) -> set[str]:
+    return {arg for op, arg in program if op == "var"}
 
 
-def free_vars(expr: DistExpr) -> set[str]:
-    spine, leaf = _left_spine(expr)
-    out: set[str] = set()
-    for node in spine:
-        out |= free_vars(node.right)
-    match leaf:
-        case Var(name):
-            out.add(name)
-        case Lit(_):
-            pass
-        case Neg(operand):
-            out |= free_vars(operand)
-        case Call(_, args):
-            for a in args:
-                out |= free_vars(a)
-        case _:
-            raise TypeError(f"not an expression: {leaf!r}")
-    return out
-
-
-def eval_expr(expr: DistExpr, valuation: Valuation) -> float | None:
+def eval_expr(program: Program, valuation: Valuation) -> float | None:
     """Evaluate over 64-bit floats; None signals a failed (out-of-domain) call.
 
-    Division by zero and any non-finite intermediate fail the whole call,
-    realising black-box functions that are partial on their inputs.
+    Division by zero and any non-finite result of + - * / fail the whole
+    call, realising black-box functions that are partial on their inputs.
     """
-    spine, leaf = _left_spine(expr)
-    match leaf:
-        case Var(name):
-            a = float(valuation[name])
-        case Lit(value):
-            a = value
-        case Neg(operand):
-            v = eval_expr(operand, valuation)
-            if v is None:
-                return None
-            a = -v
-        case Call(fn, args):
-            vals = []
-            for arg in args:
-                v = eval_expr(arg, valuation)
-                if v is None:
-                    return None
-                vals.append(v)
-            if fn == "abs":
-                a = abs(vals[0])
-            elif fn == "min":
-                a = min(vals)
-            elif fn == "max":
-                a = max(vals)
-            else:
-                a = vals[0]  # f64: already wide
-        case _:
-            raise TypeError(f"not an expression: {leaf!r}")
-    for node in reversed(spine):
-        b = eval_expr(node.right, valuation)
-        if b is None:
-            return None
-        if node.op == "+":
-            a = a + b
-        elif node.op == "-":
-            a = a - b
-        elif node.op == "*":
-            a = a * b
+    stack: list[float] = []
+    for op, arg in program:
+        if op == "var":
+            stack.append(float(valuation[arg]))
+        elif op == "lit":
+            stack.append(arg)
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        elif op == "abs":
+            stack[-1] = abs(stack[-1])
+        elif op == "f64":
+            pass  # already wide
         else:
-            if b == 0.0:
+            b = stack.pop()
+            a = stack[-1]
+            if op == "+":
+                a = a + b
+            elif op == "-":
+                a = a - b
+            elif op == "*":
+                a = a * b
+            elif op == "/":
+                if b == 0.0:
+                    return None
+                a = a / b
+            else:
+                stack[-1] = min(a, b) if op == "min" else max(a, b)
+                continue
+            if not math.isfinite(a):
                 return None
-            a = a / b
-        if not math.isfinite(a):
-            return None
-    return a
+            stack[-1] = a
+    return stack[-1]
 
 
 # --- parsing --------------------------------------------------------------
@@ -208,56 +148,63 @@ class _Tokens:
         return self.index >= len(self.items)
 
 
-def _parse_expr(toks: _Tokens) -> DistExpr:
-    node = _parse_term(toks)
+def _parse_expr(toks: _Tokens, out: list[Step]) -> None:
+    _parse_term(toks, out)
     while (item := toks.peek()) and item[0] == "op" and item[1] in "+-":
         toks.next()
-        node = BinOp(item[1], node, _parse_term(toks))
-    return node
+        _parse_term(toks, out)
+        out.append((item[1], None))
 
 
-def _parse_term(toks: _Tokens) -> DistExpr:
-    node = _parse_unary(toks)
+def _parse_term(toks: _Tokens, out: list[Step]) -> None:
+    _parse_unary(toks, out)
     while (item := toks.peek()) and item[0] == "op" and item[1] in "*/":
         toks.next()
-        node = BinOp(item[1], node, _parse_unary(toks))
-    return node
+        _parse_unary(toks, out)
+        out.append((item[1], None))
 
 
-def _parse_unary(toks: _Tokens) -> DistExpr:
+def _parse_unary(toks: _Tokens, out: list[Step]) -> None:
     item = toks.peek()
     if item and item == ("op", "-"):
         toks.next()
-        return Neg(_parse_unary(toks))
-    return _parse_atom(toks)
+        _parse_unary(toks, out)
+        out.append(("neg", None))
+    else:
+        _parse_atom(toks, out)
 
 
-def _parse_atom(toks: _Tokens) -> DistExpr:
+def _parse_atom(toks: _Tokens, out: list[Step]) -> None:
     kind, text = toks.next()
     if kind == "num":
-        return Lit(float(text))
-    if kind == "name":
-        nxt = toks.peek()
-        if nxt == ("op", "("):
-            if text not in _FUNCTIONS:
-                raise ParseError(toks.line, f"unknown function {text!r}")
+        value = float(text)
+        if not math.isfinite(value):  # no literal prints back as infinity
+            raise ParseError(toks.line, f"literal {text} is out of range")
+        out.append(("lit", value))
+    elif kind == "name":
+        if toks.peek() != ("op", "("):
+            out.append(("var", text))
+            return
+        if text not in _FUNCTIONS:
+            raise ParseError(toks.line, f"unknown function {text!r}")
+        toks.next()
+        _parse_expr(toks, out)
+        n_args = 1
+        while toks.peek() == ("op", ","):
             toks.next()
-            args = [_parse_expr(toks)]
-            while toks.peek() == ("op", ","):
-                toks.next()
-                args.append(_parse_expr(toks))
-            toks.expect_op(")")
-            if len(args) != _FUNCTIONS[text]:
-                raise ParseError(
-                    toks.line,
-                    f"{text} takes {_FUNCTIONS[text]} argument(s), got {len(args)}")
-            return Call(text, tuple(args))
-        return Var(text)
-    if kind == "op" and text == "(":
-        node = _parse_expr(toks)
+            _parse_expr(toks, out)
+            n_args += 1
         toks.expect_op(")")
-        return node
-    raise ParseError(toks.line, f"unexpected token {text!r}")
+        if n_args != _FUNCTIONS[text]:
+            raise ParseError(
+                toks.line,
+                f"{text} takes {_FUNCTIONS[text]} argument(s), got {n_args}")
+        out.append((text, None))
+    elif kind == "op" and text == "(":
+        _parse_expr(toks, out)
+        toks.expect_op(")")
+    else:
+        raise ParseError(toks.line, f"unexpected token {text!r}")
 
 
 @dataclass(frozen=True)
@@ -266,7 +213,7 @@ class ProblemSpec:
 
     variables: tuple[tuple[str, ScalarType], ...]
     inits: tuple[tuple[str, int | float], ...]
-    abes: tuple[tuple[DistExpr, Comparator], ...]
+    abes: tuple[tuple[Program, Comparator], ...]
 
 
 def parse_spec(text: str) -> ProblemSpec:
@@ -274,7 +221,7 @@ def parse_spec(text: str) -> ProblemSpec:
     variables: list[tuple[str, ScalarType]] = []
     declared: dict[str, ScalarType] = {}
     inits: dict[str, int | float] = {}
-    abes: list[tuple[DistExpr, Comparator]] = []
+    abes: list[tuple[Program, Comparator]] = []
     abe_lines: list[int] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -364,10 +311,11 @@ def _coerce_literal(literal: str, typ: ScalarType, lineno: int) -> int | float:
     return value
 
 
-def _parse_abe_line(rest: str, lineno: int) -> tuple[DistExpr, Comparator]:
+def _parse_abe_line(rest: str, lineno: int) -> tuple[Program, Comparator]:
     toks = _Tokens(rest, lineno)
+    steps: list[Step] = []
     try:
-        expr = _parse_expr(toks)
+        _parse_expr(toks, steps)
     except RecursionError:
         raise ParseError(lineno, "expression nested too deeply") from None
     kind, text = toks.next()
@@ -379,7 +327,7 @@ def _parse_abe_line(rest: str, lineno: int) -> tuple[DistExpr, Comparator]:
         raise ParseError(lineno, "abe lines must compare against 0")
     if not toks.at_end():
         raise ParseError(lineno, "trailing tokens after abe")
-    return expr, comp
+    return tuple(steps), comp
 
 
 # --- printing -------------------------------------------------------------
@@ -387,36 +335,34 @@ def _parse_abe_line(rest: str, lineno: int) -> tuple[DistExpr, Comparator]:
 _ADD, _MUL, _UNARY, _ATOM = 1, 2, 3, 4
 
 
-def format_expr(expr: DistExpr) -> str:
-    text, _ = _fmt(expr)
-    return text
-
-
-def _fmt(expr: DistExpr) -> tuple[str, int]:
-    spine, leaf = _left_spine(expr)
-    match leaf:
-        case Var(name):
-            text, prec = name, _ATOM
-        case Lit(value):
-            text, prec = repr(value), _ATOM
-        case Neg(operand):
-            text, prec = _fmt(operand)
+def format_expr(program: Program) -> str:
+    """Infix text for ``program``, parenthesised only where precedence needs it."""
+    stack: list[tuple[str, int]] = []  # (text, precedence) per pending operand
+    for op, arg in program:
+        if op == "var":
+            stack.append((arg, _ATOM))
+        elif op == "lit":
+            stack.append((repr(arg), _ATOM))
+        elif op == "neg":
+            text, prec = stack.pop()
             if prec < _UNARY:
                 text = f"({text})"
-            text, prec = f"-{text}", _UNARY
-        case Call(fn, args):
-            text, prec = f"{fn}({', '.join(format_expr(a) for a in args)})", _ATOM
-        case _:
-            raise TypeError(f"not an expression: {leaf!r}")
-    for node in reversed(spine):
-        op_prec = _ADD if node.op in "+-" else _MUL
-        if prec < op_prec:
-            text = f"({text})"
-        rtext, rprec = _fmt(node.right)
-        if rprec <= op_prec:
-            rtext = f"({rtext})"
-        text, prec = f"{text} {node.op} {rtext}", op_prec
-    return text, prec
+            stack.append((f"-{text}", _UNARY))
+        elif op in _FUNCTIONS:
+            first = len(stack) - _FUNCTIONS[op]
+            args = ", ".join(text for text, _ in stack[first:])
+            del stack[first:]
+            stack.append((f"{op}({args})", _ATOM))
+        else:
+            op_prec = _ADD if op in "+-" else _MUL
+            rtext, rprec = stack.pop()
+            text, prec = stack.pop()
+            if prec < op_prec:
+                text = f"({text})"
+            if rprec <= op_prec:
+                rtext = f"({rtext})"
+            stack.append((f"{text} {op} {rtext}", op_prec))
+    return stack[-1][0]
 
 
 def format_spec(spec: ProblemSpec) -> str:

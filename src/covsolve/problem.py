@@ -26,7 +26,9 @@ class BlackBoxFn:
 
     ``eval`` receives a valuation covering at least ``params`` and returns
     the value, or None when the parameters fall outside the function's
-    domain.  It must be pure: equal valuations yield equal results.
+    domain.  Raising ``ArithmeticError`` (such as ``ZeroDivisionError``) or
+    ``ValueError`` (such as a math domain error) also marks the call as
+    failed.  It must be pure: equal valuations yield equal results.
     """
 
     params: tuple[str, ...]
@@ -34,8 +36,15 @@ class BlackBoxFn:
     name: str = ""
 
     def call(self, valuation: Valuation) -> float | None:
-        """Evaluate at ``valuation``; NaN and infinite results count as failures."""
-        result = self.eval(valuation)
+        """Evaluate at ``valuation``; None when the call fails.
+
+        NaN and infinite results count as failures too.  Exceptions other
+        than ``ArithmeticError`` and ``ValueError`` propagate.
+        """
+        try:
+            result = self.eval(valuation)
+        except (ArithmeticError, ValueError):
+            return None
         if result is None:
             return None
         result = float(result)
@@ -67,7 +76,7 @@ class PrefixEvalRecord:
 
 def eval_prefix(fns: Sequence[BlackBoxFn], comps: Sequence[Comparator],
                 valuation: Valuation) -> PrefixEvalRecord:
-    """Call the functions in order, stopping at the first failure or false predicate."""
+    """Evaluate the functions in order, stopping at the first failure or false predicate."""
     if len(fns) != len(comps):
         raise InvalidProblemError(
             f"{len(fns)} functions but {len(comps)} comparators")

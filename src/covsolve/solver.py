@@ -153,8 +153,6 @@ def _local_gradient(fn: BlackBoxFn, origin_value: float, chain: BasisChain,
 
     def f_local(u: np.ndarray) -> float | None:
         point = vec + u @ lifted
-        if not np.all(np.isfinite(point)):
-            return None
         try:
             valuation = extract(point, signature)
         except ExtractionError:
@@ -437,8 +435,6 @@ def solve(problem: CoverageProblem,
             for source, u in _candidates(state, config, rng):
                 with np.errstate(over="ignore", invalid="ignore"):
                     point = state.vec + state.chain.lift(u)
-                if not np.all(np.isfinite(point)):
-                    continue
                 try:
                     candidate = extract(point, current.signature)
                 except ExtractionError:

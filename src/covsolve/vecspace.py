@@ -266,7 +266,10 @@ class Valuation:
         return cls(sig, tuple(v for _, _, v in entries))
 
     def __getitem__(self, name: str) -> int | float:
-        return self.values[self.signature.index_of(name)]
+        try:
+            return self.values[self.signature.index_of(name)]
+        except ValueError:
+            raise KeyError(name) from None
 
     def items(self):
         return zip(self.signature.names, self.values)

@@ -5,14 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covsolve.probelang import (
-    BinOp,
-    Call,
     CompileError,
-    Lit,
-    Neg,
     ParseError,
     ProblemSpec,
-    Var,
     compile_spec,
     eval_expr,
     format_spec,
@@ -42,6 +37,28 @@ init x3 = 0
 abe x1 - x2 == 0
 abe x3 - 10 >= 0
 """
+
+
+# Builders of postfix distance programs, named after the grammar's node kinds.
+
+def Var(name):
+    return (("var", name),)
+
+
+def Lit(value):
+    return (("lit", value),)
+
+
+def Neg(operand):
+    return operand + (("neg", None),)
+
+
+def BinOp(op, left, right):
+    return left + right + ((op, None),)
+
+
+def Call(fn, args):
+    return sum(args, ()) + ((fn, None),)
 
 
 def vv(**values):
@@ -167,6 +184,8 @@ abe a + 5 == 0   # distance
         ("var a : i32\ninit a = 0\nabe a == 1\n", "against 0"),
         ("var a : i32\ninit a = 0\nabe a ** 2 == 0\n", ""),
         ("var a : i32\ninit a = 0\nabe sin(a) == 0\n", "unknown function"),
+        ("var a : f64\ninit a = 0\nabe min(1e400, a) - 1 > 0\n",
+         "line 3: literal 1e400 is out of range"),
         ("frob a\n", "unknown directive"),
         pytest.param(
             "var a : i32\ninit a = 0\nabe " + "(" * 3000 + "a" + ")" * 3000 + " == 0\n",
@@ -202,9 +221,17 @@ abe abs(min(a, b) - max(a, -b)) > 0
         assert parse_spec(format_spec(spec)) == spec
 
     def test_1000_term_sum(self):
-        # compared as text: dataclass equality recurses down the whole chain
         text = "var x : f64\ninit x = 0.0\nabe " + " + ".join(["x"] * 1000) + " - 1.0 > 0\n"
-        assert format_spec(parse_spec(text)) == text
+        spec = parse_spec(text)
+        assert format_spec(spec) == text
+        assert parse_spec(format_spec(spec)) == spec
+
+    def test_5000_term_spec_compares_hashes_and_prints(self):
+        text = "var x : f64\ninit x = 0.0\nabe " + " + ".join(["x"] * 5000) + " - 1.0 > 0\n"
+        spec, again = parse_spec(text), parse_spec(text)
+        assert spec == again
+        assert hash(spec) == hash(again)
+        assert repr(spec).startswith("ProblemSpec(")
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=100, deadline=None)

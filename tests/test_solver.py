@@ -6,7 +6,7 @@ import pytest
 from covsolve import solver
 from covsolve.constraints import CLIP_ROUNDS
 from covsolve.probelang import compile_spec, parse_spec
-from covsolve.problem import eval_prefix, is_solution
+from covsolve.problem import BlackBoxFn, CoverageProblem, eval_prefix, is_solution
 from covsolve.solver import (
     SolverConfig,
     Status,
@@ -19,7 +19,7 @@ from covsolve.solver import (
     random_candidates,
     solve,
 )
-from covsolve.vecspace import Comparator
+from covsolve.vecspace import I32, Comparator, Valuation
 
 SQ2 = math.sqrt(2.0)
 
@@ -451,3 +451,51 @@ abe x * x + 1 <= 0
             assert comp.holds(result.log[-1].value)
             for entry in result.log[:-1]:
                 assert not comp.holds(entry.value)
+
+
+def _i32_problem(*fns_and_comps):
+    """A problem over one i32 variable x, initially 0, from (eval, comparator) pairs."""
+    return CoverageProblem(
+        tuple(BlackBoxFn(("x",), f, name=f"f{i}")
+              for i, (f, _) in enumerate(fns_and_comps, start=1)),
+        tuple(c for _, c in fns_and_comps),
+        Valuation.of([("x", I32, 0)]))
+
+
+def _raise_type_error_off_init(v):
+    if v["x"] != 0:
+        raise TypeError("unsupported operand")
+    return -10.0
+
+
+RECIPROCAL_THEN_GE = (
+    (lambda v: 1.0 / (v["x"] - 1), Comparator.NEQ),  # ZeroDivisionError at x = 1
+    (lambda v: v["x"] - 10, Comparator.GE),
+)
+
+
+class TestRaisingBlackBox:
+    """ArithmeticError and ValueError from a black box are failed calls."""
+
+    def test_zero_division_is_a_failed_call(self):
+        problem = _i32_problem(*RECIPROCAL_THEN_GE)
+        result = solve(problem, SolverConfig(rng_seed=0))
+        assert result.status is Status.SOLVED
+        assert is_solution(problem, result.solution)
+
+    def test_math_domain_error_is_a_failed_call(self):
+        # log(4 - x) < 0 needs 3 < x < 4: no i32 value, and x >= 4 leaves the domain
+        problem = _i32_problem((lambda v: math.log(4 - v["x"]), Comparator.LT))
+        result = solve(problem, SolverConfig(rng_seed=0))
+        assert result.status in (Status.FAILED_NO_PROGRESS, Status.FAILED_BUDGET)
+
+    def test_other_exceptions_propagate(self):
+        problem = _i32_problem((_raise_type_error_off_init, Comparator.GE))
+        with pytest.raises(TypeError, match="unsupported operand"):
+            solve(problem, SolverConfig(rng_seed=0))
+
+    def test_budget_still_ends_the_search(self):
+        problem = _i32_problem(*RECIPROCAL_THEN_GE)
+        result = solve(problem, SolverConfig(max_evaluations=5))
+        assert result.status is Status.FAILED_BUDGET
+        assert result.evaluations_used == 5

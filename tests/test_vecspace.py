@@ -185,6 +185,11 @@ class TestValuation:
         with pytest.raises(ValueError):
             Valuation.of([("a", F64, math.nan)])
 
+    def test_unknown_name_is_a_key_error(self):
+        v = Valuation.of([("a", I32, 1)])
+        with pytest.raises(KeyError):
+            v["b"]
+
     def test_restrict_keeps_order(self):
         v = Valuation.of([("a", I32, 1), ("b", I32, 2), ("c", I32, 3)])
         r = v.restrict({"c", "a"})
