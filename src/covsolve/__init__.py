@@ -10,7 +10,7 @@ prefix predicates and three candidate generators per iteration.
 
 from .vecspace import (
     BOOL, F32, F64, I8, I16, I32, I64, U8, U16, U32, U64,
-    Comparator, ExtractionError, Kind, ScalarType, Signature, Valuation,
+    Comparator, ExtractionError, ScalarType, Signature, Valuation,
     embed, extract, round_vector,
 )
 from .problem import (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,12 +22,6 @@ class ExtractionError(ValueError):
     """A vector coordinate could not be converted back to a typed value."""
 
 
-class Kind(enum.Enum):
-    SIGNED = "signed-int"
-    UNSIGNED = "unsigned-int"
-    FLOAT = "float"
-
-
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -35,35 +29,11 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 class ScalarType:
     """A machine scalar type: integer (signed or unsigned) or IEEE float."""
 
-    kind: Kind
+    name: str
+    is_integer: bool
     bit_width: int
-
-    def __post_init__(self):
-        if self.kind is Kind.FLOAT:
-            if self.bit_width not in (32, 64):
-                raise ValueError(f"float width must be 32 or 64, got {self.bit_width}")
-        elif self.bit_width not in (8, 16, 32, 64):
-            raise ValueError(f"integer width must be 8..64, got {self.bit_width}")
-
-    @property
-    def is_integer(self) -> bool:
-        return self.kind is not Kind.FLOAT
-
-    @property
-    def min_value(self) -> int | float:
-        if self.kind is Kind.SIGNED:
-            return -(1 << (self.bit_width - 1))
-        if self.kind is Kind.UNSIGNED:
-            return 0
-        return -_FLOAT32_MAX if self.bit_width == 32 else -math.inf
-
-    @property
-    def max_value(self) -> int | float:
-        if self.kind is Kind.SIGNED:
-            return (1 << (self.bit_width - 1)) - 1
-        if self.kind is Kind.UNSIGNED:
-            return (1 << self.bit_width) - 1
-        return _FLOAT32_MAX if self.bit_width == 32 else math.inf
+    min_value: int | float
+    max_value: int | float
 
     def contains(self, value: int | float) -> bool:
         """Whether ``value`` is exactly representable in this type."""
@@ -98,12 +68,14 @@ class ScalarType:
         """
         if direction == 0.0:
             return None
+        target = math.copysign(math.inf, direction)
         if self.is_integer:
             nxt = value + math.copysign(1.0, direction)
+            if nxt == value:  # past 2**53 one unit is below the float spacing
+                nxt = math.nextafter(value, target)
             if nxt < self.min_value or nxt > self.max_value:
                 return None
             return nxt
-        target = math.copysign(math.inf, direction)
         if self.bit_width == 64:
             nxt = math.nextafter(value, target)
             return nxt if math.isfinite(nxt) else None
@@ -111,8 +83,7 @@ class ScalarType:
         return nxt if math.isfinite(nxt) else None
 
     def __str__(self) -> str:
-        prefix = {Kind.SIGNED: "i", Kind.UNSIGNED: "u", Kind.FLOAT: "f"}[self.kind]
-        return f"{prefix}{self.bit_width}"
+        return self.name
 
 
 def _round_half_away(x: float) -> int:
@@ -139,33 +110,26 @@ def _nearest_float32(x: float) -> float:
         other = float(np.nextafter(np.float32(c), np.float32(math.copysign(math.inf, x - c))))
     if math.isinf(other):
         return c
-    dc, do = abs(c - x), abs(other - x)
-    if do < dc:
-        return other
-    if do == dc:
+    if abs(other - x) == abs(c - x):
         return c if abs(c) > abs(other) else other
     return c
 
 
-I8 = ScalarType(Kind.SIGNED, 8)
-I16 = ScalarType(Kind.SIGNED, 16)
-I32 = ScalarType(Kind.SIGNED, 32)
-I64 = ScalarType(Kind.SIGNED, 64)
-U8 = ScalarType(Kind.UNSIGNED, 8)
-U16 = ScalarType(Kind.UNSIGNED, 16)
-U32 = ScalarType(Kind.UNSIGNED, 32)
-U64 = ScalarType(Kind.UNSIGNED, 64)
-F32 = ScalarType(Kind.FLOAT, 32)
-F64 = ScalarType(Kind.FLOAT, 64)
+I8 = ScalarType("i8", True, 8, -(1 << 7), (1 << 7) - 1)
+I16 = ScalarType("i16", True, 16, -(1 << 15), (1 << 15) - 1)
+I32 = ScalarType("i32", True, 32, -(1 << 31), (1 << 31) - 1)
+I64 = ScalarType("i64", True, 64, -(1 << 63), (1 << 63) - 1)
+U8 = ScalarType("u8", True, 8, 0, (1 << 8) - 1)
+U16 = ScalarType("u16", True, 16, 0, (1 << 16) - 1)
+U32 = ScalarType("u32", True, 32, 0, (1 << 32) - 1)
+U64 = ScalarType("u64", True, 64, 0, (1 << 64) - 1)
+F32 = ScalarType("f32", False, 32, -_FLOAT32_MAX, _FLOAT32_MAX)
+F64 = ScalarType("f64", False, 64, -math.inf, math.inf)
 
 #: The Boolean type: an 8-bit unsigned integer restricted to {0, 1}.
 BOOL = U8
 
-TYPES_BY_NAME = {
-    "i8": I8, "i16": I16, "i32": I32, "i64": I64,
-    "u8": U8, "u16": U16, "u32": U32, "u64": U64,
-    "f32": F32, "f64": F64,
-}
+TYPES_BY_NAME = {t.name: t for t in (I8, I16, I32, I64, U8, U16, U32, U64, F32, F64)}
 
 
 class Comparator(enum.Enum):
@@ -223,11 +187,13 @@ class Signature:
 
     names: tuple[str, ...]
     types: tuple[ScalarType, ...]
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.names) != len(self.types):
             raise ValueError("names and types differ in length")
-        if len(set(self.names)) != len(self.names):
+        object.__setattr__(self, "positions", {n: i for i, n in enumerate(self.names)})
+        if len(self.positions) != len(self.names):
             raise ValueError("duplicate variable names")
 
     @classmethod
@@ -240,9 +206,6 @@ class Signature:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
 
 
 @dataclass(frozen=True)
@@ -266,10 +229,7 @@ class Valuation:
         return cls(sig, tuple(v for _, _, v in entries))
 
     def __getitem__(self, name: str) -> int | float:
-        try:
-            return self.values[self.signature.index_of(name)]
-        except ValueError:
-            raise KeyError(name) from None
+        return self.values[self.signature.positions[name]]
 
     def items(self):
         return zip(self.signature.names, self.values)

@@ -1,4 +1,4 @@
-"""Fuzz of the text front end: any document ends in a defined outcome."""
+"""Fuzz of the text front end and the CLI flags: any input ends in a defined outcome."""
 
 import contextlib
 import io
@@ -60,6 +60,14 @@ def documents(draw):
 DOCUMENTS = documents()
 
 
+def _run_cli(argv):
+    """cli.main's exit code and stderr text, with its output captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
 @given(DOCUMENTS)
 @settings(max_examples=200, deadline=None)
 def test_parse_spec_returns_a_round_tripping_spec_or_raises_parse_error(text):
@@ -77,8 +85,50 @@ def test_solve_exits_0_1_or_2_without_a_traceback(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.prob"
         path.write_text(text, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["solve", str(path), "--max-evals", "500"])
+        code, err = _run_cli(["solve", str(path), "--max-evals", "500"])
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+# both bundled problems have two abes
+_FLAG_PROBLEMS = ("affine_mix.prob", "chain_d2_n2.prob")
+_NEAR = st.integers(-1, 3)  # each side of the lower bounds, zero included
+_WIDE = st.integers(-2**70, 2**70)
+
+
+@st.composite
+def flag_values(draw):
+    """(seed, max_iterations, max_evals, prefix); evals capped when iterations are many."""
+    seed = draw(st.one_of(_NEAR, _WIDE, st.integers(2**64, 2**70)))
+    iterations = draw(st.one_of(_NEAR, _WIDE, st.integers(4, 1000)))
+    evals = draw(st.one_of(_NEAR, _WIDE, st.integers(4, 1000)))
+    prefix = draw(st.one_of(st.integers(1, 2), _NEAR, _WIDE))
+    if iterations > 10:
+        evals = min(evals, 500)
+    return seed, iterations, evals, prefix
+
+
+@given(flag_values(), st.booleans())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_flag_values_end_in_exit_0_1_or_2(flags, bench):
+    seed, iterations, evals, prefix = flags
+    argv = [f"--seed={seed}", f"--max-iterations={iterations}", f"--max-evals={evals}"]
+    invalid = seed < 0 or iterations < 1 or evals < 1
+    suite = cli.bundled_suite_dir()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in _FLAG_PROBLEMS if bench else _FLAG_PROBLEMS[:1]:
+            (Path(tmp) / name).write_text(
+                suite.joinpath(name).read_text(encoding="utf-8"), encoding="utf-8")
+        if bench:
+            code, err = _run_cli(["bench", tmp, *argv])
+        else:
+            invalid = invalid or not 1 <= prefix <= 2
+            path = Path(tmp) / _FLAG_PROBLEMS[0]
+            code, err = _run_cli(["solve", str(path), f"--prefix={prefix}", *argv])
+    assert "Traceback" not in err
+    if invalid:
+        assert code == 2
+        assert err.startswith("error: ")
+    else:
+        assert code in (0, 1)

@@ -12,7 +12,7 @@ from covsolve.numerics import (
     epsilon_from_value,
     finite_diff_gradient,
 )
-from covsolve.vecspace import F32, F64, I32, Signature, round_vector
+from covsolve.vecspace import F32, F64, I32, I64, Signature, round_vector
 
 
 class TestEpsilonFromValue:
@@ -90,6 +90,23 @@ class TestEpsilonAlongLine:
         origin = np.array([float(2**31 - 1)])
         with pytest.raises(NoStepError):
             epsilon_along_line(origin, np.array([1.0]), 0.1, sig)
+
+    def test_integer_step_past_2_53(self):
+        # a at 2**60 steps by whole floats (256), not by the lost unit step
+        sig = Signature.of([("a", I64), ("b", I64)])
+        origin = np.array([2.0**60, 5.0])
+        direction = np.array([1.0, 1.0])
+        eps = epsilon_along_line(origin, direction, 1e-3, sig)
+        assert eps == pytest.approx(0.5005)
+        assert not np.array_equal(round_vector(origin + eps * direction, sig),
+                                  round_vector(origin, sig))
+
+    def test_overflow_ends_the_walk_quietly(self, recwarn):
+        # the first sample overflows to inf, which cannot be rounded
+        sig = Signature.of([("x", F64)])
+        with pytest.raises(NoStepError):
+            epsilon_along_line(np.array([1e308]), np.array([1.0]), 1e308, sig)
+        assert len(recwarn) == 0
 
     def test_zero_direction_rejected(self):
         sig = Signature.of([("x", F64)])

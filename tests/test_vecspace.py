@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from covsolve.vecspace import (
     BOOL, F32, F64, I8, I16, I32, I64, U8, U16, U32, U64,
-    Comparator, ExtractionError, Kind, ScalarType, Signature, Valuation,
+    Comparator, ExtractionError, ScalarType, Signature, Valuation,
     embed, extract, round_vector,
 )
 
@@ -46,12 +46,6 @@ class TestComparator:
 
 
 class TestScalarType:
-    def test_widths(self):
-        with pytest.raises(ValueError):
-            ScalarType(Kind.FLOAT, 8)
-        with pytest.raises(ValueError):
-            ScalarType(Kind.SIGNED, 12)
-
     def test_bool_is_u8(self):
         assert BOOL is U8
         assert BOOL.contains(0) and BOOL.contains(1)
@@ -77,12 +71,26 @@ class TestScalarType:
         assert I8.next_value(127.0, 1.0) is None
         assert U8.next_value(0.0, -1.0) is None
 
+    def test_next_value_past_2_53(self):
+        # one unit is below the float spacing there: step to the next float
+        assert I64.next_value(2.0**60, 1.0) == 2.0**60 + 256
+        assert U64.next_value(2.0**64, -1.0) == 2.0**64 - 2048
+        assert U64.next_value(2.0**64, 1.0) is None
+
     def test_next_value_floats(self):
         up = F64.next_value(1.0, 1.0)
         assert up == math.nextafter(1.0, math.inf)
         f32_up = F32.next_value(1.0, 1.0)
         assert f32_up == float(np.nextafter(np.float32(1.0), np.float32(2.0)))
         assert f32_up > 1.0
+
+    @pytest.mark.parametrize("x, expected", [
+        (1 + 2**-24, 1 + 2**-23),  # float32 itself rounds this tie to even, 1.0
+        (-(1 + 2**-24), -(1 + 2**-23)),
+        (1 + 3 * 2**-24, 1 + 2**-22),
+    ])
+    def test_f32_ties_round_away_from_zero(self, x, expected):
+        assert F32.nearest(x) == expected
 
 
 class TestEmbedExtract:
