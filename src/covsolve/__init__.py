@@ -19,15 +19,15 @@ from .problem import (
     dependency_closure, eval_prefix, from_trace, is_solution,
     reduce_problem,
 )
-from .numerics import NoStepError, epsilon_along_line, epsilon_from_value, finite_diff_gradient
+from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from .localspace import BasisChain, next_basis
 from .constraints import (
     Constraint, clip, make_constraint, satisfies, satisfies_all, transform_constraint,
 )
 from .solver import (
     IterationRecord, IterationState, SolverConfig, SolverResult, Status,
-    bit_mutation_candidates, build_spaces, grad_step_candidates, improves,
-    random_candidates, solve,
+    bit_mutation_candidates, build_spaces, finite_diff_gradient,
+    grad_step_candidates, improves, random_candidates, solve,
 )
 from .probelang import (
     CompileError, ParseError, ProblemSpec,

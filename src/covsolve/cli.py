@@ -66,12 +66,11 @@ class InputError(Exception):
     """A problem file could not be read, parsed, or compiled."""
 
 
-def _config_from_args(args: argparse.Namespace, seed: int | None = None) -> SolverConfig:
+def _config_from_args(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(
         max_iterations=args.max_iterations,
         max_evaluations=args.max_evals,
-        rng_seed=args.seed if seed is None else seed,
-        tangent_projection=not args.no_tangent_projection,
+        rng_seed=args.seed,
     )
 
 
@@ -161,7 +160,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         (item for item in root.iterdir() if item.name.endswith(".prob")),
         key=lambda item: item.name)
     try:
-        _config_from_args(args)
+        config = _config_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -169,9 +168,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows: list[tuple[str, RunReport | None, str | None]] = []  # name, report, error
     for index, entry in enumerate(entries):
         name = entry.name[:-len(".prob")]
-        config = _config_from_args(args, seed=args.seed + index)
+        problem_config = replace(config, rng_seed=args.seed + index)
         try:
-            rows.append((name, run_problem(name, _read_problem_file(entry), config), None))
+            rows.append((name, run_problem(name, _read_problem_file(entry),
+                                           problem_config), None))
         except InputError as exc:
             rows.append((name, None, str(exc)))
     reports = [report for _, report, _ in rows if report is not None]
@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"black-box call budget (default {defaults.max_evaluations})")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--no-tangent-projection", action="store_true",
-                       help="clip along plain normals in every round")
         p.add_argument("--verbose", action="store_true",
                        help="show the per-iteration trace")
 

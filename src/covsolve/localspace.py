@@ -54,57 +54,48 @@ def next_basis(grad: np.ndarray, prev_dim: int, *, append_gradient: bool) -> np.
 
 
 class BasisChain:
-    """Bases B_1..B_k with every vector's root-space form cached.
+    """Bases B_1..B_k, each kept as its vectors' root-space form.
 
     The chain is grown once per solver iteration and read-only afterwards.
     ``lifted(i)`` holds the level-i basis vectors expressed in root
-    coordinates, so lifting a vector from any level is a single product.
+    coordinates, so lifting a vector from the top level is a single product.
     """
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        root = np.eye(dim, dtype=np.float64)
-        self._bases: list[np.ndarray] = [root]
-        self._lifted: list[np.ndarray] = [root]
+        self._lifted: list[np.ndarray] = [np.eye(dim, dtype=np.float64)]
 
     def __len__(self) -> int:
-        return len(self._bases)
+        return len(self._lifted)
 
     @property
     def root_dim(self) -> int:
         return self._lifted[0].shape[1]
-
-    def basis(self, level: int) -> np.ndarray:
-        """The basis at 1-based ``level``, rows in the previous level's space."""
-        return self._bases[level - 1]
 
     def lifted(self, level: int) -> np.ndarray:
         """Level ``level`` basis vectors as rows in root coordinates."""
         return self._lifted[level - 1]
 
     def dim_at(self, level: int) -> int:
-        return self._bases[level - 1].shape[0]
+        return self._lifted[level - 1].shape[0]
 
     def extend(self, basis: np.ndarray) -> np.ndarray:
         """Append the next level; the basis rows must live in the current top space."""
-        top_size = self._bases[-1].shape[0]
+        top_size = self._lifted[-1].shape[0]
         if basis.shape[1] != top_size:
             raise ValueError(
                 f"basis over dimension {basis.shape[1]} cannot follow level of size {top_size}")
-        self._bases.append(basis)
         self._lifted.append(basis @ self._lifted[-1])
         return basis
 
-    def lift(self, u: np.ndarray, level: int | None = None) -> np.ndarray:
-        """Express a level-``level`` vector in root coordinates (the * operator)."""
-        if level is None:
-            level = len(self._bases)
+    def lift(self, u: np.ndarray) -> np.ndarray:
+        """Express a top-level vector in root coordinates (the * operator)."""
         u = np.asarray(u, dtype=np.float64)
-        lifted = self._lifted[level - 1]
+        lifted = self._lifted[-1]
         if u.shape != (lifted.shape[0],):
             raise ValueError(
-                f"vector of dimension {u.shape} at level {level} of size {lifted.shape[0]}")
+                f"vector of dimension {u.shape} at top level of size {lifted.shape[0]}")
         return u @ lifted
 
 

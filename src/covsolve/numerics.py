@@ -1,16 +1,16 @@
-"""Numerically robust primitives: epsilon steps and finite-difference gradients.
+"""Numerically robust step sizes.
 
 The search works on real vectors whose coordinates ultimately round back to
 machine-typed values, so a useful perturbation must be large enough to
 survive both 64-bit float addition and the type rounding.  Two step sizes
 are provided: one relative to a single value, and one along a line through
-the typed grid.
+the typed grid.  The solver's finite-difference gradient takes its steps
+from the latter.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -62,7 +62,9 @@ def epsilon_along_line(
     representable value of some coordinate's type.  Among the samples whose
     rounded vector differs from the rounded origin, returns the epsilon
     minimising the maximum of the step length and the distance of the
-    rounded point from the line.
+    rounded point from the line.  A score is at least its step length, and
+    the step only grows along the walk, so the walk stops once the step
+    length reaches the best score.
 
     Raises NoStepError when every sample rounds back onto the origin.
     """
@@ -86,13 +88,15 @@ def epsilon_along_line(
     with np.errstate(over="ignore", invalid="ignore"):
         point = origin + eps1 * direction
         for _ in range(n_samples):
+            eps = float(((point - origin) @ direction) / gg)
+            step_len = abs(eps) * math.sqrt(gg)
+            if step_len >= best_score:
+                break
             try:
                 rounded = round_vector(point, signature)
             except ExtractionError:
                 break
             if not np.array_equal(rounded, rounded_origin):
-                eps = float(((point - origin) @ direction) / gg)
-                step_len = abs(eps) * math.sqrt(gg)
                 t = float(((rounded - origin) @ direction) / gg)
                 line_dist = float(np.linalg.norm(rounded - (origin + t * direction)))
                 score = max(step_len, line_dist)
@@ -123,36 +127,3 @@ def _min_coordinate_step(rounded: np.ndarray, direction: np.ndarray,
         if best is None or step < best:
             best = step
     return best
-
-
-def finite_diff_gradient(
-    func: Callable[[np.ndarray], float | None],
-    origin_value: float,
-    dim: int,
-    line_eps: Callable[[int], float | None],
-) -> np.ndarray:
-    """Forward-difference gradient of a black-box function of a local vector.
-
-    ``func`` maps a local offset vector to a value, or None when the call
-    fails.  ``origin_value`` is the already-known value at the zero vector.
-    ``line_eps(j)`` supplies the per-axis step, or None when no step exists.
-    A failing call on axis j is retried with the negated step; if both fail
-    the partial derivative degrades to zero.
-    """
-    grad = np.zeros(dim, dtype=np.float64)
-    for j in range(dim):
-        eps = line_eps(j)
-        if eps is None or eps == 0.0:
-            continue
-        axis = np.zeros(dim, dtype=np.float64)
-        axis[j] = eps
-        value = func(axis)
-        if value is None:
-            axis[j] = -eps
-            value = func(axis)
-            if value is None:
-                continue
-            grad[j] = (value - origin_value) / -eps
-        else:
-            grad[j] = (value - origin_value) / eps
-    return grad

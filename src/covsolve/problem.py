@@ -38,8 +38,9 @@ class BlackBoxFn:
     def call(self, valuation: Valuation) -> float | None:
         """Evaluate at ``valuation``; None when the call fails.
 
-        NaN and infinite results count as failures too.  Exceptions other
-        than ``ArithmeticError`` and ``ValueError`` propagate.
+        NaN and infinite results, and integers beyond the float range,
+        count as failures too.  Exceptions other than ``ArithmeticError``
+        and ``ValueError`` propagate.
         """
         try:
             result = self.eval(valuation)
@@ -47,7 +48,10 @@ class BlackBoxFn:
             return None
         if result is None:
             return None
-        result = float(result)
+        try:
+            result = float(result)
+        except OverflowError:  # an integer beyond the float range
+            return None
         if not math.isfinite(result):
             return None
         return result

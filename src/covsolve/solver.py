@@ -19,12 +19,7 @@ import numpy as np
 
 from .constraints import Constraint, clip, make_constraint, transform_constraint
 from .localspace import BasisChain, next_basis
-from .numerics import (
-    NoStepError,
-    epsilon_along_line,
-    epsilon_from_value,
-    finite_diff_gradient,
-)
+from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from .problem import (
     BlackBoxFn,
     CoverageProblem,
@@ -32,7 +27,7 @@ from .problem import (
     Outcome,
     eval_prefix,
 )
-from .vecspace import Comparator, ExtractionError, Valuation, embed, extract
+from .vecspace import Comparator, ExtractionError, Signature, Valuation, embed, extract
 
 logger = logging.getLogger(__name__)
 
@@ -58,12 +53,11 @@ RANDOM = "random"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budgets, seed and clipping mode of the search."""
+    """Budgets and seed of the search."""
 
     max_iterations: int = 100
     max_evaluations: int = 100_000
     rng_seed: int = 0
-    tangent_projection: bool = True
 
     def __post_init__(self):
         for name in ("max_iterations", "max_evaluations"):
@@ -145,27 +139,34 @@ def _counted(fn: BlackBoxFn, budget: _Budget) -> BlackBoxFn:
     return BlackBoxFn(fn.params, charged_eval, fn.name)
 
 
-def _local_gradient(fn: BlackBoxFn, origin_value: float, chain: BasisChain,
-                    level: int, vec: np.ndarray, signature,
-                    eps_seed: float) -> np.ndarray:
-    """Finite-difference gradient of ``fn`` at the origin of a local space."""
-    lifted = chain.lifted(level)
+def finite_diff_gradient(fn: BlackBoxFn, origin_value: float, vec: np.ndarray,
+                         lifted: np.ndarray, signature: Signature,
+                         eps_seed: float) -> np.ndarray:
+    """Forward-difference gradient of ``fn`` at ``vec`` along each row of ``lifted``.
 
-    def f_local(u: np.ndarray) -> float | None:
-        point = vec + u @ lifted
+    ``origin_value`` is the already-known value at ``vec``.  Row j's step is
+    the line step from ``vec`` along the row, seeded with ``eps_seed``.  A
+    failing call at ``vec + eps*row`` is retried at ``vec - eps*row``; with
+    no step, or both calls failing, the partial derivative is zero.
+    """
+    grad = np.zeros(lifted.shape[0], dtype=np.float64)
+    for j, row in enumerate(lifted):
         try:
-            valuation = extract(point, signature)
-        except ExtractionError:
-            return None
-        return fn.call(valuation)
-
-    def line_eps(j: int) -> float | None:
-        try:
-            return epsilon_along_line(vec, lifted[j], eps_seed, signature)
+            eps = epsilon_along_line(vec, row, eps_seed, signature)
         except NoStepError:
-            return None
-
-    return finite_diff_gradient(f_local, origin_value, lifted.shape[0], line_eps)
+            continue
+        if eps == 0.0:
+            continue
+        for step in (eps, -eps):
+            try:
+                valuation = extract(vec + step * row, signature)
+            except ExtractionError:
+                continue
+            value = fn.call(valuation)
+            if value is not None:
+                grad[j] = (value - origin_value) / step
+                break
+    return grad
 
 
 def build_spaces(problem: CoverageProblem, valuation: Valuation, *,
@@ -195,8 +196,8 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation, *,
 
     n = len(fns)
     for i in range(1, n):
-        grad = _local_gradient(fns[i - 1], values[i - 1], chain, i, vec,
-                               signature, eps_seed)
+        grad = finite_diff_gradient(fns[i - 1], values[i - 1], vec,
+                                    chain.lifted(i), signature, eps_seed)
         grad_norm = float(np.linalg.norm(grad))
         append = comps[i - 1] is not Comparator.EQ and grad_norm > 0.0
         basis = chain.extend(next_basis(grad, chain.dim_at(i),
@@ -211,8 +212,8 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation, *,
                 items.append(moved)
         csets.append(tuple(items))
 
-    grad_n = _local_gradient(fns[n - 1], values[n - 1], chain, n, vec,
-                             signature, eps_seed)
+    grad_n = finite_diff_gradient(fns[n - 1], values[n - 1], vec,
+                                  chain.lifted(n), signature, eps_seed)
     return IterationState(problem, valuation, vec, chain, tuple(csets),
                           grad_n, values)
 
@@ -227,15 +228,15 @@ _P_VALUES = {
 }
 
 
-def grad_step_candidates(state: IterationState,
-                         config: SolverConfig) -> list[np.ndarray]:
+def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
     """Candidates from one linearised descent step of the last function.
 
     The step length t solves the linear model F[I + t*grad] = 0; the
     comparator decides which of t, t-eps, t+eps are useful landing points.
     Besides the full gradient direction, a step is taken along every single
     axis with a nonzero partial derivative, which helps escaping local
-    minima.  Every candidate is clipped by the constraint set.
+    minima.  Every candidate is clipped by the constraint set, along the
+    gradient's tangent in the first round.
     """
     grad = state.grad_n
     with np.errstate(over="ignore"):
@@ -244,7 +245,6 @@ def grad_step_candidates(state: IterationState,
         return []
     comp = state.problem.comps[-1]
     constraints = state.final_constraints
-    clip_grad = grad if config.tangent_projection else None
     f_n = state.f_n
     signature = state.valuation.signature
     out: list[np.ndarray] = []
@@ -265,7 +265,7 @@ def grad_step_candidates(state: IterationState,
         except NoStepError:
             eps = 0.0
         for p in _P_VALUES[comp](t, eps):
-            out.append(clip(p * direction, constraints, clip_grad))
+            out.append(clip(p * direction, constraints, grad))
 
     with np.errstate(over="ignore", invalid="ignore"):
         steps_along(grad)
@@ -356,8 +356,7 @@ def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
     return out
 
 
-def random_candidates(state: IterationState, config: SolverConfig,
-                      rng: np.random.Generator) -> list[np.ndarray]:
+def random_candidates(state: IterationState, rng: np.random.Generator) -> list[np.ndarray]:
     """Uniform samples from cubes around the origin and the descent target.
 
     The cube half-edge grows logarithmically with the last function's
@@ -368,7 +367,6 @@ def random_candidates(state: IterationState, config: SolverConfig,
     if dim_local == 0:
         return []
     constraints = state.final_constraints
-    clip_grad = state.grad_n if config.tangent_projection else None
     half_edge = CUBE_SCALE * math.log(abs(state.f_n) + 1.0)
 
     centers = [np.zeros(dim_local, dtype=np.float64)]
@@ -383,7 +381,7 @@ def random_candidates(state: IterationState, config: SolverConfig,
     for center in centers:
         for _ in range(SAMPLES_PER_CUBE):
             sample = center + rng.uniform(-half_edge, half_edge, size=dim_local)
-            out.append(clip(sample, constraints, clip_grad))
+            out.append(clip(sample, constraints, state.grad_n))
             out.append(sample)
     return out
 
@@ -399,13 +397,13 @@ def improves(comp: Comparator, old_value: float, new_value: float) -> bool:
     return new_value > old_value
 
 
-def _candidates(state: IterationState, config: SolverConfig,
+def _candidates(state: IterationState,
                 rng: np.random.Generator) -> Iterable[tuple[str, np.ndarray]]:
-    for u in grad_step_candidates(state, config):
+    for u in grad_step_candidates(state):
         yield GRAD_STEP, u
     for u in bit_mutation_candidates(state):
         yield BIT_MUT, u
-    for u in random_candidates(state, config, rng):
+    for u in random_candidates(state, rng):
         yield RANDOM, u
 
 
@@ -432,7 +430,7 @@ def solve(problem: CoverageProblem,
             iteration += 1
             state = build_spaces(problem, current, fns=fns)
             accepted: Valuation | None = None
-            for source, u in _candidates(state, config, rng):
+            for source, u in _candidates(state, rng):
                 with np.errstate(over="ignore", invalid="ignore"):
                     point = state.vec + state.chain.lift(u)
                 try:

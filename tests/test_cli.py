@@ -159,11 +159,6 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "iter " in out
 
-    def test_no_tangent_projection_flag(self, eq_ge_file, capsys):
-        code = cli.main(["solve", str(eq_ge_file), "--no-tangent-projection"])
-        assert code == 0
-        assert "SOLVED" in capsys.readouterr().out
-
     def test_negative_seed_exits_2(self, eq_ge_file, capsys):
         assert cli.main(["solve", str(eq_ge_file), "--seed", "-3"]) == 2
         assert "seed" in capsys.readouterr().err

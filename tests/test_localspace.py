@@ -9,11 +9,14 @@ SQ2 = math.sqrt(2.0)
 
 
 def three_level_chain():
-    """B_1 axes, B_2 = {(1,1)/sqrt2, (1,-1)/sqrt2}, B_3 = {(1,-1)/sqrt2}."""
+    """B_1 axes, B_2 = {(1,1)/sqrt2, (1,-1)/sqrt2}, B_3 = {(1,-1)/sqrt2}.
+
+    Returns the chain and B_3, whose rows live in the level-2 space.
+    """
     chain = BasisChain(2)
     chain.extend(next_basis(np.array([1.0, -1.0]), 2, append_gradient=True))
-    chain.extend(next_basis(np.array([1.0, 1.0]) / SQ2, 2, append_gradient=False))
-    return chain
+    basis3 = chain.extend(next_basis(np.array([1.0, 1.0]) / SQ2, 2, append_gradient=False))
+    return chain, basis3
 
 
 class TestRootBasis:
@@ -72,16 +75,16 @@ class TestLift:
         chain = BasisChain(2)
         chain.extend(next_basis(np.array([1.0, -1.0]), 2, append_gradient=False))
         t = 3.7
-        lifted = chain.lift(np.array([t]), level=2)
+        lifted = chain.lift(np.array([t]))
         assert lifted == pytest.approx([t / SQ2, t / SQ2], abs=1e-12)
 
     def test_level1_identity(self):
         chain = BasisChain(3)
         u = np.array([1.0, -2.0, 0.5])
-        assert np.array_equal(chain.lift(u, level=1), u)
+        assert np.array_equal(chain.lift(u), u)
 
     def test_third_level_lifts_to_root_axis(self):
-        chain = three_level_chain()
+        chain, _ = three_level_chain()
         lifted = chain.lifted(3)
         assert lifted[0] == pytest.approx([0.0, 1.0], abs=1e-9)
 
@@ -98,7 +101,7 @@ class TestLift:
     def test_dimension_mismatch(self):
         chain = BasisChain(2)
         with pytest.raises(ValueError):
-            chain.lift(np.zeros(3), level=1)
+            chain.lift(np.zeros(3))
 
 
 class TestProjectToLevel:
@@ -115,8 +118,8 @@ class TestProjectToLevel:
         assert projected == pytest.approx(expected, abs=1e-12)
 
     def test_normal_projected_into_third_level(self):
-        chain = three_level_chain()
-        projected = chain.basis(3) @ np.array([0.0, 1.0])
+        _, basis3 = three_level_chain()
+        projected = basis3 @ np.array([0.0, 1.0])
         assert projected == pytest.approx([-1 / SQ2], abs=1e-9)
 
     def test_project_then_lift_recovers_in_subspace_component(self):

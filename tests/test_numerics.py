@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import numpy as np
@@ -8,11 +9,61 @@ from hypothesis import strategies as st
 
 from covsolve.numerics import (
     NoStepError,
+    _min_coordinate_step,
     epsilon_along_line,
     epsilon_from_value,
-    finite_diff_gradient,
 )
-from covsolve.vecspace import F32, F64, I32, I64, Signature, round_vector
+from covsolve.problem import BlackBoxFn
+from covsolve.solver import finite_diff_gradient
+from covsolve.vecspace import (
+    F32, F64, I8, I16, I32, I64, U8, U16, U32, U64,
+    ExtractionError, Signature, round_vector,
+)
+
+ALL_TYPES = [I8, I16, I32, I64, U8, U16, U32, U64, F32, F64]
+
+
+def full_walk_epsilon_along_line(origin, direction, eps1, signature):
+    """The line step without the early exit: every one of the 2*dim samples is scored."""
+    gg = float(direction @ direction)
+    rounded_origin = round_vector(origin, signature)
+    best_eps = None
+    best_score = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = origin + eps1 * direction
+        for _ in range(2 * origin.shape[0]):
+            try:
+                rounded = round_vector(point, signature)
+            except ExtractionError:
+                break
+            if not np.array_equal(rounded, rounded_origin):
+                eps = float(((point - origin) @ direction) / gg)
+                step_len = abs(eps) * math.sqrt(gg)
+                t = float(((rounded - origin) @ direction) / gg)
+                line_dist = float(np.linalg.norm(rounded - (origin + t * direction)))
+                score = max(step_len, line_dist)
+                if score < best_score:
+                    best_score = score
+                    best_eps = eps
+            increment = _min_coordinate_step(rounded, direction, signature)
+            if increment is None or increment <= 0.0 or not math.isfinite(increment):
+                break
+            point = point + increment * direction
+    if best_eps is None:
+        raise NoStepError("no sample along the line changes the rounded vector")
+    return best_eps
+
+
+def _random_coordinate(rand, typ):
+    """A value of ``typ``: small, at an end of its range, or anywhere in it.
+
+    Anywhere in an i64 or u64 range is almost always past 2**53.
+    """
+    if not typ.is_integer:
+        return rand.uniform(-1.0, 1.0) * rand.choice([1.0, 2.0**60, 1e30])
+    lo, hi = typ.min_value, typ.max_value
+    return float(rand.choice([max(lo, min(hi, rand.randint(-50, 50))),
+                              lo, hi, rand.randint(lo, hi)]))
 
 
 class TestEpsilonFromValue:
@@ -142,58 +193,85 @@ class TestEpsilonAlongLine:
             round_vector(origin, sig))
 
 
-class TestFiniteDiffGradient:
+class TestEarlyExitMatchesFullWalk:
+    """Stopping once the step length reaches the best score changes no result."""
+
     @staticmethod
-    def _line_eps(origin, sig):
-        seed = epsilon_from_value(float(np.max(np.abs(origin))) if len(origin) else 0.0)
+    def _random_line(seed):
+        rand = random.Random(seed)
+        dim = rand.randint(1, 8)
+        types = [rand.choice(ALL_TYPES) for _ in range(dim)]
+        sig = Signature.of([(f"x{i}", t) for i, t in enumerate(types)])
+        origin = np.array([_random_coordinate(rand, t) for t in types])
+        if rand.random() < 0.5:
+            origin = round_vector(origin, sig)
+        else:
+            # off the grid, the first sample that moves the rounded point
+            # can lie far from the line and lose to a later one
+            origin = origin + np.array([rand.uniform(-0.5, 0.5) for _ in range(dim)])
+        # some zero components, so some coordinates stay put along the line
+        direction = np.array([rand.gauss(0.0, 1.0) if rand.random() < 0.8 else 0.0
+                              for _ in range(dim)])
+        if not direction.any():
+            direction[0] = 1.0
+        eps1 = epsilon_from_value(float(np.max(np.abs(origin))))
+        eps1 *= rand.choice([1.0, 2.0 ** rand.randint(-30, 30)])
+        return origin, direction, eps1, sig
 
-        def line_eps(j):
-            direction = np.zeros(len(origin))
-            direction[j] = 1.0
+    def test_random_lines_over_all_types(self):
+        for seed in range(1500):
+            line = self._random_line(seed)
             try:
-                return epsilon_along_line(origin, direction, seed, sig)
+                expected = full_walk_epsilon_along_line(*line)
             except NoStepError:
-                return None
+                with pytest.raises(NoStepError):
+                    epsilon_along_line(*line)
+                continue
+            assert epsilon_along_line(*line) == expected, seed
 
-        return line_eps
 
+def _gradient(f, sig, origin, lifted=None):
+    """``solver.finite_diff_gradient`` of ``f`` (a function of the point) at ``origin``."""
+    fn = BlackBoxFn(sig.names, lambda v: f(np.array(v.values, dtype=np.float64)))
+    vec = np.asarray(origin, dtype=np.float64)
+    if lifted is None:
+        lifted = np.eye(len(vec))
+    seed = epsilon_from_value(float(np.max(np.abs(vec))))
+    return finite_diff_gradient(fn, f(vec), vec, lifted, sig, seed)
+
+
+class TestFiniteDiffGradient:
     def test_linear_difference(self):
         sig = Signature.of([("x1", F64), ("x2", F64)])
-        origin = np.zeros(2)
-
-        def f(u):
-            return u[0] - u[1]
-
-        grad = finite_diff_gradient(f, 0.0, 2, self._line_eps(origin, sig))
+        grad = _gradient(lambda p: p[0] - p[1], sig, np.zeros(2))
         assert grad == pytest.approx([1.0, -1.0], rel=1e-9)
 
     def test_constant_function(self):
         sig = Signature.of([("x", F64)])
-        grad = finite_diff_gradient(lambda u: 42.0, 42.0, 1,
-                                    self._line_eps(np.zeros(1), sig))
+        grad = _gradient(lambda p: 42.0, sig, np.zeros(1))
         assert np.array_equal(grad, np.zeros(1))
 
     def test_failing_axis_degrades_to_zero(self):
         sig = Signature.of([("x1", F64), ("x2", F64)])
 
-        def f(u):
-            if u[0] != 0.0:
+        def f(p):
+            if p[0] != 0.0:
                 return None  # axis 1 fails for both signs
-            return 3.0 * u[1]
+            return 3.0 * p[1]
 
-        grad = finite_diff_gradient(f, 0.0, 2, self._line_eps(np.zeros(2), sig))
+        grad = _gradient(f, sig, np.zeros(2))
         assert grad[0] == 0.0
         assert grad[1] == pytest.approx(3.0, rel=1e-9)
 
     def test_negative_retry(self):
         sig = Signature.of([("x", F64)])
 
-        def f(u):
-            if u[0] > 0.0:
+        def f(p):
+            if p[0] > 0.0:
                 return None  # positive side out of domain
-            return 2.0 * u[0]
+            return 2.0 * p[0]
 
-        grad = finite_diff_gradient(f, 0.0, 1, self._line_eps(np.zeros(1), sig))
+        grad = _gradient(f, sig, np.zeros(1))
         assert grad[0] == pytest.approx(2.0, rel=1e-9)
 
     def test_linear_scaling_matches_coefficients(self):
@@ -201,21 +279,26 @@ class TestFiniteDiffGradient:
         coeff = np.array([2.0, -0.5, 7.25, 1e3])
         origin = np.array([1.0, -2.0, 0.5, 100.0])
 
-        def f(u):
-            return float(coeff @ (origin + u)) - float(coeff @ origin)
+        def f(p):
+            return float(coeff @ p) - float(coeff @ origin)
 
-        grad = finite_diff_gradient(f, 0.0, 4, self._line_eps(origin, sig))
+        grad = _gradient(f, sig, origin)
         assert grad == pytest.approx(coeff, rel=1e-6)
 
     def test_deterministic(self):
         sig = Signature.of([("x", F64), ("y", F64)])
         origin = np.array([0.5, -0.25])
 
-        def f(u):
-            p = origin + u
+        def f(p):
             return float(p[0] * p[0] - p[1])
 
-        origin_value = f(np.zeros(2))
-        a = finite_diff_gradient(f, origin_value, 2, self._line_eps(origin, sig))
-        b = finite_diff_gradient(f, origin_value, 2, self._line_eps(origin, sig))
+        a = _gradient(f, sig, origin)
+        b = _gradient(f, sig, origin)
         assert np.array_equal(a, b)
+
+    def test_partials_along_lifted_rows(self):
+        sig = Signature.of([("x1", F64), ("x2", F64)])
+        lifted = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        grad = _gradient(lambda p: p[0] + 3.0 * p[1], sig, np.zeros(2), lifted=lifted)
+        assert grad == pytest.approx([4.0 / math.sqrt(2.0), -2.0 / math.sqrt(2.0)],
+                                     rel=1e-6)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import BlackBoxFn, CoverageProblem, eval_prefix, is_solution
 from covsolve.solver import (
     SolverConfig,
+    SolverResult,
     Status,
     bit_mutation_candidates,
     build_spaces,
@@ -82,7 +84,8 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.max_iterations == 100
         assert cfg.max_evaluations == 100_000
-        assert cfg.tangent_projection
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "max_iterations", "max_evaluations", "rng_seed"]
         assert CLIP_ROUNDS == 10
         assert solver.BIT_MUT_STEPS == 10
         assert solver.SAMPLES_PER_CUBE == 100
@@ -100,7 +103,7 @@ class TestBuildSpaces:
     def test_equality_prefix_basis(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init)
-        basis = state.chain.basis(2)
+        basis = state.chain.lifted(2)
         assert basis.shape[0] == 1
         assert basis[0] == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-9)
         assert state.csets[1] == ()
@@ -108,7 +111,7 @@ class TestBuildSpaces:
     def test_inequality_prefix_constraint(self):
         problem = problem_of(LE_EQ_TRACE)
         state = build_spaces(problem, problem.init)
-        assert state.chain.basis(2).shape[0] == 2
+        assert state.chain.lifted(2).shape[0] == 2
         (constraint,) = state.csets[1]
         assert constraint.normal == pytest.approx([0.0, 1.0], abs=1e-9)
         assert constraint.offset == pytest.approx(1 / SQ2, abs=1e-9)
@@ -134,7 +137,7 @@ class TestGradStepCandidates:
     def test_first_candidate_reaches_linear_target(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init)
-        candidates = grad_step_candidates(state, SolverConfig())
+        candidates = grad_step_candidates(state)
         assert candidates, "gradient present, candidates expected"
         landing = state.vec + state.chain.lift(candidates[0])
         assert landing == pytest.approx([10.0, 10.0], rel=1e-5)
@@ -148,7 +151,7 @@ abe 0 * x1 - 3 >= 0
 """)
         state = build_spaces(problem, problem.init)
         assert np.array_equal(state.grad_n, np.zeros(1))
-        assert grad_step_candidates(state, SolverConfig()) == []
+        assert grad_step_candidates(state) == []
 
     def test_eq_linear_lands_exactly(self):
         problem = problem_of("""
@@ -157,7 +160,7 @@ init x = 0
 abe 2 * x - 6 == 0
 """)
         state = build_spaces(problem, problem.init)
-        candidates = grad_step_candidates(state, SolverConfig())
+        candidates = grad_step_candidates(state)
         landing = state.vec + state.chain.lift(candidates[0])
         record = eval_prefix(problem.fns, problem.comps,
                              type(problem.init)(problem.init.signature,
@@ -189,7 +192,7 @@ abe x1 - x2 == 0
 abe x1 + x2 - 5 >= 0
 """)
         state = build_spaces(problem, problem.init)
-        assert state.chain.basis(2)[0] == pytest.approx(
+        assert state.chain.lifted(2)[0] == pytest.approx(
             [1 / SQ2, 1 / SQ2], abs=1e-9)
         candidates = bit_mutation_candidates(state)
         assert len(candidates) == 64  # two i32 variables
@@ -282,13 +285,13 @@ abe 0 * x1 - 3 >= 0
 """)
         state = build_spaces(problem, problem.init)
         rng = np.random.default_rng(0)
-        candidates = random_candidates(state, SolverConfig(), rng)
+        candidates = random_candidates(state, rng)
         assert len(candidates) == 200
 
     def test_two_cubes_with_gradient(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init)
-        candidates = random_candidates(state, SolverConfig(), np.random.default_rng(0))
+        candidates = random_candidates(state, np.random.default_rng(0))
         assert len(candidates) == 400
 
     def test_zero_distance_samples_centers(self):
@@ -299,15 +302,15 @@ abe x > 0
 """)
         state = build_spaces(problem, problem.init)
         assert state.f_n == 0.0
-        candidates = random_candidates(state, SolverConfig(), np.random.default_rng(5))
+        candidates = random_candidates(state, np.random.default_rng(5))
         for u in candidates:
             assert u == pytest.approx(np.zeros(1))
 
     def test_seeded_determinism(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init)
-        a = random_candidates(state, SolverConfig(), np.random.default_rng(42))
-        b = random_candidates(state, SolverConfig(), np.random.default_rng(42))
+        a = random_candidates(state, np.random.default_rng(42))
+        b = random_candidates(state, np.random.default_rng(42))
         assert len(a) == len(b)
         for ua, ub in zip(a, b):
             assert np.array_equal(ua, ub)
@@ -324,14 +327,13 @@ abe a + b - 50 >= 0
 """])
     def test_counts_within_spec_bounds(self, text):
         problem = problem_of(text)
-        cfg = SolverConfig()
         state = build_spaces(problem, problem.init)
         dim_local = state.chain.dim_at(len(state.chain))
         n_params = len(problem.fns[-1].params)
-        assert len(grad_step_candidates(state, cfg)) <= 2 * (1 + dim_local)
+        assert len(grad_step_candidates(state)) <= 2 * (1 + dim_local)
         assert len(bit_mutation_candidates(state)) <= 64 * n_params
         rng = np.random.default_rng(0)
-        assert len(random_candidates(state, cfg, rng)) <= 4 * solver.SAMPLES_PER_CUBE
+        assert len(random_candidates(state, rng)) <= 4 * solver.SAMPLES_PER_CUBE
 
 
 class TestRandomProblemFuzz:
@@ -430,14 +432,6 @@ abe x * x + 1 <= 0
         cfg = SolverConfig(rng_seed=1234)
         assert solve(problem, cfg) == solve(problem, cfg)
 
-    def test_tangent_projection_toggle(self):
-        problem = problem_of(LE_EQ_TRACE)
-        for tangent in (True, False):
-            result = solve(problem, SolverConfig(rng_seed=0,
-                                                 tangent_projection=tangent))
-            assert result.status is Status.SOLVED
-            assert is_solution(problem, result.solution)
-
     def test_log_values_improve_and_stay_unsatisfied_until_solved(self):
         problem = problem_of(EQ_GE_TRACE)
         result = solve(problem, SolverConfig(rng_seed=0))
@@ -493,6 +487,19 @@ class TestRaisingBlackBox:
         problem = _i32_problem((_raise_type_error_off_init, Comparator.GE))
         with pytest.raises(TypeError, match="unsupported operand"):
             solve(problem, SolverConfig(rng_seed=0))
+
+    def test_integer_beyond_float_range_is_a_failed_call(self):
+        fn = BlackBoxFn(("x",), lambda v: v["x"] ** 400)
+        assert fn.call(Valuation.of([("x", I32, 6)])) is None  # 6**400 > 1.8e308
+        assert fn.call(Valuation.of([("x", I32, 2)])) == float(2**400)
+
+    def test_oversized_integer_results_end_in_a_result(self):
+        # x**400 > 10**300 needs |x| >= 6, where every result overflows a float;
+        # bit mutations and random samples call there
+        problem = _i32_problem((lambda v: v["x"] ** 400 - 10**300, Comparator.GT))
+        result = solve(problem, SolverConfig(rng_seed=0))
+        assert isinstance(result, SolverResult)
+        assert result.status is Status.FAILED_NO_PROGRESS
 
     def test_budget_still_ends_the_search(self):
         problem = _i32_problem(*RECIPROCAL_THEN_GE)

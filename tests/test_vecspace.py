@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,10 +177,19 @@ class TestProperties:
     def test_small_perturbation_keeps_integer_extraction(self, valuation, shift):
         if not all(t.is_integer for t in valuation.signature.types):
             return
-        if not all(abs(v) < 2**52 for v in valuation.values):
-            return
         vec = embed(valuation) + shift
+        # the float sum can round onto or past a midpoint for large values
+        if not all(abs(Fraction(x) - v) < Fraction(1, 2)
+                   for x, v in zip(vec, valuation.values)):
+            return
         assert extract(vec, valuation.signature) == valuation
+
+    def test_float_sum_on_a_midpoint_rounds_away_from_zero(self):
+        # 2**50 + 0.375 is not a float; the sum rounds to the tie 2**50 + 0.5
+        sig = Signature.of([("x", I64)])
+        vec = embed(Valuation(sig, (2**50,))) + 0.375
+        assert vec[0] == 2**50 + 0.5
+        assert extract(vec, sig).values == (2**50 + 1,)
 
 
 class TestValuation:
