@@ -4,8 +4,8 @@ The search works on real vectors whose coordinates ultimately round back to
 machine-typed values, so a useful perturbation must be large enough to
 survive both 64-bit float addition and the type rounding.  Two step sizes
 are provided: one relative to a single value, and one along a line through
-the typed grid.  The solver's finite-difference gradient takes its steps
-from the latter.
+the typed grid, the first sampled step that moves the rounded point.  The
+solver's finite-difference gradient takes its steps from the latter.
 """
 
 from __future__ import annotations
@@ -57,16 +57,16 @@ def epsilon_along_line(
 ) -> float:
     """Step size along ``origin + eps*direction`` that moves the rounded point.
 
-    Samples ``2 * dim`` points on the line, the first at ``eps1``, each next
-    one advanced by the smallest coordinate step that reaches the next
-    representable value of some coordinate's type.  Among the samples whose
-    rounded vector differs from the rounded origin, returns the epsilon
-    minimising the maximum of the step length and the distance of the
-    rounded point from the line.  A score is at least its step length, and
-    the step only grows along the walk, so the walk stops once the step
-    length reaches the best score.
+    Samples up to ``2 * dim`` points on the line, the first at ``eps1``,
+    each next one advanced by the smallest coordinate step that reaches the
+    next representable value of some coordinate's type, and returns the
+    epsilon of the first sample whose rounded vector differs from the
+    rounded origin.  From an origin on the typed grid (the solver's origins
+    always are) no rounded point lies farther from the line than its own
+    step, so no later sample lands nearer the line than this one.
 
-    Raises NoStepError when every sample rounds back onto the origin.
+    Raises NoStepError when every sample rounds back onto the origin, or
+    when the first that moves lies farther than a float can measure.
     """
     origin = np.asarray(origin, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
@@ -80,37 +80,25 @@ def epsilon_along_line(
         raise ValueError("initial epsilon must be positive")
 
     rounded_origin = round_vector(origin, signature)
-    n_samples = 2 * origin.shape[0]
-
-    best_eps: float | None = None
-    best_score = math.inf
 
     with np.errstate(over="ignore", invalid="ignore"):
         point = origin + eps1 * direction
-        for _ in range(n_samples):
-            eps = float(((point - origin) @ direction) / gg)
-            step_len = abs(eps) * math.sqrt(gg)
-            if step_len >= best_score:
-                break
+        for _ in range(2 * origin.shape[0]):
             try:
                 rounded = round_vector(point, signature)
             except ExtractionError:
                 break
             if not np.array_equal(rounded, rounded_origin):
-                t = float(((rounded - origin) @ direction) / gg)
-                line_dist = float(np.linalg.norm(rounded - (origin + t * direction)))
-                score = max(step_len, line_dist)
-                if score < best_score:
-                    best_score = score
-                    best_eps = eps
+                eps = float(((point - origin) @ direction) / gg)
+                if math.isfinite(eps * math.sqrt(gg)):
+                    return eps
+                break
             increment = _min_coordinate_step(rounded, direction, signature)
             if increment is None or increment <= 0.0 or not math.isfinite(increment):
                 break
             point = point + increment * direction
 
-    if best_eps is None:
-        raise NoStepError("no sample along the line changes the rounded vector")
-    return best_eps
+    raise NoStepError("no sample along the line changes the rounded vector")
 
 
 def _min_coordinate_step(rounded: np.ndarray, direction: np.ndarray,

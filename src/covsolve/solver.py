@@ -311,6 +311,9 @@ def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
     coordinate i moved by exactly y.  The candidate is the local-space
     vector lifting closest to that plane point, found by a fixed number of
     descent steps that keep one pivot coordinate pinned to the plane.
+    Every step commutes with scaling by a power of two, so the descent runs
+    once per variable, for y = 1, and each bit's candidate is that result
+    times its y; the descent's stopping test is thereby taken at scale 1.
     Candidates are deliberately left unclipped: vectors escaping the path
     early still make useful inputs elsewhere.
     """
@@ -332,27 +335,23 @@ def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
         pivot = int(np.argmax(np.abs(coords)))
         if abs(coords[pivot]) < PIVOT_GUARD:
             continue  # no basis vector reaches this variable's axis
+        u = np.zeros(dim_local, dtype=np.float64)
+        u[pivot] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(BIT_MUT_STEPS):
+                g = plane_descent_gradient(u, pivot, coords)
+                gg = float(g @ g)
+                if gg > PIVOT_GUARD:
+                    diff = u @ lifted
+                    diff[i] -= 1.0
+                    u = u + (-float(diff @ diff) / gg) * g
+                u = pin_to_plane(u, pivot, coords, 1.0)
+                if gg <= PIVOT_GUARD:
+                    break
         width = typ.bit_width
         raw = int(state.valuation.values[i]) & ((1 << width) - 1)
-        target_axis = np.zeros(state.chain.root_dim, dtype=np.float64)
-        target_axis[i] = 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1, width + 1):
-                bit = (raw >> (j - 1)) & 1
-                y = float((1 - 2 * bit) * (1 << (j - 1)))
-                u = np.zeros(dim_local, dtype=np.float64)
-                u[pivot] = y
-                for _ in range(BIT_MUT_STEPS):
-                    g = plane_descent_gradient(u, pivot, coords)
-                    gg = float(g @ g)
-                    if gg > PIVOT_GUARD:
-                        diff = u @ lifted - y * target_axis
-                        f_val = float(diff @ diff)
-                        u = u + (-f_val / gg) * g
-                    u = pin_to_plane(u, pivot, coords, y)
-                    if gg <= PIVOT_GUARD:
-                        break
-                out.append(u)
+        ys = [float((1 - 2 * ((raw >> j) & 1)) * (1 << j)) for j in range(width)]
+        out.extend(np.outer(ys, u) + 0.0)  # -0.0 + 0.0 is 0.0, as a per-bit descent gives
     return out
 
 

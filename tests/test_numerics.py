@@ -24,7 +24,11 @@ ALL_TYPES = [I8, I16, I32, I64, U8, U16, U32, U64, F32, F64]
 
 
 def full_walk_epsilon_along_line(origin, direction, eps1, signature):
-    """The line step without the early exit: every one of the 2*dim samples is scored."""
+    """The scored line step: of all 2*dim samples, the moving one nearest the line.
+
+    A sample's score is the larger of its step length and the distance of
+    its rounded point from the line.
+    """
     gg = float(direction @ direction)
     rounded_origin = round_vector(origin, signature)
     best_eps = None
@@ -159,6 +163,15 @@ class TestEpsilonAlongLine:
             epsilon_along_line(np.array([1e308]), np.array([1.0]), 1e308, sig)
         assert len(recwarn) == 0
 
+    def test_step_too_long_to_measure_raises(self, recwarn):
+        # the first sample moves both coordinates across zero, but its
+        # offset from the origin overflows: no finite epsilon reaches it
+        sig = Signature.of([("a", F64), ("b", F64)])
+        origin = np.array([-1.5e308, 1.5e308])
+        with pytest.raises(NoStepError):
+            epsilon_along_line(origin, np.array([1.0, -1.0]), 2.0**1023, sig)
+        assert len(recwarn) == 0
+
     def test_zero_direction_rejected(self):
         sig = Signature.of([("x", F64)])
         with pytest.raises(ValueError):
@@ -193,17 +206,19 @@ class TestEpsilonAlongLine:
             round_vector(origin, sig))
 
 
-class TestEarlyExitMatchesFullWalk:
-    """Stopping once the step length reaches the best score changes no result."""
+class TestFirstMovingSampleAgainstFullWalk:
+    """The first sample that moves the rounded point, checked against the scored walk."""
 
     @staticmethod
     def _random_line(seed):
+        """A random line and whether its origin lies on the typed grid."""
         rand = random.Random(seed)
         dim = rand.randint(1, 8)
         types = [rand.choice(ALL_TYPES) for _ in range(dim)]
         sig = Signature.of([(f"x{i}", t) for i, t in enumerate(types)])
         origin = np.array([_random_coordinate(rand, t) for t in types])
-        if rand.random() < 0.5:
+        on_grid = rand.random() < 0.5
+        if on_grid:
             origin = round_vector(origin, sig)
         else:
             # off the grid, the first sample that moves the rounded point
@@ -216,11 +231,17 @@ class TestEarlyExitMatchesFullWalk:
             direction[0] = 1.0
         eps1 = epsilon_from_value(float(np.max(np.abs(origin))))
         eps1 *= rand.choice([1.0, 2.0 ** rand.randint(-30, 30)])
-        return origin, direction, eps1, sig
+        return (origin, direction, eps1, sig), on_grid
 
-    def test_random_lines_over_all_types(self):
+    @classmethod
+    def _lines(cls, on_grid):
         for seed in range(1500):
-            line = self._random_line(seed)
+            line, line_on_grid = cls._random_line(seed)
+            if line_on_grid == on_grid:
+                yield seed, line
+
+    def test_on_grid_origins_match_full_walk(self):
+        for seed, line in self._lines(on_grid=True):
             try:
                 expected = full_walk_epsilon_along_line(*line)
             except NoStepError:
@@ -228,6 +249,20 @@ class TestEarlyExitMatchesFullWalk:
                     epsilon_along_line(*line)
                 continue
             assert epsilon_along_line(*line) == expected, seed
+
+    def test_off_grid_origins_move_within_full_walk_step(self):
+        for seed, line in self._lines(on_grid=False):
+            try:
+                full_walk = full_walk_epsilon_along_line(*line)
+            except NoStepError:
+                with pytest.raises(NoStepError):
+                    epsilon_along_line(*line)
+                continue
+            origin, direction, _, sig = line
+            eps = epsilon_along_line(*line)
+            assert eps <= full_walk, seed
+            assert not np.array_equal(round_vector(origin + eps * direction, sig),
+                                      round_vector(origin, sig)), seed
 
 
 def _gradient(f, sig, origin, lifted=None):

@@ -1,14 +1,19 @@
 import dataclasses
 import math
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from covsolve import solver
 from covsolve.constraints import CLIP_ROUNDS
+from covsolve.localspace import BasisChain, next_basis
 from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import BlackBoxFn, CoverageProblem, eval_prefix, is_solution
 from covsolve.solver import (
+    BIT_MUT_STEPS,
+    PIVOT_GUARD,
     SolverConfig,
     SolverResult,
     Status,
@@ -21,7 +26,9 @@ from covsolve.solver import (
     random_candidates,
     solve,
 )
-from covsolve.vecspace import I32, Comparator, Valuation
+from covsolve.vecspace import (
+    F64, I8, I16, I32, I64, U8, U16, U32, U64, Comparator, Valuation,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -232,6 +239,134 @@ abe x - 100 >= 0
         assert candidates[0] == pytest.approx([-1.0])
         assert candidates[1] == pytest.approx([2.0])
         assert candidates[2] == pytest.approx([-4.0])
+
+
+def per_bit_bit_mutations(state, guard):
+    """``bit_mutation_candidates`` with a descent of its own for every bit.
+
+    Each bit's descent starts from and targets its own y = +-2**(j-1) and
+    stops once the squared descent gradient is at most ``guard(y)``:
+    ``PIVOT_GUARD`` is an absolute test, ``PIVOT_GUARD * y * y`` the same
+    test taken at scale 1.
+    """
+    signature = state.valuation.signature
+    lifted = state.chain.lifted(len(state.chain))
+    dim_local = lifted.shape[0]
+    if dim_local == 0:
+        return []
+    params = set(state.problem.fns[-1].params)
+    out = []
+    for i, (name, typ) in enumerate(zip(signature.names, signature.types)):
+        if name not in params or not typ.is_integer:
+            continue
+        coords = lifted[:, i]
+        pivot = int(np.argmax(np.abs(coords)))
+        if abs(coords[pivot]) < PIVOT_GUARD:
+            continue
+        width = typ.bit_width
+        raw = int(state.valuation.values[i]) & ((1 << width) - 1)
+        target_axis = np.zeros(state.chain.root_dim, dtype=np.float64)
+        target_axis[i] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, width + 1):
+                bit = (raw >> (j - 1)) & 1
+                y = float((1 - 2 * bit) * (1 << (j - 1)))
+                u = np.zeros(dim_local, dtype=np.float64)
+                u[pivot] = y
+                for _ in range(BIT_MUT_STEPS):
+                    g = plane_descent_gradient(u, pivot, coords)
+                    gg = float(g @ g)
+                    if gg > guard(y):
+                        diff = u @ lifted - y * target_axis
+                        f_val = float(diff @ diff)
+                        u = u + (-f_val / gg) * g
+                    u = pin_to_plane(u, pivot, coords, y)
+                    if gg <= guard(y):
+                        break
+                out.append(u)
+    return out
+
+
+def absolute_guard(y):
+    return PIVOT_GUARD
+
+
+def scaled_guard(y):
+    return PIVOT_GUARD * y * y
+
+
+def _bit_mutation_state(seed, *, axis_gradients):
+    """A valuation and a chain of up to three ``next_basis`` levels over it.
+
+    The last function reads a random subset of the variables.  Without
+    ``axis_gradients`` half of the gradients lie close to an axis, which
+    leaves some variables barely reachable from the top level.
+    """
+    rand = random.Random(seed)
+    rng = np.random.default_rng(seed)
+    dim = rand.randint(1, 8)
+    entries = []
+    for k in range(dim):
+        typ = rand.choice([I8, I16, I32, I64, U8, U16, U32, U64, F64])
+        if typ is F64:
+            value = rand.uniform(-100.0, 100.0)
+        else:
+            value = rand.choice([0, typ.min_value, typ.max_value,
+                                 rand.randint(typ.min_value, typ.max_value)])
+        entries.append((f"x{k}", typ, value))
+    valuation = Valuation.of(entries)
+    chain = BasisChain(dim)
+    for _ in range(rand.randint(1, 3)):
+        top = chain.dim_at(len(chain))
+        if top == 0:
+            break
+        if axis_gradients or rand.random() < 0.5:
+            grad = np.zeros(top)
+            grad[rand.randrange(top)] = rand.choice([-3.0, 1.0, 2.5])
+            if not axis_gradients:
+                grad += rng.normal(size=top) * 10.0 ** -rand.randint(3, 14)
+        else:
+            grad = rng.normal(size=top)
+        chain.extend(next_basis(grad, top, append_gradient=rand.random() < 0.5))
+    params = [name for name in valuation.signature.names if rand.random() < 0.8]
+    fn = BlackBoxFn(tuple(params), lambda v: 0.0)
+    return SimpleNamespace(valuation=valuation, chain=chain,
+                           problem=SimpleNamespace(fns=(fn,)))
+
+
+def _assert_same_bits(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+
+
+class TestBitMutationsAgainstPerBitDescent:
+    """One descent at y = 1, scaled per bit, against a descent per bit."""
+
+    def test_random_chains_match_scale_free_guard(self):
+        for seed in range(150):
+            state = _bit_mutation_state(seed, axis_gradients=False)
+            _assert_same_bits(bit_mutation_candidates(state),
+                              per_bit_bit_mutations(state, scaled_guard))
+
+    def test_axis_chains_match_absolute_guard(self):
+        for seed in range(100):
+            state = _bit_mutation_state(seed, axis_gradients=True)
+            _assert_same_bits(bit_mutation_candidates(state),
+                              per_bit_bit_mutations(state, absolute_guard))
+
+    def test_diagonal_subspace_matches_absolute_guard(self):
+        problem = problem_of("""
+var x1 : i32
+var x2 : i32
+init x1 = 0
+init x2 = 0
+abe x1 - x2 == 0
+abe x1 + x2 - 5 >= 0
+""")
+        state = build_spaces(problem, problem.init)
+        _assert_same_bits(bit_mutation_candidates(state),
+                          per_bit_bit_mutations(state, absolute_guard))
 
 
 class TestPlaneDescentHelpers:

@@ -148,13 +148,21 @@ def _value_strategy(typ: ScalarType):
     return st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _full_range_strategy(typ: ScalarType):
+    """Any value of ``typ``, integers often at an end of their range."""
+    if typ.is_integer:
+        return st.one_of(st.sampled_from([typ.min_value, typ.max_value]),
+                         st.integers(min_value=typ.min_value, max_value=typ.max_value))
+    return _value_strategy(typ)
+
+
 @st.composite
-def valuations(draw, max_vars=6):
+def valuations(draw, max_vars=6, value_strategy=_value_strategy):
     count = draw(st.integers(min_value=1, max_value=max_vars))
     types = draw(st.lists(st.sampled_from(ALL_TYPES), min_size=count, max_size=count))
     entries = []
     for i, typ in enumerate(types):
-        entries.append((f"x{i + 1}", typ, draw(_value_strategy(typ))))
+        entries.append((f"x{i + 1}", typ, draw(value_strategy(typ))))
     return Valuation.of(entries)
 
 
@@ -163,6 +171,14 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, valuation):
         assert extract(embed(valuation), valuation.signature) == valuation
+
+    @given(valuations(value_strategy=_full_range_strategy))
+    @settings(max_examples=200, deadline=None)
+    def test_embedded_valuation_is_a_grid_point(self, valuation):
+        # past 2**53 embed loses precision, yet the float it gives is itself
+        # on the grid: u64's maximum embeds to 2**64 and rounds back to it
+        vec = embed(valuation)
+        assert np.array_equal(round_vector(vec, valuation.signature), vec)
 
     @given(valuations(), valuations())
     @settings(max_examples=100, deadline=None)
