@@ -138,15 +138,15 @@ def _nudge_inside(u: np.ndarray, constraint: Constraint) -> np.ndarray:
     return u + sign * eps * n
 
 
-def clip(u: np.ndarray, constraints: ConstraintSet,
-         grad: np.ndarray | None = None, *, rounds: int = CLIP_ROUNDS) -> np.ndarray:
+def clip(u: np.ndarray, constraints: ConstraintSet, grad: np.ndarray, *,
+         rounds: int = CLIP_ROUNDS) -> np.ndarray:
     """Project ``u`` into the constraint region, at most ``rounds`` times over.
 
     The first round projects each violated constraint exactly onto its
     boundary (shifted by h(P) for strict comparators); later rounds
     over-relax the projection, overshooting the boundary, which turns the
     asymptotic zig-zag between acute constraint pairs into convergence
-    within the round limit.  When ``grad`` is given, the first round
+    within the round limit.  When ``grad`` is nonzero, the first round
     instead projects along the component of the normal orthogonal to the
     gradient, which preserves the candidate's value under the linearised
     last function; later rounds revert to normal projection since the
@@ -160,7 +160,7 @@ def clip(u: np.ndarray, constraints: ConstraintSet,
         return u
     with np.errstate(over="ignore", invalid="ignore"):
         for round_no in range(rounds):
-            tangent = grad is not None and round_no == 0 and float(grad @ grad) > 0.0
+            tangent = round_no == 0 and float(grad @ grad) > 0.0
             relax = 1.0 if round_no == 0 else RELAXATION
             for c in constraints:
                 if satisfies(u, c):

@@ -69,10 +69,6 @@ class BasisChain:
     def __len__(self) -> int:
         return len(self._lifted)
 
-    @property
-    def root_dim(self) -> int:
-        return self._lifted[0].shape[1]
-
     def lifted(self, level: int) -> np.ndarray:
         """Level ``level`` basis vectors as rows in root coordinates."""
         return self._lifted[level - 1]

@@ -2,9 +2,10 @@
 
 Each iteration rebuilds the chain of local spaces and constraint sets at the
 current valuation, generates candidate vectors in the last local space by
-three strategies (a gradient-descent step, bit mutations, random samples),
-and accepts the first candidate that either solves the problem or brings
-the last function's value strictly closer to satisfying its comparator.
+three strategies (a gradient-descent step, bit mutations aimed in closed
+form at the nearest point of each bit's plane, random samples), and
+accepts the first candidate that either solves the problem or brings the
+last function's value strictly closer to satisfying its comparator.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ from .vecspace import Comparator, ExtractionError, Signature, Valuation, embed, 
 
 logger = logging.getLogger(__name__)
 
-#: Pivot coordinates below this magnitude cannot anchor a bit mutation.
+#: A variable whose root coordinates in the last local space all lie below
+#: this magnitude is out of reach of bit mutations.
 PIVOT_GUARD = 1e-12
 
 #: Weight of |F_n| against the landing point's magnitude in the grad-step epsilon.
 ALPHA = 0.01
-
-#: Descent steps per bit-mutation candidate.
-BIT_MUT_STEPS = 10
 
 #: Random samples drawn per cube.
 SAMPLES_PER_CUBE = 100
@@ -277,50 +276,21 @@ def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
     return out
 
 
-def pin_to_plane(u: np.ndarray, pivot: int, coords: np.ndarray,
-                 y: float) -> np.ndarray:
-    """Recompute the pivot coordinate so that ``u`` lifts onto the target plane.
-
-    The plane is sum_k u_k * coords_k = y, with ``coords`` the root-space
-    i-th coordinates of the basis vectors.
-    """
-    u = u.copy()
-    partial = float(u @ coords) - u[pivot] * coords[pivot]
-    u[pivot] = (y - partial) / coords[pivot]
-    return u
-
-
-def plane_descent_gradient(u: np.ndarray, pivot: int,
-                           coords: np.ndarray) -> np.ndarray:
-    """Gradient of the squared distance to the plane target, pivot held dependent.
-
-    With the pivot coordinate always recomputed from the others, the partial
-    derivatives reduce to 2*(u_k - u_p * coords_k / coords_p) and the pivot's
-    own partial is zero.
-    """
-    g = 2.0 * (u - (u[pivot] / coords[pivot]) * coords)
-    g[pivot] = 0.0
-    return g
-
-
 def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
     """One candidate per bit of each integer parameter of the last function.
 
     Flipping bit j of a value changes it by y = +-2**(j-1) (in unsigned
     arithmetic), so the mutated inputs lie on the root-space plane where
-    coordinate i moved by exactly y.  The candidate is the local-space
-    vector lifting closest to that plane point, found by a fixed number of
-    descent steps that keep one pivot coordinate pinned to the plane.
-    Every step commutes with scaling by a power of two, so the descent runs
-    once per variable, for y = 1, and each bit's candidate is that result
-    times its y; the descent's stopping test is thereby taken at scale 1.
+    coordinate i moved by exactly y.  With c the root-space i-th
+    coordinates of the basis vectors, every local vector u with u . c = y
+    lifts onto that plane, and since the lifted rows are orthonormal the
+    one lifting closest to y*e_i is the least-norm solution y*c/(c . c).
     Candidates are deliberately left unclipped: vectors escaping the path
     early still make useful inputs elsewhere.
     """
     signature = state.valuation.signature
     lifted = state.chain.lifted(len(state.chain))
-    dim_local = lifted.shape[0]
-    if dim_local == 0:
+    if lifted.shape[0] == 0:
         return []
     params = set(state.problem.fns[-1].params)
     out: list[np.ndarray] = []
@@ -332,26 +302,13 @@ def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
             logger.debug("bit mutations skip float-typed variable %s", name)
             continue
         coords = lifted[:, i]
-        pivot = int(np.argmax(np.abs(coords)))
-        if abs(coords[pivot]) < PIVOT_GUARD:
+        if float(np.max(np.abs(coords))) < PIVOT_GUARD:
             continue  # no basis vector reaches this variable's axis
-        u = np.zeros(dim_local, dtype=np.float64)
-        u[pivot] = 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(BIT_MUT_STEPS):
-                g = plane_descent_gradient(u, pivot, coords)
-                gg = float(g @ g)
-                if gg > PIVOT_GUARD:
-                    diff = u @ lifted
-                    diff[i] -= 1.0
-                    u = u + (-float(diff @ diff) / gg) * g
-                u = pin_to_plane(u, pivot, coords, 1.0)
-                if gg <= PIVOT_GUARD:
-                    break
+        u = coords / float(coords @ coords)
         width = typ.bit_width
         raw = int(state.valuation.values[i]) & ((1 << width) - 1)
         ys = [float((1 - 2 * ((raw >> j) & 1)) * (1 << j)) for j in range(width)]
-        out.extend(np.outer(ys, u) + 0.0)  # -0.0 + 0.0 is 0.0, as a per-bit descent gives
+        out.extend(np.outer(ys, u) + 0.0)  # a negative y makes -0.0 of a zero; + 0.0 undoes it
     return out
 
 

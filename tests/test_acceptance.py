@@ -9,6 +9,7 @@ the bundled benchmark suite's solved fraction and runtime.
 import json
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,10 +30,9 @@ from covsolve.problem import (
 from covsolve.solver import (
     SolverConfig,
     Status,
+    bit_mutation_candidates,
     build_spaces,
     improves,
-    pin_to_plane,
-    plane_descent_gradient,
     solve,
 )
 from covsolve.vecspace import (
@@ -213,7 +213,7 @@ class TestClipProperty:
             dim = int(rng.integers(2, 9))
             constraints = _consistent_constraint_set(rng, dim, int(rng.integers(1, 4)))
             u = rng.normal(size=dim) * 5.0
-            if satisfies_all(clip(u, constraints), constraints):
+            if satisfies_all(clip(u, constraints, np.zeros_like(u)), constraints):
                 satisfied += 1
         assert satisfied / trials >= 0.99
         assert time.perf_counter() - started < 30.0
@@ -224,7 +224,7 @@ class TestClipProperty:
             dim = int(rng.integers(2, 9))
             (constraint,) = _consistent_constraint_set(rng, dim, 1)
             u = rng.normal(size=dim) * 5.0
-            out = clip(u, (constraint,), rounds=1)
+            out = clip(u, (constraint,), np.zeros_like(u), rounds=1)
             assert satisfies_all(out, (constraint,))
 
 
@@ -264,11 +264,19 @@ class TestEpsilonProperties:
         assert time.perf_counter() - started < 30.0
 
 
-class TestBitMutationGradientProperty:
-    def test_matches_central_differences_200_instances(self):
+class TestBitMutationTargetProperty:
+    def test_matches_kkt_solution_200_instances(self):
+        """Each bit's candidate is the nearest point on its plane.
+
+        The candidate u for bit j of x_i minimises |B^T u - y*e_i|^2 subject
+        to (B^T u)_i = y; the reference solves that problem's KKT system
+        [[2 B B^T, c], [c^T, 0]] [u; lambda] = [2 y c; y] with c = B e_i.
+        A random point of the plane must lift no closer to y*e_i.
+        """
         started = time.perf_counter()
         rng = np.random.default_rng(606)
         instances = 0
+        worst = 0.0
         while instances < 200:
             dim_root = int(rng.integers(2, 9))
             dim_local = int(rng.integers(2, dim_root + 1))
@@ -278,30 +286,40 @@ class TestBitMutationGradientProperty:
             if np.max(np.abs(coords)) < 1e-3:
                 continue
             instances += 1
-            pivot = int(np.argmax(np.abs(coords)))
             j = int(rng.integers(1, 17))
-            y = float((1 - 2 * int(rng.integers(0, 2))) * 2 ** (j - 1))
+            sign = 1 - 2 * int(rng.integers(0, 2))
+            free_u = rng.normal(size=dim_local) * 2 ** (j - 1)
+
+            value = (1 << (j - 1)) if sign < 0 else 0
+            valuation = Valuation.of(
+                [(f"x{k}", I32, value if k == i else 0) for k in range(dim_root)])
+            chain = BasisChain(dim_root)
+            chain.extend(basis)
+            fn = BlackBoxFn((f"x{i}",), lambda v: 0.0)
+            state = SimpleNamespace(valuation=valuation, chain=chain,
+                                    problem=SimpleNamespace(fns=(fn,)))
+            candidates = bit_mutation_candidates(state)
+            assert len(candidates) == 32
+
+            kkt = np.zeros((dim_local + 1, dim_local + 1))
+            kkt[:dim_local, :dim_local] = 2.0 * basis @ basis.T
+            kkt[:dim_local, dim_local] = coords
+            kkt[dim_local, :dim_local] = coords
+            for bit, u in enumerate(candidates):
+                y = float((1 - 2 * ((value >> bit) & 1)) * 2 ** bit)
+                rhs = np.append(2.0 * y * coords, y)
+                expected = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:dim_local]
+                diff = float(np.max(np.abs(u - expected)))
+                worst = max(worst, diff / float(np.max(np.abs(expected))))
+            y = sign * 2.0 ** (j - 1)
+            assert candidates[j - 1] @ coords == pytest.approx(y, rel=1e-12)
             target = np.zeros(dim_root)
             target[i] = y
-            u = pin_to_plane(rng.normal(size=dim_local) * abs(y), pivot, coords, y)
-
-            def f_of_free(free_u):
-                pinned = pin_to_plane(free_u, pivot, coords, y)
-                diff = pinned @ basis - target
-                return float(diff @ diff)
-
-            grad = plane_descent_gradient(u, pivot, coords)
-            for k in range(dim_local):
-                if k == pivot:
-                    assert grad[k] == 0.0
-                    continue
-                h = 1e-6 * max(1.0, abs(u[k]))
-                up, down = u.copy(), u.copy()
-                up[k] += h
-                down[k] -= h
-                numeric = (f_of_free(up) - f_of_free(down)) / (2 * h)
-                scale = max(abs(numeric), abs(y) * 1e-6)
-                assert abs(grad[k] - numeric) <= 1e-6 * scale + 1e-9
+            on_plane = free_u + ((y - float(free_u @ coords))
+                                 / float(coords @ coords)) * coords
+            assert (np.linalg.norm(candidates[j - 1] @ basis - target)
+                    <= np.linalg.norm(on_plane @ basis - target) + 1e-9 * abs(y))
+        assert worst <= 1e-12
         assert time.perf_counter() - started < 30.0
 
 

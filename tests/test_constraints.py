@@ -99,19 +99,20 @@ class TestClip:
     def test_no_op_on_satisfying_input(self):
         c = Constraint(np.array([0.0, 1.0]), 1 / SQ2, Comparator.LE)
         u = np.array([0.3, -2.0])
-        out = clip(u, (c,))
+        out = clip(u, (c,), np.zeros_like(u))
         assert out.tobytes() == u.tobytes()
 
     def test_le_projects_onto_boundary(self):
         c = Constraint(np.array([0.0, 1.0]), 0.0, Comparator.LE)
-        out = clip(np.array([0.0, 1.0]), (c,))
+        u = np.array([0.0, 1.0])
+        out = clip(u, (c,), np.zeros_like(u))
         assert out == pytest.approx([0.0, 0.0], abs=1e-15)
         assert satisfies(out, c)
 
     def test_gt_lands_strictly_inside(self):
         c = Constraint(np.array([0.0, 1.0]), 0.0, Comparator.GT)
         u = np.array([0.0, -1.0])
-        out = clip(u, (c,))
+        out = clip(u, (c,), np.zeros_like(u))
         eps = epsilon_from_value(-1.0)  # step from the projection coordinate
         assert out == pytest.approx([0.0, eps], abs=1e-18)
         residual = float(c.normal @ out)
@@ -137,17 +138,19 @@ class TestClip:
                     Comparator.GT)[int(rng.integers(0, 4))]
             c = Constraint(normal, float(rng.normal()), comp)
             u = rng.normal(size=dim) * 5.0
-            out = clip(u, (c,), rounds=1)
+            out = clip(u, (c,), np.zeros_like(u), rounds=1)
             assert satisfies(out, c)
 
     def test_ten_round_limit_tolerates_infeasible_sets(self):
         # contradictory half-spaces: clip must terminate and may still violate
         n = np.array([1.0])
         cs = (Constraint(n, 1.0, Comparator.GE), Constraint(-n, 1.0, Comparator.GE))
-        out = clip(np.array([0.0]), cs)
+        u = np.array([0.0])
+        out = clip(u, cs, np.zeros_like(u))
         assert out.shape == (1,)
 
     def test_respects_round_limit_parameter(self):
         c = Constraint(np.array([1.0]), 2.0, Comparator.GE)
-        out = clip(np.array([0.0]), (c,), rounds=10)
+        u = np.array([0.0])
+        out = clip(u, (c,), np.zeros_like(u), rounds=10)
         assert satisfies(out, c)

@@ -12,7 +12,6 @@ from covsolve.localspace import BasisChain, next_basis
 from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import BlackBoxFn, CoverageProblem, eval_prefix, is_solution
 from covsolve.solver import (
-    BIT_MUT_STEPS,
     PIVOT_GUARD,
     SolverConfig,
     SolverResult,
@@ -21,8 +20,6 @@ from covsolve.solver import (
     build_spaces,
     grad_step_candidates,
     improves,
-    pin_to_plane,
-    plane_descent_gradient,
     random_candidates,
     solve,
 )
@@ -94,7 +91,6 @@ class TestSolverConfig:
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
             "max_iterations", "max_evaluations", "rng_seed"]
         assert CLIP_ROUNDS == 10
-        assert solver.BIT_MUT_STEPS == 10
         assert solver.SAMPLES_PER_CUBE == 100
         assert solver.ALPHA == 0.01
         assert solver.CUBE_SCALE == 100.0
@@ -241,13 +237,44 @@ abe x - 100 >= 0
         assert candidates[2] == pytest.approx([-4.0])
 
 
-def per_bit_bit_mutations(state, guard):
-    """``bit_mutation_candidates`` with a descent of its own for every bit.
+#: Descent steps per bit in the pinned-descent oracle.
+BIT_MUT_STEPS = 10
 
-    Each bit's descent starts from and targets its own y = +-2**(j-1) and
-    stops once the squared descent gradient is at most ``guard(y)``:
-    ``PIVOT_GUARD`` is an absolute test, ``PIVOT_GUARD * y * y`` the same
-    test taken at scale 1.
+
+def pin_to_plane(u, pivot, coords, y):
+    """Recompute the pivot coordinate so that ``u`` lifts onto the target plane.
+
+    The plane is sum_k u_k * coords_k = y, with ``coords`` the root-space
+    i-th coordinates of the basis vectors.
+    """
+    u = u.copy()
+    partial = float(u @ coords) - u[pivot] * coords[pivot]
+    u[pivot] = (y - partial) / coords[pivot]
+    return u
+
+
+def plane_descent_gradient(u, pivot, coords):
+    """Gradient of the squared distance to the plane target, pivot held dependent.
+
+    With the pivot coordinate always recomputed from the others, the partial
+    derivatives reduce to 2*(u_k - u_p * coords_k / coords_p) and the pivot's
+    own partial is zero.
+    """
+    g = 2.0 * (u - (u[pivot] / coords[pivot]) * coords)
+    g[pivot] = 0.0
+    return g
+
+
+def per_bit_bit_mutations(state, guard):
+    """Bit mutations found by a pinned descent of their own for every bit.
+
+    The former search for each bit's target: up to ``BIT_MUT_STEPS``
+    Polyak steps on the squared distance to y*e_i, with the largest
+    coordinate pinned to the plane.  Each bit's descent starts from and
+    targets its own y = +-2**(j-1) and stops once the squared descent
+    gradient is at most ``guard(y)``: ``PIVOT_GUARD`` is an absolute test,
+    ``PIVOT_GUARD * y * y`` the same test taken at scale 1.  Returns one
+    ``(i, y, u)`` per candidate, in ``bit_mutation_candidates`` order.
     """
     signature = state.valuation.signature
     lifted = state.chain.lifted(len(state.chain))
@@ -265,7 +292,7 @@ def per_bit_bit_mutations(state, guard):
             continue
         width = typ.bit_width
         raw = int(state.valuation.values[i]) & ((1 << width) - 1)
-        target_axis = np.zeros(state.chain.root_dim, dtype=np.float64)
+        target_axis = np.zeros(lifted.shape[1], dtype=np.float64)
         target_axis[i] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1, width + 1):
@@ -283,7 +310,7 @@ def per_bit_bit_mutations(state, guard):
                     u = pin_to_plane(u, pivot, coords, y)
                     if gg <= guard(y):
                         break
-                out.append(u)
+                out.append((i, y, u))
     return out
 
 
@@ -336,18 +363,28 @@ def _bit_mutation_state(seed, *, axis_gradients):
 
 def _assert_same_bits(got, expected):
     assert len(got) == len(expected)
-    for a, b in zip(got, expected):
+    for a, (_, _, b) in zip(got, expected):
         assert a.tobytes() == b.tobytes()
 
 
 class TestBitMutationsAgainstPerBitDescent:
-    """One descent at y = 1, scaled per bit, against a descent per bit."""
+    """The closed-form targets against the pinned descent they replaced."""
 
-    def test_random_chains_match_scale_free_guard(self):
+    def test_random_chains_no_farther_than_descent(self):
         for seed in range(150):
             state = _bit_mutation_state(seed, axis_gradients=False)
-            _assert_same_bits(bit_mutation_candidates(state),
-                              per_bit_bit_mutations(state, scaled_guard))
+            lifted = state.chain.lifted(len(state.chain))
+            got = bit_mutation_candidates(state)
+            expected = per_bit_bit_mutations(state, scaled_guard)
+            assert len(got) == len(expected)
+            for u, (i, y, descent_u) in zip(got, expected):
+                target = np.zeros(lifted.shape[1])
+                target[i] = y
+                point = u @ lifted
+                assert abs(point[i] - y) <= 1e-9 * abs(y)
+                ours = float(np.linalg.norm(point - target))
+                theirs = float(np.linalg.norm(descent_u @ lifted - target))
+                assert ours <= theirs + 1e-9 * max(theirs, abs(y))
 
     def test_axis_chains_match_absolute_guard(self):
         for seed in range(100):
