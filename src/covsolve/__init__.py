@@ -22,7 +22,7 @@ from .problem import (
 from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from .localspace import BasisChain, next_basis
 from .constraints import (
-    Constraint, clip, make_constraint, satisfies, satisfies_all, transform_constraint,
+    Constraint, clip, satisfies, satisfies_all, transform_constraint,
 )
 from .solver import (
     IterationRecord, IterationState, SolverConfig, SolverResult, Status,

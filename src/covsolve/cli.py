@@ -63,15 +63,18 @@ def _typed_values(valuation: Valuation):
 
 
 class InputError(Exception):
-    """A problem file could not be read, parsed, or compiled."""
+    """A flag value or problem file is invalid, unreadable or does not compile."""
 
 
 def _config_from_args(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        max_iterations=args.max_iterations,
-        max_evaluations=args.max_evals,
-        rng_seed=args.seed,
-    )
+    try:
+        return SolverConfig(
+            max_iterations=args.max_iterations,
+            max_evaluations=args.max_evals,
+            rng_seed=args.seed,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _read_problem_file(path) -> str:
@@ -133,7 +136,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         report = run_problem(path.stem, _read_problem_file(path),
                              _config_from_args(args), args.prefix)
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
@@ -161,7 +164,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         key=lambda item: item.name)
     try:
         config = _config_from_args(args)
-    except ValueError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

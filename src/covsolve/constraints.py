@@ -1,11 +1,13 @@
-"""Half-space constraints in local spaces: construction, transformation, clipping.
+"""Half-space constraints in local spaces: transformation and clipping.
 
-A constraint (n, s, P) keeps the predicate P(n . (u - s*n), 0) true; freshly
-constructed constraints use the gradient axis of the new space as their
-normal, so each non-equality prefix predicate becomes one half-space.
-Constraints are carried into deeper spaces by projecting the normal, and
-candidate vectors are pushed into the feasible region by iterated
-projection (clipping).
+A constraint (n, b, P) holds at u when P(n . u - b, 0) is true.  Each
+non-equality prefix predicate becomes one half-space in root coordinates:
+its normal is the predicate's unit gradient axis and b is where the
+linearised function crosses zero along it.  Projecting the normal onto a
+space's lifted basis rows, which are orthonormal, restricts the half-space
+to that space with the same bound, so one projection carries a constraint
+into the last local space.  Candidate vectors are pushed into the feasible
+region by iterated projection (clipping).
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ RELAXATION = 1.8
 
 @dataclass(frozen=True)
 class Constraint:
-    """Half-space (or hyperplane complement) in a local space."""
+    """Half-space (or hyperplane complement) ``comp.holds(normal . u - bound)``."""
 
     normal: np.ndarray
-    offset: float
+    bound: float
     comp: Comparator
 
     def __post_init__(self):
@@ -56,9 +58,8 @@ def satisfies(u: np.ndarray, constraint: Constraint) -> bool:
     Vectors whose residual is not finite (overflowed candidates) satisfy
     nothing; they are reported as violations rather than errors.
     """
-    n = constraint.normal
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(n @ u - constraint.offset * (n @ n))
+        residual = float(constraint.normal @ u - constraint.bound)
     if not math.isfinite(residual):
         return False
     return constraint.comp.holds(residual)
@@ -69,44 +70,19 @@ def satisfies_all(u: np.ndarray, constraints: ConstraintSet) -> bool:
     return all(satisfies(u, c) for c in constraints)
 
 
-def make_constraint(comp: Comparator, f_value: float, grad_norm: float,
-                    new_dim: int) -> Constraint | None:
-    """Constraint for one prefix predicate, in the next level's coordinates.
-
-    The normal is the final axis of the new space (the gradient direction);
-    the offset places the hyperplane where the linearised function crosses
-    zero.  Equality comparators need no constraint: their whole admissible
-    set was already removed from the space.  A zero gradient produces no
-    constraint either, since no gradient axis exists.
-    """
-    if comp is Comparator.EQ or grad_norm <= 0.0:
-        return None
-    offset = -f_value / grad_norm
-    if not math.isfinite(offset):
-        return None
-    normal = np.zeros(new_dim, dtype=np.float64)
-    normal[new_dim - 1] = 1.0
-    return Constraint(normal, offset, comp)
-
-
 def transform_constraint(constraint: Constraint, basis: np.ndarray) -> Constraint | None:
-    """Carry a constraint into the next level's space.
+    """Restrict a root-space constraint to the space of ``basis``'s rows.
 
-    The normal is projected onto the new basis; the offset is rescaled so
-    the hyperplane still meets the projected normal's line at the original
-    plane.  When the normal is orthogonal to the whole new space the
-    constraint cannot be expressed there and None is returned.
+    The rows are orthonormal and in root coordinates, so a local vector u
+    lifts to ``basis.T @ u`` and n . (basis.T @ u) = (basis @ n) . u: the
+    normal is projected and the bound carries over unchanged.  When the
+    normal is orthogonal to the whole space the constraint cannot be
+    expressed there and None is returned.
     """
-    n = constraint.normal
-    m = basis @ n
-    # n . n' with n' the back-lifted projection equals |m|^2
-    nn_prime = float(m @ m)
-    if nn_prime < DIVISION_GUARD:
+    m = basis @ constraint.normal
+    if float(m @ m) < DIVISION_GUARD:
         return None
-    offset = constraint.offset * float(n @ n) / nn_prime
-    if not math.isfinite(offset):
-        return None
-    return Constraint(m, offset, constraint.comp)
+    return Constraint(m, constraint.bound, constraint.comp)
 
 
 def _shift(comp: Comparator, coord: float) -> float:
@@ -166,8 +142,9 @@ def clip(u: np.ndarray, constraints: ConstraintSet, grad: np.ndarray, *,
                 if satisfies(u, c):
                     continue
                 n = c.normal
+                nu = float(n @ u)
                 nn = float(n @ n)
-                coord = float(n @ u) / nn if nn >= DIVISION_GUARD else 0.0
+                coord = nu / nn if nn >= DIVISION_GUARD else 0.0
                 if not math.isfinite(coord):
                     continue
                 if tangent:
@@ -175,12 +152,11 @@ def clip(u: np.ndarray, constraints: ConstraintSet, grad: np.ndarray, *,
                     nm = float(n @ m)
                     if abs(nm) < DIVISION_GUARD:
                         continue
-                    u = u + (c.offset * nn / nm - float(n @ u) / nm
-                             + _shift(c.comp, coord)) * m
+                    u = u + ((c.bound - nu) / nm + _shift(c.comp, coord)) * m
                 else:
                     if nn < DIVISION_GUARD:
                         continue
-                    u = u + relax * (c.offset - coord + _shift(c.comp, coord)) * n
+                    u = u + relax * ((c.bound - nu) / nn + _shift(c.comp, coord)) * n
                 if not satisfies(u, c):
                     u = _nudge_inside(u, c)
             if satisfies_all(u, constraints):

@@ -10,10 +10,26 @@ approximately preserves all earlier predicates.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: Gram-Schmidt residuals below this norm count as the zero vector.
 ZERO_NORM = 1e-12
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of ``v``, finite whenever the true norm is.
+
+    The plain norm squares the entries, which overflows from about 1.3e154;
+    only then is ``v`` rescaled by its largest magnitude first.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if math.isinf(norm):
+        scale = float(np.max(np.abs(v)))
+        norm = scale * float(np.linalg.norm(v / scale))
+    return norm
 
 
 def next_basis(grad: np.ndarray, prev_dim: int, *, append_gradient: bool) -> np.ndarray:
@@ -30,9 +46,12 @@ def next_basis(grad: np.ndarray, prev_dim: int, *, append_gradient: bool) -> np.
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != (prev_dim,):
         raise ValueError(f"gradient of dimension {grad.shape} in space of {prev_dim}")
-    norm = float(np.linalg.norm(grad))
+    norm = vector_norm(grad)
     if norm == 0.0:
         return np.eye(prev_dim, dtype=np.float64)
+    if math.isinf(norm):  # beyond the float range: normalise a rescaled copy
+        grad = grad / float(np.max(np.abs(grad)))
+        norm = float(np.linalg.norm(grad))
 
     unit_grad = grad / norm
     emitted: list[np.ndarray] = []

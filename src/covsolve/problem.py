@@ -67,13 +67,12 @@ class Outcome(enum.Enum):
 class PrefixEvalRecord:
     """Result of calling F_1..F_n in order at one valuation.
 
-    ``reached`` counts attempted calls.  ``values`` holds the obtained
-    results; it is one shorter than ``reached`` when the final attempted
-    call failed, since a failed call yields no value.
+    ``values`` holds the obtained results; when the final attempted call
+    failed it yields no value, so ``diverged_at`` (or, without divergence,
+    ``len(values)``) counts the attempted calls.
     """
 
     outcome: Outcome
-    reached: int
     values: tuple[float, ...]
     diverged_at: int | None = None  # 1-based index of the failing step
 
@@ -89,13 +88,13 @@ def eval_prefix(fns: Sequence[BlackBoxFn], comps: Sequence[Comparator],
     for i, (fn, comp) in enumerate(zip(fns, comps), start=1):
         value = fn.call(valuation)
         if value is None:
-            return PrefixEvalRecord(Outcome.DIVERGED, i, tuple(values), diverged_at=i)
+            return PrefixEvalRecord(Outcome.DIVERGED, tuple(values), diverged_at=i)
         values.append(value)
         if not comp.holds(value):
             if i < n:
-                return PrefixEvalRecord(Outcome.DIVERGED, i, tuple(values), diverged_at=i)
-            return PrefixEvalRecord(Outcome.LAST_FALSE, i, tuple(values))
-    return PrefixEvalRecord(Outcome.FULL_TRUE, n, tuple(values))
+                return PrefixEvalRecord(Outcome.DIVERGED, tuple(values), diverged_at=i)
+            return PrefixEvalRecord(Outcome.LAST_FALSE, tuple(values))
+    return PrefixEvalRecord(Outcome.FULL_TRUE, tuple(values))
 
 
 @dataclass(frozen=True)

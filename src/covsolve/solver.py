@@ -1,7 +1,7 @@
 """Iterative search for a solution of a coverage problem.
 
-Each iteration rebuilds the chain of local spaces and constraint sets at the
-current valuation, generates candidate vectors in the last local space by
+Each iteration rebuilds the chain of local spaces and the prefix constraints
+at the current valuation, generates candidate vectors in the last local space by
 three strategies (a gradient-descent step, bit mutations aimed in closed
 form at the nearest point of each bit's plane, random samples), and
 accepts the first candidate that either solves the problem or brings the
@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .constraints import Constraint, clip, make_constraint, transform_constraint
-from .localspace import BasisChain, next_basis
+from .constraints import Constraint, clip, transform_constraint
+from .localspace import BasisChain, next_basis, vector_norm
 from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from .problem import (
     BlackBoxFn,
@@ -102,17 +102,13 @@ class IterationState:
     valuation: Valuation
     vec: np.ndarray
     chain: BasisChain
-    csets: tuple[tuple[Constraint, ...], ...]
+    constraints: tuple[Constraint, ...]  # in the last local space, newest first
     grad_n: np.ndarray
     prefix_values: tuple[float, ...]
 
     @property
     def f_n(self) -> float:
         return self.prefix_values[-1]
-
-    @property
-    def final_constraints(self) -> tuple[Constraint, ...]:
-        return self.csets[-1]
 
 
 class _BudgetExhausted(Exception):
@@ -145,8 +141,9 @@ def finite_diff_gradient(fn: BlackBoxFn, origin_value: float, vec: np.ndarray,
 
     ``origin_value`` is the already-known value at ``vec``.  Row j's step is
     the line step from ``vec`` along the row, seeded with ``eps_seed``.  A
-    failing call at ``vec + eps*row`` is retried at ``vec - eps*row``; with
-    no step, or both calls failing, the partial derivative is zero.
+    failing call at ``vec + eps*row``, or one whose difference quotient
+    overflows, is retried at ``vec - eps*row``; with no step, or both
+    attempts failing, the partial derivative is zero.
     """
     grad = np.zeros(lifted.shape[0], dtype=np.float64)
     for j, row in enumerate(lifted):
@@ -162,21 +159,26 @@ def finite_diff_gradient(fn: BlackBoxFn, origin_value: float, vec: np.ndarray,
             except ExtractionError:
                 continue
             value = fn.call(valuation)
-            if value is not None:
-                grad[j] = (value - origin_value) / step
+            if value is None:
+                continue
+            partial = (value - origin_value) / step
+            if math.isfinite(partial):
+                grad[j] = partial
                 break
     return grad
 
 
 def build_spaces(problem: CoverageProblem, valuation: Valuation, *,
                  fns: Sequence[BlackBoxFn] | None = None) -> IterationState:
-    """Local bases, constraint sets, and the last function's gradient at ``valuation``.
+    """Local bases, prefix constraints, and the last function's gradient at ``valuation``.
 
-    Level 1 is the axis basis with no constraints.  For every prefix
-    function the gradient in its local space is estimated numerically, the
-    next basis is built (with the gradient axis appended unless the
-    comparator is equality), the predicate's own constraint is added, and
-    all earlier constraints are carried over into the new space.
+    Level 1 is the axis basis.  For every prefix function the gradient in
+    its local space is estimated numerically and the next basis is built,
+    with the gradient axis appended unless the comparator is equality or
+    the gradient is zero.  An appended axis, lifted to root coordinates, is
+    the normal of the predicate's constraint, bounded where the linearised
+    function crosses zero.  Once the chain is built, each constraint is
+    projected into the last space, newest first.
     """
     fns = tuple(fns) if fns is not None else problem.fns
     comps = problem.comps
@@ -191,30 +193,24 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation, *,
 
     eps_seed = epsilon_from_value(float(np.max(np.abs(vec))))
     chain = BasisChain(len(signature))
-    csets: list[tuple[Constraint, ...]] = [()]
+    rooted: list[Constraint] = []  # in root coordinates, oldest first
 
     n = len(fns)
     for i in range(1, n):
         grad = finite_diff_gradient(fns[i - 1], values[i - 1], vec,
                                     chain.lifted(i), signature, eps_seed)
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = vector_norm(grad)
         append = comps[i - 1] is not Comparator.EQ and grad_norm > 0.0
-        basis = chain.extend(next_basis(grad, chain.dim_at(i),
-                                        append_gradient=append))
-        items: list[Constraint] = []
-        fresh = make_constraint(comps[i - 1], values[i - 1], grad_norm, basis.shape[0])
-        if fresh is not None:
-            items.append(fresh)
-        for old in csets[i - 1]:
-            moved = transform_constraint(old, basis)
-            if moved is not None:
-                items.append(moved)
-        csets.append(tuple(items))
+        chain.extend(next_basis(grad, chain.dim_at(i), append_gradient=append))
+        if append and math.isfinite(bound := -values[i - 1] / grad_norm):
+            rooted.append(Constraint(chain.lifted(i + 1)[-1], bound, comps[i - 1]))
 
+    last = chain.lifted(n)
+    moved = (transform_constraint(c, last) for c in reversed(rooted))
+    constraints = tuple(c for c in moved if c is not None)
     grad_n = finite_diff_gradient(fns[n - 1], values[n - 1], vec,
-                                  chain.lifted(n), signature, eps_seed)
-    return IterationState(problem, valuation, vec, chain, tuple(csets),
-                          grad_n, values)
+                                  last, signature, eps_seed)
+    return IterationState(problem, valuation, vec, chain, constraints, grad_n, values)
 
 
 _P_VALUES = {
@@ -243,7 +239,7 @@ def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
     if gg == 0.0:
         return []
     comp = state.problem.comps[-1]
-    constraints = state.final_constraints
+    constraints = state.constraints
     f_n = state.f_n
     signature = state.valuation.signature
     out: list[np.ndarray] = []
@@ -322,7 +318,7 @@ def random_candidates(state: IterationState, rng: np.random.Generator) -> list[n
     dim_local = state.chain.dim_at(len(state.chain))
     if dim_local == 0:
         return []
-    constraints = state.final_constraints
+    constraints = state.constraints
     half_edge = CUBE_SCALE * math.log(abs(state.f_n) + 1.0)
 
     centers = [np.zeros(dim_local, dtype=np.float64)]

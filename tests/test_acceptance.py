@@ -106,18 +106,18 @@ class TestGoldenExamples:
     def test_half_space_constraint_for_inequality_prefix(self):
         problem = problem_of(LE_EQ_TRACE)
         state = build_spaces(problem, problem.init)
-        (constraint,) = state.csets[1]
+        (constraint,) = state.constraints
         assert np.max(np.abs(constraint.normal - np.array([0.0, 1.0]))) <= 1e-9
-        assert abs(constraint.offset - 1 / SQ2) <= 1e-9
+        assert abs(constraint.bound - 1 / SQ2) <= 1e-9
         assert constraint.comp is Comparator.LE
 
     def test_constraint_transformation_into_deeper_space(self):
         problem = problem_of(LE_EQ_EQ_TRACE)
         state = build_spaces(problem, problem.init)
         assert np.max(np.abs(state.chain.lifted(3)[0] - np.array([0.0, 1.0]))) <= 1e-9
-        (constraint,) = state.csets[2]
+        (constraint,) = state.constraints
         assert np.max(np.abs(constraint.normal - np.array([-1 / SQ2]))) <= 1e-9
-        assert abs(constraint.offset) <= 1e-9
+        assert abs(constraint.bound) <= 1e-9
         assert constraint.comp is Comparator.LE
 
     def test_reduction_drops_independent_prefix(self):

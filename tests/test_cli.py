@@ -6,6 +6,7 @@ import pytest
 from covsolve import cli
 from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import is_solution
+from covsolve.solver import solve
 from covsolve.vecspace import F64, Valuation
 
 GOLDEN = Path(__file__).with_name("golden_bundled.json")
@@ -34,6 +35,27 @@ UNSOLVABLE = """\
 var x : f64
 init x = 0
 abe x * x + 1 <= 0
+"""
+
+# prefix partials far beyond 1e154, whose square overflows a float
+HUGE_PARTIAL = """\
+var x : i32
+var y : i32
+init x = 0
+init y = 0
+abe 1e300 * x - 1 < 0
+abe y + x - 5 >= 0
+"""
+
+# as above, after a prefix whose forward difference overflows: 1e308 - (-1e308)
+OVERFLOWING_DIFFERENCE = """\
+var x : i32
+var y : i32
+init x = 0
+init y = 0
+abe 1e308 * x - 1e308 * (1 - x) < 0
+abe 1e300 * x - 1 < 0
+abe y + x - 5 >= 0
 """
 
 
@@ -162,6 +184,27 @@ class TestSolveCommand:
     def test_negative_seed_exits_2(self, eq_ge_file, capsys):
         assert cli.main(["solve", str(eq_ge_file), "--seed", "-3"]) == 2
         assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [HUGE_PARTIAL, OVERFLOWING_DIFFERENCE],
+                         ids=["huge-partial", "overflowing-difference"])
+class TestOverflowingGradients:
+    """Gradients past the float range are search numerics, not input errors."""
+
+    def test_cli_solves(self, text, tmp_path, capsys):
+        path = tmp_path / "overflow.prob"
+        path.write_text(text)
+        code = cli.main(["solve", str(path), "--json"])
+        assert code == 0
+        solution = json.loads(capsys.readouterr().out)["solution"]
+        assert (solution["x"]["value"], solution["y"]["value"]) == (0, 5)
+
+    def test_solve_finds_solution(self, text):
+        problem = compile_spec(parse_spec(text))
+        result = solve(problem)
+        assert result.solved
+        assert is_solution(problem, result.solution)
+        assert result.solution.values == (0, 5)
 
 
 class TestBenchCommand:

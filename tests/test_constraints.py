@@ -6,7 +6,6 @@ import pytest
 from covsolve.constraints import (
     Constraint,
     clip,
-    make_constraint,
     satisfies,
     satisfies_all,
     transform_constraint,
@@ -41,25 +40,6 @@ class TestSatisfies:
             Constraint(np.array([1.0]), 0.0, Comparator.EQ)
 
 
-class TestMakeConstraint:
-    def test_half_space_from_prefix_predicate(self):
-        c = make_constraint(Comparator.LE, -1.0, SQ2, 2)
-        assert c is not None
-        assert np.array_equal(c.normal, np.array([0.0, 1.0]))
-        assert c.offset == pytest.approx(1 / SQ2, abs=1e-12)
-        assert c.comp is Comparator.LE
-
-    def test_eq_produces_nothing(self):
-        assert make_constraint(Comparator.EQ, -1.0, SQ2, 2) is None
-
-    def test_zero_offset(self):
-        c = make_constraint(Comparator.LE, 0.0, SQ2, 2)
-        assert c.offset == 0.0
-
-    def test_zero_gradient_produces_nothing(self):
-        assert make_constraint(Comparator.LE, -1.0, 0.0, 2) is None
-
-
 class TestTransformConstraint:
     def test_transforms_into_narrower_space(self):
         # B_3 = {(1,-1)/sqrt2} over the two-dimensional level-2 space
@@ -68,7 +48,7 @@ class TestTransformConstraint:
         moved = transform_constraint(c, basis)
         assert moved is not None
         assert moved.normal == pytest.approx([-1 / SQ2], abs=1e-9)
-        assert moved.offset == 0.0
+        assert moved.bound == 0.0
         assert moved.comp is Comparator.LE
 
     def test_orthogonal_normal_cancels(self):
@@ -82,17 +62,18 @@ class TestTransformConstraint:
         c = Constraint(np.array([0.0, 0.0, 1.0]), 0.75, Comparator.GT)
         moved = transform_constraint(c, basis)
         assert np.array_equal(moved.normal, c.normal)
-        assert moved.offset == c.offset
+        assert moved.bound == c.bound
 
     def test_transformed_boundary_stays_on_original_plane(self):
         basis = next_basis(np.array([1.0, 1.0]) / SQ2, 2, append_gradient=False)
-        c = Constraint(np.array([0.0, 1.0]), 0.0, Comparator.LE)
+        c = Constraint(np.array([0.0, 1.0]), 0.5, Comparator.LE)
         moved = transform_constraint(c, basis)
         # a boundary point of the transformed constraint, lifted back
-        point = moved.offset * moved.normal
+        m = moved.normal
+        point = moved.bound * m / float(m @ m)
         back = basis.T @ point
-        residual = float(c.normal @ back - c.offset * (c.normal @ c.normal))
-        assert abs(residual) <= 1e-6
+        residual = float(c.normal @ back - c.bound)
+        assert abs(residual) <= 1e-12
 
 
 class TestClip:

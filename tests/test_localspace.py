@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covsolve.localspace import BasisChain, next_basis, orthonormality_error
+from covsolve.localspace import BasisChain, next_basis, orthonormality_error, vector_norm
 
 SQ2 = math.sqrt(2.0)
 
@@ -68,6 +68,30 @@ class TestNextBasis:
         a = next_basis(grad, 4, append_gradient=True)
         b = next_basis(grad, 4, append_gradient=True)
         assert a.tobytes() == b.tobytes()
+
+
+class TestVectorNorm:
+    def test_ordinary_vectors_match_plain_norm_bitwise(self):
+        rng = np.random.default_rng(3)
+        for dim in range(1, 12):
+            v = rng.normal(size=dim) * 10.0 ** rng.integers(-150, 150)
+            assert vector_norm(v) == float(np.linalg.norm(v))
+
+    def test_entries_past_the_square_range_stay_finite(self):
+        assert vector_norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+        assert vector_norm(np.array([1e300, 0.0])) == 1e300
+
+    def test_zero_vector(self):
+        assert vector_norm(np.zeros(3)) == 0.0
+
+
+class TestNextBasisOfHugeGradients:
+    @pytest.mark.parametrize("scale", [1e154, 1e300, 1.5e308])
+    def test_orthonormal_with_unit_gradient_axis(self, scale):
+        grad = np.array([1.0, 1.0, 0.0]) * scale
+        basis = next_basis(grad, 3, append_gradient=True)
+        assert orthonormality_error(basis) <= 1e-12
+        assert basis[-1] == pytest.approx([1 / SQ2, 1 / SQ2, 0.0], abs=1e-15)
 
 
 class TestLift:

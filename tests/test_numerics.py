@@ -309,6 +309,22 @@ class TestFiniteDiffGradient:
         grad = _gradient(f, sig, np.zeros(1))
         assert grad[0] == pytest.approx(2.0, rel=1e-9)
 
+    def test_overflowing_quotient_retries_negative_side(self):
+        sig = Signature.of([("x", I32)])
+
+        def f(p):
+            if p[0] > 0:
+                return 1e308  # 1e308 - (-1e308) is beyond the float range
+            return -1e308 + 1e300 * float(p[0])
+
+        grad = _gradient(f, sig, np.zeros(1))
+        assert 0.0 < grad[0] < math.inf
+
+    def test_overflowing_quotient_on_both_sides_is_zero(self):
+        sig = Signature.of([("x", I32)])
+        grad = _gradient(lambda p: 1e308 if p[0] == 0 else -1e308, sig, np.zeros(1))
+        assert grad[0] == 0.0
+
     def test_linear_scaling_matches_coefficients(self):
         sig = Signature.of([(f"x{i}", F64) for i in range(4)])
         coeff = np.array([2.0, -0.5, 7.25, 1e3])

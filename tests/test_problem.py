@@ -36,6 +36,11 @@ def val(x1, x2):
     return Valuation.of([("x1", F64, float(x1)), ("x2", F64, float(x2))])
 
 
+def attempted(record):
+    """Calls ``eval_prefix`` made: up to the diverging one, else all of them."""
+    return record.diverged_at or len(record.values)
+
+
 class TestEvalPrefix:
     def test_diverges_on_false_prefix_predicate(self):
         fns, comps, _ = eq_ge_pair()
@@ -43,7 +48,7 @@ class TestEvalPrefix:
         assert record.outcome is Outcome.DIVERGED
         assert record.diverged_at == 1
         assert record.values == (-1.0,)
-        assert record.reached == 1
+        assert attempted(record) == 1
 
     def test_full_true(self):
         fns, comps, _ = eq_ge_pair()
@@ -74,7 +79,7 @@ class TestEvalPrefix:
         assert record.outcome is Outcome.DIVERGED
         assert record.diverged_at == 2
         assert calls == ["a", "b"]
-        assert record.reached == len(calls)
+        assert attempted(record) == len(calls)
 
     def test_call_count_equals_reached(self):
         fns, comps, _ = eq_ge_pair()
@@ -87,7 +92,7 @@ class TestEvalPrefix:
             return BlackBoxFn(f.params, wrapped, f.name)
 
         record = eval_prefix(tuple(counted(f) for f in fns), comps, val(0, 0))
-        assert counter["n"] == record.reached == 2
+        assert counter["n"] == attempted(record) == 2
 
     def test_failed_call_diverges(self):
         fns = (fn(("x1",), lambda v: None, "fail"),
@@ -96,7 +101,7 @@ class TestEvalPrefix:
         record = eval_prefix(fns, comps, Valuation.of([("x1", F64, 0.0)]))
         assert record.outcome is Outcome.DIVERGED
         assert record.diverged_at == 1
-        assert record.reached == 1
+        assert attempted(record) == 1
         assert record.values == ()  # the attempted call produced no value
 
     def test_failed_last_call_diverges(self):

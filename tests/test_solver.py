@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from covsolve import solver
-from covsolve.constraints import CLIP_ROUNDS
+from covsolve.constraints import CLIP_ROUNDS, DIVISION_GUARD
 from covsolve.localspace import BasisChain, next_basis
 from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import BlackBoxFn, CoverageProblem, eval_prefix, is_solution
@@ -60,6 +60,20 @@ abe x2 - x1 - 3 == 0
 """
 
 
+# trace (x1 = x2, x3 <= 1, x1 + x3 >= 10) with I = (0, 0, 0)
+EQ_LE_GE_TRACE = """
+var x1 : f64
+var x2 : f64
+var x3 : f64
+init x1 = 0
+init x2 = 0
+init x3 = 0
+abe x1 - x2 == 0
+abe x3 - 1 <= 0
+abe x1 + x3 - 10 >= 0
+"""
+
+
 def problem_of(text):
     return compile_spec(parse_spec(text))
 
@@ -109,31 +123,153 @@ class TestBuildSpaces:
         basis = state.chain.lifted(2)
         assert basis.shape[0] == 1
         assert basis[0] == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-9)
-        assert state.csets[1] == ()
+        assert state.constraints == ()
 
     def test_inequality_prefix_constraint(self):
         problem = problem_of(LE_EQ_TRACE)
         state = build_spaces(problem, problem.init)
         assert state.chain.lifted(2).shape[0] == 2
-        (constraint,) = state.csets[1]
+        (constraint,) = state.constraints
         assert constraint.normal == pytest.approx([0.0, 1.0], abs=1e-9)
-        assert constraint.offset == pytest.approx(1 / SQ2, abs=1e-9)
+        assert constraint.bound == pytest.approx(1 / SQ2, abs=1e-9)
         assert constraint.comp is Comparator.LE
 
     def test_constraint_carried_into_third_space(self):
         problem = problem_of(LE_EQ_EQ_TRACE)
         state = build_spaces(problem, problem.init)
         assert state.chain.lifted(3)[0] == pytest.approx([0.0, 1.0], abs=1e-9)
-        (constraint,) = state.csets[2]
+        (constraint,) = state.constraints
         assert constraint.normal == pytest.approx([-1 / SQ2], abs=1e-9)
-        assert constraint.offset == pytest.approx(0.0, abs=1e-9)
+        assert constraint.bound == pytest.approx(0.0, abs=1e-9)
         assert constraint.comp is Comparator.LE
+
+    def test_eq_prefix_makes_no_constraint(self):
+        problem = problem_of(EQ_LE_GE_TRACE)
+        state = build_spaces(problem, problem.init)
+        (constraint,) = state.constraints  # from x3 - 1 <= 0 alone
+        assert constraint.comp is Comparator.LE
+        assert constraint.bound == pytest.approx(1.0, abs=1e-9)
+        assert state.chain.lift(constraint.normal) == pytest.approx([0.0, 0.0, 1.0], abs=1e-9)
+
+    def test_zero_gradient_prefix_makes_no_constraint(self):
+        problem = CoverageProblem(
+            (BlackBoxFn(("x1",), lambda v: -1.0), BlackBoxFn(("x1",), lambda v: v["x1"] - 10)),
+            (Comparator.LE, Comparator.GE), Valuation.of([("x1", F64, 0.0)]))
+        state = build_spaces(problem, problem.init)
+        assert np.array_equal(state.chain.lifted(2), np.eye(1))
+        assert state.constraints == ()
+
+    def test_prefix_on_its_boundary_has_zero_bound(self):
+        problem = problem_of(LE_EQ_TRACE.replace("init x2 = 1", "init x2 = 0"))
+        state = build_spaces(problem, problem.init)
+        (constraint,) = state.constraints
+        assert constraint.normal == pytest.approx([0.0, 1.0], abs=1e-9)
+        assert constraint.bound == 0.0
 
     def test_prefix_values_cached(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init)
         assert state.prefix_values == (0.0, -10.0)
         assert state.f_n == -10.0
+
+
+def chained_constraints(levels):
+    """The last space's constraints, carried there one level at a time.
+
+    ``levels`` holds (comparator, value, gradient, basis) per prefix function,
+    the basis rows in the previous level's coordinates.  A constraint is
+    (normal, offset, comp), meaning comp.holds(normal . u - offset * normal . normal):
+    a fresh one is the new gradient axis with offset -F/|g|, and every level
+    projects each earlier normal onto its basis, rescaling the offset by
+    n . n / m . m.  Newest first, like ``build_spaces``.
+    """
+    current = []
+    for comp, value, grad, basis in levels:
+        moved = []
+        for normal, offset, c in current:
+            m = basis @ normal
+            mm = float(m @ m)
+            if mm >= DIVISION_GUARD and math.isfinite(offset * float(normal @ normal) / mm):
+                moved.append((m, offset * float(normal @ normal) / mm, c))
+        norm = float(np.linalg.norm(grad))
+        fresh = []
+        if comp is not Comparator.EQ and norm > 0.0 and math.isfinite(-value / norm):
+            axis = np.zeros(basis.shape[0])
+            axis[-1] = 1.0
+            fresh.append((axis, -value / norm, comp))
+        current = fresh + moved
+    return current
+
+
+def _random_linear_problem(rand, rng):
+    """Affine prefix functions over f64 variables, all holding at the initial valuation.
+
+    Dimension 2-11, 30% equality prefixes, half of the gradients close to an axis;
+    the last function is ``>= 0`` and fails at the start.
+    """
+    dim = rand.randint(2, 11)
+    names = tuple(f"x{k}" for k in range(dim))
+    x0 = rng.normal(size=dim) * 10.0
+    fns, comps = [], []
+
+    def affine(a, c):
+        return BlackBoxFn(names, lambda v: float(a @ (np.array(v.values) - x0)) + c)
+
+    for _ in range(rand.randint(1, 5)):
+        if rand.random() < 0.5:
+            a = np.zeros(dim)
+            a[rand.randrange(dim)] = rand.choice([-3.0, 1.0, 2.5])
+            a += rng.normal(size=dim) * 10.0 ** -rand.randint(3, 14)
+        else:
+            a = rng.normal(size=dim)
+        if rand.random() < 0.3:
+            comp, c = Comparator.EQ, 0.0
+        else:
+            comp = rand.choice([Comparator.LE, Comparator.LT, Comparator.GE,
+                                Comparator.GT, Comparator.NEQ])
+            c = rand.uniform(0.1, 10.0) * (1.0 if comp.holds(1.0) else -1.0)
+        fns.append(affine(a, c))
+        comps.append(comp)
+    fns.append(affine(rng.normal(size=dim), -rand.uniform(1.0, 10.0)))
+    comps.append(Comparator.GE)
+    init = Valuation.of([(name, F64, float(x)) for name, x in zip(names, x0)])
+    return CoverageProblem(tuple(fns), tuple(comps), init)
+
+
+class TestBuildSpacesAgainstChainedTransform:
+    def test_random_chains_match(self, monkeypatch):
+        grads, bases = [], []
+
+        def recording(target, record):
+            def wrapped(*args, **kwargs):
+                result = target(*args, **kwargs)
+                record.append(result)
+                return result
+            return wrapped
+
+        monkeypatch.setattr(solver, "finite_diff_gradient",
+                            recording(solver.finite_diff_gradient, grads))
+        monkeypatch.setattr(solver, "next_basis", recording(solver.next_basis, bases))
+        rand = random.Random(909)
+        rng = np.random.default_rng(909)
+        drops = 0
+        for _ in range(3000):
+            grads.clear()
+            bases.clear()
+            problem = _random_linear_problem(rand, rng)
+            state = build_spaces(problem, problem.init)
+            levels = list(zip(problem.comps, state.prefix_values, grads, bases))
+            expected = chained_constraints(levels)
+            made = sum(c is not Comparator.EQ and np.any(g != 0.0)
+                       for c, _, g, _ in levels)
+            drops += made - len(expected)
+            assert len(state.constraints) == len(expected)
+            for got, (normal, offset, comp) in zip(state.constraints, expected):
+                assert got.comp is comp
+                assert float(np.max(np.abs(got.normal - normal))) <= 1e-12
+                bound = offset * float(normal @ normal)
+                assert abs(got.bound - bound) <= 1e-12 * abs(bound)
+        assert drops > 0  # some constraints leave the last space
 
 
 class TestGradStepCandidates:
