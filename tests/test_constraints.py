@@ -12,6 +12,8 @@ from covsolve.constraints import (
 )
 from covsolve.localspace import next_basis
 from covsolve.numerics import epsilon_from_value
+from covsolve.probelang import compile_spec, parse_spec
+from covsolve.solver import build_spaces
 from covsolve.vecspace import Comparator
 
 SQ2 = math.sqrt(2.0)
@@ -38,6 +40,32 @@ class TestSatisfies:
     def test_eq_constraints_rejected_at_construction(self):
         with pytest.raises(ValueError):
             Constraint(np.array([1.0]), 0.0, Comparator.EQ)
+
+
+class TestMakeConstraint:
+    """The half-space that ``build_spaces`` makes from a prefix predicate."""
+
+    def test_half_space_from_prefix_predicate(self):
+        # x1 - x2 <= 0 at (0, 1): value -1, gradient norm sqrt2, two dimensions
+        problem = compile_spec(parse_spec("""
+var x1 : f64
+var x2 : f64
+init x1 = 0
+init x2 = 1
+abe x1 - x2 <= 0
+abe x1 - 1 == 0
+"""))
+        state = build_spaces(problem, problem.init)
+        (c,) = state.constraints
+        assert c.normal == pytest.approx([0.0, 1.0], abs=1e-9)
+        assert c.bound == pytest.approx(1 / SQ2, abs=1e-9)
+        assert c.comp is Comparator.LE
+        # off the boundary, the half-space holds exactly where the predicate does
+        rng = np.random.default_rng(7)
+        for u in rng.uniform(-3.0, 3.0, size=(200, 2)):
+            x = state.vec + state.chain.lift(u)
+            if abs(x[0] - x[1]) > 1e-6:
+                assert satisfies(u, c) == (x[0] - x[1] <= 0.0)
 
 
 class TestTransformConstraint:
