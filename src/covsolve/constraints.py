@@ -118,16 +118,18 @@ def clip(u: np.ndarray, constraints: ConstraintSet, grad: np.ndarray, *,
          rounds: int = CLIP_ROUNDS) -> np.ndarray:
     """Project ``u`` into the constraint region, at most ``rounds`` times over.
 
-    The first round projects each violated constraint exactly onto its
-    boundary (shifted by h(P) for strict comparators); later rounds
-    over-relax the projection, overshooting the boundary, which turns the
-    asymptotic zig-zag between acute constraint pairs into convergence
-    within the round limit.  When ``grad`` is nonzero, the first round
-    instead projects along the component of the normal orthogonal to the
-    gradient, which preserves the candidate's value under the linearised
-    last function; later rounds revert to normal projection since the
-    tangent variant converges poorly.  The result may still violate the set
-    if it is empty or concave; callers tolerate that.
+    Each violated constraint moves u along a direction m by
+    u += relax * ((b - n . u) / (n . m) + h(P)) * m, which with relax = 1
+    lands exactly on its boundary (shifted by h(P) for strict comparators).
+    The first round uses relax = 1; later rounds over-relax, overshooting
+    the boundary, which turns the asymptotic zig-zag between acute
+    constraint pairs into convergence within the round limit.  m is the
+    normal n, except in the first round when ``grad`` is nonzero: there m
+    is the component of n orthogonal to the gradient, which preserves the
+    candidate's value under the linearised last function (later rounds
+    revert to n since the tangent variant converges poorly).  The result
+    may still violate the set if it is empty or concave; callers tolerate
+    that.
     """
     u = np.array(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
@@ -147,16 +149,11 @@ def clip(u: np.ndarray, constraints: ConstraintSet, grad: np.ndarray, *,
                 coord = nu / nn if nn >= DIVISION_GUARD else 0.0
                 if not math.isfinite(coord):
                     continue
-                if tangent:
-                    m = n - (float(n @ grad) / float(grad @ grad)) * grad
-                    nm = float(n @ m)
-                    if abs(nm) < DIVISION_GUARD:
-                        continue
-                    u = u + ((c.bound - nu) / nm + _shift(c.comp, coord)) * m
-                else:
-                    if nn < DIVISION_GUARD:
-                        continue
-                    u = u + relax * ((c.bound - nu) / nn + _shift(c.comp, coord)) * n
+                m = n - (float(n @ grad) / float(grad @ grad)) * grad if tangent else n
+                nm = float(n @ m)
+                if abs(nm) < DIVISION_GUARD:
+                    continue
+                u = u + relax * ((c.bound - nu) / nm + _shift(c.comp, coord)) * m
                 if not satisfies(u, c):
                     u = _nudge_inside(u, c)
             if satisfies_all(u, constraints):

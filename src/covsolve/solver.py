@@ -5,7 +5,9 @@ at the current valuation, generates candidate vectors in the last local space by
 three strategies (a gradient-descent step, bit mutations aimed in closed
 form at the nearest point of each bit's plane, random samples), and
 accepts the first candidate that either solves the problem or brings the
-last function's value strictly closer to satisfying its comparator.
+last function's value strictly closer to satisfying its comparator.  The
+generators only propose vectors; the candidate loop clips those it tries
+into the prefix constraints, each one only once it is reached.
 """
 
 from __future__ import annotations
@@ -224,14 +226,13 @@ _P_VALUES = {
 
 
 def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
-    """Candidates from one linearised descent step of the last function.
+    """Unclipped candidates from one linearised descent step of the last function.
 
     The step length t solves the linear model F[I + t*grad] = 0; the
     comparator decides which of t, t-eps, t+eps are useful landing points.
     Besides the full gradient direction, a step is taken along every single
     axis with a nonzero partial derivative, which helps escaping local
-    minima.  Every candidate is clipped by the constraint set, along the
-    gradient's tangent in the first round.
+    minima.
     """
     grad = state.grad_n
     with np.errstate(over="ignore"):
@@ -239,36 +240,26 @@ def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
     if gg == 0.0:
         return []
     comp = state.problem.comps[-1]
-    constraints = state.constraints
     f_n = state.f_n
     signature = state.valuation.signature
     out: list[np.ndarray] = []
-
-    def steps_along(direction: np.ndarray) -> None:
-        dd = float(direction @ direction)
-        if dd == 0.0 or not math.isfinite(dd):
-            return
-        t = -f_n / dd
-        if not math.isfinite(t):
-            return
-        d_root = state.chain.lift(direction)
-        z = ((1.0 - ALPHA) * float(np.max(np.abs(state.vec + t * d_root)))
-             + ALPHA * abs(f_n))
-        try:
-            eps = epsilon_along_line(state.vec, d_root, epsilon_from_value(z),
-                                     signature) if math.isfinite(z) else 0.0
-        except NoStepError:
-            eps = 0.0
-        for p in _P_VALUES[comp](t, eps):
-            out.append(clip(p * direction, constraints, grad))
-
     with np.errstate(over="ignore", invalid="ignore"):
-        steps_along(grad)
-        for j in range(grad.shape[0]):
-            if grad[j] != 0.0:
-                axis_step = np.zeros_like(grad)
-                axis_step[j] = grad[j]
-                steps_along(axis_step)
+        for direction in [grad, *(row for row in np.diag(grad) if row.any())]:
+            dd = float(direction @ direction)
+            if dd == 0.0 or not math.isfinite(dd):
+                continue
+            t = -f_n / dd
+            if not math.isfinite(t):
+                continue
+            d_root = state.chain.lift(direction)
+            z = ((1.0 - ALPHA) * float(np.max(np.abs(state.vec + t * d_root)))
+                 + ALPHA * abs(f_n))
+            try:
+                eps = epsilon_along_line(state.vec, d_root, epsilon_from_value(z),
+                                         signature) if math.isfinite(z) else 0.0
+            except NoStepError:
+                eps = 0.0
+            out.extend(p * direction for p in _P_VALUES[comp](t, eps))
     return out
 
 
@@ -281,8 +272,6 @@ def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
     coordinates of the basis vectors, every local vector u with u . c = y
     lifts onto that plane, and since the lifted rows are orthonormal the
     one lifting closest to y*e_i is the least-norm solution y*c/(c . c).
-    Candidates are deliberately left unclipped: vectors escaping the path
-    early still make useful inputs elsewhere.
     """
     signature = state.valuation.signature
     lifted = state.chain.lifted(len(state.chain))
@@ -312,13 +301,11 @@ def random_candidates(state: IterationState, rng: np.random.Generator) -> list[n
     """Uniform samples from cubes around the origin and the descent target.
 
     The cube half-edge grows logarithmically with the last function's
-    magnitude.  Every sample is emitted twice, clipped and raw: unclipped
-    vectors escape the current path more easily, which is still worthwhile.
+    magnitude.
     """
     dim_local = state.chain.dim_at(len(state.chain))
     if dim_local == 0:
         return []
-    constraints = state.constraints
     half_edge = CUBE_SCALE * math.log(abs(state.f_n) + 1.0)
 
     centers = [np.zeros(dim_local, dtype=np.float64)]
@@ -331,10 +318,8 @@ def random_candidates(state: IterationState, rng: np.random.Generator) -> list[n
 
     out: list[np.ndarray] = []
     for center in centers:
-        for _ in range(SAMPLES_PER_CUBE):
-            sample = center + rng.uniform(-half_edge, half_edge, size=dim_local)
-            out.append(clip(sample, constraints, state.grad_n))
-            out.append(sample)
+        out.extend(center + rng.uniform(-half_edge, half_edge,
+                                        size=(SAMPLES_PER_CUBE, dim_local)))
     return out
 
 
@@ -351,11 +336,23 @@ def improves(comp: Comparator, old_value: float, new_value: float) -> bool:
 
 def _candidates(state: IterationState,
                 rng: np.random.Generator) -> Iterable[tuple[str, np.ndarray]]:
+    """Every generator's proposals in trial order, each clipped when reached.
+
+    The loop stops at the first accepted candidate, so clipping waits until
+    a candidate is reached.  Grad-step candidates are clipped, along the
+    gradient's tangent in the first round, so that the prefix predicates
+    keep holding at the descent target.  Bit mutations stay unclipped:
+    vectors escaping the path early still make useful inputs elsewhere.
+    Each random sample is tried clipped, then raw: raw samples escape the
+    current path more easily, which is still worthwhile.
+    """
+    constraints, grad = state.constraints, state.grad_n
     for u in grad_step_candidates(state):
-        yield GRAD_STEP, u
+        yield GRAD_STEP, clip(u, constraints, grad)
     for u in bit_mutation_candidates(state):
         yield BIT_MUT, u
     for u in random_candidates(state, rng):
+        yield RANDOM, clip(u, constraints, grad)
         yield RANDOM, u
 
 

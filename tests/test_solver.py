@@ -7,8 +7,19 @@ import numpy as np
 import pytest
 
 from covsolve import solver
-from covsolve.constraints import CLIP_ROUNDS, DIVISION_GUARD
+from covsolve.constraints import (
+    CLIP_ROUNDS,
+    DIVISION_GUARD,
+    RELAXATION,
+    Constraint,
+    _nudge_inside,
+    _shift,
+    clip,
+    satisfies,
+    satisfies_all,
+)
 from covsolve.localspace import BasisChain, next_basis
+from covsolve.numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import BlackBoxFn, CoverageProblem, eval_prefix, is_solution
 from covsolve.solver import (
@@ -24,7 +35,7 @@ from covsolve.solver import (
     solve,
 )
 from covsolve.vecspace import (
-    F64, I8, I16, I32, I64, U8, U16, U32, U64, Comparator, Valuation,
+    F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, Comparator, Valuation,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -594,13 +605,13 @@ abe 0 * x1 - 3 >= 0
         state = build_spaces(problem, problem.init)
         rng = np.random.default_rng(0)
         candidates = random_candidates(state, rng)
-        assert len(candidates) == 200
+        assert len(candidates) == 100
 
     def test_two_cubes_with_gradient(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init)
         candidates = random_candidates(state, np.random.default_rng(0))
-        assert len(candidates) == 400
+        assert len(candidates) == 200
 
     def test_zero_distance_samples_centers(self):
         problem = problem_of("""
@@ -641,7 +652,246 @@ abe a + b - 50 >= 0
         assert len(grad_step_candidates(state)) <= 2 * (1 + dim_local)
         assert len(bit_mutation_candidates(state)) <= 64 * n_params
         rng = np.random.default_rng(0)
-        assert len(random_candidates(state, rng)) <= 4 * solver.SAMPLES_PER_CUBE
+        assert len(random_candidates(state, rng)) <= 2 * solver.SAMPLES_PER_CUBE
+
+
+class TestCandidateLoopClipping:
+    @pytest.mark.parametrize("text, count", [("""
+var x1 : f64
+init x1 = 0
+abe 0 * x1 - 3 >= 0
+""", 200), (LE_EQ_TRACE, 400)])
+    def test_random_samples_tried_clipped_then_raw(self, text, count):
+        problem = problem_of(text)
+        state = build_spaces(problem, problem.init)
+        tried = [u for source, u in solver._candidates(state, np.random.default_rng(3))
+                 if source == solver.RANDOM]
+        samples = random_candidates(state, np.random.default_rng(3))
+        assert len(tried) == count == 2 * len(samples)
+        for clipped, raw, sample in zip(tried[::2], tried[1::2], samples):
+            assert raw.tobytes() == sample.tobytes()
+            expected = clip(sample, state.constraints, state.grad_n)
+            assert clipped.tobytes() == expected.tobytes()
+
+    def test_clip_runs_once_per_candidate_reached(self, monkeypatch):
+        problem = problem_of("""
+var x : f64
+init x = 0
+abe 2 * x - 6 >= 0
+""")
+        state = build_spaces(problem, problem.init)
+        assert len(grad_step_candidates(state)) == 4
+        calls = []
+
+        def counting_clip(*args, **kwargs):
+            calls.append(args[0])
+            return clip(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "clip", counting_clip)
+        result = solve(problem)
+        assert result.solved
+        assert [(e.iteration, e.source) for e in result.log] == [(1, solver.GRAD_STEP)]
+        assert len(calls) == 1
+
+
+def two_branch_clip(u, constraints, grad, *, rounds=CLIP_ROUNDS):
+    """``clip`` with separate tangent and normal updates, as it was written before."""
+    u = np.array(u, dtype=np.float64)
+    if not np.all(np.isfinite(u)):
+        return u
+    if satisfies_all(u, constraints):
+        return u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for round_no in range(rounds):
+            tangent = round_no == 0 and float(grad @ grad) > 0.0
+            relax = 1.0 if round_no == 0 else RELAXATION
+            for c in constraints:
+                if satisfies(u, c):
+                    continue
+                n = c.normal
+                nu = float(n @ u)
+                nn = float(n @ n)
+                coord = nu / nn if nn >= DIVISION_GUARD else 0.0
+                if not math.isfinite(coord):
+                    continue
+                if tangent:
+                    m = n - (float(n @ grad) / float(grad @ grad)) * grad
+                    nm = float(n @ m)
+                    if abs(nm) < DIVISION_GUARD:
+                        continue
+                    u = u + ((c.bound - nu) / nm + _shift(c.comp, coord)) * m
+                else:
+                    if nn < DIVISION_GUARD:
+                        continue
+                    u = u + relax * ((c.bound - nu) / nn + _shift(c.comp, coord)) * n
+                if not satisfies(u, c):
+                    u = _nudge_inside(u, c)
+            if satisfies_all(u, constraints):
+                break
+    return u
+
+
+def eager_grad_step_candidates(state):
+    """The grad-step candidates, each clipped as soon as it is built."""
+    grad = state.grad_n
+    with np.errstate(over="ignore"):
+        gg = float(grad @ grad)
+    if gg == 0.0:
+        return []
+    comp = state.problem.comps[-1]
+    f_n = state.f_n
+    out = []
+
+    def steps_along(direction):
+        dd = float(direction @ direction)
+        if dd == 0.0 or not math.isfinite(dd):
+            return
+        t = -f_n / dd
+        if not math.isfinite(t):
+            return
+        d_root = state.chain.lift(direction)
+        z = ((1.0 - solver.ALPHA) * float(np.max(np.abs(state.vec + t * d_root)))
+             + solver.ALPHA * abs(f_n))
+        try:
+            eps = epsilon_along_line(state.vec, d_root, epsilon_from_value(z),
+                                     state.valuation.signature) if math.isfinite(z) else 0.0
+        except NoStepError:
+            eps = 0.0
+        for p in solver._P_VALUES[comp](t, eps):
+            out.append(two_branch_clip(p * direction, state.constraints, grad))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps_along(grad)
+        for j in range(grad.shape[0]):
+            if grad[j] != 0.0:
+                axis_step = np.zeros_like(grad)
+                axis_step[j] = grad[j]
+                steps_along(axis_step)
+    return out
+
+
+def eager_random_candidates(state, rng):
+    """The random samples drawn one at a time, each emitted clipped and raw."""
+    dim_local = state.chain.dim_at(len(state.chain))
+    if dim_local == 0:
+        return []
+    half_edge = solver.CUBE_SCALE * math.log(abs(state.f_n) + 1.0)
+    centers = [np.zeros(dim_local, dtype=np.float64)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gg = float(state.grad_n @ state.grad_n)
+        if math.isfinite(gg) and gg > 0.0:
+            target = (-state.f_n / gg) * state.grad_n
+            if np.all(np.isfinite(target)):
+                centers.append(target)
+    out = []
+    for center in centers:
+        for _ in range(solver.SAMPLES_PER_CUBE):
+            sample = center + rng.uniform(-half_edge, half_edge, size=dim_local)
+            out.append(two_branch_clip(sample, state.constraints, state.grad_n))
+            out.append(sample)
+    return out
+
+
+def eager_candidates(state, rng):
+    """Every candidate in trial order, built list by list with clipping inside the generators."""
+    return ([(solver.GRAD_STEP, u) for u in eager_grad_step_candidates(state)]
+            + [(solver.BIT_MUT, u) for u in bit_mutation_candidates(state)]
+            + [(solver.RANDOM, u) for u in eager_random_candidates(state, rng)])
+
+
+TYPED_CHOICES = (I8, I16, I32, I64, U8, U16, U32, U64, F32, F32)  # f32 one draw in five
+
+
+def _typed_linear_problem(rand, rng):
+    """Affine functions over 1-12 integer and f32 variables behind 1-3 LE/LT/GT/GE prefixes.
+
+    Every prefix holds at the initial valuation, some of them by a thin
+    margin so that candidates leave their half-spaces; the last function,
+    under any comparator, fails there.
+    """
+    dim = rand.randint(1, 12)
+    entries = []
+    for k in range(dim):
+        typ = rand.choice(TYPED_CHOICES)
+        if typ is F32:
+            value = float(np.float32(rand.uniform(-100.0, 100.0)))
+        else:
+            value = rand.randint(max(typ.min_value, -1000), min(typ.max_value, 1000))
+        entries.append((f"x{k}", typ, value))
+    init = Valuation.of(entries)
+    names = init.signature.names
+    x0 = np.array([float(v) for v in init.values])
+
+    def affine(a, c):
+        return BlackBoxFn(names, lambda v: float(a @ (np.array(v.values, dtype=float) - x0)) + c)
+
+    fns, comps = [], []
+    for _ in range(rand.randint(1, 3)):
+        comp = rand.choice([Comparator.LE, Comparator.LT, Comparator.GE, Comparator.GT])
+        margin = rand.choice([rand.uniform(0.1, 10.0), 10.0 ** -rand.randint(2, 6)])
+        fns.append(affine(rng.normal(size=dim), margin * (1.0 if comp.holds(1.0) else -1.0)))
+        comps.append(comp)
+    comp = rand.choice(list(Comparator))
+    if comp is Comparator.NEQ:
+        c = 0.0
+    else:
+        c = rand.uniform(1.0, 50.0) * (-1.0 if comp.holds(1.0) else 1.0)
+    fns.append(affine(rng.normal(size=dim) * 10.0 ** rand.randint(-1, 2), c))
+    comps.append(comp)
+    return CoverageProblem(tuple(fns), tuple(comps), init)
+
+
+class TestCandidatesAgainstEagerGenerators:
+    """The loop's lazy clipping against generators that clipped their whole lists."""
+
+    def test_random_problems_match_bit_for_bit(self):
+        rand = random.Random(1010)
+        rng = np.random.default_rng(1010)
+        moved = constrained = 0
+        for seed in range(300):
+            problem = _typed_linear_problem(rand, rng)
+            state = build_spaces(problem, problem.init)
+            ours_rng = np.random.default_rng(seed)
+            theirs_rng = np.random.default_rng(seed)
+            ours = list(solver._candidates(state, ours_rng))
+            theirs = eager_candidates(state, theirs_rng)
+            assert [s for s, _ in ours] == [s for s, _ in theirs]
+            for (_, a), (_, b) in zip(ours, theirs):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
+            constrained += bool(state.constraints)
+            randoms = [u for s, u in ours if s == solver.RANDOM]
+            moved += any(a.tobytes() != b.tobytes()
+                         for a, b in zip(randoms[::2], randoms[1::2]))
+        assert constrained >= 200 and moved >= 100
+
+    def test_merged_clip_matches_two_branches(self):
+        rng = np.random.default_rng(77)
+        comps = (Comparator.LE, Comparator.LT, Comparator.GE, Comparator.GT,
+                 Comparator.NEQ)
+        moved = 0
+        for case in range(3000):
+            dim = int(rng.integers(1, 9))
+            constraints = []
+            for _ in range(int(rng.integers(1, 7))):
+                normal = rng.normal(size=dim) * 10.0 ** float(rng.uniform(-7, 3))
+                constraints.append(Constraint(normal, float(rng.normal() * 10.0),
+                                              comps[int(rng.integers(0, len(comps)))]))
+            kind = case % 4
+            if kind == 0:
+                grad = np.zeros(dim)
+            elif kind == 1:  # parallel to a normal, so the tangent component vanishes
+                grad = constraints[0].normal * float(rng.uniform(0.5, 2.0))
+            else:
+                grad = rng.normal(size=dim) * 10.0 ** float(rng.uniform(-3, 3))
+            u = rng.normal(size=dim) * 10.0 ** float(rng.uniform(-1, 3))
+            rounds = int(rng.integers(1, CLIP_ROUNDS + 1))
+            got = clip(u, constraints, grad, rounds=rounds)
+            expected = two_branch_clip(u, constraints, grad, rounds=rounds)
+            assert got.tobytes() == expected.tobytes()
+            moved += got.tobytes() != u.tobytes()
+        assert moved >= 1000
 
 
 class TestRandomProblemFuzz:
