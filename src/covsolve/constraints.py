@@ -59,7 +59,12 @@ def satisfies(u: np.ndarray, constraint: Constraint) -> bool:
     nothing; they are reported as violations rather than errors.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(constraint.normal @ u - constraint.bound)
+        return _holds(u, constraint)
+
+
+def _holds(u: np.ndarray, constraint: Constraint) -> bool:
+    """``satisfies`` for callers already inside ``np.errstate``."""
+    residual = float(constraint.normal @ u - constraint.bound)
     if not math.isfinite(residual):
         return False
     return constraint.comp.holds(residual)
@@ -134,14 +139,14 @@ def clip(u: np.ndarray, constraints: ConstraintSet, grad: np.ndarray, *,
     u = np.array(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
         return u  # nothing meaningful to project; callers filter these out
-    if satisfies_all(u, constraints):
-        return u
     with np.errstate(over="ignore", invalid="ignore"):
+        if all(_holds(u, c) for c in constraints):
+            return u
         for round_no in range(rounds):
             tangent = round_no == 0 and float(grad @ grad) > 0.0
             relax = 1.0 if round_no == 0 else RELAXATION
             for c in constraints:
-                if satisfies(u, c):
+                if _holds(u, c):
                     continue
                 n = c.normal
                 nu = float(n @ u)
@@ -154,8 +159,8 @@ def clip(u: np.ndarray, constraints: ConstraintSet, grad: np.ndarray, *,
                 if abs(nm) < DIVISION_GUARD:
                     continue
                 u = u + relax * ((c.bound - nu) / nm + _shift(c.comp, coord)) * m
-                if not satisfies(u, c):
+                if not _holds(u, c):
                     u = _nudge_inside(u, c)
-            if satisfies_all(u, constraints):
+            if all(_holds(u, c) for c in constraints):
                 break
     return u

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,10 +26,18 @@ class BlackBoxFn:
     """A black-box function from input variables to a 64-bit float.
 
     ``eval`` receives a valuation covering at least ``params`` and returns
-    the value, or None when the parameters fall outside the function's
-    domain.  Raising ``ArithmeticError`` (such as ``ZeroDivisionError``) or
-    ``ValueError`` (such as a math domain error) also marks the call as
-    failed.  It must be pure: equal valuations yield equal results.
+    the value (an ``int``, a ``float`` or a numpy real scalar), or None when
+    the parameters fall outside the function's domain.  Raising
+    ``ArithmeticError`` (such as ``ZeroDivisionError``) or ``ValueError``
+    (such as a math domain error) also marks the call as failed.
+
+    Two contracts let the solver save calls:
+
+    - ``params`` lists every variable ``eval`` reads.  A partial derivative
+      along a direction that moves none of them is taken as 0 without a
+      call, so a variable read but not listed is silently ignored.
+    - ``eval`` is pure: equal valuations yield equal results, so a result
+      once obtained is used again instead of a second call.
     """
 
     params: tuple[str, ...]
@@ -40,18 +49,25 @@ class BlackBoxFn:
 
         NaN and infinite results, and integers beyond the float range,
         count as failures too.  Exceptions other than ``ArithmeticError``
-        and ``ValueError`` propagate.
+        and ``ValueError`` propagate, and a result that is not a real
+        number (a ``bool``, a ``str``, an array, a ``complex``) raises
+        ``TypeError``.
         """
         try:
             result = self.eval(valuation)
         except (ArithmeticError, ValueError):
             return None
-        if result is None:
-            return None
-        try:
-            result = float(result)
-        except OverflowError:  # an integer beyond the float range
-            return None
+        if type(result) is not float:
+            if result is None:
+                return None
+            if isinstance(result, bool) or not isinstance(result, numbers.Real):
+                name = self.name or getattr(self.eval, "__qualname__", "a black box")
+                raise TypeError(f"{name} returned {type(result).__name__} "
+                                f"{result!r}, not a real number")
+            try:
+                result = float(result)
+            except OverflowError:  # an integer beyond the float range
+                return None
         if not math.isfinite(result):
             return None
         return result

@@ -8,6 +8,11 @@ accepts the first candidate that either solves the problem or brings the
 last function's value strictly closer to satisfying its comparator.  The
 generators only propose vectors; the candidate loop clips those it tries
 into the prefix constraints, each one only once it is reached.
+
+Black-box calls are the search's cost.  A gradient skips the directions
+that move none of a function's ``params``, an iteration starts from the
+prefix values its accepted candidate already obtained, and a random sample
+that clipping leaves unchanged is tried once.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .problem import (
     CoverageProblem,
     InvalidProblemError,
     Outcome,
+    PrefixEvalRecord,
     eval_prefix,
 )
 from .vecspace import Comparator, ExtractionError, Signature, Valuation, embed, extract
@@ -145,10 +151,16 @@ def finite_diff_gradient(fn: BlackBoxFn, origin_value: float, vec: np.ndarray,
     the line step from ``vec`` along the row, seeded with ``eps_seed``.  A
     failing call at ``vec + eps*row``, or one whose difference quotient
     overflows, is retried at ``vec - eps*row``; with no step, or both
-    attempts failing, the partial derivative is zero.
+    attempts failing, the partial derivative is zero.  A row with no
+    component on any of ``fn.params`` moves no input ``fn`` reads, so its
+    partial is zero without a step or a call.  Calling there would differ
+    from ``origin_value`` only where ``embed`` rounded a 64-bit integer
+    parameter past 2**53, and then measure that rounding, not the row.
     """
     grad = np.zeros(lifted.shape[0], dtype=np.float64)
-    for j, row in enumerate(lifted):
+    cols = [signature.positions[name] for name in fn.params]
+    for j in np.flatnonzero(lifted[:, cols].any(axis=1)):
+        row = lifted[j]
         try:
             eps = epsilon_along_line(vec, row, eps_seed, signature)
         except NoStepError:
@@ -171,7 +183,8 @@ def finite_diff_gradient(fn: BlackBoxFn, origin_value: float, vec: np.ndarray,
 
 
 def build_spaces(problem: CoverageProblem, valuation: Valuation, *,
-                 fns: Sequence[BlackBoxFn] | None = None) -> IterationState:
+                 fns: Sequence[BlackBoxFn] | None = None,
+                 record: PrefixEvalRecord | None = None) -> IterationState:
     """Local bases, prefix constraints, and the last function's gradient at ``valuation``.
 
     Level 1 is the axis basis.  For every prefix function the gradient in
@@ -181,13 +194,17 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation, *,
     the normal of the predicate's constraint, bounded where the linearised
     function crosses zero.  Once the chain is built, each constraint is
     projected into the last space, newest first.
+
+    ``record`` is ``eval_prefix``'s record at ``valuation`` when the caller
+    already has it; otherwise the prefix is evaluated here.
     """
     fns = tuple(fns) if fns is not None else problem.fns
     comps = problem.comps
     signature = valuation.signature
     vec = embed(valuation)
 
-    record = eval_prefix(fns, comps, valuation)
+    if record is None:
+        record = eval_prefix(fns, comps, valuation)
     if record.outcome is not Outcome.LAST_FALSE:
         raise InvalidProblemError(
             f"iteration entry is not a coverage problem: {record.outcome.value}")
@@ -343,8 +360,9 @@ def _candidates(state: IterationState,
     gradient's tangent in the first round, so that the prefix predicates
     keep holding at the descent target.  Bit mutations stay unclipped:
     vectors escaping the path early still make useful inputs elsewhere.
-    Each random sample is tried clipped, then raw: raw samples escape the
-    current path more easily, which is still worthwhile.
+    Each random sample is tried clipped, then raw when clipping moved it:
+    raw samples escape the current path more easily, which is still
+    worthwhile, and an unmoved one is the point just tried.
     """
     constraints, grad = state.constraints, state.grad_n
     for u in grad_step_candidates(state):
@@ -352,8 +370,10 @@ def _candidates(state: IterationState,
     for u in bit_mutation_candidates(state):
         yield BIT_MUT, u
     for u in random_candidates(state, rng):
-        yield RANDOM, clip(u, constraints, grad)
-        yield RANDOM, u
+        clipped = clip(u, constraints, grad)
+        yield RANDOM, clipped
+        if not np.array_equal(clipped, u):
+            yield RANDOM, u
 
 
 def solve(problem: CoverageProblem,
@@ -371,13 +391,13 @@ def solve(problem: CoverageProblem,
     comp_last = comps[-1]
     rng = np.random.default_rng(config.rng_seed)
 
-    current = problem.init
+    current, current_record = problem.init, None
     log: list[IterationRecord] = []
     iteration = 0
     try:
         while iteration < config.max_iterations:
             iteration += 1
-            state = build_spaces(problem, current, fns=fns)
+            state = build_spaces(problem, current, fns=fns, record=current_record)
             accepted: Valuation | None = None
             for source, u in _candidates(state, rng):
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -396,7 +416,7 @@ def solve(problem: CoverageProblem,
                                         budget.used, tuple(log))
                 if improves(comp_last, state.f_n, value):
                     log.append(IterationRecord(iteration, source, value))
-                    accepted = candidate
+                    accepted, current_record = candidate, record
                     break
             if accepted is None:
                 return SolverResult(Status.FAILED_NO_PROGRESS, None, iteration,

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from covsolve.problem import (
@@ -122,6 +124,45 @@ class TestEvalPrefix:
         fns, comps, init = eq_ge_pair()
         with pytest.raises(InvalidProblemError):
             eval_prefix(fns, comps[:1], init)
+
+
+class TestCallResultType:
+    """``BlackBoxFn.call`` takes real numbers and rejects everything else by name."""
+
+    AT = Valuation.of([("x1", F64, 2.0)])
+
+    @pytest.mark.parametrize("result, expected", [
+        (1.5, 1.5),
+        (-3, -3.0),
+        (2**70, float(2**70)),
+        (np.float32(0.25), 0.25),
+        (np.float64(-7.5), -7.5),
+        (np.int64(-4), -4.0),
+        (np.uint64(2**63), float(2**63)),
+        (Fraction(3, 4), 0.75),
+    ])
+    def test_real_numbers_are_floats(self, result, expected):
+        value = fn(("x1",), lambda v: result).call(self.AT)
+        assert type(value) is float and value == expected
+
+    @pytest.mark.parametrize("result", [
+        True, False, np.bool_(True), "1.0", b"1", np.array(1.0), np.array([1.0]),
+        np.zeros(3), 1 + 0j, np.complex128(1.0), [1.0],
+    ], ids=lambda r: type(r).__name__)
+    def test_other_results_raise_naming_the_function(self, result):
+        with pytest.raises(TypeError, match=r"^distance f7 returned .*not a real number"):
+            fn(("x1",), lambda v: result, "distance f7").call(self.AT)
+
+    def test_unnamed_function_is_named_by_its_callable(self):
+        def gap(v):
+            return "far"
+
+        with pytest.raises(TypeError, match="gap returned str 'far'"):
+            BlackBoxFn(("x1",), gap).call(self.AT)
+
+    def test_failures_stay_none(self):
+        for result in (None, math.nan, -math.inf, np.float32("inf"), 10**400):
+            assert fn(("x1",), lambda v: result).call(self.AT) is None
 
 
 class TestValidate:

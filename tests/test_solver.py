@@ -656,22 +656,30 @@ abe a + b - 50 >= 0
 
 
 class TestCandidateLoopClipping:
-    @pytest.mark.parametrize("text, count", [("""
+    @pytest.mark.parametrize("text, moved", [("""
 var x1 : f64
 init x1 = 0
 abe 0 * x1 - 3 >= 0
-""", 200), (LE_EQ_TRACE, 400)])
-    def test_random_samples_tried_clipped_then_raw(self, text, count):
+""", False), (LE_EQ_TRACE, True)])
+    def test_random_samples_tried_clipped_then_raw(self, text, moved):
+        """Each sample is tried clipped, then raw exactly when clipping moved it."""
         problem = problem_of(text)
         state = build_spaces(problem, problem.init)
         tried = [u for source, u in solver._candidates(state, np.random.default_rng(3))
                  if source == solver.RANDOM]
         samples = random_candidates(state, np.random.default_rng(3))
-        assert len(tried) == count == 2 * len(samples)
-        for clipped, raw, sample in zip(tried[::2], tried[1::2], samples):
-            assert raw.tobytes() == sample.tobytes()
-            expected = clip(sample, state.constraints, state.grad_n)
-            assert clipped.tobytes() == expected.tobytes()
+        expected = []
+        for sample in samples:
+            clipped = clip(sample, state.constraints, state.grad_n)
+            expected.append(clipped)
+            if not np.array_equal(clipped, sample):
+                expected.append(sample)
+        assert [u.tobytes() for u in tried] == [u.tobytes() for u in expected]
+        raw_count = len(tried) - len(samples)
+        if moved:  # some samples already satisfy the constraint, others do not
+            assert 0 < raw_count < len(samples)
+        else:  # no constraints: clipping moves nothing
+            assert raw_count == 0
 
     def test_clip_runs_once_per_candidate_reached(self, monkeypatch):
         problem = problem_of("""
@@ -771,7 +779,7 @@ def eager_grad_step_candidates(state):
 
 
 def eager_random_candidates(state, rng):
-    """The random samples drawn one at a time, each emitted clipped and raw."""
+    """The random samples drawn one at a time, each clipped, then raw if clipping moved it."""
     dim_local = state.chain.dim_at(len(state.chain))
     if dim_local == 0:
         return []
@@ -787,8 +795,10 @@ def eager_random_candidates(state, rng):
     for center in centers:
         for _ in range(solver.SAMPLES_PER_CUBE):
             sample = center + rng.uniform(-half_edge, half_edge, size=dim_local)
-            out.append(two_branch_clip(sample, state.constraints, state.grad_n))
-            out.append(sample)
+            clipped = two_branch_clip(sample, state.constraints, state.grad_n)
+            out.append(clipped)
+            if not np.array_equal(clipped, sample):
+                out.append(sample)
     return out
 
 
@@ -862,8 +872,8 @@ class TestCandidatesAgainstEagerGenerators:
             assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
             constrained += bool(state.constraints)
             randoms = [u for s, u in ours if s == solver.RANDOM]
-            moved += any(a.tobytes() != b.tobytes()
-                         for a, b in zip(randoms[::2], randoms[1::2]))
+            samples = random_candidates(state, np.random.default_rng(seed))
+            moved += len(randoms) > len(samples)  # some raw sample followed its clip
         assert constrained >= 200 and moved >= 100
 
     def test_merged_clip_matches_two_branches(self):
@@ -1044,6 +1054,13 @@ class TestRaisingBlackBox:
     def test_other_exceptions_propagate(self):
         problem = _i32_problem((_raise_type_error_off_init, Comparator.GE))
         with pytest.raises(TypeError, match="unsupported operand"):
+            solve(problem, SolverConfig(rng_seed=0))
+
+    def test_result_of_the_wrong_type_propagates_from_solve(self):
+        # a bool in place of the distance x - 5 would read as 0.0 or 1.0
+        problem = _i32_problem((lambda v: -5.0 if v["x"] == 0 else v["x"] >= 5,
+                                Comparator.GE))
+        with pytest.raises(TypeError, match="f1 returned bool"):
             solve(problem, SolverConfig(rng_seed=0))
 
     def test_integer_beyond_float_range_is_a_failed_call(self):
