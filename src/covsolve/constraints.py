@@ -59,15 +59,8 @@ def satisfies(u: np.ndarray, constraint: Constraint) -> bool:
     nothing; they are reported as violations rather than errors.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _holds(u, constraint)
-
-
-def _holds(u: np.ndarray, constraint: Constraint) -> bool:
-    """``satisfies`` for callers already inside ``np.errstate``."""
-    residual = float(constraint.normal @ u - constraint.bound)
-    if not math.isfinite(residual):
-        return False
-    return constraint.comp.holds(residual)
+        residual = float(constraint.normal @ u - constraint.bound)
+    return math.isfinite(residual) and constraint.comp.holds(residual)
 
 
 def satisfies_all(u: np.ndarray, constraints: ConstraintSet) -> bool:
@@ -123,44 +116,46 @@ def clip(u: np.ndarray, constraints: ConstraintSet, grad: np.ndarray, *,
          rounds: int = CLIP_ROUNDS) -> np.ndarray:
     """Project ``u`` into the constraint region, at most ``rounds`` times over.
 
-    Each violated constraint moves u along a direction m by
-    u += relax * ((b - n . u) / (n . m) + h(P)) * m, which with relax = 1
-    lands exactly on its boundary (shifted by h(P) for strict comparators).
-    The first round uses relax = 1; later rounds over-relax, overshooting
-    the boundary, which turns the asymptotic zig-zag between acute
-    constraint pairs into convergence within the round limit.  m is the
-    normal n, except in the first round when ``grad`` is nonzero: there m
-    is the component of n orthogonal to the gradient, which preserves the
-    candidate's value under the linearised last function (later rounds
-    revert to n since the tangent variant converges poorly).  The result
-    may still violate the set if it is empty or concave; callers tolerate
-    that.
+    A round tests each constraint once, at u as it stands, and a round that
+    finds none violated ends clipping.  Each violated constraint moves u
+    along a direction m by u += relax * ((b - n . u) / (n . m) + h(P)) * m,
+    which with relax = 1 lands exactly on its boundary (shifted by h(P) for
+    strict comparators).  The first round uses relax = 1; later rounds
+    over-relax, overshooting the boundary, which turns the asymptotic
+    zig-zag between acute constraint pairs into convergence within the
+    round limit.  m is the normal n, except in the first round when
+    ``grad`` is nonzero: there m is the component of n orthogonal to the
+    gradient, which preserves the candidate's value under the linearised
+    last function (later rounds revert to n since the tangent variant
+    converges poorly).  The result may still violate the set if it is
+    empty or concave; callers tolerate that.
     """
     u = np.array(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
         return u  # nothing meaningful to project; callers filter these out
     with np.errstate(over="ignore", invalid="ignore"):
-        if all(_holds(u, c) for c in constraints):
-            return u
+        gg = float(grad @ grad)
         for round_no in range(rounds):
-            tangent = round_no == 0 and float(grad @ grad) > 0.0
+            tangent = round_no == 0 and gg > 0.0
             relax = 1.0 if round_no == 0 else RELAXATION
+            violated = False
             for c in constraints:
-                if _holds(u, c):
-                    continue
                 n = c.normal
                 nu = float(n @ u)
+                if math.isfinite(residual := nu - c.bound) and c.comp.holds(residual):
+                    continue
+                violated = True
                 nn = float(n @ n)
                 coord = nu / nn if nn >= DIVISION_GUARD else 0.0
                 if not math.isfinite(coord):
                     continue
-                m = n - (float(n @ grad) / float(grad @ grad)) * grad if tangent else n
+                m = n - (float(n @ grad) / gg) * grad if tangent else n
                 nm = float(n @ m)
                 if abs(nm) < DIVISION_GUARD:
                     continue
-                u = u + relax * ((c.bound - nu) / nm + _shift(c.comp, coord)) * m
-                if not _holds(u, c):
+                u = u + relax * (-residual / nm + _shift(c.comp, coord)) * m
+                if not satisfies(u, c):
                     u = _nudge_inside(u, c)
-            if all(_holds(u, c) for c in constraints):
+            if not violated:
                 break
     return u

@@ -36,8 +36,9 @@ class BlackBoxFn:
     - ``params`` lists every variable ``eval`` reads.  A partial derivative
       along a direction that moves none of them is taken as 0 without a
       call, so a variable read but not listed is silently ignored.
-    - ``eval`` is pure: equal valuations yield equal results, so a result
-      once obtained is used again instead of a second call.
+    - ``eval`` is pure: equal valuations yield equal results.  No result is
+      kept except an accepted candidate's prefix values, which the next
+      iteration starts from instead of calling the prefix again.
     """
 
     params: tuple[str, ...]

@@ -6,13 +6,13 @@ three strategies (a gradient-descent step, bit mutations aimed in closed
 form at the nearest point of each bit's plane, random samples), and
 accepts the first candidate that either solves the problem or brings the
 last function's value strictly closer to satisfying its comparator.  The
-generators only propose vectors; the candidate loop clips those it tries
-into the prefix constraints, each one only once it is reached.
+generators only propose vectors; the candidate loop tries each once,
+clipping grad-step and random candidates into the prefix constraints
+only when it reaches them.
 
 Black-box calls are the search's cost.  A gradient skips the directions
-that move none of a function's ``params``, an iteration starts from the
-prefix values its accepted candidate already obtained, and a random sample
-that clipping leaves unchanged is tried once.
+that move none of a function's ``params``, and an iteration starts from the
+prefix values its accepted candidate already obtained.
 """
 
 from __future__ import annotations
@@ -353,16 +353,14 @@ def improves(comp: Comparator, old_value: float, new_value: float) -> bool:
 
 def _candidates(state: IterationState,
                 rng: np.random.Generator) -> Iterable[tuple[str, np.ndarray]]:
-    """Every generator's proposals in trial order, each clipped when reached.
+    """Every generator's proposals in trial order, each tried once.
 
     The loop stops at the first accepted candidate, so clipping waits until
     a candidate is reached.  Grad-step candidates are clipped, along the
     gradient's tangent in the first round, so that the prefix predicates
-    keep holding at the descent target.  Bit mutations stay unclipped:
-    vectors escaping the path early still make useful inputs elsewhere.
-    Each random sample is tried clipped, then raw when clipping moved it:
-    raw samples escape the current path more easily, which is still
-    worthwhile, and an unmoved one is the point just tried.
+    keep holding at the descent target, and random samples are clipped
+    too.  Bit mutations stay unclipped: clipping them solved no more
+    problems in the benchmark and cost extra evaluations.
     """
     constraints, grad = state.constraints, state.grad_n
     for u in grad_step_candidates(state):
@@ -370,10 +368,7 @@ def _candidates(state: IterationState,
     for u in bit_mutation_candidates(state):
         yield BIT_MUT, u
     for u in random_candidates(state, rng):
-        clipped = clip(u, constraints, grad)
-        yield RANDOM, clipped
-        if not np.array_equal(clipped, u):
-            yield RANDOM, u
+        yield RANDOM, clip(u, constraints, grad)
 
 
 def solve(problem: CoverageProblem,
@@ -383,6 +378,9 @@ def solve(problem: CoverageProblem,
     The problem should be reduced first (see ``problem.reduce_problem``);
     solving works on unreduced problems too, just in more dimensions.
     Identical problem, configuration and seed give an identical result.
+    A black box that is not pure can contradict the calls that made a
+    valuation an iteration's start; ``InvalidProblemError`` ("iteration
+    entry is not a coverage problem") is then raised.
     """
     config = config or SolverConfig()
     budget = _Budget(config.max_evaluations)

@@ -2,10 +2,11 @@
 
 ``finite_diff_gradient`` skips basis rows that move none of a function's
 ``params``; ``solve`` hands each accepted candidate's prefix record to the
-next iteration, and tries a random sample raw only when clipping moved it.
-None of this may change the search: the full gradient loop, a
+next iteration, and tries each random sample once, clipped.  None of this
+changed the search at the tested seeds: the full gradient loop, a
 ``build_spaces`` that evaluates the prefix again and a candidate loop that
-tries every raw sample stay here as oracles.
+also tries every raw sample stay here as oracles.  The raw samples are the
+one part that could change a search, had one of them been accepted.
 """
 
 import math
@@ -17,6 +18,7 @@ import pytest
 from covsolve import solver
 from covsolve.constraints import clip
 from covsolve.numerics import NoStepError, epsilon_along_line
+from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import BlackBoxFn, CoverageProblem
 from covsolve.solver import (
     BIT_MUT, GRAD_STEP, RANDOM, SolverConfig, bit_mutation_candidates,
@@ -61,7 +63,7 @@ def reevaluating_build_spaces(problem, valuation, *, fns=None, record=None):
 
 
 def every_raw_candidates(state, rng):
-    """``solver._candidates`` trying every random sample raw after its clipped form."""
+    """``solver._candidates`` also trying every random sample raw after its clipped form."""
     constraints, grad = state.constraints, state.grad_n
     for u in grad_step_candidates(state):
         yield GRAD_STEP, clip(u, constraints, grad)
@@ -211,19 +213,29 @@ class TestBlindPartialSkip:
 
 
 
+# x1 <= x2 from (0, 1), as in test_solver's LE_EQ_TRACE, but the last
+# function is flat at the start: no grad-step candidate exists, the random
+# samples are reached, and clipping moves those that leave x1 <= x2
+LE_FLAT_TRACE = """
+var x1 : f64
+var x2 : f64
+init x1 = 0
+init x2 = 1
+abe x1 - x2 <= 0
+abe max(x2, 3) - 5 >= 0
+"""
+
+
 class TestSearchUnchanged:
     def test_full_loop_solve_gives_the_same_search(self, monkeypatch):
         """Only the count changes, and only downwards.
 
         The oracle takes every partial by a call, evaluates the prefix at
-        the start of every iteration and tries every raw sample.  The
-        evaluation budget is large enough that it is never reached.
+        the start of every iteration and tries every random sample raw
+        after its clipped form.  The evaluation budget is large enough
+        that it is never reached.
         """
-        rand = random.Random(11)
-        saved = 0
-        for seed in range(80):
-            problem = random_problem(rand)
-            config = SolverConfig(rng_seed=seed, max_iterations=8, max_evaluations=100_000)
+        def both(problem, config):
             ours = solve(problem, config)
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "finite_diff_gradient", full_loop_gradient)
@@ -234,8 +246,16 @@ class TestSearchUnchanged:
             assert (ours.status, ours.solution, ours.iterations_used, ours.log) \
                 == (theirs.status, theirs.solution, theirs.iterations_used, theirs.log)
             assert ours.evaluations_used <= theirs.evaluations_used
-            saved += ours.evaluations_used < theirs.evaluations_used
+            return ours.evaluations_used < theirs.evaluations_used
+
+        rand = random.Random(11)
+        saved = sum(both(random_problem(rand), SolverConfig(
+            rng_seed=seed, max_iterations=8, max_evaluations=100_000)) for seed in range(80))
         assert saved >= 40
+        flat = compile_spec(parse_spec(LE_FLAT_TRACE))
+        saved = [both(flat, SolverConfig(rng_seed=seed, max_iterations=8))
+                 for seed in range(10)]
+        assert any(saved)  # the raw samples the oracle tries cost calls
 
     def test_accepted_record_saves_one_prefix_per_later_iteration(self, monkeypatch):
         """Each iteration after the first starts from the accepted candidate's record."""

@@ -661,25 +661,20 @@ var x1 : f64
 init x1 = 0
 abe 0 * x1 - 3 >= 0
 """, False), (LE_EQ_TRACE, True)])
-    def test_random_samples_tried_clipped_then_raw(self, text, moved):
-        """Each sample is tried clipped, then raw exactly when clipping moved it."""
+    def test_each_random_sample_tried_once_clipped(self, text, moved):
+        """Each sample is tried once, clipped, whether or not clipping moved it."""
         problem = problem_of(text)
         state = build_spaces(problem, problem.init)
         tried = [u for source, u in solver._candidates(state, np.random.default_rng(3))
                  if source == solver.RANDOM]
         samples = random_candidates(state, np.random.default_rng(3))
-        expected = []
-        for sample in samples:
-            clipped = clip(sample, state.constraints, state.grad_n)
-            expected.append(clipped)
-            if not np.array_equal(clipped, sample):
-                expected.append(sample)
+        expected = [clip(sample, state.constraints, state.grad_n) for sample in samples]
         assert [u.tobytes() for u in tried] == [u.tobytes() for u in expected]
-        raw_count = len(tried) - len(samples)
+        moved_count = sum(a.tobytes() != b.tobytes() for a, b in zip(expected, samples))
         if moved:  # some samples already satisfy the constraint, others do not
-            assert 0 < raw_count < len(samples)
+            assert 0 < moved_count < len(samples)
         else:  # no constraints: clipping moves nothing
-            assert raw_count == 0
+            assert moved_count == 0
 
     def test_clip_runs_once_per_candidate_reached(self, monkeypatch):
         problem = problem_of("""
@@ -779,7 +774,7 @@ def eager_grad_step_candidates(state):
 
 
 def eager_random_candidates(state, rng):
-    """The random samples drawn one at a time, each clipped, then raw if clipping moved it."""
+    """The random samples drawn one at a time, each clipped."""
     dim_local = state.chain.dim_at(len(state.chain))
     if dim_local == 0:
         return []
@@ -795,10 +790,7 @@ def eager_random_candidates(state, rng):
     for center in centers:
         for _ in range(solver.SAMPLES_PER_CUBE):
             sample = center + rng.uniform(-half_edge, half_edge, size=dim_local)
-            clipped = two_branch_clip(sample, state.constraints, state.grad_n)
-            out.append(clipped)
-            if not np.array_equal(clipped, sample):
-                out.append(sample)
+            out.append(two_branch_clip(sample, state.constraints, state.grad_n))
     return out
 
 
@@ -873,7 +865,8 @@ class TestCandidatesAgainstEagerGenerators:
             constrained += bool(state.constraints)
             randoms = [u for s, u in ours if s == solver.RANDOM]
             samples = random_candidates(state, np.random.default_rng(seed))
-            moved += len(randoms) > len(samples)  # some raw sample followed its clip
+            assert len(randoms) == len(samples)
+            moved += any(a.tobytes() != b.tobytes() for a, b in zip(randoms, samples))
         assert constrained >= 200 and moved >= 100
 
     def test_merged_clip_matches_two_branches(self):
