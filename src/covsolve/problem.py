@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .vecspace import Comparator, ScalarType, Signature, Valuation
@@ -36,9 +36,12 @@ class BlackBoxFn:
     - ``params`` lists every variable ``eval`` reads.  A partial derivative
       along a direction that moves none of them is taken as 0 without a
       call, so a variable read but not listed is silently ignored.
-    - ``eval`` is pure: equal valuations yield equal results.  No result is
-      kept except an accepted candidate's prefix values, which the next
-      iteration starts from instead of calling the prefix again.
+    - ``eval`` is pure: equal valuations yield equal results.  The only
+      results kept are the prefix values that construction obtains at
+      ``init``, where the search starts, and those of each accepted
+      candidate, where the next iteration starts; the prefix is not called
+      again at either.  A box that is not pure still ends ``solve`` in a
+      result, but a solution it reports may fail a later check.
     """
 
     params: tuple[str, ...]
@@ -119,11 +122,13 @@ class CoverageProblem:
     """A validated coverage problem (F, P, I) of size n = len(fns).
 
     Construction is the one validity check; errors name the offending function.
+    The prefix values it obtains at ``init`` are kept as ``init_values``.
     """
 
     fns: tuple[BlackBoxFn, ...]
     comps: tuple[Comparator, ...]
     init: Valuation
+    init_values: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.fns) != len(self.comps):
@@ -150,6 +155,7 @@ class CoverageProblem:
             raise InvalidProblemError(
                 f"not a coverage problem: {self._fn_name(record.diverged_at)} "
                 "fails at the initial valuation")
+        object.__setattr__(self, "init_values", record.values)
 
     def _fn_name(self, index: int) -> str:
         """The 1-based ``index``-th function's name, for error messages."""

@@ -11,8 +11,10 @@ clipping grad-step and random candidates into the prefix constraints
 only when it reaches them.
 
 Black-box calls are the search's cost.  A gradient skips the directions
-that move none of a function's ``params``, and an iteration starts from the
-prefix values its accepted candidate already obtained.
+that move none of a function's ``params``.  The first iteration starts from
+the prefix values the problem's construction obtained at ``init``, and each
+later one from those its accepted candidate obtained, so no iteration calls
+the prefix at its start.
 """
 
 from __future__ import annotations
@@ -28,14 +30,7 @@ import numpy as np
 from .constraints import Constraint, clip, transform_constraint
 from .localspace import BasisChain, next_basis, vector_norm
 from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
-from .problem import (
-    BlackBoxFn,
-    CoverageProblem,
-    InvalidProblemError,
-    Outcome,
-    PrefixEvalRecord,
-    eval_prefix,
-)
+from .problem import BlackBoxFn, CoverageProblem, Outcome, eval_prefix
 from .vecspace import Comparator, ExtractionError, Signature, Valuation, embed, extract
 
 logger = logging.getLogger(__name__)
@@ -182,9 +177,9 @@ def finite_diff_gradient(fn: BlackBoxFn, origin_value: float, vec: np.ndarray,
     return grad
 
 
-def build_spaces(problem: CoverageProblem, valuation: Valuation, *,
-                 fns: Sequence[BlackBoxFn] | None = None,
-                 record: PrefixEvalRecord | None = None) -> IterationState:
+def build_spaces(problem: CoverageProblem, valuation: Valuation,
+                 values: tuple[float, ...], *,
+                 fns: Sequence[BlackBoxFn] | None = None) -> IterationState:
     """Local bases, prefix constraints, and the last function's gradient at ``valuation``.
 
     Level 1 is the axis basis.  For every prefix function the gradient in
@@ -195,20 +190,13 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation, *,
     function crosses zero.  Once the chain is built, each constraint is
     projected into the last space, newest first.
 
-    ``record`` is ``eval_prefix``'s record at ``valuation`` when the caller
-    already has it; otherwise the prefix is evaluated here.
+    ``values`` are the prefix values at ``valuation``, which the caller
+    already has: no function is called at ``valuation`` itself.
     """
     fns = tuple(fns) if fns is not None else problem.fns
     comps = problem.comps
     signature = valuation.signature
     vec = embed(valuation)
-
-    if record is None:
-        record = eval_prefix(fns, comps, valuation)
-    if record.outcome is not Outcome.LAST_FALSE:
-        raise InvalidProblemError(
-            f"iteration entry is not a coverage problem: {record.outcome.value}")
-    values = record.values
 
     eps_seed = epsilon_from_value(float(np.max(np.abs(vec))))
     chain = BasisChain(len(signature))
@@ -378,9 +366,6 @@ def solve(problem: CoverageProblem,
     The problem should be reduced first (see ``problem.reduce_problem``);
     solving works on unreduced problems too, just in more dimensions.
     Identical problem, configuration and seed give an identical result.
-    A black box that is not pure can contradict the calls that made a
-    valuation an iteration's start; ``InvalidProblemError`` ("iteration
-    entry is not a coverage problem") is then raised.
     """
     config = config or SolverConfig()
     budget = _Budget(config.max_evaluations)
@@ -389,13 +374,13 @@ def solve(problem: CoverageProblem,
     comp_last = comps[-1]
     rng = np.random.default_rng(config.rng_seed)
 
-    current, current_record = problem.init, None
+    current, current_values = problem.init, problem.init_values
     log: list[IterationRecord] = []
     iteration = 0
     try:
         while iteration < config.max_iterations:
             iteration += 1
-            state = build_spaces(problem, current, fns=fns, record=current_record)
+            state = build_spaces(problem, current, current_values, fns=fns)
             accepted: Valuation | None = None
             for source, u in _candidates(state, rng):
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -414,7 +399,7 @@ def solve(problem: CoverageProblem,
                                         budget.used, tuple(log))
                 if improves(comp_last, state.f_n, value):
                     log.append(IterationRecord(iteration, source, value))
-                    accepted, current_record = candidate, record
+                    accepted, current_values = candidate, record.values
                     break
             if accepted is None:
                 return SolverResult(Status.FAILED_NO_PROGRESS, None, iteration,

@@ -98,14 +98,15 @@ def problem_of(text):
 
 class TestGoldenExamples:
     def test_basis_construction_drops_gradient_direction(self):
-        state = build_spaces(problem_of(EQ_GE_TRACE), problem_of(EQ_GE_TRACE).init)
+        problem = problem_of(EQ_GE_TRACE)
+        state = build_spaces(problem, problem.init, problem.init_values)
         basis = state.chain.lifted(2)
         assert basis.shape[0] == 1
         assert np.max(np.abs(basis[0] - np.array([1 / SQ2, 1 / SQ2]))) <= 1e-9
 
     def test_half_space_constraint_for_inequality_prefix(self):
         problem = problem_of(LE_EQ_TRACE)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         (constraint,) = state.constraints
         assert np.max(np.abs(constraint.normal - np.array([0.0, 1.0]))) <= 1e-9
         assert abs(constraint.bound - 1 / SQ2) <= 1e-9
@@ -113,7 +114,7 @@ class TestGoldenExamples:
 
     def test_constraint_transformation_into_deeper_space(self):
         problem = problem_of(LE_EQ_EQ_TRACE)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         assert np.max(np.abs(state.chain.lifted(3)[0] - np.array([0.0, 1.0]))) <= 1e-9
         (constraint,) = state.constraints
         assert np.max(np.abs(constraint.normal - np.array([-1 / SQ2]))) <= 1e-9

@@ -1,12 +1,14 @@
 """Black-box calls the solver saves, and the search it must keep.
 
 ``finite_diff_gradient`` skips basis rows that move none of a function's
-``params``; ``solve`` hands each accepted candidate's prefix record to the
-next iteration, and tries each random sample once, clipped.  None of this
-changed the search at the tested seeds: the full gradient loop, a
-``build_spaces`` that evaluates the prefix again and a candidate loop that
-also tries every raw sample stay here as oracles.  The raw samples are the
-one part that could change a search, had one of them been accepted.
+``params``; ``solve`` starts from the prefix values the problem's
+construction obtained at ``init``, hands each accepted candidate's prefix
+values to the next iteration, and tries each random sample once, clipped.
+None of this changed the search at the tested seeds: the full gradient
+loop, a ``build_spaces`` that evaluates the prefix at every entry and a
+candidate loop that also tries every raw sample stay here as oracles.
+The raw samples are the one part that could change a search, had one of
+them been accepted.
 """
 
 import math
@@ -19,7 +21,7 @@ from covsolve import solver
 from covsolve.constraints import clip
 from covsolve.numerics import NoStepError, epsilon_along_line
 from covsolve.probelang import compile_spec, parse_spec
-from covsolve.problem import BlackBoxFn, CoverageProblem
+from covsolve.problem import BlackBoxFn, CoverageProblem, eval_prefix
 from covsolve.solver import (
     BIT_MUT, GRAD_STEP, RANDOM, SolverConfig, bit_mutation_candidates,
     build_spaces, grad_step_candidates, random_candidates, solve,
@@ -57,9 +59,10 @@ def full_loop_gradient(fn, origin_value, vec, lifted, signature, eps_seed):
     return grad
 
 
-def reevaluating_build_spaces(problem, valuation, *, fns=None, record=None):
-    """``solver.build_spaces`` ignoring ``record``: the prefix is evaluated again."""
-    return build_spaces(problem, valuation, fns=fns)
+def reevaluating_build_spaces(problem, valuation, values, *, fns=None):
+    """``solver.build_spaces`` ignoring ``values``: the prefix is evaluated again."""
+    values = eval_prefix(fns or problem.fns, problem.comps, valuation).values
+    return build_spaces(problem, valuation, values, fns=fns)
 
 
 def every_raw_candidates(state, rng):
@@ -165,10 +168,10 @@ class TestBlindPartialSkip:
         skipped = 0
         for _ in range(300):
             problem = random_problem(rand)
-            ours = build_spaces(problem, problem.init)
+            ours = build_spaces(problem, problem.init, problem.init_values)
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "finite_diff_gradient", full_loop_gradient)
-                theirs = build_spaces(problem, problem.init)
+                theirs = build_spaces(problem, problem.init, problem.init_values)
             assert ours.grad_n.tobytes() == theirs.grad_n.tobytes()
             assert _chain_bytes(ours) == _chain_bytes(theirs)
             assert ([_constraint_key(c) for c in ours.constraints]
@@ -257,8 +260,9 @@ class TestSearchUnchanged:
                  for seed in range(10)]
         assert any(saved)  # the raw samples the oracle tries cost calls
 
-    def test_accepted_record_saves_one_prefix_per_later_iteration(self, monkeypatch):
-        """Each iteration after the first starts from the accepted candidate's record."""
+    def test_carried_values_save_one_prefix_per_iteration(self, monkeypatch):
+        """The first iteration starts from the values construction obtained at
+        ``init``, and each later one from its accepted candidate's."""
         rand = random.Random(5)
         carried = 0
         for seed in range(60):
@@ -270,9 +274,9 @@ class TestSearchUnchanged:
                 theirs = solve(problem, config)
             assert (ours.status, ours.solution, ours.iterations_used, ours.log) \
                 == (theirs.status, theirs.solution, theirs.iterations_used, theirs.log)
-            later = ours.iterations_used - 1
-            assert theirs.evaluations_used - ours.evaluations_used == len(problem.fns) * later
-            carried += later > 0
+            saved = theirs.evaluations_used - ours.evaluations_used
+            assert saved == len(problem.fns) * ours.iterations_used
+            carried += ours.iterations_used > 1
         assert carried >= 20
 
 

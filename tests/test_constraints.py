@@ -55,7 +55,7 @@ init x2 = 1
 abe x1 - x2 <= 0
 abe x1 - 1 == 0
 """))
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         (c,) = state.constraints
         assert c.normal == pytest.approx([0.0, 1.0], abs=1e-9)
         assert c.bound == pytest.approx(1 / SQ2, abs=1e-9)

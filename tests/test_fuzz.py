@@ -12,13 +12,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from covsolve import cli
 from covsolve.probelang import ParseError, format_spec, parse_spec
-from covsolve.problem import BlackBoxFn, CoverageProblem, InvalidProblemError, is_solution
+from covsolve.problem import BlackBoxFn, CoverageProblem, is_solution
 from covsolve.solver import SolverConfig, SolverResult, Status, solve
 from covsolve.vecspace import F32, F64, I32, I64, TYPES_BY_NAME, U8, Comparator, Valuation
 
@@ -245,10 +244,6 @@ def test_misbehaving_black_boxes_end_in_a_result_or_a_documented_error(
     except BlackBoxBug:
         assert "bug" in misbehaving
         return
-    except InvalidProblemError as exc:  # an impure black box moved the iteration's start
-        assert not pure
-        assert str(exc).startswith("iteration entry is not a coverage problem")
-        return
     assert isinstance(result, SolverResult)
     assert result.evaluations_used <= config.max_evaluations
     assert result.iterations_used <= config.max_iterations
@@ -258,8 +253,12 @@ def test_misbehaving_black_boxes_end_in_a_result_or_a_documented_error(
         assert is_solution(problem, result.solution)
 
 
-def test_black_box_turning_true_after_its_first_call_raises_invalid_problem():
-    """The problem's construction sees -1.0; the solve's first iteration sees 1.0."""
+def test_black_box_turning_true_after_its_first_call_is_solved():
+    """The problem's construction sees -1.0; every call of the solve sees 1.0.
+
+    The search starts from construction's value, so its first candidate
+    already holds.  Construction's call is the only one not charged.
+    """
     calls = []
 
     def evaluate(v):
@@ -268,7 +267,8 @@ def test_black_box_turning_true_after_its_first_call_raises_invalid_problem():
 
     problem = CoverageProblem((BlackBoxFn(("x",), evaluate),), (Comparator.GE,),
                               Valuation.of([("x", F64, 0.0)]))
-    with pytest.raises(InvalidProblemError,
-                       match="^iteration entry is not a coverage problem: full-true$"):
-        solve(problem)
-    assert len(calls) == 2
+    result = solve(problem)
+    assert result.status is Status.SOLVED
+    assert result.iterations_used == 1
+    assert result.evaluations_used == len(calls) - 1
+    assert problem.init.values not in calls[1:]  # solve makes no call at init

@@ -216,6 +216,39 @@ class TestCoverageProblem:
         assert not is_solution(problem, val(5, 5))
 
 
+class TestInitValues:
+    """The prefix values construction obtains at ``init``, where ``solve`` starts."""
+
+    def test_equal_the_prefix_values_at_init(self):
+        fns, comps, init = eq_ge_pair(init=(3.0, 3.0))
+        problem = CoverageProblem(fns, comps, init)
+        assert problem.init_values == eval_prefix(fns, comps, init).values
+        assert problem.init_values == (0.0, -7.0)
+
+    def test_reduced_problem_keeps_the_kept_functions_values(self):
+        fns = (fn(("x1", "x2"), lambda v: v["x1"] - v["x2"] - 4.0, "f1"),
+               fn(("x3",), lambda v: v["x3"] + 1.0, "f2"),
+               fn(("x3",), lambda v: v["x3"] - 10.0, "f3"))
+        init = Valuation.of([("x1", F64, 0.0), ("x2", F64, 0.0), ("x3", F64, 0.0)])
+        problem = CoverageProblem(fns, (Comparator.LE, Comparator.GT, Comparator.GE), init)
+        reduced = reduce_problem(problem).problem
+        assert [f.name for f in reduced.fns] == ["f2", "f3"]
+        assert problem.init_values == (-4.0, 1.0, -10.0)
+        assert reduced.init_values == problem.init_values[1:]
+
+    def test_neither_compared_nor_shown(self):
+        # an impure box: each construction sees a different value at init
+        calls = []
+        box = fn(("x1",), lambda v: calls.append(v) or -float(len(calls)), "f1")
+        init = Valuation.of([("x1", F64, 0.0)])
+        first = CoverageProblem((box,), (Comparator.GE,), init)
+        second = CoverageProblem((box,), (Comparator.GE,), init)
+        assert (first.init_values, second.init_values) == ((-1.0,), (-2.0,))
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second)
+        assert "init_values" not in repr(first)
+
+
 class TestTrace:
     def test_true_false_outcomes_keep_comparators(self):
         # first ABE evaluated true, last evaluated false: comparators kept

@@ -130,7 +130,7 @@ class TestSolverConfig:
 class TestBuildSpaces:
     def test_equality_prefix_basis(self):
         problem = problem_of(EQ_GE_TRACE)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         basis = state.chain.lifted(2)
         assert basis.shape[0] == 1
         assert basis[0] == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-9)
@@ -138,7 +138,7 @@ class TestBuildSpaces:
 
     def test_inequality_prefix_constraint(self):
         problem = problem_of(LE_EQ_TRACE)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         assert state.chain.lifted(2).shape[0] == 2
         (constraint,) = state.constraints
         assert constraint.normal == pytest.approx([0.0, 1.0], abs=1e-9)
@@ -147,7 +147,7 @@ class TestBuildSpaces:
 
     def test_constraint_carried_into_third_space(self):
         problem = problem_of(LE_EQ_EQ_TRACE)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         assert state.chain.lifted(3)[0] == pytest.approx([0.0, 1.0], abs=1e-9)
         (constraint,) = state.constraints
         assert constraint.normal == pytest.approx([-1 / SQ2], abs=1e-9)
@@ -156,7 +156,7 @@ class TestBuildSpaces:
 
     def test_eq_prefix_makes_no_constraint(self):
         problem = problem_of(EQ_LE_GE_TRACE)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         (constraint,) = state.constraints  # from x3 - 1 <= 0 alone
         assert constraint.comp is Comparator.LE
         assert constraint.bound == pytest.approx(1.0, abs=1e-9)
@@ -166,20 +166,20 @@ class TestBuildSpaces:
         problem = CoverageProblem(
             (BlackBoxFn(("x1",), lambda v: -1.0), BlackBoxFn(("x1",), lambda v: v["x1"] - 10)),
             (Comparator.LE, Comparator.GE), Valuation.of([("x1", F64, 0.0)]))
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         assert np.array_equal(state.chain.lifted(2), np.eye(1))
         assert state.constraints == ()
 
     def test_prefix_on_its_boundary_has_zero_bound(self):
         problem = problem_of(LE_EQ_TRACE.replace("init x2 = 1", "init x2 = 0"))
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         (constraint,) = state.constraints
         assert constraint.normal == pytest.approx([0.0, 1.0], abs=1e-9)
         assert constraint.bound == 0.0
 
     def test_prefix_values_cached(self):
         problem = problem_of(EQ_GE_TRACE)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         assert state.prefix_values == (0.0, -10.0)
         assert state.f_n == -10.0
 
@@ -268,7 +268,7 @@ class TestBuildSpacesAgainstChainedTransform:
             grads.clear()
             bases.clear()
             problem = _random_linear_problem(rand, rng)
-            state = build_spaces(problem, problem.init)
+            state = build_spaces(problem, problem.init, problem.init_values)
             levels = list(zip(problem.comps, state.prefix_values, grads, bases))
             expected = chained_constraints(levels)
             made = sum(c is not Comparator.EQ and np.any(g != 0.0)
@@ -286,7 +286,7 @@ class TestBuildSpacesAgainstChainedTransform:
 class TestGradStepCandidates:
     def test_first_candidate_reaches_linear_target(self):
         problem = problem_of(EQ_GE_TRACE)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         candidates = grad_step_candidates(state)
         assert candidates, "gradient present, candidates expected"
         landing = state.vec + state.chain.lift(candidates[0])
@@ -299,7 +299,7 @@ var x1 : f64
 init x1 = 0
 abe 0 * x1 - 3 >= 0
 """)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         assert np.array_equal(state.grad_n, np.zeros(1))
         assert grad_step_candidates(state) == []
 
@@ -309,7 +309,7 @@ var x : f64
 init x = 0
 abe 2 * x - 6 == 0
 """)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         candidates = grad_step_candidates(state)
         landing = state.vec + state.chain.lift(candidates[0])
         record = eval_prefix(problem.fns, problem.comps,
@@ -325,7 +325,7 @@ var x : i32
 init x = 0
 abe x - 100 >= 0
 """)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         candidates = bit_mutation_candidates(state)
         assert len(candidates) == 32
         for j, u in enumerate(candidates, start=1):
@@ -341,7 +341,7 @@ init x2 = 0
 abe x1 - x2 == 0
 abe x1 + x2 - 5 >= 0
 """)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         assert state.chain.lifted(2)[0] == pytest.approx(
             [1 / SQ2, 1 / SQ2], abs=1e-9)
         candidates = bit_mutation_candidates(state)
@@ -360,14 +360,14 @@ init x2 = 0
 abe x1 == 0
 abe x1 + x2 - 5 >= 0
 """)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         # B_2 = {(0,1)}: x1's axis is unreachable, only x2 mutates
         candidates = bit_mutation_candidates(state)
         assert len(candidates) == 32
 
     def test_float_variables_skipped(self):
         problem = problem_of(EQ_GE_TRACE)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         assert bit_mutation_candidates(state) == []
 
     def test_set_bit_mutates_downward(self):
@@ -376,7 +376,7 @@ var x : i32
 init x = 5
 abe x - 100 >= 0
 """)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         candidates = bit_mutation_candidates(state)
         # x = 0b101: bits 1 and 3 are set, so y is negative there
         assert candidates[0] == pytest.approx([-1.0])
@@ -548,7 +548,7 @@ init x2 = 0
 abe x1 - x2 == 0
 abe x1 + x2 - 5 >= 0
 """)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         _assert_same_bits(bit_mutation_candidates(state),
                           per_bit_bit_mutations(state, absolute_guard))
 
@@ -602,14 +602,14 @@ var x1 : f64
 init x1 = 0
 abe 0 * x1 - 3 >= 0
 """)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         rng = np.random.default_rng(0)
         candidates = random_candidates(state, rng)
         assert len(candidates) == 100
 
     def test_two_cubes_with_gradient(self):
         problem = problem_of(EQ_GE_TRACE)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         candidates = random_candidates(state, np.random.default_rng(0))
         assert len(candidates) == 200
 
@@ -619,7 +619,7 @@ var x : f64
 init x = 0
 abe x > 0
 """)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         assert state.f_n == 0.0
         candidates = random_candidates(state, np.random.default_rng(5))
         for u in candidates:
@@ -627,7 +627,7 @@ abe x > 0
 
     def test_seeded_determinism(self):
         problem = problem_of(EQ_GE_TRACE)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         a = random_candidates(state, np.random.default_rng(42))
         b = random_candidates(state, np.random.default_rng(42))
         assert len(a) == len(b)
@@ -646,7 +646,7 @@ abe a + b - 50 >= 0
 """])
     def test_counts_within_spec_bounds(self, text):
         problem = problem_of(text)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         dim_local = state.chain.dim_at(len(state.chain))
         n_params = len(problem.fns[-1].params)
         assert len(grad_step_candidates(state)) <= 2 * (1 + dim_local)
@@ -664,7 +664,7 @@ abe 0 * x1 - 3 >= 0
     def test_each_random_sample_tried_once_clipped(self, text, moved):
         """Each sample is tried once, clipped, whether or not clipping moved it."""
         problem = problem_of(text)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         tried = [u for source, u in solver._candidates(state, np.random.default_rng(3))
                  if source == solver.RANDOM]
         samples = random_candidates(state, np.random.default_rng(3))
@@ -682,7 +682,7 @@ var x : f64
 init x = 0
 abe 2 * x - 6 >= 0
 """)
-        state = build_spaces(problem, problem.init)
+        state = build_spaces(problem, problem.init, problem.init_values)
         assert len(grad_step_candidates(state)) == 4
         calls = []
 
@@ -852,7 +852,7 @@ class TestCandidatesAgainstEagerGenerators:
         moved = constrained = 0
         for seed in range(300):
             problem = _typed_linear_problem(rand, rng)
-            state = build_spaces(problem, problem.init)
+            state = build_spaces(problem, problem.init, problem.init_values)
             ours_rng = np.random.default_rng(seed)
             theirs_rng = np.random.default_rng(seed)
             ours = list(solver._candidates(state, ours_rng))
@@ -1071,6 +1071,7 @@ class TestRaisingBlackBox:
 
     def test_budget_still_ends_the_search(self):
         problem = _i32_problem(*RECIPROCAL_THEN_GE)
-        result = solve(problem, SolverConfig(max_evaluations=5))
+        budget = solve(problem).evaluations_used - 1
+        result = solve(problem, SolverConfig(max_evaluations=budget))
         assert result.status is Status.FAILED_BUDGET
-        assert result.evaluations_used == 5
+        assert result.evaluations_used == budget
