@@ -11,7 +11,9 @@ clipping grad-step and random candidates into the prefix constraints
 only when it reaches them.
 
 Black-box calls are the search's cost.  A gradient skips the directions
-that move none of a function's ``params``.  The first iteration starts from
+that move none of a function's ``params``, and retakes a partial only when
+its step vanished in the function's value, once and with at most two more
+calls.  The first iteration starts from
 the prefix values the problem's construction obtained at ``init``, and each
 later one from those its accepted candidate obtained, so no iteration calls
 the prefix at its start.
@@ -151,29 +153,43 @@ def finite_diff_gradient(fn: BlackBoxFn, origin_value: float, vec: np.ndarray,
     partial is zero without a step or a call.  Calling there would differ
     from ``origin_value`` only where ``embed`` rounded a 64-bit integer
     parameter past 2**53, and then measure that rounding, not the row.
+
+    A partial is *absorbed* when its call returned exactly ``origin_value``
+    and its step lies below ``math.ulp(origin_value)``: the value is too
+    large for that step to register in it, as with x1 + x2 - 3.2e18 moved
+    by 1.  An absorbed partial is retaken once, with the same two calls,
+    at the line step seeded with ``epsilon_from_value(origin_value)``, so
+    that the step is scaled to the function's value rather than to the
+    point's.  A partial that is not absorbed costs nothing more.
     """
     grad = np.zeros(lifted.shape[0], dtype=np.float64)
     cols = [signature.positions[name] for name in fn.params]
     for j in np.flatnonzero(lifted[:, cols].any(axis=1)):
         row = lifted[j]
-        try:
-            eps = epsilon_along_line(vec, row, eps_seed, signature)
-        except NoStepError:
-            continue
-        if eps == 0.0:
-            continue
-        for step in (eps, -eps):
+        seed = eps_seed
+        for _ in range(2):  # the first step, then at most one retake
             try:
-                valuation = extract(vec + step * row, signature)
-            except ExtractionError:
-                continue
-            value = fn.call(valuation)
-            if value is None:
-                continue
-            partial = (value - origin_value) / step
-            if math.isfinite(partial):
-                grad[j] = partial
+                eps = epsilon_along_line(vec, row, seed, signature)
+            except NoStepError:
                 break
+            if eps == 0.0:
+                break
+            value = None
+            for step in (eps, -eps):
+                try:
+                    valuation = extract(vec + step * row, signature)
+                except ExtractionError:
+                    continue
+                value = fn.call(valuation)
+                if value is None:
+                    continue
+                partial = (value - origin_value) / step
+                if math.isfinite(partial):
+                    grad[j] = partial
+                    break
+            if value != origin_value or abs(eps) >= math.ulp(origin_value):
+                break
+            seed = epsilon_from_value(origin_value)
     return grad
 
 

@@ -9,6 +9,11 @@ loop, a ``build_spaces`` that evaluates the prefix at every entry and a
 candidate loop that also tries every raw sample stay here as oracles.
 The raw samples are the one part that could change a search, had one of
 them been accepted.
+
+``finite_diff_gradient`` also retakes a partial its step left absorbed in a
+large value.  That does change searches, so the gradient loop without the
+retake stays here as an oracle row by row: every other row must get the
+same calls and the same partial.
 """
 
 import math
@@ -38,6 +43,33 @@ def full_loop_gradient(fn, origin_value, vec, lifted, signature, eps_seed):
     """``solver.finite_diff_gradient`` as it was before blind rows were skipped."""
     grad = np.zeros(lifted.shape[0], dtype=np.float64)
     for j, row in enumerate(lifted):
+        try:
+            eps = epsilon_along_line(vec, row, eps_seed, signature)
+        except NoStepError:
+            continue
+        if eps == 0.0:
+            continue
+        for step in (eps, -eps):
+            try:
+                valuation = extract(vec + step * row, signature)
+            except ExtractionError:
+                continue
+            value = fn.call(valuation)
+            if value is None:
+                continue
+            partial = (value - origin_value) / step
+            if math.isfinite(partial):
+                grad[j] = partial
+                break
+    return grad
+
+
+def single_step_gradient(fn, origin_value, vec, lifted, signature, eps_seed):
+    """``solver.finite_diff_gradient`` as it was before absorbed partials were retaken."""
+    grad = np.zeros(lifted.shape[0], dtype=np.float64)
+    cols = [signature.positions[name] for name in fn.params]
+    for j in np.flatnonzero(lifted[:, cols].any(axis=1)):
+        row = lifted[j]
         try:
             eps = epsilon_along_line(vec, row, eps_seed, signature)
         except NoStepError:
@@ -113,12 +145,13 @@ def _distance(rand, params):
     return evaluate
 
 
-def random_problem(rand, *, calls=None):
+def random_problem(rand, *, calls=None, margin=(0.5, 20.0)):
     """1-10 variables of every type, prefixes of length 0-6 on random subsets.
 
     Each prefix predicate holds at the initial valuation (an equality when
-    its function is shifted to 0 there) and the last one fails.  With
-    ``calls`` a list, every black-box call appends (function index, values).
+    its function is shifted to 0 there) and the last one fails, each by a
+    distance drawn uniformly from ``margin``.  With ``calls`` a list, every
+    black-box call appends (function index, values).
     """
     dim = rand.randint(1, 10)
     types = [rand.choice(TYPES) for _ in range(dim)]
@@ -135,7 +168,7 @@ def random_problem(rand, *, calls=None):
         if not last and rand.random() < 0.25:
             shift, comp = at_init, Comparator.EQ
         else:
-            shift = at_init + rand.choice([-1.0, 1.0]) * rand.uniform(0.5, 20.0)
+            shift = at_init + rand.choice([-1.0, 1.0]) * rand.uniform(*margin)
             holds = [c for c in Comparator
                      if c is not Comparator.EQ and c.holds(at_init - shift)]
             fails = [c for c in Comparator if not c.holds(at_init - shift)]
@@ -214,6 +247,66 @@ class TestBlindPartialSkip:
         assert ours[1] == theirs[1]
 
 
+def _recording(fn, calls):
+    """``fn``, appending (values, result) to ``calls`` at every call."""
+    def evaluate(v):
+        result = fn.eval(v)
+        calls.append((v.values, result))
+        return result
+
+    return BlackBoxFn(fn.params, evaluate, fn.name)
+
+
+def _absorbed(calls, origin_value, vec, row, signature, eps_seed):
+    """Whether a call of the single-step loop read ``origin_value`` at a step
+    below its ulp."""
+    try:
+        eps = epsilon_along_line(vec, row, eps_seed, signature)
+    except NoStepError:
+        return False
+    return (any(value == origin_value for _, value in calls)
+            and abs(eps) < math.ulp(origin_value))
+
+
+class TestAbsorbedRetake:
+    def test_only_absorbed_rows_change(self, monkeypatch):
+        """Row by row against the single-step loop, in every gradient of short
+        searches whose distances sit 1e15-1e20 from their thresholds.
+
+        A row that is not absorbed makes the same calls and gets the same
+        partial bit for bit; an absorbed one makes the same calls first and
+        at most two more.
+        """
+        gradient = solver.finite_diff_gradient
+        absorbed = moved = 0
+
+        def compared(fn, origin_value, vec, lifted, signature, eps_seed):
+            nonlocal absorbed, moved
+            for j in range(lifted.shape[0]):
+                row = lifted[j:j + 1]
+                ours_calls, theirs_calls = [], []
+                ours = gradient(_recording(fn, ours_calls), origin_value, vec, row,
+                                signature, eps_seed)
+                theirs = single_step_gradient(_recording(fn, theirs_calls), origin_value,
+                                              vec, row, signature, eps_seed)
+                assert ours_calls[:len(theirs_calls)] == theirs_calls
+                if _absorbed(theirs_calls, origin_value, vec, row[0], signature, eps_seed):
+                    absorbed += 1
+                    moved += ours[0] != 0.0
+                    assert len(ours_calls) - len(theirs_calls) <= 2
+                else:
+                    assert ours.tobytes() == theirs.tobytes()
+                    assert ours_calls == theirs_calls
+            return gradient(fn, origin_value, vec, lifted, signature, eps_seed)
+
+        rand = random.Random(1915)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "finite_diff_gradient", compared)
+            for seed in range(60):
+                problem = random_problem(rand, margin=(1e15, 1e20))
+                solve(problem, SolverConfig(rng_seed=seed, max_iterations=3))
+        assert absorbed >= 50
+        assert moved >= 25  # the retake reads a slope the first step missed
 
 
 # x1 <= x2 from (0, 1), as in test_solver's LE_EQ_TRACE, but the last

@@ -37,6 +37,13 @@ init x = 0
 abe x * x + 1 <= 0
 """
 
+# a target whose first difference step, 2**-26, vanishes in the value 1e20
+FAR_TARGET = """\
+var x : f64
+init x = 0
+abe x - 1e20 >= 0
+"""
+
 # prefix partials far beyond 1e154, whose square overflows a float
 HUGE_PARTIAL = """\
 var x : i32
@@ -96,6 +103,13 @@ class TestSolveCommand:
         assert is_solution(problem, solution)
         assert doc["trace"], "per-iteration trace expected"
         assert set(doc["trace"][0]) == {"iteration", "source", "value"}
+
+    def test_far_target_solves(self, tmp_path, capsys):
+        path = tmp_path / "far.prob"
+        path.write_text(FAR_TARGET)
+        code = cli.main(["solve", str(path), "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "SOLVED"
 
     def test_reports_reduction(self, splittable_file, capsys):
         code = cli.main(["solve", str(splittable_file)])

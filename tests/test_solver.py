@@ -1075,3 +1075,76 @@ class TestRaisingBlackBox:
         result = solve(problem, SolverConfig(max_evaluations=budget))
         assert result.status is Status.FAILED_BUDGET
         assert result.evaluations_used == budget
+
+
+# i64 targets past 2**53 from 0, where one unit of x1 or x2 is below half an
+# ulp of each value (512 at 3.2e18); the prefix keeps x1 <= 2T
+BIGINT_PAIR = """
+var x1 : i64
+var x2 : i64
+init x1 = 0
+init x2 = 0
+abe x1 - 6400000000000000000 <= 0
+abe x1 + x2 - 3200000000000000000 >= 0
+"""
+
+BIGINT_U64 = """
+var x1 : u64
+init x1 = 0
+abe x1 - 18000000000000000000 >= 0
+"""
+
+
+class TestAbsorbedDifferences:
+    """A partial whose step vanishes in the function's value is retaken once,
+    at a step scaled to that value."""
+
+    def test_bigint_partials_read_the_slope(self):
+        problem = problem_of(BIGINT_PAIR)
+        fn, value = problem.fns[-1], problem.init_values[-1]
+        vec = np.zeros(2)
+        grad = solver.finite_diff_gradient(fn, value, vec, np.eye(2), problem.signature,
+                                           epsilon_from_value(0.0))
+        assert grad.tolist() == [1.0, 1.0]  # both read 0 with the unit step alone
+
+    def test_absorbed_row_is_retaken_once_at_the_value_scale(self):
+        calls = []
+        fn = BlackBoxFn(("x",), lambda v: calls.append(v["x"]) or 0.0 * v["x"] - 1e20)
+        init = Valuation.of([("x", F64, 0.0)])
+        grad = solver.finite_diff_gradient(fn, -1e20, np.zeros(1), np.eye(1),
+                                           init.signature, epsilon_from_value(0.0))
+        assert grad.tolist() == [0.0]
+        assert calls == [2.0**-26, 2.0**(67 - 26)]  # ulp(1e20) = 2**14; 1e20 < 2**67
+
+    @pytest.mark.parametrize("text", [
+        "var x : f64\ninit x = 0\nabe x - 1e20 >= 0\n",
+        "var x : f32\ninit x = 0\nabe x - 1e30 >= 0\n",
+        "var x : f64\ninit x = 0\nabe x - 1e300 >= 0\n",
+        "var x : f64\ninit x = 0\nabe x + 1e300 <= 0\n",
+        BIGINT_PAIR,
+        BIGINT_U64,
+    ], ids=["f64-1e20", "f32-1e30", "f64-1e300", "f64-minus-1e300", "i64-pair", "u64"])
+    def test_far_targets_solve_in_one_iteration(self, text):
+        problem = problem_of(text)
+        result = solve(problem, SolverConfig(rng_seed=0))
+        assert result.status is Status.SOLVED
+        assert result.iterations_used == 1
+        assert result.evaluations_used <= 8
+        assert is_solution(problem, result.solution)
+
+    def test_step_that_registers_costs_nothing_more(self):
+        problem = problem_of("var x : f64\ninit x = 10000000000\nabe 0.000001 * x - 1e10 >= 0\n")
+        result = solve(problem, SolverConfig(rng_seed=0))
+        assert result.solved
+        assert result.evaluations_used == 2
+
+    @pytest.mark.parametrize("typ, offset, evaluations", [
+        ("f64", "5", 101),  # steps 2**-26 and 1 lie above ulp(5): no retake
+        ("i32", "5", 133),
+        ("f64", "1e20", 102),  # one retake call, which reads the same value again
+    ])
+    def test_flat_function_keeps_its_calls(self, typ, offset, evaluations):
+        problem = problem_of(f"var x : {typ}\ninit x = 0\nabe x - x - {offset} >= 0\n")
+        result = solve(problem, SolverConfig(rng_seed=0))
+        assert result.status is Status.FAILED_NO_PROGRESS
+        assert result.evaluations_used == evaluations
