@@ -159,9 +159,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if not root.is_dir():
             print(f"error: {root} is not a directory", file=sys.stderr)
             return 2
-    entries = sorted(
-        (item for item in root.iterdir() if item.name.endswith(".prob")),
-        key=lambda item: item.name)
+    try:
+        entries = sorted(
+            (item for item in root.iterdir() if item.name.endswith(".prob")),
+            key=lambda item: item.name)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         config = _config_from_args(args)
     except InputError as exc:

@@ -93,25 +93,6 @@ def _shift(comp: Comparator, coord: float) -> float:
     return eps  # NEQ, GT
 
 
-def _nudge_inside(u: np.ndarray, constraint: Constraint) -> np.ndarray:
-    """Fix a projection that rounding left an ulp outside the half-space.
-
-    The exact projection lands on the boundary (or eps off it); float dot
-    products can flip the residual's sign.  One epsilon-sized push along the
-    normal dominates that noise without visibly moving the vector.
-    """
-    n = constraint.normal
-    nn = float(n @ n)
-    if nn < DIVISION_GUARD:
-        return u
-    coord = float(n @ u) / nn
-    if not math.isfinite(coord):
-        return u
-    eps = epsilon_from_value(coord)
-    sign = -1.0 if constraint.comp in (Comparator.LE, Comparator.LT) else 1.0
-    return u + sign * eps * n
-
-
 def clip(u: np.ndarray, constraints: ConstraintSet, grad: np.ndarray, *,
          rounds: int = CLIP_ROUNDS) -> np.ndarray:
     """Project ``u`` into the constraint region, at most ``rounds`` times over.
@@ -154,8 +135,14 @@ def clip(u: np.ndarray, constraints: ConstraintSet, grad: np.ndarray, *,
                 if abs(nm) < DIVISION_GUARD:
                     continue
                 u = u + relax * (-residual / nm + _shift(c.comp, coord)) * m
-                if not satisfies(u, c):
-                    u = _nudge_inside(u, c)
+                # rounding can leave the projection an ulp outside; one
+                # epsilon-sized push along the normal dominates that noise
+                nu = float(n @ u)
+                if math.isfinite(residual := nu - c.bound) and c.comp.holds(residual):
+                    continue
+                if nn >= DIVISION_GUARD and math.isfinite(coord := nu / nn):
+                    sign = -1.0 if c.comp in (Comparator.LE, Comparator.LT) else 1.0
+                    u = u + sign * epsilon_from_value(coord) * n
             if not violated:
                 break
     return u

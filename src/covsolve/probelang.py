@@ -20,10 +20,11 @@ listed expression is the one the solver tries to flip.
 Each expression is held as a flat program: a tuple of postfix steps
 ``(op, arg)``, namely ``("var", name)``, ``("lit", value)``, ``("neg", None)``,
 ``("+" | "-" | "*" | "/", None)`` and ``("abs" | "min" | "max" | "f64", None)``.
-``x1 - 10`` is ``(("var", "x1"), ("lit", 10.0), ("-", None))``.  Evaluating,
-printing and listing variables are single loops over the steps, and
-programs compare, hash and print as plain tuples, so a sum as long as its
-line needs no recursion anywhere.
+``x1 - 10`` is ``(("var", "x1"), ("lit", 10.0), ("-", None))``.  Parsing is
+one operator-precedence loop over a line's tokens; evaluating, printing and
+listing variables are single loops over the steps; and programs compare,
+hash and print as plain tuples.  Nothing recurses, so neither a sum as long
+as its line nor parentheses nested to any depth hit Python's stack limit.
 """
 
 from __future__ import annotations
@@ -103,109 +104,35 @@ def eval_expr(program: Program, valuation: Valuation) -> float | None:
 
 # --- parsing --------------------------------------------------------------
 
+_NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+
+# finditer skips only whitespace: every other character starts a token or is bad
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    rf"(?P<num>{_NUMBER})"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>==|!=|<=|>=|[-+*/(),<>])"
+    r"|(?P<bad>\S)"
 )
+
+_END = ("end", "")  # closes every token list, so a parser never reads past it
 
 _COMPARATORS = {"==", "!=", "<", "<=", ">", ">="}
 
-
-class _Tokens:
-    def __init__(self, text: str, line: int):
-        self.line = line
-        self.items: list[tuple[str, str]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise ParseError(line, f"unexpected character {text[pos]!r}")
-            kind = m.lastgroup
-            self.items.append((kind, m.group()))
-            pos = m.end()
-        self.index = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        return self.items[self.index] if self.index < len(self.items) else None
-
-    def next(self) -> tuple[str, str]:
-        item = self.peek()
-        if item is None:
-            raise ParseError(self.line, "unexpected end of line")
-        self.index += 1
-        return item
-
-    def expect_op(self, op: str) -> None:
-        kind, text = self.next()
-        if kind != "op" or text != op:
-            raise ParseError(self.line, f"expected {op!r}, found {text!r}")
-
-    def at_end(self) -> bool:
-        return self.index >= len(self.items)
+#: Precedences; all operators are left-associative, and unary minus binds tightest.
+_BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}
+_NEG = 3
 
 
-def _parse_expr(toks: _Tokens, out: list[Step]) -> None:
-    _parse_term(toks, out)
-    while (item := toks.peek()) and item[0] == "op" and item[1] in "+-":
-        toks.next()
-        _parse_term(toks, out)
-        out.append((item[1], None))
-
-
-def _parse_term(toks: _Tokens, out: list[Step]) -> None:
-    _parse_unary(toks, out)
-    while (item := toks.peek()) and item[0] == "op" and item[1] in "*/":
-        toks.next()
-        _parse_unary(toks, out)
-        out.append((item[1], None))
-
-
-def _parse_unary(toks: _Tokens, out: list[Step]) -> None:
-    item = toks.peek()
-    if item and item == ("op", "-"):
-        toks.next()
-        _parse_unary(toks, out)
-        out.append(("neg", None))
-    else:
-        _parse_atom(toks, out)
-
-
-def _parse_atom(toks: _Tokens, out: list[Step]) -> None:
-    kind, text = toks.next()
-    if kind == "num":
-        value = float(text)
-        if not math.isfinite(value):  # no literal prints back as infinity
-            raise ParseError(toks.line, f"literal {text} is out of range")
-        out.append(("lit", value))
-    elif kind == "name":
-        if toks.peek() != ("op", "("):
-            out.append(("var", text))
-            return
-        if text not in _FUNCTIONS:
-            raise ParseError(toks.line, f"unknown function {text!r}")
-        toks.next()
-        _parse_expr(toks, out)
-        n_args = 1
-        while toks.peek() == ("op", ","):
-            toks.next()
-            _parse_expr(toks, out)
-            n_args += 1
-        toks.expect_op(")")
-        if n_args != _FUNCTIONS[text]:
-            raise ParseError(
-                toks.line,
-                f"{text} takes {_FUNCTIONS[text]} argument(s), got {n_args}")
-        out.append((text, None))
-    elif kind == "op" and text == "(":
-        _parse_expr(toks, out)
-        toks.expect_op(")")
-    else:
-        raise ParseError(toks.line, f"unexpected token {text!r}")
-
+def _tokenize(text: str, line: int) -> list[tuple[str, str]]:
+    """The (kind, text) tokens of ``text``, closed by the end marker ``_END``."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(line, f"unexpected character {m.group()!r}")
+        tokens.append((kind, m.group()))
+    tokens.append(_END)
+    return tokens
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -275,7 +202,7 @@ def _parse_var_line(rest: str, lineno: int) -> tuple[str, ScalarType]:
 
 def _parse_init_line(rest: str, lineno: int) -> tuple[str, str]:
     m = re.fullmatch(
-        r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)",
+        rf"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(-?{_NUMBER})",
         rest.strip())
     if not m:
         raise ParseError(lineno, "expected: init <name> = <literal>")
@@ -312,22 +239,80 @@ def _coerce_literal(literal: str, typ: ScalarType, lineno: int) -> int | float:
 
 
 def _parse_abe_line(rest: str, lineno: int) -> tuple[Program, Comparator]:
-    toks = _Tokens(rest, lineno)
-    steps: list[Step] = []
-    try:
-        _parse_expr(toks, steps)
-    except RecursionError:
-        raise ParseError(lineno, "expression nested too deeply") from None
-    kind, text = toks.next()
-    if kind != "op" or text not in _COMPARATORS:
+    """Parse ``<expr> <comparator> 0`` in one operator-precedence loop.
+
+    The stack holds pending operators as (precedence, op) and open groups as
+    (0, name, argument count), with name "(" for a parenthesis, so every pop
+    stops at the innermost open group.
+    """
+    tokens = _tokenize(rest, lineno)
+    out: list[Step] = []
+    stack: list[tuple] = []
+    operand = True  # whether the next token starts an operand
+    pos = 0
+    while True:
+        kind, text = tokens[pos]
+        pos += 1
+        if kind == "end":
+            raise ParseError(lineno, "unexpected end of line")
+        if operand:
+            if text == "-":
+                stack.append((_NEG, "neg"))
+            elif text == "(":
+                stack.append((0, "(", 1))
+            elif kind == "name" and tokens[pos] == ("op", "("):
+                if text not in _FUNCTIONS:
+                    raise ParseError(lineno, f"unknown function {text!r}")
+                stack.append((0, text, 1))
+                pos += 1
+            elif kind == "num":
+                value = float(text)
+                if not math.isfinite(value):  # no literal prints back as infinity
+                    raise ParseError(lineno, f"literal {text} is out of range")
+                out.append(("lit", value))
+                operand = False
+            elif kind == "name":
+                out.append(("var", text))
+                operand = False
+            else:
+                raise ParseError(lineno, f"unexpected token {text!r}")
+            continue
+        # after an operand: emit the pending operators that bind at least as
+        # tightly as a binary operator here, or all of them before a closer
+        floor = _BINARY.get(text, 1)
+        while stack and stack[-1][0] >= floor:
+            out.append((stack.pop()[1], None))
+        if text in _BINARY:
+            stack.append((floor, text))
+            operand = True
+        elif not stack:
+            break  # the expression is complete
+        else:
+            _, name, n_args = stack[-1]
+            if text == "," and name != "(":
+                stack[-1] = (0, name, n_args + 1)
+                operand = True
+            elif text != ")":
+                raise ParseError(lineno, f"expected ')', found {text!r}")
+            elif name == "(":
+                stack.pop()
+            elif n_args != _FUNCTIONS[name]:
+                raise ParseError(
+                    lineno, f"{name} takes {_FUNCTIONS[name]} argument(s), got {n_args}")
+            else:
+                stack.pop()
+                out.append((name, None))
+
+    if text not in _COMPARATORS:
         raise ParseError(lineno, f"expected a comparator, found {text!r}")
-    comp = Comparator.from_symbol(text)
-    zero_kind, zero_text = toks.next()
+    zero_kind, zero_text = tokens[pos]
+    if zero_kind == "end":
+        raise ParseError(lineno, "unexpected end of line")
     if zero_kind != "num" or float(zero_text) != 0.0:
         raise ParseError(lineno, "abe lines must compare against 0")
-    if not toks.at_end():
+    if tokens[pos + 1] != _END:
         raise ParseError(lineno, "trailing tokens after abe")
-    return tuple(steps), comp
+    return tuple(out), Comparator.from_symbol(text)
 
 
 # --- printing -------------------------------------------------------------

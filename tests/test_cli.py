@@ -232,6 +232,17 @@ class TestBenchCommand:
         code = cli.main(["bench", str(tmp_path / "missing")])
         assert code == 2
 
+    def test_unlistable_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "iterdir", refuse)
+        code = cli.main(["bench", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Permission denied" in err
+
     def test_small_suite(self, tmp_path, capsys):
         (tmp_path / "a.prob").write_text(EQ_GE_TRACE)
         (tmp_path / "b.prob").write_text(SPLITTABLE_TRACE)

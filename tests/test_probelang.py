@@ -1,9 +1,13 @@
+import math
+import re
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covsolve import cli, probelang
 from covsolve.probelang import (
     CompileError,
     ParseError,
@@ -187,9 +191,6 @@ abe a + 5 == 0   # distance
         ("var a : f64\ninit a = 0\nabe min(1e400, a) - 1 > 0\n",
          "line 3: literal 1e400 is out of range"),
         ("frob a\n", "unknown directive"),
-        pytest.param(
-            "var a : i32\ninit a = 0\nabe " + "(" * 3000 + "a" + ")" * 3000 + " == 0\n",
-            "line 3: expression nested too deeply", id="3000-parentheses"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(ParseError) as err:
@@ -200,6 +201,35 @@ abe a + 5 == 0   # distance
         with pytest.raises(ParseError) as err:
             parse_spec("var a : i32\ninit a = 0\nabe a $ 0\n")
         assert err.value.line == 3
+
+
+class TestNesting:
+    """Nesting depth has no limit, and the verdict does not depend on the caller's stack."""
+
+    @staticmethod
+    def _abe(expr):
+        return parse_spec(f"var a : i32\ninit a = 0\nabe {expr} == 0\n")
+
+    def test_3000_parentheses(self):
+        spec = self._abe("(" * 3000 + "a" + ")" * 3000)
+        assert spec.abes[0][0] == (("var", "a"),)
+        assert parse_spec(format_spec(spec)) == spec
+
+    def test_3000_nested_calls(self):
+        spec = self._abe("abs(" * 3000 + "a" + ")" * 3000)
+        assert spec.abes[0][0] == (("var", "a"),) + (("abs", None),) * 3000
+
+    def test_3000_unary_minuses(self):
+        spec = self._abe("-" * 3000 + "a")
+        assert spec.abes[0][0] == (("var", "a"),) + (("neg", None),) * 3000
+
+    def test_deep_abe_parses_far_down_the_stack(self):
+        expr = "(" * 200 + "a - 1" + ")" * 200
+
+        def parse_from_below(frames):
+            return self._abe(expr) if frames == 0 else parse_from_below(frames - 1)
+
+        assert parse_from_below(300) == self._abe(expr)
 
 
 class TestRoundTrip:
@@ -336,3 +366,222 @@ class TestPrefix:
             prefix_spec(spec, 0)
         with pytest.raises(ValueError):
             prefix_spec(spec, 3)
+
+
+# --- the recursive-descent parser that preceded the operator-precedence loop --
+
+_ORACLE_TOKEN_RE = re.compile(
+    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>==|!=|<=|>=|[-+*/(),<>])"
+)
+
+_ORACLE_FUNCTIONS = {"abs": 1, "min": 2, "max": 2, "f64": 1}
+
+_ORACLE_COMPARATORS = {"==", "!=", "<", "<=", ">", ">="}
+
+
+class _Tokens:
+    def __init__(self, text, line):
+        self.line = line
+        self.items = []
+        pos = 0
+        while pos < len(text):
+            if text[pos].isspace():
+                pos += 1
+                continue
+            m = _ORACLE_TOKEN_RE.match(text, pos)
+            if not m:
+                raise ParseError(line, f"unexpected character {text[pos]!r}")
+            kind = m.lastgroup
+            self.items.append((kind, m.group()))
+            pos = m.end()
+        self.index = 0
+
+    def peek(self):
+        return self.items[self.index] if self.index < len(self.items) else None
+
+    def next(self):
+        item = self.peek()
+        if item is None:
+            raise ParseError(self.line, "unexpected end of line")
+        self.index += 1
+        return item
+
+    def expect_op(self, op):
+        kind, text = self.next()
+        if kind != "op" or text != op:
+            raise ParseError(self.line, f"expected {op!r}, found {text!r}")
+
+    def at_end(self):
+        return self.index >= len(self.items)
+
+
+def _parse_expr(toks, out):
+    _parse_term(toks, out)
+    while (item := toks.peek()) and item[0] == "op" and item[1] in "+-":
+        toks.next()
+        _parse_term(toks, out)
+        out.append((item[1], None))
+
+
+def _parse_term(toks, out):
+    _parse_unary(toks, out)
+    while (item := toks.peek()) and item[0] == "op" and item[1] in "*/":
+        toks.next()
+        _parse_unary(toks, out)
+        out.append((item[1], None))
+
+
+def _parse_unary(toks, out):
+    item = toks.peek()
+    if item and item == ("op", "-"):
+        toks.next()
+        _parse_unary(toks, out)
+        out.append(("neg", None))
+    else:
+        _parse_atom(toks, out)
+
+
+def _parse_atom(toks, out):
+    kind, text = toks.next()
+    if kind == "num":
+        value = float(text)
+        if not math.isfinite(value):
+            raise ParseError(toks.line, f"literal {text} is out of range")
+        out.append(("lit", value))
+    elif kind == "name":
+        if toks.peek() != ("op", "("):
+            out.append(("var", text))
+            return
+        if text not in _ORACLE_FUNCTIONS:
+            raise ParseError(toks.line, f"unknown function {text!r}")
+        toks.next()
+        _parse_expr(toks, out)
+        n_args = 1
+        while toks.peek() == ("op", ","):
+            toks.next()
+            _parse_expr(toks, out)
+            n_args += 1
+        toks.expect_op(")")
+        if n_args != _ORACLE_FUNCTIONS[text]:
+            raise ParseError(
+                toks.line,
+                f"{text} takes {_ORACLE_FUNCTIONS[text]} argument(s), got {n_args}")
+        out.append((text, None))
+    elif kind == "op" and text == "(":
+        _parse_expr(toks, out)
+        toks.expect_op(")")
+    else:
+        raise ParseError(toks.line, f"unexpected token {text!r}")
+
+
+def _parse_abe_line(rest, lineno):
+    toks = _Tokens(rest, lineno)
+    steps = []
+    try:
+        _parse_expr(toks, steps)
+    except RecursionError:
+        raise ParseError(lineno, "expression nested too deeply") from None
+    kind, text = toks.next()
+    if kind != "op" or text not in _ORACLE_COMPARATORS:
+        raise ParseError(lineno, f"expected a comparator, found {text!r}")
+    comp = Comparator.from_symbol(text)
+    zero_kind, zero_text = toks.next()
+    if zero_kind != "num" or float(zero_text) != 0.0:
+        raise ParseError(lineno, "abe lines must compare against 0")
+    if not toks.at_end():
+        raise ParseError(lineno, "trailing tokens after abe")
+    return tuple(steps), comp
+
+
+def _outcome(text):
+    """The spec ``text`` parses to, or its error's message and line."""
+    try:
+        return parse_spec(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _oracle_outcome(text):
+    with mock.patch.object(probelang, "_parse_abe_line", _parse_abe_line):
+        return _outcome(text)
+
+
+def assert_parsers_agree(text):
+    expected = _oracle_outcome(text)
+    if isinstance(expected, tuple) and "nested too deeply" in expected[0]:
+        return
+    assert _outcome(text) == expected
+
+
+_SOUP_TOKENS = (
+    "a", "b", "abs", "min", "max", "f64", "sin", "0", "1", "2.5", ".5", "1e400", "0.0",
+    "(", "(", ")", ")", ",", "+", "-", "-", "*", "/",
+    "==", "!=", "<", "<=", ">", ">=", "$", ".",
+)
+
+_ATOM_TOKENS = ("a", "b", "0", "1", "2.5", ".5", "1e400")
+
+
+def _call(fn_args):
+    fn, args = fn_args
+    tokens = ([fn] if fn else []) + ["("]
+    for k, arg in enumerate(args):
+        tokens += ([","] if k else []) + arg
+    return tokens + [")"]
+
+
+_WELL_FORMED = st.recursive(
+    st.sampled_from(_ATOM_TOKENS).map(lambda t: [t]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: t[0] + [t[1]] + t[2]),
+        inner.map(lambda e: ["-"] + e),
+        inner.map(lambda e: ["("] + e + [")"]),
+        st.tuples(st.sampled_from(("abs", "min", "max", "f64", "sin", "")),
+                  st.lists(inner, max_size=3)).map(_call),
+    ),
+    max_leaves=12,
+)
+
+
+def _with_tail(expr_and_tail):
+    expr, comp, zero = expr_and_tail
+    return expr + [comp, zero]
+
+
+def _spliced(tokens_index_token):
+    tokens, index, token, drop = tokens_index_token
+    index %= len(tokens) + 1
+    return tokens[:index] + ([] if drop else [token]) + tokens[index + drop:]
+
+
+_ABE_TOKENS = st.tuples(
+    _WELL_FORMED, st.sampled_from(("==", "<", ">=", "!=")), st.sampled_from(("0", "0.0", "1")),
+).map(_with_tail)
+
+_SOUP = st.one_of(
+    st.lists(st.sampled_from(_SOUP_TOKENS), max_size=30),
+    _ABE_TOKENS,
+    st.tuples(_ABE_TOKENS, st.integers(0, 60), st.sampled_from(_SOUP_TOKENS),
+              st.integers(0, 1)).map(_spliced),
+)
+
+
+class TestParserAgainstRecursiveDescent:
+    """The operator-precedence loop against the recursive-descent parser it replaced."""
+
+    def test_bundled_files(self):
+        paths = sorted(cli.bundled_suite_dir().glob("*.prob"))
+        assert len(paths) == 40
+        for path in paths:
+            text = path.read_text()
+            assert isinstance(_oracle_outcome(text), ProblemSpec)
+            assert_parsers_agree(text)
+
+    @given(st.lists(st.tuples(_SOUP, st.sampled_from((" ", ""))), min_size=1, max_size=2))
+    @settings(max_examples=2000, derandomize=True, deadline=None)
+    def test_token_soup(self, lines):
+        text = "var a : f64\nvar b : i32\ninit a = 0\ninit b = 0\n" + "".join(
+            "abe " + sep.join(tokens) + "\n" for tokens, sep in lines)
+        assert_parsers_agree(text)

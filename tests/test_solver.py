@@ -12,7 +12,6 @@ from covsolve.constraints import (
     DIVISION_GUARD,
     RELAXATION,
     Constraint,
-    _nudge_inside,
     _shift,
     clip,
     satisfies,
@@ -695,6 +694,20 @@ abe 2 * x - 6 >= 0
         assert result.solved
         assert [(e.iteration, e.source) for e in result.log] == [(1, solver.GRAD_STEP)]
         assert len(calls) == 1
+
+
+def _nudge_inside(u, constraint):
+    """Push a projection that rounding left an ulp outside back in, by one epsilon along the normal."""
+    n = constraint.normal
+    nn = float(n @ n)
+    if nn < DIVISION_GUARD:
+        return u
+    coord = float(n @ u) / nn
+    if not math.isfinite(coord):
+        return u
+    eps = epsilon_from_value(coord)
+    sign = -1.0 if constraint.comp in (Comparator.LE, Comparator.LT) else 1.0
+    return u + sign * eps * n
 
 
 def two_branch_clip(u, constraints, grad, *, rounds=CLIP_ROUNDS):
