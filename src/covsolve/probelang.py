@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 
 from .problem import BlackBoxFn, CoverageProblem, InvalidProblemError
-from .vecspace import Comparator, ScalarType, TYPES_BY_NAME, Valuation
+from .vecspace import Comparator, ScalarType, TYPES_BY_NAME, Valuation, round_float32
 
 
 class ParseError(ValueError):
@@ -209,11 +209,6 @@ def _parse_init_line(rest: str, lineno: int) -> tuple[str, str]:
     return m.group(1), m.group(2)
 
 
-# the midpoint between float32's largest value and 2**128: from here on
-# rounding to float32 overflows
-_F32_OVERFLOW = 2.0**128 - 2.0**103
-
-
 def _coerce_literal(literal: str, typ: ScalarType, lineno: int) -> int | float:
     too_big = ParseError(lineno, f"initial value {literal} does not fit {typ}")
     if typ.is_integer and re.fullmatch(r"-?\d+", literal):
@@ -227,8 +222,11 @@ def _coerce_literal(literal: str, typ: ScalarType, lineno: int) -> int | float:
         if not math.isfinite(real):
             raise too_big
         if not typ.is_integer:
-            if typ.bit_width == 32 and abs(real) >= _F32_OVERFLOW:
-                raise too_big
+            if typ.bit_width == 32:
+                try:
+                    round_float32(real)
+                except OverflowError:
+                    raise too_big from None
             return typ.nearest(real)  # float literals round like a compiler would
         if real != int(real):
             raise ParseError(lineno, f"non-integer initial value {real} for {typ} variable")

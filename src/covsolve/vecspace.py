@@ -6,12 +6,16 @@ variable a concrete value of its type.  Valuations embed into a real
 vector space of dimension equal to the variable count, modelled with
 64-bit floats; the reverse direction rounds every coordinate to the
 nearest representable value of its declared type.
+
+Scalars are plain Python ints and floats, and numpy is used only for
+vectors: float32 rounding is one standard-size ``struct`` round trip.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -22,7 +26,9 @@ class ExtractionError(ValueError):
     """A vector coordinate could not be converted back to a typed value."""
 
 
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_FLOAT32_MAX = (2.0 - 2.0**-23) * 2.0**127
+_F32 = struct.Struct("<f")  # standard size: overflow raises, where native "f" gives inf
+_U32 = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -39,11 +45,7 @@ class ScalarType:
         """Whether ``value`` is exactly representable in this type."""
         if self.is_integer:
             return isinstance(value, int) and self.min_value <= value <= self.max_value
-        if not isinstance(value, float) or not math.isfinite(value):
-            return False
-        if self.bit_width == 64:
-            return True
-        return float(np.float32(value)) == value
+        return isinstance(value, float) and math.isfinite(value) and self.nearest(value) == value
 
     def nearest(self, x: float) -> int | float:
         """The representable value closest to ``x`` (ties round away from zero).
@@ -79,7 +81,11 @@ class ScalarType:
         if self.bit_width == 64:
             nxt = math.nextafter(value, target)
             return nxt if math.isfinite(nxt) else None
-        nxt = float(np.nextafter(np.float32(value), np.float32(target)))
+        if value == 0.0:
+            return math.copysign(2.0**-149, direction)  # the smallest subnormal
+        # float32 is sign-magnitude: a bit-pattern step moves away from zero or toward it
+        step = 1 if (value > 0.0) == (direction > 0.0) else -1
+        nxt = _F32.unpack(_U32.pack(_U32.unpack(_F32.pack(value))[0] + step))[0]
         return nxt if math.isfinite(nxt) else None
 
     def __str__(self) -> str:
@@ -97,21 +103,21 @@ def _round_half_away(x: float) -> int:
     return f + 1 if x > 0.0 else f
 
 
+def round_float32(x: float) -> float:
+    """``x`` rounded to float32, ties to even; OverflowError from 2**128 - 2**103 on."""
+    return _F32.unpack(_F32.pack(x))[0]
+
+
 def _nearest_float32(x: float) -> float:
-    # np.float32 rounds ties to even; re-check the other bracketing neighbour
-    # so that exact midpoints round away from zero instead.
-    with np.errstate(over="ignore"):
-        c = float(np.float32(x))
-    if math.isinf(c):
+    try:
+        c = round_float32(x)
+    except OverflowError:
         return math.copysign(_FLOAT32_MAX, x)
-    if c == x:
-        return c
-    with np.errstate(over="ignore"):  # stepping past the largest float32
-        other = float(np.nextafter(np.float32(c), np.float32(math.copysign(math.inf, x - c))))
-    if math.isinf(other):
-        return c
-    if abs(other - x) == abs(c - x):
-        return c if abs(c) > abs(other) else other
+    # x is a tie exactly when c's mirror image through x is a float32: x - c
+    # is exact (Sterbenz), and so is the sum then.  Ties go away from zero.
+    mirror = x + (x - c)
+    if abs(c) < abs(mirror) <= _FLOAT32_MAX and round_float32(mirror) == mirror:
+        return mirror
     return c
 
 
@@ -252,17 +258,17 @@ def embed(valuation: Valuation) -> np.ndarray:
 
 def extract(vector: Sequence[float] | np.ndarray, signature: Signature) -> Valuation:
     """Round each coordinate to the nearest value of its declared type."""
-    vec = np.asarray(vector, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != len(signature):
-        raise ExtractionError(
-            f"vector of dimension {vec.shape} does not match signature of {len(signature)}")
-    values = tuple(t.nearest(float(x)) for t, x in zip(signature.types, vec))
-    return Valuation(signature, values)
+    return Valuation(signature, tuple(_nearest_values(vector, signature)))
 
 
 def round_vector(vector: np.ndarray, signature: Signature) -> np.ndarray:
     """Round coordinates through their types and re-embed (the <.> operator)."""
+    return np.array(_nearest_values(vector, signature), dtype=np.float64)
+
+
+def _nearest_values(vector: Sequence[float] | np.ndarray, signature: Signature) -> list:
     vec = np.asarray(vector, dtype=np.float64)
-    return np.array(
-        [float(t.nearest(float(x))) for t, x in zip(signature.types, vec)],
-        dtype=np.float64)
+    if vec.ndim != 1 or vec.shape[0] != len(signature):
+        raise ExtractionError(
+            f"vector of dimension {vec.shape} does not match signature of {len(signature)}")
+    return [t.nearest(x) for t, x in zip(signature.types, vec.tolist())]

@@ -16,7 +16,7 @@ import pytest
 
 from covsolve import cli
 from covsolve.constraints import Constraint, clip, satisfies_all
-from covsolve.localspace import BasisChain, next_basis, orthonormality_error
+from covsolve.localspace import BasisChain, next_basis
 from covsolve.numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import (
@@ -47,6 +47,7 @@ from covsolve.vecspace import (
     extract,
     round_vector,
 )
+from helpers import orthonormality_error
 
 SQ2 = math.sqrt(2.0)
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from covsolve.localspace import BasisChain, next_basis, orthonormality_error, vector_norm
+from covsolve.localspace import BasisChain, next_basis, vector_norm
+from helpers import orthonormality_error
 
 SQ2 = math.sqrt(2.0)
 

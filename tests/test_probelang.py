@@ -161,6 +161,17 @@ abe a - 1 >= 0
             spec = parse_spec("var a : f32\ninit a = 3.4028235e38\nabe a > 0\n")
         assert spec.inits == (("a", float(np.finfo(np.float32).max)),)
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_f32_literal_overflow_boundary(self, sign):
+        import numpy as np
+        # 2**128 - 2**103, the midpoint between float32's largest value and
+        # 2**128, is the first literal whose float32 rounding overflows
+        with pytest.raises(ParseError, match="does not fit"):
+            parse_spec(f"var a : f32\ninit a = {sign}3.4028235677973366e+38\nabe a > 0\n")
+        spec = parse_spec(f"var a : f32\ninit a = {sign}3.4028235677973362e+38\nabe a > 0\n")
+        flt_max = float(np.finfo(np.float32).max)
+        assert spec.inits == (("a", -flt_max if sign else flt_max),)
+
     def test_comments_and_blank_lines(self):
         spec = parse_spec("""
 

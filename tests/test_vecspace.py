@@ -1,4 +1,6 @@
 import math
+import struct
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -93,6 +95,109 @@ class TestScalarType:
     def test_f32_ties_round_away_from_zero(self, x, expected):
         assert F32.nearest(x) == expected
 
+    def test_typed_grid_never_warns(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not F32.contains(1e39)
+            assert not F32.contains(-1e39)
+            assert F32.next_value(FLT_MAX, 1.0) is None
+            assert F32.next_value(-FLT_MAX, -1.0) is None
+            with pytest.raises(ValueError, match="is not a f32 value"):
+                Valuation.of([("x", F32, 1e39)])
+
+
+FLT_MAX = float(np.finfo(np.float32).max)
+F32_OVERFLOW = 2.0**128 - 2.0**103  # the midpoint between FLT_MAX and 2**128
+
+
+def _oracle_nearest_float32(x):
+    # the numpy routine vecspace rounded with before its struct round trip
+    with np.errstate(over="ignore"):
+        c = float(np.float32(x))
+    if math.isinf(c):
+        return math.copysign(FLT_MAX, x)
+    if c == x:
+        return c
+    with np.errstate(over="ignore"):
+        other = float(np.nextafter(np.float32(c), np.float32(math.copysign(math.inf, x - c))))
+    if math.isinf(other):
+        return c
+    if abs(other - x) == abs(c - x):
+        return c if abs(c) > abs(other) else other
+    return c
+
+
+def _oracle_contains_float32(value):
+    if not isinstance(value, float) or not math.isfinite(value):
+        return False
+    with np.errstate(over="ignore"):
+        return float(np.float32(value)) == value
+
+
+def _oracle_next_float32(value, direction):
+    target = math.copysign(math.inf, direction)
+    with np.errstate(over="ignore"):
+        nxt = float(np.nextafter(np.float32(value), np.float32(target)))
+    return nxt if math.isfinite(nxt) else None
+
+
+def _bits(x):
+    return None if x is None else struct.pack("<d", x)
+
+
+def _float32_sample(rng, count):
+    """``count`` float32 values from random finite bit patterns, both signs."""
+    bits = rng.integers(0, 0xFF000000, size=count, dtype=np.uint32)
+    bits = np.where(bits >= 0x7F800000, bits + 0x00800000, bits)  # skip inf and nan
+    return bits.view(np.float32)
+
+
+def _differential_sample():
+    """Over 100,000 float64 inputs where float32 rounding is delicate."""
+    rng = np.random.default_rng(20250)
+    f32 = _float32_sample(rng, 25_000)
+    with np.errstate(over="ignore"):
+        up = np.nextafter(f32, np.float32(np.inf)).astype(np.float64)
+    f32 = f32.astype(np.float64)
+    finite = np.isfinite(up)
+    mid = (f32[finite] + up[finite]) / 2  # exact in float64
+    subnormal = (rng.integers(0, 1 << 23, size=10_000, dtype=np.uint32)
+                 | rng.choice(np.array([0, 0x80000000], dtype=np.uint32), size=10_000))
+    magnitude = 10.0 ** rng.uniform(-46, 40, size=25_000)
+    special = [0.0, -0.0, FLT_MAX, -FLT_MAX, 2.0**-149, -(2.0**-149), 2.0**-150,
+               F32_OVERFLOW, -F32_OVERFLOW, 2.0**128, -(2.0**128)]
+    parts = [f32, mid, np.nextafter(mid, np.inf), np.nextafter(mid, -np.inf),
+             subnormal.view(np.float32).astype(np.float64),
+             magnitude * rng.choice([-1.0, 1.0], size=magnitude.size),
+             np.array(special), np.nextafter(special, np.inf), np.nextafter(special, -np.inf)]
+    return np.concatenate(parts).tolist()
+
+
+class TestFloat32Oracle:
+    """The typed grid's float32 rounding against the numpy routines it replaced."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        values = _differential_sample()
+        assert len(values) >= 100_000
+        return values
+
+    def test_nearest_matches_bit_for_bit(self, sample):
+        bad = [x for x in sample if _bits(F32.nearest(x)) != _bits(_oracle_nearest_float32(x))]
+        assert bad == []
+
+    def test_contains_matches(self, sample):
+        bad = [x for x in sample if F32.contains(x) != _oracle_contains_float32(x)]
+        assert bad == []
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_next_value_matches_bit_for_bit(self, sample, direction):
+        grid = [x for x in sample if _oracle_contains_float32(x)]
+        assert len(grid) >= 25_000
+        bad = [x for x in grid
+               if _bits(F32.next_value(x, direction)) != _bits(_oracle_next_float32(x, direction))]
+        assert bad == []
+
 
 class TestEmbedExtract:
     def test_embed_signed_pair(self):
@@ -110,8 +215,8 @@ class TestEmbedExtract:
     def test_extract_clamps(self):
         assert extract([300.0], Signature.of([("a", U8)])).values == (255,)
         assert extract([-4.0], Signature.of([("a", U8)])).values == (0,)
-        assert extract([1e40], Signature.of([("a", F32)])).values[0] == pytest.approx(
-            float(np.finfo(np.float32).max))
+        assert extract([1e40], Signature.of([("a", F32)])).values == (FLT_MAX,)
+        assert extract([-1e40], Signature.of([("a", F32)])).values == (-FLT_MAX,)
 
     def test_extract_tie_rounds_away_from_zero(self):
         sig = Signature.of([("a", I32)])
@@ -129,6 +234,10 @@ class TestEmbedExtract:
     def test_extract_dimension_mismatch(self):
         with pytest.raises(ExtractionError):
             extract([1.0, 2.0], Signature.of([("a", I32)]))
+
+    def test_round_vector_dimension_mismatch(self):
+        with pytest.raises(ExtractionError):
+            round_vector(np.array([1.0, 2.0]), Signature.of([("a", I32)]))
 
     def test_round_trip_identity_simple(self):
         v = Valuation.of([("x1", I32, 2), ("x2", I32, -3)])
