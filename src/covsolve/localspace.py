@@ -5,7 +5,8 @@ are expressed in the coordinates of the previous level's space.  The first
 level is the axis basis of the input space.  Subsequent levels remove the
 previous function's gradient direction (keeping it as an explicit final
 axis for inequality comparators), so that search in the last space
-approximately preserves all earlier predicates.
+approximately preserves all earlier predicates.  Each basis is built in
+closed form from the gradient's tail norms, with no BLAS call.
 """
 
 from __future__ import annotations
@@ -14,62 +15,60 @@ import math
 
 import numpy as np
 
-#: Gram-Schmidt residuals below this norm count as the zero vector.
+#: An axis whose part orthogonal to the gradient and the earlier axes is shorter is dropped.
 ZERO_NORM = 1e-12
 
 
 def vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm of ``v``, finite whenever the true norm is.
+    """Euclidean norm of ``v``, finite and nonzero whenever the true norm is.
 
-    The plain norm squares the entries, which overflows from about 1.3e154;
-    only then is ``v`` rescaled by its largest magnitude first.
+    The plain norm squares the entries, which overflows from about 1.3e154
+    and leaves the normal range below 2**-511; only then is ``v`` rescaled
+    by its largest magnitude first.
     """
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
-    if math.isinf(norm):
-        scale = float(np.max(np.abs(v)))
-        norm = scale * float(np.linalg.norm(v / scale))
+    if not 2.0 ** -511 <= norm < math.inf:
+        scale = float(np.abs(v).max(initial=0.0))
+        if scale > 0.0:
+            norm = scale * float(np.linalg.norm(v / scale))
     return norm
 
 
 def next_basis(grad: np.ndarray, prev_dim: int, *, append_gradient: bool) -> np.ndarray:
     """Basis of the next level, orthogonal to ``grad``, as ``(size, prev_dim)`` rows.
 
-    A zero gradient means the function is constant and the space is kept:
-    the axis basis is returned.  Otherwise each axis of the current space is
-    Gram-Schmidt-reduced against the normalised gradient and the vectors
-    emitted so far (two passes, which keeps long chains orthonormal), and
-    appended when a nonzero residual remains.  With ``append_gradient`` the
-    normalised gradient itself becomes the final basis vector, giving
-    inequality comparators an explicit axis to constrain.
+    A zero gradient (a constant function) keeps the space: the axis basis is
+    returned.  Otherwise let a = grad / max|grad| and r_j be the norm of its
+    entries from axis j on.  Axis j's part orthogonal to ``grad`` and the
+    earlier axes has norm r_{j+1} / r_j; the first axis where that is at most
+    ``ZERO_NORM`` moves to the end of the order and is dropped.  Over that
+    order, each other axis j gives the row
+    (r_{j+1} / r_j) e_j - (a_j / r_j) (a_i / r_{j+1}) e_i, summed over the
+    axes i after j.  With ``append_gradient`` the unit gradient a / r_0 is
+    the final row, an explicit axis for inequality comparators to constrain.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != (prev_dim,):
         raise ValueError(f"gradient of dimension {grad.shape} in space of {prev_dim}")
-    norm = vector_norm(grad)
-    if norm == 0.0:
+    scale = float(np.abs(grad).max(initial=0.0))
+    if scale == 0.0:
         return np.eye(prev_dim, dtype=np.float64)
-    if math.isinf(norm):  # beyond the float range: normalise a rescaled copy
-        grad = grad / float(np.max(np.abs(grad)))
-        norm = float(np.linalg.norm(grad))
-
-    unit_grad = grad / norm
-    emitted: list[np.ndarray] = []
-    for j in range(prev_dim):
-        w = np.zeros(prev_dim, dtype=np.float64)
-        w[j] = 1.0
-        for _ in range(2):
-            w = w - (w @ unit_grad) * unit_grad
-            for v in emitted:
-                w = w - (w @ v) * v
-        w_norm = float(np.linalg.norm(w))
-        if w_norm >= ZERO_NORM:
-            emitted.append(w / w_norm)
+    r = np.hypot.accumulate(np.abs(grad[::-1]) / scale)[::-1]
+    # the last nonzero axis qualifies, and the one found is nonzero, so r > 0 below
+    dropped = int(np.argmax(np.append(r[1:] <= ZERO_NORM * r[:-1], True)))
+    order = np.arange(prev_dim) + (np.arange(prev_dim) >= dropped)
+    order[-1] = dropped
+    a = grad[order] / scale
+    r = np.hypot.accumulate(np.abs(a[::-1]))[::-1]
+    after = np.arange(prev_dim) > np.arange(prev_dim - 1)[:, None]
+    rows = np.where(after, np.multiply.outer(-a[:-1] / r[:-1], a), 0.0) / r[1:, None]
+    np.fill_diagonal(rows, r[1:] / r[:-1])
+    basis = np.empty((prev_dim - 1 + append_gradient, prev_dim))
+    basis[:prev_dim - 1, order] = rows
     if append_gradient:
-        emitted.append(unit_grad)
-    # an EQ predicate over a 1-dimensional space leaves an empty basis;
-    # keep the two-dimensional shape so the chain stays well-formed
-    return np.array(emitted, dtype=np.float64).reshape(len(emitted), prev_dim)
+        basis[-1, order] = a / r[0]
+    return basis
 
 
 class BasisChain:

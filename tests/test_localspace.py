@@ -1,12 +1,48 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from covsolve.localspace import BasisChain, next_basis, vector_norm
+from covsolve.localspace import ZERO_NORM, BasisChain, next_basis, vector_norm
 from helpers import orthonormality_error
 
 SQ2 = math.sqrt(2.0)
+
+
+def gram_schmidt_basis(grad, prev_dim, *, append_gradient):
+    """The former ``next_basis``: a two-pass Gram-Schmidt loop, kept as an oracle.
+
+    Each axis is reduced against the unit gradient and the vectors emitted
+    so far, twice, and emitted when its residual is at least ``ZERO_NORM``.
+    The norm is the former ``vector_norm``, rescaled on overflow only.
+    """
+    grad = np.asarray(grad, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(grad))
+    if math.isinf(norm):
+        scale = float(np.max(np.abs(grad)))
+        norm = scale * float(np.linalg.norm(grad / scale))
+    if norm == 0.0:
+        return np.eye(prev_dim, dtype=np.float64)
+    if math.isinf(norm):
+        grad = grad / float(np.max(np.abs(grad)))
+        norm = float(np.linalg.norm(grad))
+    unit_grad = grad / norm
+    emitted = []
+    for j in range(prev_dim):
+        w = np.zeros(prev_dim, dtype=np.float64)
+        w[j] = 1.0
+        for _ in range(2):
+            w = w - (w @ unit_grad) * unit_grad
+            for v in emitted:
+                w = w - (w @ v) * v
+        w_norm = float(np.linalg.norm(w))
+        if w_norm >= ZERO_NORM:
+            emitted.append(w / w_norm)
+    if append_gradient:
+        emitted.append(unit_grad)
+    return np.array(emitted, dtype=np.float64).reshape(len(emitted), prev_dim)
 
 
 def three_level_chain():
@@ -37,6 +73,8 @@ class TestNextBasis:
         basis = next_basis(np.array([1.0, -1.0]), 2, append_gradient=False)
         assert basis.shape[0] == 1
         assert basis[0] == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-12)
+        # exactly symmetric on every kernel, so a step along it keeps x == y
+        assert basis[0, 0] == basis[0, 1]
 
     def test_inequality_case_appends_gradient(self):
         basis = next_basis(np.array([1.0, -1.0]), 2, append_gradient=True)
@@ -71,6 +109,128 @@ class TestNextBasis:
         assert a.tobytes() == b.tobytes()
 
 
+def seeded_gradients():
+    """Dense, sparse and small-integer gradients of dimension 1 to 49."""
+    rng = np.random.default_rng(17)
+    for k in range(2400):
+        dim = int(rng.integers(1, 50 if k % 24 == 0 else 13))
+        grad = rng.normal(size=dim) * 10.0 ** rng.integers(-100, 100)
+        if k % 3 == 1:
+            grad = grad * (rng.random(dim) < 0.3)
+        elif k % 3 == 2:
+            grad = rng.integers(-3, 4, size=dim).astype(np.float64)
+        yield grad
+
+
+EDGE_GRADIENTS = [
+    # a negligible tail after an axis drops that axis, not the last nonzero one
+    [1.0, 1e-13, 1.0], [1.0, 1.0, 1e-13], [1.0, 1e-13, 1e-13], [1e-13, 1.0],
+    [1.0, 1e-200, 1e-200],
+    # squares past the float range, zeros around the only nonzero entry
+    [1e300, -1e308, 3.0], [1.5e308, 1.5e308], [4.0], [-1e-150],
+    [0.0, 0.0, 2.5], [0.0, -7.0, 0.0, 0.0], [3.0, 4.0, 0.0, 0.0, 0.0],
+]
+
+
+class TestAgainstGramSchmidt:
+    """The closed form builds the basis the Gram-Schmidt loop built, to rounding."""
+
+    @staticmethod
+    def assert_matches(grad):
+        grad = np.asarray(grad, dtype=np.float64)
+        for append in (False, True):
+            want = gram_schmidt_basis(grad, grad.size, append_gradient=append)
+            got = next_basis(grad, grad.size, append_gradient=append)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15, grad
+
+    def test_seeded_gradients(self):
+        for grad in seeded_gradients():
+            self.assert_matches(grad)
+
+    @pytest.mark.parametrize("grad", EDGE_GRADIENTS)
+    def test_edge_gradients(self, grad):
+        self.assert_matches(grad)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_single_axis_gradients(self, dim):
+        for axis in range(dim):
+            for value in (1.0, -3.5, 1e-150, 1e300):
+                grad = np.zeros(dim)
+                grad[axis] = value
+                self.assert_matches(grad)
+
+    def test_geometric_gradient_stays_orthonormal(self):
+        # entries from 1 down past 2**-1074: their squares would underflow
+        for ratio in (1e-5, 1e-11, 1e-20):
+            grad = ratio ** np.arange(40.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                basis = next_basis(grad, 40, append_gradient=True)
+            assert orthonormality_error(basis) <= 1e-15
+            want = gram_schmidt_basis(grad, 40, append_gradient=True)
+            assert np.max(np.abs(basis - want)) <= 1e-15
+
+
+class TestUnderflowingGradients:
+    """Squares of these underflow, so the Gram-Schmidt oracle saw a zero gradient."""
+
+    def test_same_basis_as_the_gradient_scaled_up(self):
+        rng = np.random.default_rng(23)
+        seeded = [rng.normal(size=int(rng.integers(1, 9))) * 1e-170 for _ in range(200)]
+        for grad in [[3e-170, 4e-170], [1e-320, 0.0, -5e-324], [2e-160, -1e-170, 7e-165],
+                     [-1e-300], [0.0, 1e-300, 0.0], *seeded]:
+            grad = np.array(grad)
+            for append in (False, True):
+                small = next_basis(grad, grad.size, append_gradient=append)
+                big = next_basis(grad * 2.0 ** 600, grad.size, append_gradient=append)
+                assert small.tobytes() == big.tobytes()
+                assert small.shape[0] == grad.size - 1 + append
+
+
+#: next_basis of a few fixed gradients, as float.hex of each entry.  The
+#: basis uses no BLAS call, so these hold under every OpenBLAS kernel.
+PINNED_BASES = {
+    ((0.3, -1.7, 0.0, 2.5), True): [
+        ['0x1.fd7f67c48891cp-1', '0x1.c6de6b34c859bp-5', '-0x0.0p+0',
+         '-0x1.4e765de30bc98p-4'],
+        ['0x0.0p+0', '0x1.a762e9152b295p-1', '0x0.0p+0',
+         '0x1.1fe71960508cbp-1'],
+        ['0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p+0',
+         '-0x0.0p+0'],
+        ['0x1.9476e5fa2f883p-4', '-0x1.1e7ee2e68c55cp-1', '0x0.0p+0',
+         '0x1.a5512f8f46d89p-1'],
+    ],
+    ((1.0, 1e-13, 1.0), False): [
+        ['0x1.6a09e667f3bccp-1', '-0x1.3e73dc85419d6p-44', '-0x1.6a09e667f3bccp-1'],
+        ['0x0.0p+0', '0x1.0000000000000p+0', '-0x1.c25c268497682p-44'],
+    ],
+    ((1e+300, -1e+308, 3.0), True): [
+        ['0x1.0000000000000p+0', '0x1.5798ee2308c3ap-27', '-0x0.00000039e8624p-1022'],
+        ['0x0.0p+0', '0x1.59283684dba76p-1022', '0x1.0000000000000p+0'],
+        ['0x1.5798ee2308c3ap-27', '-0x1.0000000000000p+0', '0x1.59283684dba76p-1022'],
+    ],
+    ((2.0, -1.0, 3.0, 1.0, -2.0), False): [
+        ['0x1.c6ec8735648f3p-1', '0x1.e5409038f3cbep-4', '-0x1.6bf06c2ab6d8fp-2',
+         '-0x1.e5409038f3cbep-4', '0x1.e5409038f3cbep-3'],
+        ['0x0.0p+0', '0x1.eea3950a8511ep-1', '0x1.a7f9ed76bb33ep-3',
+         '0x1.1aa69e4f2777fp-4', '-0x1.1aa69e4f2777fp-3'],
+        ['0x0.0p+0', '0x0.0p+0', '0x1.31fa808c55b44p-1',
+         '-0x1.6f2c9a420071ep-2', '0x1.6f2c9a420071ep-1'],
+        ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+         '0x1.c9f25c5bfedd9p-1', '0x1.c9f25c5bfedd8p-2'],
+    ],
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("key", sorted(PINNED_BASES))
+    def test_bytes(self, key):
+        grad, append = key
+        basis = next_basis(np.array(grad), len(grad), append_gradient=append)
+        assert [[x.hex() for x in row] for row in basis.tolist()] == PINNED_BASES[key]
+
+
 class TestVectorNorm:
     def test_ordinary_vectors_match_plain_norm_bitwise(self):
         rng = np.random.default_rng(3)
@@ -84,6 +244,11 @@ class TestVectorNorm:
 
     def test_zero_vector(self):
         assert vector_norm(np.zeros(3)) == 0.0
+
+    def test_entries_whose_squares_underflow(self):
+        assert vector_norm(np.array([3e-170, 4e-170])) == pytest.approx(5e-170, rel=1e-15)
+        assert vector_norm(np.array([-5e-324])) == 5e-324
+        assert vector_norm(np.array([1e-160, 0.0])) == 1e-160
 
 
 class TestNextBasisOfHugeGradients:

@@ -176,6 +176,26 @@ class TestBuildSpaces:
         assert constraint.normal == pytest.approx([0.0, 1.0], abs=1e-9)
         assert constraint.bound == 0.0
 
+    def test_prefix_gradient_whose_squares_underflow_makes_a_constraint(self):
+        # |grad| is about 1.4e-170, whose squares underflow to 0; its norm
+        # must still come out positive for the x >= y constraint to be kept
+        problem = problem_of("""
+var x : f64
+var y : f64
+init x = 0
+init y = 0
+abe x * 1e-170 - y * 1e-170 >= 0
+abe y - 10 >= 0
+""")
+        state = build_spaces(problem, problem.init, problem.init_values)
+        (constraint,) = state.constraints
+        assert constraint.comp is Comparator.GE
+        assert constraint.bound == 0.0
+        assert state.chain.lift(constraint.normal) == pytest.approx(
+            [1 / SQ2, -1 / SQ2], abs=1e-9)
+        result = solve(problem, SolverConfig(rng_seed=0))
+        assert result.solved and is_solution(problem, result.solution)
+
     def test_prefix_values_cached(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
