@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .localspace import dot
 from .numerics import epsilon_from_value
 from .vecspace import Comparator
 
@@ -59,7 +60,7 @@ def satisfies(u: np.ndarray, constraint: Constraint) -> bool:
     nothing; they are reported as violations rather than errors.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(constraint.normal @ u - constraint.bound)
+        residual = float(dot(constraint.normal, u) - constraint.bound)
     return math.isfinite(residual) and constraint.comp.holds(residual)
 
 
@@ -77,8 +78,8 @@ def transform_constraint(constraint: Constraint, basis: np.ndarray) -> Constrain
     normal is orthogonal to the whole space the constraint cannot be
     expressed there and None is returned.
     """
-    m = basis @ constraint.normal
-    if float(m @ m) < DIVISION_GUARD:
+    m = dot(basis, constraint.normal)
+    if float(dot(m, m)) < DIVISION_GUARD:
         return None
     return Constraint(m, constraint.bound, constraint.comp)
 
@@ -115,29 +116,29 @@ def clip(u: np.ndarray, constraints: ConstraintSet, grad: np.ndarray, *,
     if not np.all(np.isfinite(u)):
         return u  # nothing meaningful to project; callers filter these out
     with np.errstate(over="ignore", invalid="ignore"):
-        gg = float(grad @ grad)
         for round_no in range(rounds):
-            tangent = round_no == 0 and gg > 0.0
             relax = 1.0 if round_no == 0 else RELAXATION
             violated = False
             for c in constraints:
                 n = c.normal
-                nu = float(n @ u)
+                nu = float(dot(n, u))
                 if math.isfinite(residual := nu - c.bound) and c.comp.holds(residual):
                     continue
+                if not violated:  # most calls find no violation and need no grad . grad
+                    tangent = round_no == 0 and (gg := float(dot(grad, grad))) > 0.0
                 violated = True
-                nn = float(n @ n)
+                nn = float(dot(n, n))
                 coord = nu / nn if nn >= DIVISION_GUARD else 0.0
                 if not math.isfinite(coord):
                     continue
-                m = n - (float(n @ grad) / gg) * grad if tangent else n
-                nm = float(n @ m)
+                m = n - (float(dot(n, grad)) / gg) * grad if tangent else n
+                nm = float(dot(n, m))
                 if abs(nm) < DIVISION_GUARD:
                     continue
                 u = u + relax * (-residual / nm + _shift(c.comp, coord)) * m
                 # rounding can leave the projection an ulp outside; one
                 # epsilon-sized push along the normal dominates that noise
-                nu = float(n @ u)
+                nu = float(dot(n, u))
                 if math.isfinite(residual := nu - c.bound) and c.comp.holds(residual):
                     continue
                 if nn >= DIVISION_GUARD and math.isfinite(coord := nu / nn):

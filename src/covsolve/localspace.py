@@ -6,7 +6,7 @@ level is the axis basis of the input space.  Subsequent levels remove the
 previous function's gradient direction (keeping it as an explicit final
 axis for inequality comparators), so that search in the last space
 approximately preserves all earlier predicates.  Each basis is built in
-closed form from the gradient's tail norms, with no BLAS call.
+closed form, and every inner product of the search sums through ``dot``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,14 @@ import numpy as np
 ZERO_NORM = 1e-12
 
 
+def dot(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum of ``a * b`` along ``axis``, in numpy's order rather than a BLAS kernel's.
+
+    That order is the same on every CPU; broadcast, ``dot(m, v)`` is m @ v.
+    """
+    return np.add.reduce(np.multiply(a, b), axis=axis)
+
+
 def vector_norm(v: np.ndarray) -> float:
     """Euclidean norm of ``v``, finite and nonzero whenever the true norm is.
 
@@ -27,11 +35,11 @@ def vector_norm(v: np.ndarray) -> float:
     by its largest magnitude first.
     """
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(dot(v, v))
     if not 2.0 ** -511 <= norm < math.inf:
         scale = float(np.abs(v).max(initial=0.0))
         if scale > 0.0:
-            norm = scale * float(np.linalg.norm(v / scale))
+            norm = scale * math.sqrt(dot(v / scale, v / scale))
     return norm
 
 
@@ -100,7 +108,7 @@ class BasisChain:
         if basis.shape[1] != top_size:
             raise ValueError(
                 f"basis over dimension {basis.shape[1]} cannot follow level of size {top_size}")
-        self._lifted.append(basis @ self._lifted[-1])
+        self._lifted.append(dot(basis[:, :, None], self._lifted[-1], axis=1))
         return basis
 
     def lift(self, u: np.ndarray) -> np.ndarray:
@@ -110,5 +118,5 @@ class BasisChain:
         if u.shape != (lifted.shape[0],):
             raise ValueError(
                 f"vector of dimension {u.shape} at top level of size {lifted.shape[0]}")
-        return u @ lifted
+        return dot(u[:, None], lifted, axis=0)
 

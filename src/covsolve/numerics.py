@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .localspace import dot
 from .vecspace import ExtractionError, Signature, round_vector
 
 #: Significand digits of a 64-bit float; steps shift the lower half of them.
@@ -71,7 +72,7 @@ def epsilon_along_line(
     origin = np.asarray(origin, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
     with np.errstate(over="ignore"):
-        gg = float(direction @ direction)
+        gg = float(dot(direction, direction))
     if gg == 0.0:
         raise ValueError("line direction must be nonzero")
     if not math.isfinite(gg):
@@ -89,7 +90,7 @@ def epsilon_along_line(
             except ExtractionError:
                 break
             if not np.array_equal(rounded, rounded_origin):
-                eps = float(((point - origin) @ direction) / gg)
+                eps = float(dot(point - origin, direction) / gg)
                 if math.isfinite(eps * math.sqrt(gg)):
                     return eps
                 break

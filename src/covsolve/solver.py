@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constraints import Constraint, clip, transform_constraint
-from .localspace import BasisChain, next_basis, vector_norm
+from .localspace import BasisChain, dot, next_basis, vector_norm
 from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from .problem import BlackBoxFn, CoverageProblem, Outcome, eval_prefix
 from .vecspace import Comparator, ExtractionError, Signature, Valuation, embed, extract
@@ -256,17 +256,13 @@ def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
     minima.
     """
     grad = state.grad_n
-    with np.errstate(over="ignore"):
-        gg = float(grad @ grad)
-    if gg == 0.0:
-        return []
     comp = state.problem.comps[-1]
     f_n = state.f_n
     signature = state.valuation.signature
     out: list[np.ndarray] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for direction in [grad, *(row for row in np.diag(grad) if row.any())]:
-            dd = float(direction @ direction)
+            dd = float(dot(direction, direction))
             if dd == 0.0 or not math.isfinite(dd):
                 continue
             t = -f_n / dd
@@ -310,7 +306,7 @@ def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
         coords = lifted[:, i]
         if float(np.max(np.abs(coords))) < PIVOT_GUARD:
             continue  # no basis vector reaches this variable's axis
-        u = coords / float(coords @ coords)
+        u = coords / float(dot(coords, coords))
         width = typ.bit_width
         raw = int(state.valuation.values[i]) & ((1 << width) - 1)
         ys = [float((1 - 2 * ((raw >> j) & 1)) * (1 << j)) for j in range(width)]
@@ -331,7 +327,7 @@ def random_candidates(state: IterationState, rng: np.random.Generator) -> list[n
 
     centers = [np.zeros(dim_local, dtype=np.float64)]
     with np.errstate(over="ignore", invalid="ignore"):
-        gg = float(state.grad_n @ state.grad_n)
+        gg = float(dot(state.grad_n, state.grad_n))
         if math.isfinite(gg) and gg > 0.0:
             target = (-state.f_n / gg) * state.grad_n
             if np.all(np.isfinite(target)):

@@ -1,10 +1,11 @@
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from covsolve.localspace import ZERO_NORM, BasisChain, next_basis, vector_norm
+from covsolve.localspace import ZERO_NORM, BasisChain, dot, next_basis, vector_norm
 from helpers import orthonormality_error
 
 SQ2 = math.sqrt(2.0)
@@ -231,12 +232,68 @@ class TestPinnedBytes:
         assert [[x.hex() for x in row] for row in basis.tolist()] == PINNED_BASES[key]
 
 
+def assert_within_ulps(got, expected, magnitude, ulps):
+    """``got`` and ``expected`` differ by at most ``ulps`` units in the last place of ``magnitude``."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    bound = ulps * np.spacing(np.abs(np.asarray(magnitude, dtype=float)))
+    assert np.all(np.abs(got - expected) <= bound)
+
+
+class TestDotAgainstMatmul:
+    """``dot`` sums in numpy's order; ``@`` (BLAS) in the kernel's, so they agree within ulps.
+
+    The bound is in ulps of the sum of |a_i b_i|, since the two orders may
+    round a cancelling sum differently.
+    """
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(18)
+        for d in range(1, 50):
+            for _ in range(4):
+                scale = 10.0 ** float(rng.integers(-100, 100))
+                yield (rng.normal(size=d) * scale, rng.normal(size=d),
+                       rng.normal(size=(int(rng.integers(1, 50)), d)),
+                       rng.normal(size=(d, int(rng.integers(1, 50)))))
+
+    def test_vector_form(self):
+        for a, b, _, _ in self._inputs():
+            assert_within_ulps(dot(a, b), a @ b, np.abs(a) @ np.abs(b), 4)
+
+    def test_matrix_vector_forms(self):
+        for a, _, m, n in self._inputs():
+            assert_within_ulps(dot(m, a), m @ a, np.abs(m) @ np.abs(a), 4)
+            assert_within_ulps(dot(a[:, None], n, axis=0), a @ n, np.abs(a) @ np.abs(n), 4)
+
+    def test_matrix_matrix_form(self):
+        for _, _, m, n in self._inputs():
+            assert_within_ulps(dot(m[:, :, None], n, axis=1), m @ n,
+                               np.abs(m) @ np.abs(n), 4)
+
+
+class TestPinnedChainProducts:
+    def test_extend_and_lift_bytes(self):
+        # 11 rows: numpy sums a contiguous axis of 8 or more terms in eight
+        # interleaved partial sums and a strided axis term by term, so a
+        # product summed over a contiguous copy would change these bytes
+        rng = np.random.default_rng(12)
+        chain = BasisChain(12)
+        for level, append in ((1, False), (2, True)):
+            d = chain.dim_at(level)
+            chain.extend(next_basis(rng.normal(size=d), d, append_gradient=append))
+        u = rng.normal(size=chain.dim_at(3))
+        digest = hashlib.sha256(chain.lifted(3).tobytes() + chain.lift(u).tobytes()).hexdigest()
+        assert digest == "3ee65f8b95d61afe1a4f6f542f35b92d4e15a9aad7ceda52bc8c2fc0f4e1cf05"
+
+
 class TestVectorNorm:
-    def test_ordinary_vectors_match_plain_norm_bitwise(self):
+    def test_ordinary_vectors_match_plain_norm_within_ulps(self):
         rng = np.random.default_rng(3)
-        for dim in range(1, 12):
+        for dim in range(1, 50):
             v = rng.normal(size=dim) * 10.0 ** rng.integers(-150, 150)
-            assert vector_norm(v) == float(np.linalg.norm(v))
+            expected = float(np.linalg.norm(v))
+            assert_within_ulps(vector_norm(v), expected, expected, 4)
 
     def test_entries_past_the_square_range_stay_finite(self):
         assert vector_norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)

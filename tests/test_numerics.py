@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covsolve.localspace import dot
 from covsolve.numerics import (
     NoStepError,
     _min_coordinate_step,
@@ -27,9 +28,10 @@ def full_walk_epsilon_along_line(origin, direction, eps1, signature):
     """The scored line step: of all 2*dim samples, the moving one nearest the line.
 
     A sample's score is the larger of its step length and the distance of
-    its rounded point from the line.
+    its rounded point from the line.  Its products are ``dot``'s, as in
+    ``epsilon_along_line``, so the two agree bit for bit.
     """
-    gg = float(direction @ direction)
+    gg = float(dot(direction, direction))
     rounded_origin = round_vector(origin, signature)
     best_eps = None
     best_score = math.inf
@@ -41,10 +43,11 @@ def full_walk_epsilon_along_line(origin, direction, eps1, signature):
             except ExtractionError:
                 break
             if not np.array_equal(rounded, rounded_origin):
-                eps = float(((point - origin) @ direction) / gg)
+                eps = float(dot(point - origin, direction) / gg)
                 step_len = abs(eps) * math.sqrt(gg)
-                t = float(((rounded - origin) @ direction) / gg)
-                line_dist = float(np.linalg.norm(rounded - (origin + t * direction)))
+                t = float(dot(rounded - origin, direction) / gg)
+                off_line = rounded - (origin + t * direction)
+                line_dist = math.sqrt(dot(off_line, off_line))
                 score = max(step_len, line_dist)
                 if score < best_score:
                     best_score = score

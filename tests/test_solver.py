@@ -17,7 +17,7 @@ from covsolve.constraints import (
     satisfies,
     satisfies_all,
 )
-from covsolve.localspace import BasisChain, next_basis
+from covsolve.localspace import BasisChain, dot, next_basis
 from covsolve.numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import BlackBoxFn, CoverageProblem, eval_prefix, is_solution
@@ -719,10 +719,10 @@ abe 2 * x - 6 >= 0
 def _nudge_inside(u, constraint):
     """Push a projection that rounding left an ulp outside back in, by one epsilon along the normal."""
     n = constraint.normal
-    nn = float(n @ n)
+    nn = float(dot(n, n))
     if nn < DIVISION_GUARD:
         return u
-    coord = float(n @ u) / nn
+    coord = float(dot(n, u)) / nn
     if not math.isfinite(coord):
         return u
     eps = epsilon_from_value(coord)
@@ -731,7 +731,10 @@ def _nudge_inside(u, constraint):
 
 
 def two_branch_clip(u, constraints, grad, *, rounds=CLIP_ROUNDS):
-    """``clip`` with separate tangent and normal updates, as it was written before."""
+    """``clip`` with separate tangent and normal updates, as it was written before.
+
+    Its products are ``dot``'s, as in ``clip``, so the two agree bit for bit.
+    """
     u = np.array(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
         return u
@@ -739,20 +742,20 @@ def two_branch_clip(u, constraints, grad, *, rounds=CLIP_ROUNDS):
         return u
     with np.errstate(over="ignore", invalid="ignore"):
         for round_no in range(rounds):
-            tangent = round_no == 0 and float(grad @ grad) > 0.0
+            tangent = round_no == 0 and float(dot(grad, grad)) > 0.0
             relax = 1.0 if round_no == 0 else RELAXATION
             for c in constraints:
                 if satisfies(u, c):
                     continue
                 n = c.normal
-                nu = float(n @ u)
-                nn = float(n @ n)
+                nu = float(dot(n, u))
+                nn = float(dot(n, n))
                 coord = nu / nn if nn >= DIVISION_GUARD else 0.0
                 if not math.isfinite(coord):
                     continue
                 if tangent:
-                    m = n - (float(n @ grad) / float(grad @ grad)) * grad
-                    nm = float(n @ m)
+                    m = n - (float(dot(n, grad)) / float(dot(grad, grad))) * grad
+                    nm = float(dot(n, m))
                     if abs(nm) < DIVISION_GUARD:
                         continue
                     u = u + ((c.bound - nu) / nm + _shift(c.comp, coord)) * m
@@ -771,7 +774,7 @@ def eager_grad_step_candidates(state):
     """The grad-step candidates, each clipped as soon as it is built."""
     grad = state.grad_n
     with np.errstate(over="ignore"):
-        gg = float(grad @ grad)
+        gg = float(dot(grad, grad))
     if gg == 0.0:
         return []
     comp = state.problem.comps[-1]
@@ -779,7 +782,7 @@ def eager_grad_step_candidates(state):
     out = []
 
     def steps_along(direction):
-        dd = float(direction @ direction)
+        dd = float(dot(direction, direction))
         if dd == 0.0 or not math.isfinite(dd):
             return
         t = -f_n / dd
@@ -814,7 +817,7 @@ def eager_random_candidates(state, rng):
     half_edge = solver.CUBE_SCALE * math.log(abs(state.f_n) + 1.0)
     centers = [np.zeros(dim_local, dtype=np.float64)]
     with np.errstate(over="ignore", invalid="ignore"):
-        gg = float(state.grad_n @ state.grad_n)
+        gg = float(dot(state.grad_n, state.grad_n))
         if math.isfinite(gg) and gg > 0.0:
             target = (-state.f_n / gg) * state.grad_n
             if np.all(np.isfinite(target)):
