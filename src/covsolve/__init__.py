@@ -27,7 +27,7 @@ from .constraints import (
 from .solver import (
     IterationRecord, IterationState, SolverConfig, SolverResult, Status,
     bit_mutation_candidates, build_spaces, finite_diff_gradient,
-    grad_step_candidates, improves, random_candidates, solve,
+    grad_step_candidates, random_candidates, solve,
 )
 from .probelang import (
     CompileError, ParseError, ProblemSpec,

@@ -3,7 +3,9 @@
 ``covsolve solve file.prob`` parses the file, reduces the problem, runs the
 search, extends any solution back over reduced-away variables, re-verifies
 it against the original problem, and reports the outcome (exit code 0 on
-success, 1 on search failure, 2 on input errors).
+success, 1 on search failure, 2 on input errors).  Output that cannot be
+written, to a closed pipe or a full device, ends any command with one
+``error:`` line on stderr and exit code 2, never a traceback.
 
 ``covsolve bench [dir]`` runs every ``.prob`` file of a directory (the
 bundled synthetic suite by default) under shared budgets and prints a
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -252,7 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a write that fails raises here, not at exit
+    except OSError as exc:  # standard output is a closed pipe or a full device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # drop what is buffered
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ level is the axis basis of the input space.  Subsequent levels remove the
 previous function's gradient direction (keeping it as an explicit final
 axis for inequality comparators), so that search in the last space
 approximately preserves all earlier predicates.  Each basis is built in
-closed form, and every inner product of the search sums through ``dot``.
+closed form.  The search reads only the last space, so a chain keeps one
+level: its rows in root coordinates, replaced as each level is built.
+Every inner product of the search sums through ``dot``, and every division
+by a squared norm goes through ``rescaled``.
 """
 
 from __future__ import annotations
@@ -27,20 +30,30 @@ def dot(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.add.reduce(np.multiply(a, b), axis=axis)
 
 
-def vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm of ``v``, finite and nonzero whenever the true norm is.
+def rescaled(v: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``(w, w . w, scale)`` with ``w = v / scale``, so v . v is ``scale**2 * (w . w)``.
 
-    The plain norm squares the entries, which overflows from about 1.3e154
-    and leaves the normal range below 2**-511; only then is ``v`` rescaled
-    by its largest magnitude first.
+    The plain square of v is taken as it is (``scale`` 1, ``w`` v itself)
+    unless it leaves the normal range: it overflows from about 1.3e154 and
+    underflows below 2**-511.  Only then is ``v`` divided by its largest
+    magnitude first.  ``w . w`` is 0 only for a zero ``v``.  A division by
+    v . v then reads a / scale / (scale * ww) for a scalar a, and
+    dot(x, w) / (scale * ww) for x . v.
     """
     with np.errstate(over="ignore"):
-        norm = math.sqrt(dot(v, v))
-    if not 2.0 ** -511 <= norm < math.inf:
+        vv = float(dot(v, v))
+    if not 2.0 ** -1022 <= vv < math.inf:
         scale = float(np.abs(v).max(initial=0.0))
         if scale > 0.0:
-            norm = scale * math.sqrt(dot(v / scale, v / scale))
-    return norm
+            w = v / scale
+            return w, float(dot(w, w)), scale
+    return v, vv, 1.0
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of ``v``, finite and nonzero whenever the true norm is."""
+    _, ww, scale = rescaled(v)
+    return scale * math.sqrt(ww)
 
 
 def next_basis(grad: np.ndarray, prev_dim: int, *, append_gradient: bool) -> np.ndarray:
@@ -80,43 +93,31 @@ def next_basis(grad: np.ndarray, prev_dim: int, *, append_gradient: bool) -> np.
 
 
 class BasisChain:
-    """Bases B_1..B_k, each kept as its vectors' root-space form.
+    """The current level's basis, kept as its vectors' root-space rows.
 
+    Level 1 is the axis basis, and each ``extend`` moves one level down the
+    chain, so lifting a vector from the current level is a single product.
     The chain is grown once per solver iteration and read-only afterwards.
-    ``lifted(i)`` holds the level-i basis vectors expressed in root
-    coordinates, so lifting a vector from the top level is a single product.
     """
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        self._lifted: list[np.ndarray] = [np.eye(dim, dtype=np.float64)]
-
-    def __len__(self) -> int:
-        return len(self._lifted)
-
-    def lifted(self, level: int) -> np.ndarray:
-        """Level ``level`` basis vectors as rows in root coordinates."""
-        return self._lifted[level - 1]
-
-    def dim_at(self, level: int) -> int:
-        return self._lifted[level - 1].shape[0]
+        self.rows = np.eye(dim, dtype=np.float64)
 
     def extend(self, basis: np.ndarray) -> np.ndarray:
-        """Append the next level; the basis rows must live in the current top space."""
-        top_size = self._lifted[-1].shape[0]
-        if basis.shape[1] != top_size:
+        """Move to the next level; the basis rows must live in the current space."""
+        size = self.rows.shape[0]
+        if basis.shape[1] != size:
             raise ValueError(
-                f"basis over dimension {basis.shape[1]} cannot follow level of size {top_size}")
-        self._lifted.append(dot(basis[:, :, None], self._lifted[-1], axis=1))
+                f"basis over dimension {basis.shape[1]} cannot follow level of size {size}")
+        self.rows = dot(basis[:, :, None], self.rows, axis=1)
         return basis
 
     def lift(self, u: np.ndarray) -> np.ndarray:
-        """Express a top-level vector in root coordinates (the * operator)."""
+        """Express a current-level vector in root coordinates (the * operator)."""
         u = np.asarray(u, dtype=np.float64)
-        lifted = self._lifted[-1]
-        if u.shape != (lifted.shape[0],):
+        if u.shape != (self.rows.shape[0],):
             raise ValueError(
-                f"vector of dimension {u.shape} at top level of size {lifted.shape[0]}")
-        return dot(u[:, None], lifted, axis=0)
-
+                f"vector of dimension {u.shape} at a level of size {self.rows.shape[0]}")
+        return dot(u[:, None], self.rows, axis=0)

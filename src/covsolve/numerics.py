@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .localspace import dot
+from .localspace import dot, rescaled
 from .vecspace import ExtractionError, Signature, round_vector
 
 #: Significand digits of a 64-bit float; steps shift the lower half of them.
@@ -71,12 +71,11 @@ def epsilon_along_line(
     """
     origin = np.asarray(origin, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        gg = float(dot(direction, direction))
-    if gg == 0.0:
+    w, ww, scale = rescaled(direction)
+    if ww == 0.0:
         raise ValueError("line direction must be nonzero")
-    if not math.isfinite(gg):
-        raise ValueError("line direction overflows")
+    if not math.isfinite(ww):
+        raise ValueError("line direction is not finite")
     if eps1 <= 0.0:
         raise ValueError("initial epsilon must be positive")
 
@@ -90,8 +89,8 @@ def epsilon_along_line(
             except ExtractionError:
                 break
             if not np.array_equal(rounded, rounded_origin):
-                eps = float(dot(point - origin, direction) / gg)
-                if math.isfinite(eps * math.sqrt(gg)):
+                eps = float(dot(point - origin, w)) / (scale * ww)
+                if math.isfinite(eps * scale * math.sqrt(ww)):
                     return eps
                 break
             increment = _min_coordinate_step(rounded, direction, signature)

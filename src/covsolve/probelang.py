@@ -116,8 +116,6 @@ _TOKEN_RE = re.compile(
 
 _END = ("end", "")  # closes every token list, so a parser never reads past it
 
-_COMPARATORS = {"==", "!=", "<", "<=", ">", ">="}
-
 #: Precedences; all operators are left-associative, and unary minus binds tightest.
 _BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}
 _NEG = 3
@@ -301,8 +299,10 @@ def _parse_abe_line(rest: str, lineno: int) -> tuple[Program, Comparator]:
                 stack.pop()
                 out.append((name, None))
 
-    if text not in _COMPARATORS:
-        raise ParseError(lineno, f"expected a comparator, found {text!r}")
+    try:
+        comp = Comparator.from_symbol(text)
+    except ValueError:
+        raise ParseError(lineno, f"expected a comparator, found {text!r}") from None
     zero_kind, zero_text = tokens[pos]
     if zero_kind == "end":
         raise ParseError(lineno, "unexpected end of line")
@@ -310,7 +310,7 @@ def _parse_abe_line(rest: str, lineno: int) -> tuple[Program, Comparator]:
         raise ParseError(lineno, "abe lines must compare against 0")
     if tokens[pos + 1] != _END:
         raise ParseError(lineno, "trailing tokens after abe")
-    return tuple(out), Comparator.from_symbol(text)
+    return tuple(out), comp
 
 
 # --- printing -------------------------------------------------------------

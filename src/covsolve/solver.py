@@ -30,10 +30,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constraints import Constraint, clip, transform_constraint
-from .localspace import BasisChain, dot, next_basis, vector_norm
+from .localspace import BasisChain, dot, next_basis, rescaled, vector_norm
 from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from .problem import BlackBoxFn, CoverageProblem, Outcome, eval_prefix
-from .vecspace import Comparator, ExtractionError, Signature, Valuation, embed, extract
+from .vecspace import ExtractionError, Signature, Valuation, embed, extract
 
 logger = logging.getLogger(__name__)
 
@@ -203,8 +203,9 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation,
     with the gradient axis appended unless the comparator is equality or
     the gradient is zero.  An appended axis, lifted to root coordinates, is
     the normal of the predicate's constraint, bounded where the linearised
-    function crosses zero.  Once the chain is built, each constraint is
-    projected into the last space, newest first.
+    function crosses zero.  Once the chain is built and the last function's
+    gradient taken, each constraint is projected into the last space, newest
+    first, with its clipping direction along that gradient's tangent.
 
     ``values`` are the prefix values at ``valuation``, which the caller
     already has: no function is called at ``valuation`` itself.
@@ -218,39 +219,25 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation,
     chain = BasisChain(len(signature))
     rooted: list[Constraint] = []  # in root coordinates, oldest first
 
-    n = len(fns)
-    for i in range(1, n):
-        grad = finite_diff_gradient(fns[i - 1], values[i - 1], vec,
-                                    chain.lifted(i), signature, eps_seed)
+    for fn, comp, value in zip(fns[:-1], comps, values):
+        grad = finite_diff_gradient(fn, value, vec, chain.rows, signature, eps_seed)
         grad_norm = vector_norm(grad)
-        append = comps[i - 1] is not Comparator.EQ and grad_norm > 0.0
-        chain.extend(next_basis(grad, chain.dim_at(i), append_gradient=append))
-        if append and math.isfinite(bound := -values[i - 1] / grad_norm):
-            rooted.append(Constraint(chain.lifted(i + 1)[-1], bound, comps[i - 1]))
+        append = comp.side != 0 and grad_norm > 0.0
+        chain.extend(next_basis(grad, len(grad), append_gradient=append))
+        if append and math.isfinite(bound := -value / grad_norm):
+            rooted.append(Constraint(chain.rows[-1], bound, comp, chain.rows[-1]))
 
-    last = chain.lifted(n)
-    moved = (transform_constraint(c, last) for c in reversed(rooted))
+    grad_n = finite_diff_gradient(fns[-1], values[-1], vec, chain.rows, signature, eps_seed)
+    moved = (transform_constraint(c, chain.rows, grad_n) for c in reversed(rooted))
     constraints = tuple(c for c in moved if c is not None)
-    grad_n = finite_diff_gradient(fns[n - 1], values[n - 1], vec,
-                                  last, signature, eps_seed)
     return IterationState(problem, valuation, vec, chain, constraints, grad_n, values)
-
-
-_P_VALUES = {
-    Comparator.EQ: lambda t, e: (t,),
-    Comparator.NEQ: lambda t, e: (t - e, t + e),
-    Comparator.LT: lambda t, e: (t - e,),
-    Comparator.LE: lambda t, e: (t - e, t),
-    Comparator.GT: lambda t, e: (t + e,),
-    Comparator.GE: lambda t, e: (t, t + e),
-}
 
 
 def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
     """Unclipped candidates from one linearised descent step of the last function.
 
     The step length t solves the linear model F[I + t*grad] = 0; the
-    comparator decides which of t, t-eps, t+eps are useful landing points.
+    comparator's landing points decide which of t, t-eps, t+eps are tried.
     Besides the full gradient direction, a step is taken along every single
     axis with a nonzero partial derivative, which helps escaping local
     minima.
@@ -262,10 +249,10 @@ def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
     out: list[np.ndarray] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for direction in [grad, *(row for row in np.diag(grad) if row.any())]:
-            dd = float(dot(direction, direction))
+            _, dd, scale = rescaled(direction)
             if dd == 0.0 or not math.isfinite(dd):
                 continue
-            t = -f_n / dd
+            t = -f_n / scale / (scale * dd)
             if not math.isfinite(t):
                 continue
             d_root = state.chain.lift(direction)
@@ -276,7 +263,7 @@ def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
                                          signature) if math.isfinite(z) else 0.0
             except NoStepError:
                 eps = 0.0
-            out.extend(p * direction for p in _P_VALUES[comp](t, eps))
+            out.extend(p * direction for p in comp.landing(t, eps))
     return out
 
 
@@ -291,7 +278,7 @@ def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
     one lifting closest to y*e_i is the least-norm solution y*c/(c . c).
     """
     signature = state.valuation.signature
-    lifted = state.chain.lifted(len(state.chain))
+    lifted = state.chain.rows
     if lifted.shape[0] == 0:
         return []
     params = set(state.problem.fns[-1].params)
@@ -320,16 +307,16 @@ def random_candidates(state: IterationState, rng: np.random.Generator) -> list[n
     The cube half-edge grows logarithmically with the last function's
     magnitude.
     """
-    dim_local = state.chain.dim_at(len(state.chain))
+    dim_local = state.chain.rows.shape[0]
     if dim_local == 0:
         return []
     half_edge = CUBE_SCALE * math.log(abs(state.f_n) + 1.0)
 
     centers = [np.zeros(dim_local, dtype=np.float64)]
     with np.errstate(over="ignore", invalid="ignore"):
-        gg = float(dot(state.grad_n, state.grad_n))
+        _, gg, scale = rescaled(state.grad_n)
         if math.isfinite(gg) and gg > 0.0:
-            target = (-state.f_n / gg) * state.grad_n
+            target = (-state.f_n / scale / (scale * gg)) * state.grad_n
             if np.all(np.isfinite(target)):
                 centers.append(target)
 
@@ -338,17 +325,6 @@ def random_candidates(state: IterationState, rng: np.random.Generator) -> list[n
         out.extend(center + rng.uniform(-half_edge, half_edge,
                                         size=(SAMPLES_PER_CUBE, dim_local)))
     return out
-
-
-def improves(comp: Comparator, old_value: float, new_value: float) -> bool:
-    """Whether ``new_value`` is strictly closer to satisfying ``comp`` against 0."""
-    if comp is Comparator.EQ:
-        return abs(new_value) < abs(old_value)
-    if comp is Comparator.NEQ:
-        return abs(new_value) > abs(old_value)
-    if comp in (Comparator.LT, Comparator.LE):
-        return new_value < old_value
-    return new_value > old_value
 
 
 def _candidates(state: IterationState,
@@ -362,13 +338,13 @@ def _candidates(state: IterationState,
     too.  Bit mutations stay unclipped: clipping them solved no more
     problems in the benchmark and cost extra evaluations.
     """
-    constraints, grad = state.constraints, state.grad_n
+    constraints = state.constraints
     for u in grad_step_candidates(state):
-        yield GRAD_STEP, clip(u, constraints, grad)
+        yield GRAD_STEP, clip(u, constraints)
     for u in bit_mutation_candidates(state):
         yield BIT_MUT, u
     for u in random_candidates(state, rng):
-        yield RANDOM, clip(u, constraints, grad)
+        yield RANDOM, clip(u, constraints)
 
 
 def solve(problem: CoverageProblem,
@@ -409,7 +385,7 @@ def solve(problem: CoverageProblem,
                     log.append(IterationRecord(iteration, source, value))
                     return SolverResult(Status.SOLVED, candidate, iteration,
                                         budget.used, tuple(log))
-                if improves(comp_last, state.f_n, value):
+                if comp_last.improves(state.f_n, value):
                     log.append(IterationRecord(iteration, source, value))
                     accepted, current_values = candidate, record.values
                     break

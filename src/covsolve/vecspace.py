@@ -7,6 +7,9 @@ vector space of dimension equal to the variable count, modelled with
 64-bit floats; the reverse direction rounds every coordinate to the
 nearest representable value of its declared type.
 
+A comparator is one row of a table, the signs of a for which a P 0 holds,
+and every comparator rule of the search is read from that row here.
+
 Scalars are plain Python ints and floats, and numpy is used only for
 vectors: float32 rounding is one standard-size ``struct`` round trip.
 """
@@ -139,22 +142,29 @@ TYPES_BY_NAME = {t.name: t for t in (I8, I16, I32, I64, U8, U16, U32, U64, F32, 
 
 
 class Comparator(enum.Enum):
-    EQ = "=="
-    NEQ = "!="
-    LT = "<"
-    LE = "<="
-    GT = ">"
-    GE = ">="
+    """``a <comparator> 0`` for a real ``a``, stated by one table: the signs of ``a`` where it holds.
 
-    @property
-    def opposite(self) -> "Comparator":
-        return _OPPOSITE[self]
+    Every comparator rule of the search reads ``signs``: ``holds``, the
+    ``opposite`` (the other signs), ``strict`` (0 is not among them), the
+    ``side`` a value moves toward to make it hold (the last nonzero sign: +1
+    for NEQ, and 0 for EQ, which no half-space holds), the descent step's
+    ``landing`` points, and whether a value ``improves`` on another.
+    """
 
-    def holds(self, a: float) -> bool:
-        """Truth of ``a <comparator> 0``; rejects non-finite operands."""
-        if not math.isfinite(a):
-            raise ValueError(f"comparator applied to non-finite value {a!r}")
-        return _HOLDS[self](a)
+    EQ = "==", (0,)
+    NEQ = "!=", (-1, 1)
+    LT = "<", (-1,)
+    LE = "<=", (-1, 0)
+    GT = ">", (1,)
+    GE = ">=", (0, 1)
+
+    def __new__(cls, symbol: str, signs: tuple[int, ...]):
+        member = object.__new__(cls)
+        member._value_ = symbol
+        member.signs = signs
+        member.strict = 0 not in signs
+        member.side = signs[-1] or signs[0]
+        return member
 
     @property
     def symbol(self) -> str:
@@ -167,24 +177,30 @@ class Comparator(enum.Enum):
         except ValueError:
             raise ValueError(f"unknown comparator {sym!r}") from None
 
+    @property
+    def opposite(self) -> "Comparator":
+        """The comparator that holds for exactly the other signs."""
+        rest = tuple(s for s in (-1, 0, 1) if s not in self.signs)
+        return next(c for c in Comparator if c.signs == rest)
 
-_OPPOSITE = {
-    Comparator.EQ: Comparator.NEQ,
-    Comparator.NEQ: Comparator.EQ,
-    Comparator.LT: Comparator.GE,
-    Comparator.LE: Comparator.GT,
-    Comparator.GT: Comparator.LE,
-    Comparator.GE: Comparator.LT,
-}
+    def holds(self, a: float) -> bool:
+        """Truth of ``a <comparator> 0``; rejects non-finite operands."""
+        if not math.isfinite(a):
+            raise ValueError(f"comparator applied to non-finite value {a!r}")
+        return ((a > 0.0) - (a < 0.0)) in self.signs
 
-_HOLDS = {
-    Comparator.EQ: lambda a: a == 0.0,
-    Comparator.NEQ: lambda a: a != 0.0,
-    Comparator.LT: lambda a: a < 0.0,
-    Comparator.LE: lambda a: a <= 0.0,
-    Comparator.GT: lambda a: a > 0.0,
-    Comparator.GE: lambda a: a >= 0.0,
-}
+    def landing(self, t: float, eps: float) -> tuple[float, ...]:
+        """``t`` moved by ``eps`` toward each sign of the table in order, and ``t`` itself for 0."""
+        return tuple(t + s * eps if s else t for s in self.signs)
+
+    def improves(self, old: float, new: float) -> bool:
+        """Whether ``new`` is strictly closer than ``old`` to making the comparison hold: nearer
+        0 for EQ (no side), farther from 0 for NEQ (both sides), else farther toward ``side``."""
+        if not self.side:
+            return abs(new) < abs(old)
+        if -self.side in self.signs:
+            return abs(new) > abs(old)
+        return self.side * new > self.side * old
 
 
 @dataclass(frozen=True)

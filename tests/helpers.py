@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from covsolve.localspace import BasisChain
+
 
 def orthonormality_error(vectors: np.ndarray) -> float:
     """Largest deviation of the rows from pairwise orthonormality."""
@@ -9,3 +11,27 @@ def orthonormality_error(vectors: np.ndarray) -> float:
         return 0.0
     gram = vectors @ vectors.T
     return float(np.max(np.abs(gram - np.eye(vectors.shape[0]))))
+
+
+def record_levels(monkeypatch) -> list:
+    """The root-space rows of every level, level 1 first, of the chain built last.
+
+    A ``BasisChain`` keeps only its current level, so a test that reads the
+    earlier ones records each as it is built.  The list fills as chains are
+    built after this call.
+    """
+    levels = []
+    init, extend = BasisChain.__init__, BasisChain.extend
+
+    def recording_init(self, dim):
+        init(self, dim)
+        levels[:] = [self.rows]
+
+    def recording_extend(self, basis):
+        out = extend(self, basis)
+        levels.append(self.rows)
+        return out
+
+    monkeypatch.setattr(BasisChain, "__init__", recording_init)
+    monkeypatch.setattr(BasisChain, "extend", recording_extend)
+    return levels

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from covsolve import cli
+from covsolve import cli, constraints as constraints_module
 from covsolve.constraints import Constraint, clip, satisfies_all
 from covsolve.localspace import BasisChain, next_basis
 from covsolve.numerics import NoStepError, epsilon_along_line, epsilon_from_value
@@ -32,7 +32,6 @@ from covsolve.solver import (
     Status,
     bit_mutation_candidates,
     build_spaces,
-    improves,
     solve,
 )
 from covsolve.vecspace import (
@@ -101,7 +100,7 @@ class TestGoldenExamples:
     def test_basis_construction_drops_gradient_direction(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
-        basis = state.chain.lifted(2)
+        basis = state.chain.rows  # level 2, the last
         assert basis.shape[0] == 1
         assert np.max(np.abs(basis[0] - np.array([1 / SQ2, 1 / SQ2]))) <= 1e-9
 
@@ -116,7 +115,7 @@ class TestGoldenExamples:
     def test_constraint_transformation_into_deeper_space(self):
         problem = problem_of(LE_EQ_EQ_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
-        assert np.max(np.abs(state.chain.lifted(3)[0] - np.array([0.0, 1.0]))) <= 1e-9
+        assert np.max(np.abs(state.chain.rows[0] - np.array([0.0, 1.0]))) <= 1e-9  # level 3
         (constraint,) = state.constraints
         assert np.max(np.abs(constraint.normal - np.array([-1 / SQ2]))) <= 1e-9
         assert abs(constraint.bound) <= 1e-9
@@ -164,8 +163,9 @@ class TestOrthonormalityProperty:
         for _ in range(500):
             dim = int(rng.integers(1, 17))
             chain = BasisChain(dim)
+            assert orthonormality_error(chain.rows) <= 1e-9
             for _ in range(int(rng.integers(1, 5))):
-                size = chain.dim_at(len(chain))
+                size = chain.rows.shape[0]
                 if size == 0:
                     break
                 grad = rng.normal(size=size)
@@ -174,8 +174,7 @@ class TestOrthonormalityProperty:
                 basis = next_basis(grad, size, append_gradient=bool(rng.integers(0, 2)))
                 assert orthonormality_error(basis) <= 1e-9
                 chain.extend(basis)
-            for level in range(1, len(chain) + 1):
-                assert orthonormality_error(chain.lifted(level)) <= 1e-9
+                assert orthonormality_error(chain.rows) <= 1e-9
         assert time.perf_counter() - started < 30.0
 
 
@@ -201,7 +200,7 @@ def _consistent_constraint_set(rng, dim, count):
             s = float(n @ witness) + margin
         else:
             s = float(n @ witness) - margin
-        constraints.append(Constraint(n, s, comp))
+        constraints.append(Constraint(n, s, comp, n))
     return constraints
 
 
@@ -215,18 +214,19 @@ class TestClipProperty:
             dim = int(rng.integers(2, 9))
             constraints = _consistent_constraint_set(rng, dim, int(rng.integers(1, 4)))
             u = rng.normal(size=dim) * 5.0
-            if satisfies_all(clip(u, constraints, np.zeros_like(u)), constraints):
+            if satisfies_all(clip(u, constraints), constraints):
                 satisfied += 1
         assert satisfied / trials >= 0.99
         assert time.perf_counter() - started < 30.0
 
-    def test_single_constraint_satisfied_in_round_one_always(self):
+    def test_single_constraint_satisfied_in_round_one_always(self, monkeypatch):
+        monkeypatch.setattr(constraints_module, "CLIP_ROUNDS", 1)
         rng = np.random.default_rng(7)
         for _ in range(1000):
             dim = int(rng.integers(2, 9))
             (constraint,) = _consistent_constraint_set(rng, dim, 1)
             u = rng.normal(size=dim) * 5.0
-            out = clip(u, (constraint,), np.zeros_like(u), rounds=1)
+            out = clip(u, (constraint,))
             assert satisfies_all(out, (constraint,))
 
 
@@ -460,7 +460,7 @@ class TestMonotoneImprovementProperty:
             comp = problem.comps[-1]
             previous = eval_prefix(problem.fns, problem.comps, problem.init).values[-1]
             for record in report.result.log:
-                assert improves(comp, previous, record.value)
+                assert comp.improves(previous, record.value)
                 previous = record.value
 
 

@@ -35,6 +35,7 @@ from covsolve.vecspace import (
     F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, Comparator, ExtractionError,
     Valuation, embed, extract,
 )
+from helpers import record_levels
 
 TYPES = (I8, I16, I32, I64, U8, U16, U32, U64, F32, F64)
 
@@ -99,13 +100,13 @@ def reevaluating_build_spaces(problem, valuation, values, *, fns=None):
 
 def every_raw_candidates(state, rng):
     """``solver._candidates`` also trying every random sample raw after its clipped form."""
-    constraints, grad = state.constraints, state.grad_n
+    constraints = state.constraints
     for u in grad_step_candidates(state):
-        yield GRAD_STEP, clip(u, constraints, grad)
+        yield GRAD_STEP, clip(u, constraints)
     for u in bit_mutation_candidates(state):
         yield BIT_MUT, u
     for u in random_candidates(state, rng):
-        yield RANDOM, clip(u, constraints, grad)
+        yield RANDOM, clip(u, constraints)
         yield RANDOM, u
 
 
@@ -187,32 +188,35 @@ def random_problem(rand, *, calls=None, margin=(0.5, 20.0)):
     return problem
 
 
-def _chain_bytes(state):
-    return [state.chain.lifted(level).tobytes() for level in range(1, len(state.chain) + 1)]
+def _levels_bytes(levels):
+    return [rows.tobytes() for rows in levels]
 
 
 def _constraint_key(c):
-    return c.normal.tobytes(), np.float64(c.bound).tobytes(), c.comp
+    return c.normal.tobytes(), np.float64(c.bound).tobytes(), c.comp, c.direction.tobytes()
 
 
 class TestBlindPartialSkip:
     def test_build_spaces_matches_full_loop(self, monkeypatch):
         rand = random.Random(2018)
+        levels = record_levels(monkeypatch)
         skipped = 0
         for _ in range(300):
             problem = random_problem(rand)
             ours = build_spaces(problem, problem.init, problem.init_values)
+            our_levels = _levels_bytes(levels)
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "finite_diff_gradient", full_loop_gradient)
                 theirs = build_spaces(problem, problem.init, problem.init_values)
             assert ours.grad_n.tobytes() == theirs.grad_n.tobytes()
-            assert _chain_bytes(ours) == _chain_bytes(theirs)
+            assert our_levels == _levels_bytes(levels)
+            assert ours.chain.rows.tobytes() == our_levels[-1]
             assert ([_constraint_key(c) for c in ours.constraints]
                     == [_constraint_key(c) for c in theirs.constraints])
             assert ours.prefix_values == theirs.prefix_values
             positions = problem.signature.positions
             cols = [positions[name] for name in problem.fns[-1].params]
-            last = ours.chain.lifted(len(ours.chain))
+            last = ours.chain.rows
             skipped += not last[:, cols].any(axis=1).all()
         assert skipped >= 50
 

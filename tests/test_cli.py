@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import covsolve
 from covsolve import cli
 from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import is_solution
@@ -219,6 +223,43 @@ class TestOverflowingGradients:
         assert result.solved
         assert is_solution(problem, result.solution)
         assert result.solution.values == (0, 5)
+
+
+def _start_cli(args, stdout):
+    """``python -m covsolve.cli`` in a child process, with stderr piped."""
+    src = str(Path(covsolve.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen([sys.executable, "-m", "covsolve.cli", *args],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("args", [["solve", "--json"], ["solve"], ["bench", "--json"]],
+                         ids=["solve-json", "solve", "bench-json"])
+class TestUnwritableOutput:
+    """Output that cannot be written ends in one error line and exit 2, never a traceback."""
+
+    @staticmethod
+    def _command(args, path):
+        return [args[0], str(path), *args[1:]] if args[0] == "solve" else [*args, str(path.parent)]
+
+    def test_closed_pipe(self, args, eq_ge_file):
+        proc = _start_cli(self._command(args, eq_ge_file), subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before anything is written
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "Broken pipe" in line
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self, args, eq_ge_file):
+        with open("/dev/full", "wb") as full:
+            proc = _start_cli(self._command(args, eq_ge_file), full)
+            err = proc.stderr.read().decode()
+        assert proc.wait() == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "No space left" in line
 
 
 class TestBenchCommand:

@@ -5,7 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from covsolve import cli, solver
 from covsolve.localspace import ZERO_NORM, BasisChain, dot, next_basis, vector_norm
+from covsolve.probelang import compile_spec, parse_spec
+from covsolve.problem import reduce_problem
+from covsolve.solver import SolverConfig, solve
 from helpers import orthonormality_error
 
 SQ2 = math.sqrt(2.0)
@@ -46,6 +50,47 @@ def gram_schmidt_basis(grad, prev_dim, *, append_gradient):
     return np.array(emitted, dtype=np.float64).reshape(len(emitted), prev_dim)
 
 
+class MultiLevelChain:
+    """The former ``BasisChain``, which kept every level, as an oracle.
+
+    ``rows`` is its top level, so it can stand in for the one-level chain.
+    """
+
+    def __init__(self, dim):
+        if dim < 1:
+            raise ValueError("dimension must be at least 1")
+        self._lifted = [np.eye(dim, dtype=np.float64)]
+
+    def __len__(self):
+        return len(self._lifted)
+
+    def lifted(self, level):
+        return self._lifted[level - 1]
+
+    def dim_at(self, level):
+        return self._lifted[level - 1].shape[0]
+
+    @property
+    def rows(self):
+        return self._lifted[-1]
+
+    def extend(self, basis):
+        top_size = self._lifted[-1].shape[0]
+        if basis.shape[1] != top_size:
+            raise ValueError(
+                f"basis over dimension {basis.shape[1]} cannot follow level of size {top_size}")
+        self._lifted.append(dot(basis[:, :, None], self._lifted[-1], axis=1))
+        return basis
+
+    def lift(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        lifted = self._lifted[-1]
+        if u.shape != (lifted.shape[0],):
+            raise ValueError(
+                f"vector of dimension {u.shape} at top level of size {lifted.shape[0]}")
+        return dot(u[:, None], lifted, axis=0)
+
+
 def three_level_chain():
     """B_1 axes, B_2 = {(1,1)/sqrt2, (1,-1)/sqrt2}, B_3 = {(1,-1)/sqrt2}.
 
@@ -61,8 +106,7 @@ class TestRootBasis:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_axes(self, dim):
         chain = BasisChain(dim)
-        assert len(chain) == 1  # the axis basis is level 1
-        assert np.array_equal(chain.lifted(1), np.eye(dim))
+        assert np.array_equal(chain.rows, np.eye(dim))  # the axis basis is level 1
 
     def test_dim_positive(self):
         with pytest.raises(ValueError):
@@ -279,11 +323,11 @@ class TestPinnedChainProducts:
         # product summed over a contiguous copy would change these bytes
         rng = np.random.default_rng(12)
         chain = BasisChain(12)
-        for level, append in ((1, False), (2, True)):
-            d = chain.dim_at(level)
+        for append in (False, True):
+            d = chain.rows.shape[0]
             chain.extend(next_basis(rng.normal(size=d), d, append_gradient=append))
-        u = rng.normal(size=chain.dim_at(3))
-        digest = hashlib.sha256(chain.lifted(3).tobytes() + chain.lift(u).tobytes()).hexdigest()
+        u = rng.normal(size=chain.rows.shape[0])
+        digest = hashlib.sha256(chain.rows.tobytes() + chain.lift(u).tobytes()).hexdigest()
         assert digest == "3ee65f8b95d61afe1a4f6f542f35b92d4e15a9aad7ceda52bc8c2fc0f4e1cf05"
 
 
@@ -332,8 +376,7 @@ class TestLift:
 
     def test_third_level_lifts_to_root_axis(self):
         chain, _ = three_level_chain()
-        lifted = chain.lifted(3)
-        assert lifted[0] == pytest.approx([0.0, 1.0], abs=1e-9)
+        assert chain.rows[0] == pytest.approx([0.0, 1.0], abs=1e-9)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(3)
@@ -341,7 +384,7 @@ class TestLift:
         grad = rng.normal(size=5)
         chain.extend(next_basis(grad, 5, append_gradient=True))
         chain.extend(next_basis(rng.normal(size=5), 5, append_gradient=False))
-        u = rng.normal(size=chain.dim_at(3))
+        u = rng.normal(size=chain.rows.shape[0])
         assert np.linalg.norm(chain.lift(u)) == pytest.approx(
             np.linalg.norm(u), rel=1e-12)
 
@@ -384,15 +427,43 @@ class TestBasisChain:
         for trial in range(20):
             dim = int(rng.integers(1, 10))
             chain = BasisChain(dim)
+            assert orthonormality_error(chain.rows) <= 1e-9
             for _ in range(int(rng.integers(1, 5))):
-                size = chain.dim_at(len(chain))
+                size = chain.rows.shape[0]
                 grad = rng.normal(size=size)
                 chain.extend(next_basis(grad, size,
                                         append_gradient=bool(rng.integers(0, 2))))
-            for level in range(1, len(chain) + 1):
-                assert orthonormality_error(chain.lifted(level)) <= 1e-9
+                assert orthonormality_error(chain.rows) <= 1e-9
 
     def test_extend_checks_dimensions(self):
         chain = BasisChain(3)
         with pytest.raises(ValueError):
             chain.extend(np.eye(2))
+
+    def test_matches_every_level_chain_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            dim = int(rng.integers(1, 14))
+            ours, theirs = BasisChain(dim), MultiLevelChain(dim)
+            for _ in range(int(rng.integers(1, 6))):
+                size = ours.rows.shape[0]
+                if size == 0:
+                    break
+                basis = next_basis(rng.normal(size=size), size,
+                                   append_gradient=bool(rng.integers(0, 2)))
+                ours.extend(basis)
+                theirs.extend(basis)
+                assert ours.rows.tobytes() == theirs.lifted(len(theirs)).tobytes()
+                u = rng.normal(size=basis.shape[0])
+                assert ours.lift(u).tobytes() == theirs.lift(u).tobytes()
+
+    def test_bundled_solves_match_every_level_chain(self, monkeypatch):
+        entries = sorted(p for p in cli.bundled_suite_dir().iterdir() if p.name.endswith(".prob"))
+        for index, entry in enumerate(entries):
+            problem = reduce_problem(compile_spec(parse_spec(entry.read_text()))).problem
+            config = SolverConfig(rng_seed=index)
+            ours = solve(problem, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "BasisChain", MultiLevelChain)
+                theirs = solve(problem, config)
+            assert repr(ours) == repr(theirs)

@@ -6,16 +6,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from covsolve import solver
+from covsolve import constraints as constraints_module, solver
 from covsolve.constraints import (
     CLIP_ROUNDS,
     DIVISION_GUARD,
     RELAXATION,
     Constraint,
-    _shift,
     clip,
     satisfies,
     satisfies_all,
+    transform_constraint,
 )
 from covsolve.localspace import BasisChain, dot, next_basis
 from covsolve.numerics import NoStepError, epsilon_along_line, epsilon_from_value
@@ -29,7 +29,6 @@ from covsolve.solver import (
     bit_mutation_candidates,
     build_spaces,
     grad_step_candidates,
-    improves,
     random_candidates,
     solve,
 )
@@ -90,21 +89,21 @@ def problem_of(text):
 
 class TestImproves:
     def test_eq_moves_toward_zero(self):
-        assert improves(Comparator.EQ, -5.0, 3.0)
-        assert not improves(Comparator.EQ, 3.0, -5.0)
+        assert Comparator.EQ.improves(-5.0, 3.0)
+        assert not Comparator.EQ.improves(3.0, -5.0)
 
     def test_ge_needs_increase(self):
-        assert not improves(Comparator.GE, -5.0, -7.0)
-        assert improves(Comparator.GT, -5.0, -4.0)
+        assert not Comparator.GE.improves(-5.0, -7.0)
+        assert Comparator.GT.improves(-5.0, -4.0)
 
     def test_neq_strict(self):
-        assert not improves(Comparator.NEQ, 0.0, 0.0)
-        assert improves(Comparator.NEQ, 0.0, 0.5)
+        assert not Comparator.NEQ.improves(0.0, 0.0)
+        assert Comparator.NEQ.improves(0.0, 0.5)
 
     def test_lt_needs_decrease(self):
-        assert improves(Comparator.LT, 2.0, 1.0)
-        assert improves(Comparator.LE, 2.0, -9.0)
-        assert not improves(Comparator.LE, 2.0, 2.0)
+        assert Comparator.LT.improves(2.0, 1.0)
+        assert Comparator.LE.improves(2.0, -9.0)
+        assert not Comparator.LE.improves(2.0, 2.0)
 
 
 class TestSolverConfig:
@@ -130,7 +129,7 @@ class TestBuildSpaces:
     def test_equality_prefix_basis(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
-        basis = state.chain.lifted(2)
+        basis = state.chain.rows  # level 2, the last
         assert basis.shape[0] == 1
         assert basis[0] == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-9)
         assert state.constraints == ()
@@ -138,7 +137,7 @@ class TestBuildSpaces:
     def test_inequality_prefix_constraint(self):
         problem = problem_of(LE_EQ_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
-        assert state.chain.lifted(2).shape[0] == 2
+        assert state.chain.rows.shape[0] == 2
         (constraint,) = state.constraints
         assert constraint.normal == pytest.approx([0.0, 1.0], abs=1e-9)
         assert constraint.bound == pytest.approx(1 / SQ2, abs=1e-9)
@@ -147,7 +146,7 @@ class TestBuildSpaces:
     def test_constraint_carried_into_third_space(self):
         problem = problem_of(LE_EQ_EQ_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
-        assert state.chain.lifted(3)[0] == pytest.approx([0.0, 1.0], abs=1e-9)
+        assert state.chain.rows[0] == pytest.approx([0.0, 1.0], abs=1e-9)  # level 3
         (constraint,) = state.constraints
         assert constraint.normal == pytest.approx([-1 / SQ2], abs=1e-9)
         assert constraint.bound == pytest.approx(0.0, abs=1e-9)
@@ -166,7 +165,7 @@ class TestBuildSpaces:
             (BlackBoxFn(("x1",), lambda v: -1.0), BlackBoxFn(("x1",), lambda v: v["x1"] - 10)),
             (Comparator.LE, Comparator.GE), Valuation.of([("x1", F64, 0.0)]))
         state = build_spaces(problem, problem.init, problem.init_values)
-        assert np.array_equal(state.chain.lifted(2), np.eye(1))
+        assert np.array_equal(state.chain.rows, np.eye(1))
         assert state.constraints == ()
 
     def test_prefix_on_its_boundary_has_zero_bound(self):
@@ -310,7 +309,7 @@ class TestGradStepCandidates:
         assert candidates, "gradient present, candidates expected"
         landing = state.vec + state.chain.lift(candidates[0])
         assert landing == pytest.approx([10.0, 10.0], rel=1e-5)
-        assert len(candidates) <= 2 * (1 + state.chain.dim_at(2))
+        assert len(candidates) <= 2 * (1 + state.chain.rows.shape[0])
 
     def test_zero_gradient_means_no_candidates(self):
         problem = problem_of("""
@@ -361,7 +360,7 @@ abe x1 - x2 == 0
 abe x1 + x2 - 5 >= 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
-        assert state.chain.lifted(2)[0] == pytest.approx(
+        assert state.chain.rows[0] == pytest.approx(
             [1 / SQ2, 1 / SQ2], abs=1e-9)
         candidates = bit_mutation_candidates(state)
         assert len(candidates) == 64  # two i32 variables
@@ -443,7 +442,7 @@ def per_bit_bit_mutations(state, guard):
     ``(i, y, u)`` per candidate, in ``bit_mutation_candidates`` order.
     """
     signature = state.valuation.signature
-    lifted = state.chain.lifted(len(state.chain))
+    lifted = state.chain.rows
     dim_local = lifted.shape[0]
     if dim_local == 0:
         return []
@@ -510,7 +509,7 @@ def _bit_mutation_state(seed, *, axis_gradients):
     valuation = Valuation.of(entries)
     chain = BasisChain(dim)
     for _ in range(rand.randint(1, 3)):
-        top = chain.dim_at(len(chain))
+        top = chain.rows.shape[0]
         if top == 0:
             break
         if axis_gradients or rand.random() < 0.5:
@@ -539,7 +538,7 @@ class TestBitMutationsAgainstPerBitDescent:
     def test_random_chains_no_farther_than_descent(self):
         for seed in range(150):
             state = _bit_mutation_state(seed, axis_gradients=False)
-            lifted = state.chain.lifted(len(state.chain))
+            lifted = state.chain.rows
             got = bit_mutation_candidates(state)
             expected = per_bit_bit_mutations(state, scaled_guard)
             assert len(got) == len(expected)
@@ -666,7 +665,7 @@ abe a + b - 50 >= 0
     def test_counts_within_spec_bounds(self, text):
         problem = problem_of(text)
         state = build_spaces(problem, problem.init, problem.init_values)
-        dim_local = state.chain.dim_at(len(state.chain))
+        dim_local = state.chain.rows.shape[0]
         n_params = len(problem.fns[-1].params)
         assert len(grad_step_candidates(state)) <= 2 * (1 + dim_local)
         assert len(bit_mutation_candidates(state)) <= 64 * n_params
@@ -687,7 +686,7 @@ abe 0 * x1 - 3 >= 0
         tried = [u for source, u in solver._candidates(state, np.random.default_rng(3))
                  if source == solver.RANDOM]
         samples = random_candidates(state, np.random.default_rng(3))
-        expected = [clip(sample, state.constraints, state.grad_n) for sample in samples]
+        expected = [clip(sample, state.constraints) for sample in samples]
         assert [u.tobytes() for u in tried] == [u.tobytes() for u in expected]
         moved_count = sum(a.tobytes() != b.tobytes() for a, b in zip(expected, samples))
         if moved:  # some samples already satisfy the constraint, others do not
@@ -716,6 +715,73 @@ abe 2 * x - 6 >= 0
         assert len(calls) == 1
 
 
+# The comparator rules of the search as they were written before
+# ``Comparator`` read them from its table of signs, kept as oracles.
+
+OLD_P_VALUES = {
+    Comparator.EQ: lambda t, e: (t,),
+    Comparator.NEQ: lambda t, e: (t - e, t + e),
+    Comparator.LT: lambda t, e: (t - e,),
+    Comparator.LE: lambda t, e: (t - e, t),
+    Comparator.GT: lambda t, e: (t + e,),
+    Comparator.GE: lambda t, e: (t, t + e),
+}
+
+
+def old_improves(comp, old_value, new_value):
+    if comp is Comparator.EQ:
+        return abs(new_value) < abs(old_value)
+    if comp is Comparator.NEQ:
+        return abs(new_value) > abs(old_value)
+    if comp in (Comparator.LT, Comparator.LE):
+        return new_value < old_value
+    return new_value > old_value
+
+
+def old_shift(comp, coord):
+    """Shift off the hyperplane for strict comparators (the function h)."""
+    if comp in (Comparator.LE, Comparator.GE):
+        return 0.0
+    eps = epsilon_from_value(coord)
+    if comp is Comparator.LT:
+        return -eps
+    return eps  # NEQ, GT
+
+
+def old_nudge_sign(comp):
+    return -1.0 if comp in (Comparator.LE, Comparator.LT) else 1.0
+
+
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+               2.2250738585072014e-308, -1.0, 1.0, 1e308, -1e308)
+
+
+def _bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+class TestComparatorTableAgainstOldRules:
+    @pytest.mark.parametrize("comp", list(Comparator))
+    def test_landing_points(self, comp):
+        for t in EDGE_VALUES:
+            for eps in (0.0, 5e-324, 2.0**-26, 1.0, 1e308):
+                assert _bits(comp.landing(t, eps)) == _bits(OLD_P_VALUES[comp](t, eps))
+
+    @pytest.mark.parametrize("comp", list(Comparator))
+    def test_improves(self, comp):
+        for old in EDGE_VALUES:
+            for new in EDGE_VALUES:
+                assert comp.improves(old, new) == old_improves(comp, old, new)
+
+    @pytest.mark.parametrize("comp", [c for c in Comparator if c is not Comparator.EQ])
+    def test_shift_and_nudge(self, comp):
+        """The shift and nudge of ``clip``: epsilon toward the side of a strict comparator."""
+        assert comp.side == old_nudge_sign(comp)
+        for coord in EDGE_VALUES:
+            shift = comp.side * epsilon_from_value(coord) if comp.strict else 0.0
+            assert _bits([shift]) == _bits([old_shift(comp, coord)])
+
+
 def _nudge_inside(u, constraint):
     """Push a projection that rounding left an ulp outside back in, by one epsilon along the normal."""
     n = constraint.normal
@@ -726,8 +792,7 @@ def _nudge_inside(u, constraint):
     if not math.isfinite(coord):
         return u
     eps = epsilon_from_value(coord)
-    sign = -1.0 if constraint.comp in (Comparator.LE, Comparator.LT) else 1.0
-    return u + sign * eps * n
+    return u + old_nudge_sign(constraint.comp) * eps * n
 
 
 def two_branch_clip(u, constraints, grad, *, rounds=CLIP_ROUNDS):
@@ -758,16 +823,23 @@ def two_branch_clip(u, constraints, grad, *, rounds=CLIP_ROUNDS):
                     nm = float(dot(n, m))
                     if abs(nm) < DIVISION_GUARD:
                         continue
-                    u = u + ((c.bound - nu) / nm + _shift(c.comp, coord)) * m
+                    u = u + ((c.bound - nu) / nm + old_shift(c.comp, coord)) * m
                 else:
                     if nn < DIVISION_GUARD:
                         continue
-                    u = u + relax * ((c.bound - nu) / nn + _shift(c.comp, coord)) * n
+                    u = u + relax * ((c.bound - nu) / nn + old_shift(c.comp, coord)) * n
                 if not satisfies(u, c):
                     u = _nudge_inside(u, c)
             if satisfies_all(u, constraints):
                 break
     return u
+
+
+def with_tangent(c, grad):
+    """``c`` with the first-round direction of the former ``clip(u, constraints, grad)``."""
+    gg = float(dot(grad, grad))
+    direction = c.normal - (float(dot(c.normal, grad)) / gg) * grad if gg > 0.0 else c.normal
+    return Constraint(c.normal, c.bound, c.comp, direction)
 
 
 def eager_grad_step_candidates(state):
@@ -796,7 +868,7 @@ def eager_grad_step_candidates(state):
                                      state.valuation.signature) if math.isfinite(z) else 0.0
         except NoStepError:
             eps = 0.0
-        for p in solver._P_VALUES[comp](t, eps):
+        for p in OLD_P_VALUES[comp](t, eps):
             out.append(two_branch_clip(p * direction, state.constraints, grad))
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -811,7 +883,7 @@ def eager_grad_step_candidates(state):
 
 def eager_random_candidates(state, rng):
     """The random samples drawn one at a time, each clipped."""
-    dim_local = state.chain.dim_at(len(state.chain))
+    dim_local = state.chain.rows.shape[0]
     if dim_local == 0:
         return []
     half_edge = solver.CUBE_SCALE * math.log(abs(state.f_n) + 1.0)
@@ -905,7 +977,7 @@ class TestCandidatesAgainstEagerGenerators:
             moved += any(a.tobytes() != b.tobytes() for a, b in zip(randoms, samples))
         assert constrained >= 200 and moved >= 100
 
-    def test_merged_clip_matches_two_branches(self):
+    def test_merged_clip_matches_two_branches(self, monkeypatch):
         rng = np.random.default_rng(77)
         comps = (Comparator.LE, Comparator.LT, Comparator.GE, Comparator.GT,
                  Comparator.NEQ)
@@ -916,7 +988,7 @@ class TestCandidatesAgainstEagerGenerators:
             for _ in range(int(rng.integers(1, 7))):
                 normal = rng.normal(size=dim) * 10.0 ** float(rng.uniform(-7, 3))
                 constraints.append(Constraint(normal, float(rng.normal() * 10.0),
-                                              comps[int(rng.integers(0, len(comps)))]))
+                                              comps[int(rng.integers(0, len(comps)))], normal))
             kind = case % 4
             if kind == 0:
                 grad = np.zeros(dim)
@@ -926,7 +998,13 @@ class TestCandidatesAgainstEagerGenerators:
                 grad = rng.normal(size=dim) * 10.0 ** float(rng.uniform(-3, 3))
             u = rng.normal(size=dim) * 10.0 ** float(rng.uniform(-1, 3))
             rounds = int(rng.integers(1, CLIP_ROUNDS + 1))
-            got = clip(u, constraints, grad, rounds=rounds)
+            monkeypatch.setattr(constraints_module, "CLIP_ROUNDS", rounds)
+            got = clip(u, [with_tangent(c, grad) for c in constraints])
+            for c in constraints:
+                carried = transform_constraint(c, np.eye(dim), grad)
+                if carried is not None:
+                    assert (carried.direction.tobytes()
+                            == with_tangent(carried, grad).direction.tobytes())
             expected = two_branch_clip(u, constraints, grad, rounds=rounds)
             assert got.tobytes() == expected.tobytes()
             moved += got.tobytes() != u.tobytes()
@@ -981,8 +1059,58 @@ class TestRandomProblemFuzz:
             previous = eval_prefix(reduction.problem.fns, reduction.problem.comps,
                                    reduction.problem.init).values[-1]
             for entry in result.log:
-                assert improves(comp, previous, entry.value)
+                assert comp.improves(previous, entry.value)
                 previous = entry.value
+
+
+# slopes near 1e-170 square to 0 in a float, and the targets lie 1e40 steps away
+TINY_SLOPE = """
+var x : f64
+init x = 0
+abe x * 1e-170 - 1e-300 >= 0
+"""
+
+TINY_SLOPE_BEHIND_PREFIX = """
+var x : f64
+var y : f64
+init x = 0
+init y = 0
+abe x - y * 1e-200 >= 0
+abe y * 1e-170 - 1e-300 >= 0
+"""
+
+
+class TestGradientsWhoseSquaresUnderflow:
+    """Every division by a squared norm rescales once the plain square leaves the normal range."""
+
+    @pytest.mark.parametrize("text", [TINY_SLOPE, TINY_SLOPE_BEHIND_PREFIX],
+                             ids=["alone", "behind-prefix"])
+    def test_solves(self, text):
+        problem = problem_of(text)
+        result = solve(problem, SolverConfig(rng_seed=0))
+        assert result.solved and is_solution(problem, result.solution)
+        assert result.iterations_used == 1
+
+    def test_grad_step_and_random_target(self):
+        problem = problem_of(TINY_SLOPE)
+        state = build_spaces(problem, problem.init, problem.init_values)
+        assert state.grad_n == pytest.approx([1e-170], rel=1e-9)
+        first = state.chain.lift(grad_step_candidates(state)[0])
+        assert first == pytest.approx([1e-130], rel=1e-9)  # x * 1e-170 reaches 1e-300
+        samples = random_candidates(state, np.random.default_rng(0))
+        assert len(samples) == 2 * solver.SAMPLES_PER_CUBE  # the target cube is kept
+        assert samples[-1] == pytest.approx([1e-130], rel=1e-9)
+
+    def test_line_step_along_a_tiny_direction(self):
+        signature = problem_of(TINY_SLOPE).signature
+        eps = epsilon_along_line(np.zeros(1), np.array([1e-170]), 2.0**-26, signature)
+        assert eps == pytest.approx(2.0**-26, rel=1e-12)
+
+    def test_clip_direction_is_tangent_to_a_tiny_gradient(self):
+        n = np.array([0.0, 1.0])
+        c = transform_constraint(Constraint(n, 0.0, Comparator.LE, n), np.eye(2),
+                                 np.array([1e-170, 1e-170]))
+        assert c.direction == pytest.approx([-0.5, 0.5], abs=1e-15)
 
 
 class TestSolve:
@@ -1036,7 +1164,7 @@ abe x * x + 1 <= 0
         record = eval_prefix(problem.fns, problem.comps, problem.init)
         previous = record.values[-1]
         for entry in result.log:
-            assert improves(comp, previous, entry.value)
+            assert comp.improves(previous, entry.value)
             previous = entry.value
         if result.status is Status.SOLVED:
             assert comp.holds(result.log[-1].value)
