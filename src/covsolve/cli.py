@@ -136,12 +136,8 @@ def _print_human_report(report: RunReport, verbose: bool, out) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     path = Path(args.file)
-    try:
-        report = run_problem(path.stem, _read_problem_file(path),
-                             _config_from_args(args), args.prefix)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_problem(path.stem, _read_problem_file(path),
+                         _config_from_args(args), args.prefix)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -160,20 +156,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         root = Path(args.dir)
         if not root.is_dir():
-            print(f"error: {root} is not a directory", file=sys.stderr)
-            return 2
+            raise InputError(f"{root} is not a directory")
     try:
         entries = sorted(
             (item for item in root.iterdir() if item.name.endswith(".prob")),
             key=lambda item: item.name)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config = _config_from_args(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(str(exc)) from exc
+    config = _config_from_args(args)
 
     rows: list[tuple[str, RunReport | None, str | None]] = []  # name, report, error
     for index, entry in enumerate(entries):
@@ -219,8 +209,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but help text that cannot be written raises, not passes."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="covsolve",
         description="Search for inputs that flip the last branch of an executed path.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -254,10 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a write that fails raises here, not at exit
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        finally:  # also after --help, which ends parse_args with SystemExit
+            sys.stdout.flush()  # a write that fails raises here, not at exit
     except OSError as exc:  # standard output is a closed pipe or a full device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # drop what is buffered
         print(f"error: cannot write the output: {exc}", file=sys.stderr)

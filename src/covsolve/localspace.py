@@ -36,9 +36,9 @@ def rescaled(v: np.ndarray) -> tuple[np.ndarray, float, float]:
     The plain square of v is taken as it is (``scale`` 1, ``w`` v itself)
     unless it leaves the normal range: it overflows from about 1.3e154 and
     underflows below 2**-511.  Only then is ``v`` divided by its largest
-    magnitude first.  ``w . w`` is 0 only for a zero ``v``.  A division by
-    v . v then reads a / scale / (scale * ww) for a scalar a, and
-    dot(x, w) / (scale * ww) for x . v.
+    magnitude first.  ``w . w`` is 0 only for a zero ``v``.  A step
+    a*v/(v . v) then reads (a / (scale * ww)) * w, and the coefficient
+    (x . v)/(v . v) reads dot(x, w) / (scale * ww).
     """
     with np.errstate(over="ignore"):
         vv = float(dot(v, v))

@@ -3,9 +3,11 @@
 The search works on real vectors whose coordinates ultimately round back to
 machine-typed values, so a useful perturbation must be large enough to
 survive both 64-bit float addition and the type rounding.  Two step sizes
-are provided: one relative to a single value, and one along a line through
-the typed grid, the first sampled step that moves the rounded point.  The
-solver's finite-difference gradient takes its steps from the latter.
+are provided: one relative to a single value, and one along a line from a
+valuation, the first sampled step that moves the rounded point.  A
+valuation's embedding lies on the typed grid, so the line's origin is never
+rounded.  The solver's finite-difference gradient takes its steps from the
+latter.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from .localspace import dot, rescaled
-from .vecspace import ExtractionError, Signature, round_vector
+from .vecspace import ExtractionError, Signature, Valuation, embed, round_vector
 
 #: Significand digits of a 64-bit float; steps shift the lower half of them.
 _DIGITS = 53
@@ -50,26 +52,21 @@ def epsilon_from_value(a: float) -> float:
     return eps
 
 
-def epsilon_along_line(
-    origin: np.ndarray,
-    direction: np.ndarray,
-    eps1: float,
-    signature: Signature,
-) -> float:
-    """Step size along ``origin + eps*direction`` that moves the rounded point.
+def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) -> float:
+    """Step size along ``embed(origin) + eps*direction`` that moves the rounded point.
 
     Samples up to ``2 * dim`` points on the line, the first at ``eps1``,
     each next one advanced by the smallest coordinate step that reaches the
     next representable value of some coordinate's type, and returns the
     epsilon of the first sample whose rounded vector differs from the
-    rounded origin.  From an origin on the typed grid (the solver's origins
-    always are) no rounded point lies farther from the line than its own
-    step, so no later sample lands nearer the line than this one.
+    origin.  A valuation lies on the typed grid, so no rounded point lies
+    farther from the line than its own step, and no later sample lands
+    nearer the line than this one.
 
     Raises NoStepError when every sample rounds back onto the origin, or
     when the first that moves lies farther than a float can measure.
     """
-    origin = np.asarray(origin, dtype=np.float64)
+    signature, vec = origin.signature, embed(origin)
     direction = np.asarray(direction, dtype=np.float64)
     w, ww, scale = rescaled(direction)
     if ww == 0.0:
@@ -79,17 +76,15 @@ def epsilon_along_line(
     if eps1 <= 0.0:
         raise ValueError("initial epsilon must be positive")
 
-    rounded_origin = round_vector(origin, signature)
-
     with np.errstate(over="ignore", invalid="ignore"):
-        point = origin + eps1 * direction
-        for _ in range(2 * origin.shape[0]):
+        point = vec + eps1 * direction
+        for _ in range(2 * vec.shape[0]):
             try:
                 rounded = round_vector(point, signature)
             except ExtractionError:
                 break
-            if not np.array_equal(rounded, rounded_origin):
-                eps = float(dot(point - origin, w)) / (scale * ww)
+            if not np.array_equal(rounded, vec):
+                eps = float(dot(point - vec, w)) / (scale * ww)
                 if math.isfinite(eps * scale * math.sqrt(ww)):
                     return eps
                 break

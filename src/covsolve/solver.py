@@ -33,7 +33,7 @@ from .constraints import Constraint, clip, transform_constraint
 from .localspace import BasisChain, dot, next_basis, rescaled, vector_norm
 from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from .problem import BlackBoxFn, CoverageProblem, Outcome, eval_prefix
-from .vecspace import ExtractionError, Signature, Valuation, embed, extract
+from .vecspace import ExtractionError, Valuation, embed, extract
 
 logger = logging.getLogger(__name__)
 
@@ -139,15 +139,15 @@ def _counted(fn: BlackBoxFn, budget: _Budget) -> BlackBoxFn:
     return BlackBoxFn(fn.params, charged_eval, fn.name)
 
 
-def finite_diff_gradient(fn: BlackBoxFn, origin_value: float, vec: np.ndarray,
-                         lifted: np.ndarray, signature: Signature,
-                         eps_seed: float) -> np.ndarray:
-    """Forward-difference gradient of ``fn`` at ``vec`` along each row of ``lifted``.
+def finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: float,
+                         lifted: np.ndarray, eps_seed: float) -> np.ndarray:
+    """Forward-difference gradient of ``fn`` at ``origin`` along each row of ``lifted``.
 
-    ``origin_value`` is the already-known value at ``vec``.  Row j's step is
-    the line step from ``vec`` along the row, seeded with ``eps_seed``.  A
-    failing call at ``vec + eps*row``, or one whose difference quotient
-    overflows, is retried at ``vec - eps*row``; with no step, or both
+    ``origin_value`` is the already-known value at ``origin``, whose
+    embedding is ``vec``.  Row j's step is the line step from ``origin``
+    along the row, seeded with ``eps_seed``.  A failing call at
+    ``vec + eps*row``, or one whose difference quotient overflows, is
+    retried at ``vec - eps*row``; with no step, or both
     attempts failing, the partial derivative is zero.  A row with no
     component on any of ``fn.params`` moves no input ``fn`` reads, so its
     partial is zero without a step or a call.  Calling there would differ
@@ -162,6 +162,7 @@ def finite_diff_gradient(fn: BlackBoxFn, origin_value: float, vec: np.ndarray,
     that the step is scaled to the function's value rather than to the
     point's.  A partial that is not absorbed costs nothing more.
     """
+    signature, vec = origin.signature, embed(origin)
     grad = np.zeros(lifted.shape[0], dtype=np.float64)
     cols = [signature.positions[name] for name in fn.params]
     for j in np.flatnonzero(lifted[:, cols].any(axis=1)):
@@ -169,7 +170,7 @@ def finite_diff_gradient(fn: BlackBoxFn, origin_value: float, vec: np.ndarray,
         seed = eps_seed
         for _ in range(2):  # the first step, then at most one retake
             try:
-                eps = epsilon_along_line(vec, row, seed, signature)
+                eps = epsilon_along_line(origin, row, seed)
             except NoStepError:
                 break
             if eps == 0.0:
@@ -220,14 +221,14 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation,
     rooted: list[Constraint] = []  # in root coordinates, oldest first
 
     for fn, comp, value in zip(fns[:-1], comps, values):
-        grad = finite_diff_gradient(fn, value, vec, chain.rows, signature, eps_seed)
+        grad = finite_diff_gradient(fn, valuation, value, chain.rows, eps_seed)
         grad_norm = vector_norm(grad)
         append = comp.side != 0 and grad_norm > 0.0
         chain.extend(next_basis(grad, len(grad), append_gradient=append))
         if append and math.isfinite(bound := -value / grad_norm):
             rooted.append(Constraint(chain.rows[-1], bound, comp, chain.rows[-1]))
 
-    grad_n = finite_diff_gradient(fns[-1], values[-1], vec, chain.rows, signature, eps_seed)
+    grad_n = finite_diff_gradient(fns[-1], valuation, values[-1], chain.rows, eps_seed)
     moved = (transform_constraint(c, chain.rows, grad_n) for c in reversed(rooted))
     constraints = tuple(c for c in moved if c is not None)
     return IterationState(problem, valuation, vec, chain, constraints, grad_n, values)
@@ -236,34 +237,34 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation,
 def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
     """Unclipped candidates from one linearised descent step of the last function.
 
-    The step length t solves the linear model F[I + t*grad] = 0; the
-    comparator's landing points decide which of t, t-eps, t+eps are tried.
-    Besides the full gradient direction, a step is taken along every single
-    axis with a nonzero partial derivative, which helps escaping local
-    minima.
+    The step length t solves the linear model F[I + t*w] = 0 along w, the
+    direction as ``rescaled`` gives it, so t is finite wherever t*w is;
+    the comparator's landing points decide which of t, t-eps, t+eps are
+    tried.  Besides the full gradient direction, a step is taken along
+    every single axis with a nonzero partial derivative, which helps
+    escaping local minima.
     """
     grad = state.grad_n
     comp = state.problem.comps[-1]
     f_n = state.f_n
-    signature = state.valuation.signature
     out: list[np.ndarray] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for direction in [grad, *(row for row in np.diag(grad) if row.any())]:
-            _, dd, scale = rescaled(direction)
-            if dd == 0.0 or not math.isfinite(dd):
+            w, ww, scale = rescaled(direction)
+            if ww == 0.0 or not math.isfinite(ww):
                 continue
-            t = -f_n / scale / (scale * dd)
+            t = -f_n / (scale * ww)
             if not math.isfinite(t):
                 continue
-            d_root = state.chain.lift(direction)
+            d_root = state.chain.lift(w)
             z = ((1.0 - ALPHA) * float(np.max(np.abs(state.vec + t * d_root)))
                  + ALPHA * abs(f_n))
             try:
-                eps = epsilon_along_line(state.vec, d_root, epsilon_from_value(z),
-                                         signature) if math.isfinite(z) else 0.0
+                eps = epsilon_along_line(state.valuation, d_root,
+                                         epsilon_from_value(z)) if math.isfinite(z) else 0.0
             except NoStepError:
                 eps = 0.0
-            out.extend(p * direction for p in comp.landing(t, eps))
+            out.extend(p * w for p in comp.landing(t, eps))
     return out
 
 
@@ -314,9 +315,9 @@ def random_candidates(state: IterationState, rng: np.random.Generator) -> list[n
 
     centers = [np.zeros(dim_local, dtype=np.float64)]
     with np.errstate(over="ignore", invalid="ignore"):
-        _, gg, scale = rescaled(state.grad_n)
-        if math.isfinite(gg) and gg > 0.0:
-            target = (-state.f_n / scale / (scale * gg)) * state.grad_n
+        w, ww, scale = rescaled(state.grad_n)
+        if math.isfinite(ww) and ww > 0.0:
+            target = (-state.f_n / (scale * ww)) * w
             if np.all(np.isfinite(target)):
                 centers.append(target)
 

@@ -257,7 +257,7 @@ class TestEpsilonProperties:
                 continue
             seed = epsilon_from_value(float(np.max(np.abs(origin))))
             try:
-                eps = epsilon_along_line(origin, direction, seed, sig)
+                eps = epsilon_along_line(extract(origin, sig), direction, seed)
             except NoStepError:
                 continue
             checked += 1

@@ -40,12 +40,13 @@ from helpers import record_levels
 TYPES = (I8, I16, I32, I64, U8, U16, U32, U64, F32, F64)
 
 
-def full_loop_gradient(fn, origin_value, vec, lifted, signature, eps_seed):
+def full_loop_gradient(fn, origin, origin_value, lifted, eps_seed):
     """``solver.finite_diff_gradient`` as it was before blind rows were skipped."""
+    signature, vec = origin.signature, embed(origin)
     grad = np.zeros(lifted.shape[0], dtype=np.float64)
     for j, row in enumerate(lifted):
         try:
-            eps = epsilon_along_line(vec, row, eps_seed, signature)
+            eps = epsilon_along_line(origin, row, eps_seed)
         except NoStepError:
             continue
         if eps == 0.0:
@@ -65,14 +66,15 @@ def full_loop_gradient(fn, origin_value, vec, lifted, signature, eps_seed):
     return grad
 
 
-def single_step_gradient(fn, origin_value, vec, lifted, signature, eps_seed):
+def single_step_gradient(fn, origin, origin_value, lifted, eps_seed):
     """``solver.finite_diff_gradient`` as it was before absorbed partials were retaken."""
+    signature, vec = origin.signature, embed(origin)
     grad = np.zeros(lifted.shape[0], dtype=np.float64)
     cols = [signature.positions[name] for name in fn.params]
     for j in np.flatnonzero(lifted[:, cols].any(axis=1)):
         row = lifted[j]
         try:
-            eps = epsilon_along_line(vec, row, eps_seed, signature)
+            eps = epsilon_along_line(origin, row, eps_seed)
         except NoStepError:
             continue
         if eps == 0.0:
@@ -224,8 +226,7 @@ class TestBlindPartialSkip:
         calls = []
         fn = BlackBoxFn(("x2",), lambda v: calls.append(v.values) or 3.0 * v["x2"])
         init = Valuation.of([("x1", F64, 1.0), ("x2", F64, 2.0), ("x3", I32, 0)])
-        vec = np.array([1.0, 2.0, 0.0])
-        grad = solver.finite_diff_gradient(fn, 6.0, vec, np.eye(3), init.signature, 2**-26)
+        grad = solver.finite_diff_gradient(fn, init, 6.0, np.eye(3), 2**-26)
         assert grad[0] == 0.0 and grad[2] == 0.0
         assert grad[1] == pytest.approx(3.0)
         assert len(calls) == 1  # the x2 row only
@@ -241,10 +242,9 @@ class TestBlindPartialSkip:
         """
         fn = BlackBoxFn(("x1",), lambda v: v["x1"] - 2**53)
         init = Valuation.of([("x1", I64, 2**53 + 1), ("x2", F64, 0.0)])
-        vec = embed(init)
-        assert vec[0] == 2.0**53
+        assert embed(init)[0] == 2.0**53
         lifted = np.array([[0.0, 1.0], [1.0, 0.0]])
-        args = (fn, 1.0, vec, lifted, init.signature, 2**-26)
+        args = (fn, init, 1.0, lifted, 2**-26)
         ours = solver.finite_diff_gradient(*args)
         theirs = full_loop_gradient(*args)
         assert ours[0] == 0.0 and theirs[0] < 0.0
@@ -261,11 +261,11 @@ def _recording(fn, calls):
     return BlackBoxFn(fn.params, evaluate, fn.name)
 
 
-def _absorbed(calls, origin_value, vec, row, signature, eps_seed):
+def _absorbed(calls, origin, origin_value, row, eps_seed):
     """Whether a call of the single-step loop read ``origin_value`` at a step
     below its ulp."""
     try:
-        eps = epsilon_along_line(vec, row, eps_seed, signature)
+        eps = epsilon_along_line(origin, row, eps_seed)
     except NoStepError:
         return False
     return (any(value == origin_value for _, value in calls)
@@ -284,24 +284,24 @@ class TestAbsorbedRetake:
         gradient = solver.finite_diff_gradient
         absorbed = moved = 0
 
-        def compared(fn, origin_value, vec, lifted, signature, eps_seed):
+        def compared(fn, origin, origin_value, lifted, eps_seed):
             nonlocal absorbed, moved
             for j in range(lifted.shape[0]):
                 row = lifted[j:j + 1]
                 ours_calls, theirs_calls = [], []
-                ours = gradient(_recording(fn, ours_calls), origin_value, vec, row,
-                                signature, eps_seed)
-                theirs = single_step_gradient(_recording(fn, theirs_calls), origin_value,
-                                              vec, row, signature, eps_seed)
+                ours = gradient(_recording(fn, ours_calls), origin, origin_value, row,
+                                eps_seed)
+                theirs = single_step_gradient(_recording(fn, theirs_calls), origin,
+                                              origin_value, row, eps_seed)
                 assert ours_calls[:len(theirs_calls)] == theirs_calls
-                if _absorbed(theirs_calls, origin_value, vec, row[0], signature, eps_seed):
+                if _absorbed(theirs_calls, origin, origin_value, row[0], eps_seed):
                     absorbed += 1
                     moved += ours[0] != 0.0
                     assert len(ours_calls) - len(theirs_calls) <= 2
                 else:
                     assert ours.tobytes() == theirs.tobytes()
                     assert ours_calls == theirs_calls
-            return gradient(fn, origin_value, vec, lifted, signature, eps_seed)
+            return gradient(fn, origin, origin_value, lifted, eps_seed)
 
         rand = random.Random(1915)
         with monkeypatch.context() as patch:

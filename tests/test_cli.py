@@ -225,10 +225,17 @@ class TestOverflowingGradients:
         assert result.solution.values == (0, 5)
 
 
-def _start_cli(args, stdout):
-    """``python -m covsolve.cli`` in a child process, with stderr piped."""
+def _start_cli(args, stdout, unbuffered=None):
+    """``python -m covsolve.cli`` in a child process, with stderr piped.
+
+    ``unbuffered`` sets or clears ``PYTHONUNBUFFERED``; None inherits it.
+    """
     src = str(Path(covsolve.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, "-m", "covsolve.cli", *args],
                             stdout=stdout, stderr=subprocess.PIPE, env=env)
 
@@ -255,6 +262,42 @@ class TestUnwritableOutput:
     def test_full_device(self, args, eq_ge_file):
         with open("/dev/full", "wb") as full:
             proc = _start_cli(self._command(args, eq_ge_file), full)
+            err = proc.stderr.read().decode()
+        assert proc.wait() == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "No space left" in line
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["bench", "-h"]],
+                         ids=["help", "solve-help", "bench-help"])
+class TestUnwritableHelp:
+    """Help text that cannot be written ends like any other output.
+
+    Buffered, the write fails at the flush; unbuffered, it fails in the
+    write itself, whose error argparse alone would ignore.
+    """
+
+    def test_written_help_exits_0(self, args, unbuffered):
+        proc = _start_cli(args, subprocess.PIPE, unbuffered)
+        out, err = proc.communicate()
+        assert proc.returncode == 0
+        assert out.decode().startswith("usage: covsolve") and err == b""
+
+    def test_closed_pipe(self, args, unbuffered):
+        proc = _start_cli(args, subprocess.PIPE, unbuffered)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "Broken pipe" in line
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self, args, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = _start_cli(args, full, unbuffered)
             err = proc.stderr.read().decode()
         assert proc.wait() == 2
         assert "Traceback" not in err and "Exception ignored" not in err

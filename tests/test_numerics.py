@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covsolve.localspace import dot
+from covsolve.localspace import dot, rescaled
 from covsolve.numerics import (
     NoStepError,
     _min_coordinate_step,
@@ -18,7 +18,7 @@ from covsolve.problem import BlackBoxFn
 from covsolve.solver import finite_diff_gradient
 from covsolve.vecspace import (
     F32, F64, I8, I16, I32, I64, U8, U16, U32, U64,
-    ExtractionError, Signature, round_vector,
+    ExtractionError, Signature, embed, extract, round_vector,
 )
 
 ALL_TYPES = [I8, I16, I32, I64, U8, U16, U32, U64, F32, F64]
@@ -59,6 +59,48 @@ def full_walk_epsilon_along_line(origin, direction, eps1, signature):
     if best_eps is None:
         raise NoStepError("no sample along the line changes the rounded vector")
     return best_eps
+
+
+def array_origin_epsilon_along_line(origin, direction, eps1, signature):
+    """``epsilon_along_line`` as it was when its origin was an array, rounded
+    at every call so that it could lie off the typed grid."""
+    origin = np.asarray(origin, dtype=np.float64)
+    direction = np.asarray(direction, dtype=np.float64)
+    w, ww, scale = rescaled(direction)
+    if ww == 0.0:
+        raise ValueError("line direction must be nonzero")
+    if not math.isfinite(ww):
+        raise ValueError("line direction is not finite")
+    if eps1 <= 0.0:
+        raise ValueError("initial epsilon must be positive")
+
+    rounded_origin = round_vector(origin, signature)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = origin + eps1 * direction
+        for _ in range(2 * origin.shape[0]):
+            try:
+                rounded = round_vector(point, signature)
+            except ExtractionError:
+                break
+            if not np.array_equal(rounded, rounded_origin):
+                eps = float(dot(point - origin, w)) / (scale * ww)
+                if math.isfinite(eps * scale * math.sqrt(ww)):
+                    return eps
+                break
+            increment = _min_coordinate_step(rounded, direction, signature)
+            if increment is None or increment <= 0.0 or not math.isfinite(increment):
+                break
+            point = point + increment * direction
+
+    raise NoStepError("no sample along the line changes the rounded vector")
+
+
+def valuation_at(point, signature):
+    """The valuation whose embedding is ``point``, a point on the typed grid."""
+    valuation = extract(point, signature)
+    assert embed(valuation).tobytes() == np.asarray(point, dtype=np.float64).tobytes()
+    return valuation
 
 
 def _random_coordinate(rand, typ):
@@ -119,7 +161,7 @@ class TestEpsilonAlongLine:
         sig = Signature.of([("x1", I32), ("x2", I32)])
         origin = np.zeros(2)
         direction = np.array([1.0, 0.0])
-        eps = epsilon_along_line(origin, direction, 0.1, sig)
+        eps = epsilon_along_line(valuation_at(origin, sig), direction, 0.1)
         # the minimal integer step along the axis: the rounded point is (1, 0)
         assert np.array_equal(round_vector(origin + eps * direction, sig),
                               np.array([1.0, 0.0]))
@@ -127,7 +169,7 @@ class TestEpsilonAlongLine:
 
     def test_float_identity_rounding(self):
         sig = Signature.of([("x", F64)])
-        eps = epsilon_along_line(np.zeros(1), np.ones(1), 2.0**-25, sig)
+        eps = epsilon_along_line(valuation_at(np.zeros(1), sig), np.ones(1), 2.0**-25)
         # first sample already changes the rounded value and lies on the line
         assert eps == 2.0**-25
 
@@ -135,7 +177,7 @@ class TestEpsilonAlongLine:
         sig = Signature.of([("x1", I32), ("x2", I32)])
         origin = np.zeros(2)
         direction = np.array([1.0, 1.0])
-        eps = epsilon_along_line(origin, direction, 0.1, sig)
+        eps = epsilon_along_line(valuation_at(origin, sig), direction, 0.1)
         # hand enumeration: S_1=(0.1,0.1) rounds home, S_2=(1.1,1.1), eps=1.1,
         # whose rounded point (1,1) lies exactly on the line
         assert eps == pytest.approx(1.1)
@@ -147,14 +189,14 @@ class TestEpsilonAlongLine:
         sig = Signature.of([("x", I32)])
         origin = np.array([float(2**31 - 1)])
         with pytest.raises(NoStepError):
-            epsilon_along_line(origin, np.array([1.0]), 0.1, sig)
+            epsilon_along_line(valuation_at(origin, sig), np.array([1.0]), 0.1)
 
     def test_integer_step_past_2_53(self):
         # a at 2**60 steps by whole floats (256), not by the lost unit step
         sig = Signature.of([("a", I64), ("b", I64)])
         origin = np.array([2.0**60, 5.0])
         direction = np.array([1.0, 1.0])
-        eps = epsilon_along_line(origin, direction, 1e-3, sig)
+        eps = epsilon_along_line(valuation_at(origin, sig), direction, 1e-3)
         assert eps == pytest.approx(0.5005)
         assert not np.array_equal(round_vector(origin + eps * direction, sig),
                                   round_vector(origin, sig))
@@ -163,7 +205,7 @@ class TestEpsilonAlongLine:
         # the first sample overflows to inf, which cannot be rounded
         sig = Signature.of([("x", F64)])
         with pytest.raises(NoStepError):
-            epsilon_along_line(np.array([1e308]), np.array([1.0]), 1e308, sig)
+            epsilon_along_line(valuation_at([1e308], sig), np.array([1.0]), 1e308)
         assert len(recwarn) == 0
 
     def test_step_too_long_to_measure_raises(self, recwarn):
@@ -172,19 +214,19 @@ class TestEpsilonAlongLine:
         sig = Signature.of([("a", F64), ("b", F64)])
         origin = np.array([-1.5e308, 1.5e308])
         with pytest.raises(NoStepError):
-            epsilon_along_line(origin, np.array([1.0, -1.0]), 2.0**1023, sig)
+            epsilon_along_line(valuation_at(origin, sig), np.array([1.0, -1.0]), 2.0**1023)
         assert len(recwarn) == 0
 
     def test_zero_direction_rejected(self):
         sig = Signature.of([("x", F64)])
         with pytest.raises(ValueError):
-            epsilon_along_line(np.zeros(1), np.zeros(1), 0.1, sig)
+            epsilon_along_line(valuation_at(np.zeros(1), sig), np.zeros(1), 0.1)
 
     def test_returned_step_changes_extraction(self):
         sig = Signature.of([("x1", I32), ("x2", F32), ("x3", F64)])
         origin = np.array([3.0, 0.25, -1.0])
         direction = np.array([0.5, -1.0, 2.0])
-        eps = epsilon_along_line(origin, direction, epsilon_from_value(3.0), sig)
+        eps = epsilon_along_line(valuation_at(origin, sig), direction, epsilon_from_value(3.0))
         assert not np.array_equal(
             round_vector(origin + eps * direction, sig),
             round_vector(origin, sig))
@@ -200,8 +242,8 @@ class TestEpsilonAlongLine:
         if float(direction @ direction) == 0.0:
             return
         try:
-            eps = epsilon_along_line(origin, direction, epsilon_from_value(
-                float(np.max(np.abs(origin)))), sig)
+            eps = epsilon_along_line(valuation_at(origin, sig), direction, epsilon_from_value(
+                float(np.max(np.abs(origin)))))
         except NoStepError:
             return
         assert not np.array_equal(
@@ -214,19 +256,12 @@ class TestFirstMovingSampleAgainstFullWalk:
 
     @staticmethod
     def _random_line(seed):
-        """A random line and whether its origin lies on the typed grid."""
+        """A random line from a valuation, and the valuation's embedding."""
         rand = random.Random(seed)
         dim = rand.randint(1, 8)
         types = [rand.choice(ALL_TYPES) for _ in range(dim)]
         sig = Signature.of([(f"x{i}", t) for i, t in enumerate(types)])
-        origin = np.array([_random_coordinate(rand, t) for t in types])
-        on_grid = rand.random() < 0.5
-        if on_grid:
-            origin = round_vector(origin, sig)
-        else:
-            # off the grid, the first sample that moves the rounded point
-            # can lie far from the line and lose to a later one
-            origin = origin + np.array([rand.uniform(-0.5, 0.5) for _ in range(dim)])
+        origin = round_vector(np.array([_random_coordinate(rand, t) for t in types]), sig)
         # some zero components, so some coordinates stay put along the line
         direction = np.array([rand.gauss(0.0, 1.0) if rand.random() < 0.8 else 0.0
                               for _ in range(dim)])
@@ -234,38 +269,32 @@ class TestFirstMovingSampleAgainstFullWalk:
             direction[0] = 1.0
         eps1 = epsilon_from_value(float(np.max(np.abs(origin))))
         eps1 *= rand.choice([1.0, 2.0 ** rand.randint(-30, 30)])
-        return (origin, direction, eps1, sig), on_grid
+        return (valuation_at(origin, sig), direction, eps1), (origin, direction, eps1, sig)
 
     @classmethod
-    def _lines(cls, on_grid):
+    def _outcomes(cls, routine_of_line):
+        """``epsilon_along_line`` and ``routine_of_line`` on 1500 random lines,
+        each as a float's hex digits or ``NoStepError``."""
+        def outcome(routine, *args):
+            try:
+                return routine(*args).hex()
+            except NoStepError:
+                return NoStepError
         for seed in range(1500):
-            line, line_on_grid = cls._random_line(seed)
-            if line_on_grid == on_grid:
-                yield seed, line
+            line, array_line = cls._random_line(seed)
+            yield (seed, outcome(epsilon_along_line, *line),
+                   outcome(routine_of_line, *array_line))
 
     def test_on_grid_origins_match_full_walk(self):
-        for seed, line in self._lines(on_grid=True):
-            try:
-                expected = full_walk_epsilon_along_line(*line)
-            except NoStepError:
-                with pytest.raises(NoStepError):
-                    epsilon_along_line(*line)
-                continue
-            assert epsilon_along_line(*line) == expected, seed
+        for seed, ours, full_walk in self._outcomes(full_walk_epsilon_along_line):
+            assert ours == full_walk, seed
 
-    def test_off_grid_origins_move_within_full_walk_step(self):
-        for seed, line in self._lines(on_grid=False):
-            try:
-                full_walk = full_walk_epsilon_along_line(*line)
-            except NoStepError:
-                with pytest.raises(NoStepError):
-                    epsilon_along_line(*line)
-                continue
-            origin, direction, _, sig = line
-            eps = epsilon_along_line(*line)
-            assert eps <= full_walk, seed
-            assert not np.array_equal(round_vector(origin + eps * direction, sig),
-                                      round_vector(origin, sig)), seed
+    def test_matches_the_array_origin_routine(self):
+        steps = 0
+        for seed, ours, theirs in self._outcomes(array_origin_epsilon_along_line):
+            assert ours == theirs, seed
+            steps += ours is not NoStepError
+        assert steps >= 1000
 
 
 def _gradient(f, sig, origin, lifted=None):
@@ -275,7 +304,7 @@ def _gradient(f, sig, origin, lifted=None):
     if lifted is None:
         lifted = np.eye(len(vec))
     seed = epsilon_from_value(float(np.max(np.abs(vec))))
-    return finite_diff_gradient(fn, f(vec), vec, lifted, sig, seed)
+    return finite_diff_gradient(fn, valuation_at(vec, sig), f(vec), lifted, seed)
 
 
 class TestFiniteDiffGradient:

@@ -864,8 +864,8 @@ def eager_grad_step_candidates(state):
         z = ((1.0 - solver.ALPHA) * float(np.max(np.abs(state.vec + t * d_root)))
              + solver.ALPHA * abs(f_n))
         try:
-            eps = epsilon_along_line(state.vec, d_root, epsilon_from_value(z),
-                                     state.valuation.signature) if math.isfinite(z) else 0.0
+            eps = epsilon_along_line(state.valuation, d_root,
+                                     epsilon_from_value(z)) if math.isfinite(z) else 0.0
         except NoStepError:
             eps = 0.0
         for p in OLD_P_VALUES[comp](t, eps):
@@ -1079,6 +1079,14 @@ abe x - y * 1e-200 >= 0
 abe y * 1e-170 - 1e-300 >= 0
 """
 
+# x * 1e-305 reaches 1e-300 at x = 1e5, but the step length along the plain
+# gradient, t = -F/(g.g) = 1e310, overflows
+FAR_TINY_SLOPE = """
+var x : f64
+init x = 0
+abe x * 1e-305 - 1e-300 >= 0
+"""
+
 
 class TestGradientsWhoseSquaresUnderflow:
     """Every division by a squared norm rescales once the plain square leaves the normal range."""
@@ -1091,6 +1099,17 @@ class TestGradientsWhoseSquaresUnderflow:
         assert result.solved and is_solution(problem, result.solution)
         assert result.iterations_used == 1
 
+    def test_step_along_the_rescaled_direction(self):
+        problem = problem_of(FAR_TINY_SLOPE)
+        state = build_spaces(problem, problem.init, problem.init_values)
+        first = state.chain.lift(grad_step_candidates(state)[0])
+        assert first == pytest.approx([1e5], rel=1e-2)
+        target = random_candidates(state, np.random.default_rng(0))[-1]
+        assert target == pytest.approx([1e5], rel=1e-2)
+        result = solve(problem, SolverConfig(rng_seed=0))
+        assert result.solved and is_solution(problem, result.solution)
+        assert result.evaluations_used == 4
+
     def test_grad_step_and_random_target(self):
         problem = problem_of(TINY_SLOPE)
         state = build_spaces(problem, problem.init, problem.init_values)
@@ -1102,8 +1121,8 @@ class TestGradientsWhoseSquaresUnderflow:
         assert samples[-1] == pytest.approx([1e-130], rel=1e-9)
 
     def test_line_step_along_a_tiny_direction(self):
-        signature = problem_of(TINY_SLOPE).signature
-        eps = epsilon_along_line(np.zeros(1), np.array([1e-170]), 2.0**-26, signature)
+        init = problem_of(TINY_SLOPE).init
+        eps = epsilon_along_line(init, np.array([1e-170]), 2.0**-26)
         assert eps == pytest.approx(2.0**-26, rel=1e-12)
 
     def test_clip_direction_is_tangent_to_a_tiny_gradient(self):
@@ -1266,8 +1285,7 @@ class TestAbsorbedDifferences:
     def test_bigint_partials_read_the_slope(self):
         problem = problem_of(BIGINT_PAIR)
         fn, value = problem.fns[-1], problem.init_values[-1]
-        vec = np.zeros(2)
-        grad = solver.finite_diff_gradient(fn, value, vec, np.eye(2), problem.signature,
+        grad = solver.finite_diff_gradient(fn, problem.init, value, np.eye(2),
                                            epsilon_from_value(0.0))
         assert grad.tolist() == [1.0, 1.0]  # both read 0 with the unit step alone
 
@@ -1275,8 +1293,8 @@ class TestAbsorbedDifferences:
         calls = []
         fn = BlackBoxFn(("x",), lambda v: calls.append(v["x"]) or 0.0 * v["x"] - 1e20)
         init = Valuation.of([("x", F64, 0.0)])
-        grad = solver.finite_diff_gradient(fn, -1e20, np.zeros(1), np.eye(1),
-                                           init.signature, epsilon_from_value(0.0))
+        grad = solver.finite_diff_gradient(fn, init, -1e20, np.eye(1),
+                                           epsilon_from_value(0.0))
         assert grad.tolist() == [0.0]
         assert calls == [2.0**-26, 2.0**(67 - 26)]  # ulp(1e20) = 2**14; 1e20 < 2**67
 

@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 import warnings
 from fractions import Fraction
 
@@ -257,12 +258,23 @@ def _value_strategy(typ: ScalarType):
     return st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _edge_values(typ: ScalarType) -> list:
+    """The ends of ``typ``'s range, -0.0 for floats, and for i64/u64 the
+    integers either side of 2**53 that a 64-bit float cannot hold."""
+    if not typ.is_integer:
+        top = FLT_MAX if typ.bit_width == 32 else sys.float_info.max
+        return [-top, top, -0.0, 0.0]
+    past_2_53 = [v for v in (2**53 + 1, -(2**53 + 1), typ.max_value - 1)
+                 if typ.bit_width == 64 and typ.min_value <= v <= typ.max_value]
+    return [typ.min_value, typ.max_value, *past_2_53]
+
+
 def _full_range_strategy(typ: ScalarType):
-    """Any value of ``typ``, integers often at an end of their range."""
+    """Any value of ``typ``, often one of its edge values."""
     if typ.is_integer:
-        return st.one_of(st.sampled_from([typ.min_value, typ.max_value]),
+        return st.one_of(st.sampled_from(_edge_values(typ)),
                          st.integers(min_value=typ.min_value, max_value=typ.max_value))
-    return _value_strategy(typ)
+    return st.one_of(st.sampled_from(_edge_values(typ)), _value_strategy(typ))
 
 
 @st.composite
@@ -285,9 +297,18 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_embedded_valuation_is_a_grid_point(self, valuation):
         # past 2**53 embed loses precision, yet the float it gives is itself
-        # on the grid: u64's maximum embeds to 2**64 and rounds back to it
+        # on the grid: u64's maximum embeds to 2**64 and rounds back to it;
+        # the line step relies on this and never rounds its origin
         vec = embed(valuation)
-        assert np.array_equal(round_vector(vec, valuation.signature), vec)
+        assert round_vector(vec, valuation.signature).tobytes() == vec.tobytes()
+
+    def test_every_edge_value_embeds_to_a_grid_point(self):
+        entries = [(f"x{i}", typ, value) for i, (typ, value) in enumerate(
+            (typ, value) for typ in ALL_TYPES for value in _edge_values(typ))]
+        valuation = Valuation.of(entries)
+        vec = embed(valuation)
+        assert round_vector(vec, valuation.signature).tobytes() == vec.tobytes()
+        assert {FLT_MAX, -FLT_MAX, 2.0**64, 2.0**53} <= set(vec.tolist())
 
     @given(valuations(), valuations())
     @settings(max_examples=100, deadline=None)
