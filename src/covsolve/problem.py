@@ -40,8 +40,10 @@ class BlackBoxFn:
       results kept are the prefix values that construction obtains at
       ``init``, where the search starts, and those of each accepted
       candidate, where the next iteration starts; the prefix is not called
-      again at either.  A box that is not pure still ends ``solve`` in a
-      result, but a solution it reports may fail a later check.
+      again at either, nor at a candidate equal, bit for bit, to one
+      already tried in the same iteration.  A box that is not pure still
+      ends ``solve`` in a result, but a solution it reports may fail a
+      later check.
     """
 
     params: tuple[str, ...]

@@ -7,8 +7,15 @@ form at the nearest point of each bit's plane, random samples), and
 accepts the first candidate that either solves the problem or brings the
 last function's value strictly closer to satisfying its comparator.  The
 generators only propose vectors; the candidate loop tries each once,
-clipping grad-step and random candidates into the prefix constraints
-only when it reaches them.
+clipping pattern, grad-step and random candidates into the prefix
+constraints only when it reaches them.
+
+Ahead of the paper's three generators comes a pattern move (Korel,
+"Automated Software Test Data Generation", IEEE TSE 1990): when the last
+iteration accepted a grad-step or pattern candidate, its root-space move is
+tried again, doubled, projected onto the last local space and clipped.  A
+gradient step that closes only part of the gap, as on ``max(x1, x2) - 5``
+from (0, 0), then doubles instead of creeping.
 
 Black-box calls are the search's cost.  A gradient skips the directions
 that move none of a function's ``params``, and retakes a partial only when
@@ -16,7 +23,10 @@ its step vanished in the function's value, once and with at most two more
 calls.  The first iteration starts from
 the prefix values the problem's construction obtained at ``init``, and each
 later one from those its accepted candidate obtained, so no iteration calls
-the prefix at its start.
+the prefix at its start.  A candidate that extracts, bit for bit, to the
+current valuation or to one already tried in the iteration is skipped: under
+``BlackBoxFn``'s purity contract its call could only repeat a result that
+was not accepted.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ SAMPLES_PER_CUBE = 100
 #: Random cube half-edge per unit of log(|F_n| + 1).
 CUBE_SCALE = 100.0
 
+PATTERN = "pattern"
 GRAD_STEP = "grad-step"
 BIT_MUT = "bit-mut"
 RANDOM = "random"
@@ -248,15 +259,18 @@ def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
     comp = state.problem.comps[-1]
     f_n = state.f_n
     out: list[np.ndarray] = []
+    rows, axis_steps = state.chain.rows, np.diag(grad)
     with np.errstate(over="ignore", invalid="ignore"):
-        for direction in [grad, *(row for row in np.diag(grad) if row.any())]:
+        for j in [None, *np.flatnonzero(grad)]:
+            direction = grad if j is None else axis_steps[j]
             w, ww, scale = rescaled(direction)
             if ww == 0.0 or not math.isfinite(ww):
                 continue
             t = -f_n / (scale * ww)
             if not math.isfinite(t):
                 continue
-            d_root = state.chain.lift(w)
+            # a single axis lifts to its one row; + 0.0 makes a zero +0.0, as the sum does
+            d_root = state.chain.lift(w) if j is None else w[j] * rows[j] + 0.0
             z = ((1.0 - ALPHA) * float(np.max(np.abs(state.vec + t * d_root)))
                  + ALPHA * abs(f_n))
             try:
@@ -328,24 +342,48 @@ def random_candidates(state: IterationState, rng: np.random.Generator) -> list[n
     return out
 
 
-def _candidates(state: IterationState,
-                rng: np.random.Generator) -> Iterable[tuple[str, np.ndarray]]:
+def _candidates(state: IterationState, rng: np.random.Generator,
+                move: np.ndarray | None = None) -> Iterable[tuple[str, np.ndarray]]:
     """Every generator's proposals in trial order, each tried once.
 
-    The loop stops at the first accepted candidate, so clipping waits until
-    a candidate is reached.  Grad-step candidates are clipped, along the
-    gradient's tangent in the first round, so that the prefix predicates
-    keep holding at the descent target, and random samples are clipped
-    too.  Bit mutations stay unclipped: clipping them solved no more
-    problems in the benchmark and cost extra evaluations.
+    ``move``, when given, is a root-space step: twice the move of the last
+    accepted grad-step or pattern candidate.  Its projection onto the last
+    local space, whose rows are orthonormal, comes first as the pattern
+    candidate.  The loop stops at the first accepted candidate, so clipping
+    waits until a candidate is reached.  The pattern and grad-step candidates
+    are clipped, along the gradient's tangent in the first round, so that
+    the prefix predicates keep holding at the descent target, and random
+    samples are clipped too.  Bit mutations stay unclipped: clipping them
+    solved no more problems in the benchmark and cost extra evaluations.
     """
     constraints = state.constraints
+    if move is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = dot(state.chain.rows, move)
+        yield PATTERN, clip(u, constraints)
     for u in grad_step_candidates(state):
         yield GRAD_STEP, clip(u, constraints)
     for u in bit_mutation_candidates(state):
         yield BIT_MUT, u
     for u in random_candidates(state, rng):
         yield RANDOM, clip(u, constraints)
+
+
+def _bits(valuation: Valuation) -> tuple:
+    """``valuation``'s values, keyed bit for bit: -0.0 and 0.0 differ."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in valuation.values)
+
+
+def _doubled_move(origin: np.ndarray, accepted: Valuation, source: str) -> np.ndarray | None:
+    """Twice the root-space move from ``origin`` to a grad-step or pattern candidate.
+
+    Any other source, or a move that overflows, carries nothing.
+    """
+    if source not in (GRAD_STEP, PATTERN):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        move = 2.0 * (embed(accepted) - origin)
+    return move if np.all(np.isfinite(move)) else None
 
 
 def solve(problem: CoverageProblem,
@@ -364,6 +402,7 @@ def solve(problem: CoverageProblem,
     rng = np.random.default_rng(config.rng_seed)
 
     current, current_values = problem.init, problem.init_values
+    move: np.ndarray | None = None  # twice the last grad-step or pattern move
     log: list[IterationRecord] = []
     iteration = 0
     try:
@@ -371,13 +410,18 @@ def solve(problem: CoverageProblem,
             iteration += 1
             state = build_spaces(problem, current, current_values, fns=fns)
             accepted: Valuation | None = None
-            for source, u in _candidates(state, rng):
+            tried = {_bits(current)}
+            for source, u in _candidates(state, rng, move):
                 with np.errstate(over="ignore", invalid="ignore"):
                     point = state.vec + state.chain.lift(u)
                 try:
                     candidate = extract(point, current.signature)
                 except ExtractionError:
                     continue
+                key = _bits(candidate)
+                if key in tried:
+                    continue
+                tried.add(key)
                 record = eval_prefix(fns, comps, candidate)
                 if record.outcome is Outcome.DIVERGED:
                     continue
@@ -389,6 +433,7 @@ def solve(problem: CoverageProblem,
                 if comp_last.improves(state.f_n, value):
                     log.append(IterationRecord(iteration, source, value))
                     accepted, current_values = candidate, record.values
+                    move = _doubled_move(state.vec, candidate, source)
                     break
             if accepted is None:
                 return SolverResult(Status.FAILED_NO_PROGRESS, None, iteration,

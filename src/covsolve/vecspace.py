@@ -245,6 +245,14 @@ class Valuation:
                 raise ValueError(f"{val!r} is not a {typ} value (variable {name})")
 
     @classmethod
+    def _rounded(cls, signature: Signature, values: tuple[int | float, ...]) -> "Valuation":
+        """A valuation of values each type's ``nearest`` returned: not checked again."""
+        valuation = object.__new__(cls)
+        object.__setattr__(valuation, "signature", signature)
+        object.__setattr__(valuation, "values", values)
+        return valuation
+
+    @classmethod
     def of(cls, entries: Iterable[tuple[str, ScalarType, int | float]]) -> "Valuation":
         entries = list(entries)
         sig = Signature.of([(n, t) for n, t, _ in entries])
@@ -273,8 +281,12 @@ def embed(valuation: Valuation) -> np.ndarray:
 
 
 def extract(vector: Sequence[float] | np.ndarray, signature: Signature) -> Valuation:
-    """Round each coordinate to the nearest value of its declared type."""
-    return Valuation(signature, tuple(_nearest_values(vector, signature)))
+    """Round each coordinate to the nearest value of its declared type.
+
+    The rounding is the check: the result is built without ``Valuation``'s
+    validation, which is for values from outside.
+    """
+    return Valuation._rounded(signature, tuple(_nearest_values(vector, signature)))
 
 
 def round_vector(vector: np.ndarray, signature: Signature) -> np.ndarray:

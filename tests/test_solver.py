@@ -1,12 +1,15 @@
 import dataclasses
 import math
 import random
+import sys
+import warnings
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from covsolve import constraints as constraints_module, solver
+from covsolve import cli, constraints as constraints_module, solver
 from covsolve.constraints import (
     CLIP_ROUNDS,
     DIVISION_GUARD,
@@ -33,7 +36,7 @@ from covsolve.solver import (
     solve,
 )
 from covsolve.vecspace import (
-    F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, Comparator, Valuation,
+    F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, Comparator, Valuation, extract,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -334,6 +337,22 @@ abe 2 * x - 6 == 0
                              type(problem.init)(problem.init.signature,
                                                 (float(landing[0]),)))
         assert record.values[0] == 0.0
+
+    def test_single_axis_lift_matches_the_one_hot_product(self):
+        """A single-axis direction lifts as its entry times its row; ``lift`` of
+        the one-hot vector, an (m, D) product, is the oracle."""
+        rand, rng = random.Random(2121), np.random.default_rng(2121)
+        for _ in range(200):
+            problem = _typed_linear_problem(rand, rng)
+            state = build_spaces(problem, problem.init, problem.init_values)
+            rows = state.chain.rows
+            for j in range(rows.shape[0]):
+                for entry in (state.grad_n[j], 1.0, -2.5e-170, 3e200):
+                    if entry == 0.0:
+                        continue
+                    w = np.zeros(rows.shape[0])
+                    w[j] = entry
+                    assert (w[j] * rows[j] + 0.0).tobytes() == state.chain.lift(w).tobytes()
 
 
 class TestBitMutationCandidates:
@@ -1132,6 +1151,95 @@ class TestGradientsWhoseSquaresUnderflow:
         assert c.direction == pytest.approx([-0.5, 0.5], abs=1e-15)
 
 
+class TestPatternMove:
+    """Twice the last grad-step or pattern move is tried first, projected and clipped."""
+
+    def test_max_gate_solves_in_at_most_three_iterations(self):
+        # the gradient (1, 1) closes half the gap; one iteration per halving without the move
+        problem = problem_of(cli.bundled_suite_dir().joinpath("max_gate.prob").read_text())
+        for seed in range(10):
+            result = solve(problem, SolverConfig(rng_seed=seed))
+            assert result.solved and is_solution(problem, result.solution)
+            assert result.iterations_used <= 3
+            assert solver.PATTERN in [e.source for e in result.log]
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Patch ``solver._candidates`` to append (vec, move, sources yielded) per iteration."""
+        iterations = []
+        candidates = solver._candidates
+
+        def recorded(state, rng, move=None):
+            iterations.append((state.vec, move, []))
+            for source, u in candidates(state, rng, move):
+                iterations[-1][2].append(source)
+                yield source, u
+
+        monkeypatch.setattr(solver, "_candidates", recorded)
+        return iterations
+
+    def test_move_is_carried_only_after_grad_step_or_pattern(self, monkeypatch):
+        iterations = self.recording(monkeypatch)
+        rand, rng = random.Random(3), np.random.default_rng(3)
+        dropped = Counter()
+        for seed in range(150):
+            problem = _typed_linear_problem(rand, rng)
+            iterations.clear()
+            result = solve(problem, SolverConfig(rng_seed=seed, max_iterations=20))
+            for k, (vec, move, sources) in enumerate(iterations):
+                assert (sources[:1] == [solver.PATTERN]) == (move is not None)
+                assert solver.PATTERN not in sources[1:]
+                previous = result.log[k - 1].source if k else None
+                if previous in (solver.GRAD_STEP, solver.PATTERN):
+                    assert move.tobytes() == (2.0 * (vec - iterations[k - 1][0])).tobytes()
+                else:
+                    assert move is None
+                    dropped[previous] += 1
+        assert dropped[solver.BIT_MUT] >= 20 and dropped[solver.RANDOM] >= 3
+
+    def test_clipped_pattern_candidate_keeps_the_prefix(self):
+        problem = problem_of("""
+var x1 : f64
+var x2 : f64
+init x1 = 0
+init x2 = 1
+abe x1 - x2 <= 0
+abe x1 + x2 - 100 >= 0
+""")
+        state = build_spaces(problem, problem.init, problem.init_values)
+        move = np.array([20.0, 0.0])  # alone it breaks x1 <= x2
+        source, u = next(iter(solver._candidates(state, np.random.default_rng(0), move)))
+        assert source == solver.PATTERN
+        assert not satisfies_all(dot(state.chain.rows, move), state.constraints)
+        assert satisfies_all(u, state.constraints)
+        candidate = extract(state.vec + state.chain.lift(u), problem.signature)
+        assert problem.comps[0].holds(problem.fns[0].eval(candidate))
+        assert problem.fns[1].eval(candidate) > problem.init_values[1]
+
+    def test_move_past_half_the_float_range_is_dropped_without_a_warning(self, monkeypatch):
+        big = 0.75 * sys.float_info.max  # finite, but twice it overflows
+        origin = np.zeros(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x1, x2 in [(big, 1.0), (-big, 0.0)]:
+                accepted = Valuation.of([("x1", F64, x1), ("x2", F64, x2)])
+                assert solver._doubled_move(origin, accepted, solver.GRAD_STEP) is None
+            accepted = Valuation.of([("x1", F64, big / 2), ("x2", F64, -3.0)])
+            assert solver._doubled_move(origin, accepted, solver.PATTERN).tolist() \
+                == [big, -6.0]
+
+        # the grad-step from -1e308 lands at 5e307, 1.5e308 away, where F is -1
+        kinked = BlackBoxFn(("x",), lambda v: v["x"] - 5e307 if v["x"] < 0.0 else -1.0)
+        problem = CoverageProblem((kinked,), (Comparator.GE,),
+                                  Valuation.of([("x", F64, -1e308)]))
+        iterations = self.recording(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve(problem, SolverConfig(rng_seed=0, max_iterations=3))
+        assert [e.source for e in result.log] == [solver.GRAD_STEP]
+        assert [move for _, move, _ in iterations] == [None, None]
+
+
 class TestSolve:
     def test_eq_ge_trace_solved(self):
         problem = problem_of(EQ_GE_TRACE)
@@ -1322,7 +1430,7 @@ class TestAbsorbedDifferences:
 
     @pytest.mark.parametrize("typ, offset, evaluations", [
         ("f64", "5", 101),  # steps 2**-26 and 1 lie above ulp(5): no retake
-        ("i32", "5", 133),
+        ("i32", "5", 120),  # 13 random samples round onto an integer already tried
         ("f64", "1e20", 102),  # one retake call, which reads the same value again
     ])
     def test_flat_function_keeps_its_calls(self, typ, offset, evaluations):

@@ -330,6 +330,17 @@ class TestProperties:
             return
         assert extract(vec, valuation.signature) == valuation
 
+    @given(st.lists(st.tuples(st.sampled_from(ALL_TYPES), st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([float(v) for t in ALL_TYPES for v in _edge_values(t)]))),
+        min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_extract_output_passes_the_check(self, coords):
+        """``extract`` builds its valuation without the check, so its rounding must pass it."""
+        sig = Signature.of([(f"x{i}", typ) for i, (typ, _) in enumerate(coords)])
+        got = extract([x for _, x in coords], sig)
+        assert Valuation(sig, got.values) == got
+
     def test_float_sum_on_a_midpoint_rounds_away_from_zero(self):
         # 2**50 + 0.375 is not a float; the sum rounds to the tie 2**50 + 0.5
         sig = Signature.of([("x", I64)])
