@@ -21,6 +21,10 @@ import numpy as np
 #: An axis whose part orthogonal to the gradient and the earlier axes is shorter is dropped.
 ZERO_NORM = 1e-12
 
+#: Elements of the product ``BasisChain.extend`` holds at once (2 MB): a whole
+#: level up to dimension 64 is one block.
+_PRODUCT_ELEMENTS = 1 << 18
+
 
 def dot(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum of ``a * b`` along ``axis``, in numpy's order rather than a BLAS kernel's.
@@ -107,11 +111,18 @@ class BasisChain:
 
     def extend(self, basis: np.ndarray) -> np.ndarray:
         """Move to the next level; the basis rows must live in the current space."""
-        size = self.rows.shape[0]
+        size, dim = self.rows.shape
         if basis.shape[1] != size:
             raise ValueError(
                 f"basis over dimension {basis.shape[1]} cannot follow level of size {size}")
-        self.rows = dot(basis[:, :, None], self.rows, axis=1)
+        # each output row sums its own (size, dim) product, so blocks of rows give the
+        # same bytes as one product, in memory bounded however wide the space
+        block = max(1, _PRODUCT_ELEMENTS // max(1, size * dim))
+        rows = np.empty((basis.shape[0], dim), dtype=np.float64)
+        for start in range(0, basis.shape[0], block):
+            rows[start:start + block] = dot(basis[start:start + block, :, None],
+                                            self.rows, axis=1)
+        self.rows = rows
         return basis
 
     def lift(self, u: np.ndarray) -> np.ndarray:

@@ -4,20 +4,23 @@ The search works on real vectors whose coordinates ultimately round back to
 machine-typed values, so a useful perturbation must be large enough to
 survive both 64-bit float addition and the type rounding.  Two step sizes
 are provided: one relative to a single value, and one along a line from a
-valuation, the first sampled step that moves the rounded point.  A
+valuation, the first sampled step that moves the rounded point.  The
+solver's finite-difference gradient takes its steps from the latter.  A
 valuation's embedding lies on the typed grid, so the line's origin is never
-rounded.  The solver's finite-difference gradient takes its steps from the
-latter.
+rounded, and a sample rounds only what it moves: the coordinates where the
+direction is nonzero.  A step along one axis of a wide space costs what it
+costs in one dimension.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .localspace import dot, rescaled
-from .vecspace import ExtractionError, Signature, Valuation, embed, round_vector
+from .vecspace import ExtractionError, Signature, Valuation, round_vector
 
 #: Significand digits of a 64-bit float; steps shift the lower half of them.
 _DIGITS = 53
@@ -63,10 +66,16 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) ->
     farther from the line than its own step, and no later sample lands
     nearer the line than this one.
 
+    A sample rounds only what it moves: the coordinates where ``direction``
+    is nonzero, walked in plain floats.  Every other coordinate stays the
+    origin's, which is on the grid by type.  The returned epsilon is read
+    from the full-length step, so it is the same as a walk over every
+    coordinate gives.
+
     Raises NoStepError when every sample rounds back onto the origin, or
     when the first that moves lies farther than a float can measure.
     """
-    signature, vec = origin.signature, embed(origin)
+    signature = origin.signature
     direction = np.asarray(direction, dtype=np.float64)
     w, ww, scale = rescaled(direction)
     if ww == 0.0:
@@ -76,27 +85,40 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) ->
     if eps1 <= 0.0:
         raise ValueError("initial epsilon must be positive")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        point = vec + eps1 * direction
-        for _ in range(2 * vec.shape[0]):
-            try:
-                rounded = round_vector(point, signature)
-            except ExtractionError:
-                break
-            if not np.array_equal(rounded, vec):
-                eps = float(dot(point - vec, w)) / (scale * ww)
-                if math.isfinite(eps * scale * math.sqrt(ww)):
-                    return eps
-                break
-            increment = _min_coordinate_step(rounded, direction, signature)
-            if increment is None or increment <= 0.0 or not math.isfinite(increment):
-                break
-            point = point + increment * direction
+    support = direction.nonzero()[0]
+    moves, values = direction[support].tolist(), origin.values
+    # the origin's floats, as embed gives them: compared as an int, a clamped
+    # i64 would read 2**63 - 1 where its embedding reads 2**63
+    if len(moves) == len(signature):
+        moved, start = signature, list(map(float, values))
+    else:
+        indices = support.tolist()
+        moved = Signature(tuple([signature.names[i] for i in indices]),
+                          tuple([signature.types[i] for i in indices]))
+        start = [float(values[i]) for i in indices]
+    point = [x + eps1 * g for x, g in zip(start, moves)]
+    for _ in range(2 * len(signature)):
+        try:
+            rounded = round_vector(point, moved).tolist()
+        except ExtractionError:
+            break
+        if rounded != start:
+            step = np.zeros(len(signature))
+            step[support] = [x - x0 for x, x0 in zip(point, start)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                eps = float(dot(step, w)) / (scale * ww)
+            if math.isfinite(eps * scale * math.sqrt(ww)):
+                return eps
+            break
+        increment = _min_coordinate_step(rounded, moves, moved)
+        if increment is None or increment <= 0.0 or not math.isfinite(increment):
+            break
+        point = [x + increment * g for x, g in zip(point, moves)]
 
     raise NoStepError("no sample along the line changes the rounded vector")
 
 
-def _min_coordinate_step(rounded: np.ndarray, direction: np.ndarray,
+def _min_coordinate_step(rounded: Sequence[float], direction: Sequence[float],
                          signature: Signature) -> float | None:
     """Smallest line step advancing some coordinate to its next typed value."""
     best = None

@@ -172,8 +172,20 @@ def finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: float,
     at the line step seeded with ``epsilon_from_value(origin_value)``, so
     that the step is scaled to the function's value rather than to the
     point's.  A partial that is not absorbed costs nothing more.
+
+    A step rounds only what it moves: the row's nonzero coordinates, and
+    the origin's -0.0 floats, which the step's zero can turn to +0.0.  The
+    other coordinates keep the values of the embedding the steps start
+    from.  That is the origin itself while every coordinate lies below
+    2**53; from there on ``embed`` can move a 64-bit integer, and the
+    embedding is rounded back, once per gradient.
     """
     signature, vec = origin.signature, embed(origin)
+    types, starts = signature.types, vec.tolist()
+    values = origin.values
+    if max(map(abs, starts), default=0.0) >= 2.0**53:
+        values = extract(vec, signature).values
+    signed_zeros = np.signbit(vec) & (vec == 0.0)
     grad = np.zeros(lifted.shape[0], dtype=np.float64)
     cols = [signature.positions[name] for name in fn.params]
     for j in np.flatnonzero(lifted[:, cols].any(axis=1)):
@@ -186,12 +198,17 @@ def finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: float,
                 break
             if eps == 0.0:
                 break
+            moved = ((row != 0.0) | signed_zeros).nonzero()[0]
+            moves, moved = row[moved].tolist(), moved.tolist()
             value = None
             for step in (eps, -eps):
+                stepped = list(values)
                 try:
-                    valuation = extract(vec + step * row, signature)
+                    for i, g in zip(moved, moves):
+                        stepped[i] = types[i].nearest(starts[i] + step * g)
                 except ExtractionError:
                     continue
+                valuation = Valuation._rounded(signature, tuple(stepped))
                 value = fn.call(valuation)
                 if value is None:
                     continue

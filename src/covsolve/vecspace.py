@@ -214,7 +214,7 @@ class Signature:
     def __post_init__(self):
         if len(self.names) != len(self.types):
             raise ValueError("names and types differ in length")
-        object.__setattr__(self, "positions", {n: i for i, n in enumerate(self.names)})
+        object.__setattr__(self, "positions", dict(zip(self.names, range(len(self.names)))))
         if len(self.positions) != len(self.names):
             raise ValueError("duplicate variable names")
 

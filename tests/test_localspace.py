@@ -1,11 +1,12 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from covsolve import cli, solver
+from covsolve import cli, localspace, solver
 from covsolve.localspace import ZERO_NORM, BasisChain, dot, next_basis, vector_norm
 from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import reduce_problem
@@ -467,3 +468,39 @@ class TestBasisChain:
                 patch.setattr(solver, "BasisChain", MultiLevelChain)
                 theirs = solve(problem, config)
             assert repr(ours) == repr(theirs)
+
+
+class TestExtendInBlocks:
+    """``extend`` sums its product over blocks of output rows, so its memory
+    stays bounded in the dimension; the bytes are the one product's."""
+
+    def test_blocks_of_rows_match_one_product(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        for _ in range(400):
+            size, dim = (int(n) for n in rng.integers(1, 24, size=2))
+            rows = rng.normal(size=(size, dim)) * 10.0 ** rng.integers(-8, 9, size=(size, 1))
+            rows[rng.random(size=rows.shape) < 0.2] = 0.0
+            basis = rng.normal(size=(int(rng.integers(0, size + 2)), size))
+            expected = dot(basis[:, :, None], rows, axis=1)
+            for block in (1, 3, 8):
+                monkeypatch.setattr(localspace, "_PRODUCT_ELEMENTS", block * size * dim)
+                chain = BasisChain(dim)
+                chain.rows = rows
+                chain.extend(basis)
+                assert chain.rows.tobytes() == expected.tobytes()
+
+    def test_a_wide_iteration_stays_small(self):
+        # one iteration over 300 f64 variables with one prefix link: the
+        # whole (300, 300, 300) product would take 216 MB at once
+        names = [f"x{i}" for i in range(300)]
+        text = "\n".join([*(f"var {n} : f64" for n in names), *(f"init {n} = 0" for n in names),
+                          "abe x0 - x1 <= 0", "abe " + " + ".join(names) + " - 5 >= 0"])
+        problem = reduce_problem(compile_spec(parse_spec(text))).problem
+        tracemalloc.start()
+        try:
+            result = solve(problem, SolverConfig(max_iterations=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.solved
+        assert peak <= 40e6
