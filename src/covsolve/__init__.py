@@ -5,7 +5,12 @@ distances with comparators (a coverage problem), and searches for a new
 input valuation keeping every prefix predicate true while flipping the
 last one.  The search works in a chain of orthonormal local spaces that
 factor out prefix gradients, with half-space constraints approximating the
-prefix predicates and three candidate generators per iteration.
+prefix predicates; each iteration tries a pattern move that doubles the
+last accepted step, then three candidate generators.
+
+The package root exports the user API: the typed grid, coverage problems,
+``solve`` with its result types, and the text format; the search's stages
+are imported from their modules.
 """
 
 from .vecspace import (
@@ -19,19 +24,10 @@ from .problem import (
     dependency_closure, eval_prefix, from_trace, is_solution,
     reduce_problem,
 )
-from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
-from .localspace import BasisChain, next_basis
-from .constraints import (
-    Constraint, clip, satisfies, satisfies_all, transform_constraint,
-)
-from .solver import (
-    IterationRecord, IterationState, SolverConfig, SolverResult, Status,
-    bit_mutation_candidates, build_spaces, finite_diff_gradient,
-    grad_step_candidates, random_candidates, solve,
-)
+from .solver import IterationRecord, SolverConfig, SolverResult, Status, solve
 from .probelang import (
     CompileError, ParseError, ProblemSpec,
-    compile_spec, eval_expr, format_spec, parse_spec, prefix_spec,
+    compile_spec, format_spec, parse_spec, prefix_spec,
 )
 
 __version__ = "0.1.0"

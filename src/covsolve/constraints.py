@@ -62,10 +62,10 @@ def satisfies(u: np.ndarray, constraint: Constraint) -> bool:
     """Whether ``u`` lies in the constraint's admissible region.
 
     Vectors whose residual is not finite (overflowed candidates) satisfy
-    nothing; they are reported as violations rather than errors.
+    nothing; they are reported as violations rather than errors.  Runs under
+    ``solve``'s float policy: called alone, it warns on overflow as numpy does.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(dot(constraint.normal, u) - constraint.bound)
+    residual = float(dot(constraint.normal, u) - constraint.bound)
     return math.isfinite(residual) and constraint.comp.holds(residual)
 
 
@@ -85,14 +85,13 @@ def transform_constraint(constraint: Constraint, rows: np.ndarray,
     expressed there and None is returned.  The direction is the projected
     normal's part orthogonal to the gradient, which moves a candidate
     without changing the linearised last function, or the normal itself
-    when the gradient is zero.
+    when the gradient is zero.  Runs under ``solve``'s float policy.
     """
     m = dot(rows, constraint.normal)
     if float(dot(m, m)) < DIVISION_GUARD:
         return None
     w, ww, scale = rescaled(grad)
-    with np.errstate(over="ignore", invalid="ignore"):
-        direction = m - (float(dot(m, w)) / (scale * ww)) * grad if ww > 0.0 else m
+    direction = m - (float(dot(m, w)) / (scale * ww)) * grad if ww > 0.0 else m
     return Constraint(m, constraint.bound, constraint.comp, direction)
 
 
@@ -109,38 +108,38 @@ def clip(u: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
     converges poorly), overshooting the boundary, which turns the
     asymptotic zig-zag between acute constraint pairs into convergence
     within the round limit.  The result may still violate the set if it
-    is empty or concave; callers tolerate that.
+    is empty or concave; callers tolerate that.  Runs under ``solve``'s
+    float policy, as ``satisfies`` does.
     """
     u = np.array(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
         return u  # nothing meaningful to project; callers filter these out
-    with np.errstate(over="ignore", invalid="ignore"):
-        for round_no in range(CLIP_ROUNDS):
-            relax = 1.0 if round_no == 0 else RELAXATION
-            violated = False
-            for c in constraints:
-                n = c.normal
-                nu = float(dot(n, u))
-                if math.isfinite(residual := nu - c.bound) and c.comp.holds(residual):
-                    continue
-                violated = True
-                nn = float(dot(n, n))
-                coord = nu / nn if nn >= DIVISION_GUARD else 0.0
-                if not math.isfinite(coord):
-                    continue
-                m = c.direction if round_no == 0 else n
-                nm = float(dot(n, m))
-                if abs(nm) < DIVISION_GUARD:
-                    continue
-                shift = c.comp.side * epsilon_from_value(coord) if c.comp.strict else 0.0
-                u = u + relax * (-residual / nm + shift) * m
-                # rounding can leave the projection an ulp outside; one epsilon-sized
-                # push along the normal, toward the side, dominates that noise
-                nu = float(dot(n, u))
-                if math.isfinite(residual := nu - c.bound) and c.comp.holds(residual):
-                    continue
-                if nn >= DIVISION_GUARD and math.isfinite(coord := nu / nn):
-                    u = u + c.comp.side * epsilon_from_value(coord) * n
-            if not violated:
-                break
+    for round_no in range(CLIP_ROUNDS):
+        relax = 1.0 if round_no == 0 else RELAXATION
+        violated = False
+        for c in constraints:
+            n = c.normal
+            nu = float(dot(n, u))
+            if math.isfinite(residual := nu - c.bound) and c.comp.holds(residual):
+                continue
+            violated = True
+            nn = float(dot(n, n))
+            coord = nu / nn if nn >= DIVISION_GUARD else 0.0
+            if not math.isfinite(coord):
+                continue
+            m = c.direction if round_no == 0 else n
+            nm = float(dot(n, m))
+            if abs(nm) < DIVISION_GUARD:
+                continue
+            shift = c.comp.side * epsilon_from_value(coord) if c.comp.strict else 0.0
+            u = u + relax * (-residual / nm + shift) * m
+            # rounding can leave the projection an ulp outside; one epsilon-sized
+            # push along the normal, toward the side, dominates that noise
+            nu = float(dot(n, u))
+            if math.isfinite(residual := nu - c.bound) and c.comp.holds(residual):
+                continue
+            if nn >= DIVISION_GUARD and math.isfinite(coord := nu / nn):
+                u = u + c.comp.side * epsilon_from_value(coord) * n
+        if not violated:
+            break
     return u

@@ -69,9 +69,10 @@ def eval_expr(program: Program, valuation: Valuation) -> float | None:
     call, realising black-box functions that are partial on their inputs.
     """
     stack: list[float] = []
+    values, positions = valuation.values, valuation.signature.positions
     for op, arg in program:
         if op == "var":
-            stack.append(float(valuation[arg]))
+            stack.append(float(values[positions[arg]]))
         elif op == "lit":
             stack.append(arg)
         elif op == "neg":

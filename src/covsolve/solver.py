@@ -262,6 +262,16 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation,
     return IterationState(problem, valuation, vec, chain, constraints, grad_n, values)
 
 
+def _descent_step(direction: np.ndarray, f_n: float) -> tuple[np.ndarray, float] | None:
+    """The linearised step t*w to F = 0, as ``(w, t)``, with w ``rescaled(direction)[0]``.
+
+    None when ``direction`` is zero or t is not finite.
+    """
+    w, ww, scale = rescaled(direction)
+    t = -f_n / (scale * ww) if 0.0 < ww < math.inf else math.nan
+    return (w, t) if math.isfinite(t) else None
+
+
 def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
     """Unclipped candidates from one linearised descent step of the last function.
 
@@ -272,30 +282,23 @@ def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
     every single axis with a nonzero partial derivative, which helps
     escaping local minima.
     """
-    grad = state.grad_n
-    comp = state.problem.comps[-1]
-    f_n = state.f_n
+    grad, f_n, comp = state.grad_n, state.f_n, state.problem.comps[-1]
     out: list[np.ndarray] = []
-    rows, axis_steps = state.chain.rows, np.diag(grad)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in [None, *np.flatnonzero(grad)]:
-            direction = grad if j is None else axis_steps[j]
-            w, ww, scale = rescaled(direction)
-            if ww == 0.0 or not math.isfinite(ww):
-                continue
-            t = -f_n / (scale * ww)
-            if not math.isfinite(t):
-                continue
-            # a single axis lifts to its one row; + 0.0 makes a zero +0.0, as the sum does
-            d_root = state.chain.lift(w) if j is None else w[j] * rows[j] + 0.0
-            z = ((1.0 - ALPHA) * float(np.max(np.abs(state.vec + t * d_root)))
-                 + ALPHA * abs(f_n))
-            try:
-                eps = epsilon_along_line(state.valuation, d_root,
-                                         epsilon_from_value(z)) if math.isfinite(z) else 0.0
-            except NoStepError:
-                eps = 0.0
-            out.extend(p * w for p in comp.landing(t, eps))
+    rows, axes = state.chain.rows, np.arange(len(grad))
+    for j in [None, *np.flatnonzero(grad)]:
+        direction = grad if j is None else np.where(axes == j, grad, 0.0)
+        if (step := _descent_step(direction, f_n)) is None:
+            continue
+        w, t = step
+        # a single axis lifts to its one row; + 0.0 makes a zero +0.0, as the sum does
+        d_root = state.chain.lift(w) if j is None else w[j] * rows[j] + 0.0
+        z = (1.0 - ALPHA) * float(np.max(np.abs(state.vec + t * d_root))) + ALPHA * abs(f_n)
+        try:
+            eps = epsilon_along_line(state.valuation, d_root,
+                                     epsilon_from_value(z)) if math.isfinite(z) else 0.0
+        except NoStepError:
+            eps = 0.0
+        out.extend(p * w for p in comp.landing(t, eps))
     return out
 
 
@@ -345,12 +348,10 @@ def random_candidates(state: IterationState, rng: np.random.Generator) -> list[n
     half_edge = CUBE_SCALE * math.log(abs(state.f_n) + 1.0)
 
     centers = [np.zeros(dim_local, dtype=np.float64)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        w, ww, scale = rescaled(state.grad_n)
-        if math.isfinite(ww) and ww > 0.0:
-            target = (-state.f_n / (scale * ww)) * w
-            if np.all(np.isfinite(target)):
-                centers.append(target)
+    if (step := _descent_step(state.grad_n, state.f_n)) is not None:
+        target = step[1] * step[0]
+        if np.all(np.isfinite(target)):
+            centers.append(target)
 
     out: list[np.ndarray] = []
     for center in centers:
@@ -375,9 +376,7 @@ def _candidates(state: IterationState, rng: np.random.Generator,
     """
     constraints = state.constraints
     if move is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = dot(state.chain.rows, move)
-        yield PATTERN, clip(u, constraints)
+        yield PATTERN, clip(dot(state.chain.rows, move), constraints)
     for u in grad_step_candidates(state):
         yield GRAD_STEP, clip(u, constraints)
     for u in bit_mutation_candidates(state):
@@ -410,6 +409,9 @@ def solve(problem: CoverageProblem,
     The problem should be reduced first (see ``problem.reduce_problem``);
     solving works on unreduced problems too, just in more dimensions.
     Identical problem, configuration and seed give an identical result.
+    Each call runs the search, black-box calls included, under one float
+    policy: numpy does not warn about overflow or invalid results, which the
+    search expects and checks for itself.
     """
     config = config or SolverConfig()
     budget = _Budget(config.max_evaluations)
@@ -422,41 +424,41 @@ def solve(problem: CoverageProblem,
     move: np.ndarray | None = None  # twice the last grad-step or pattern move
     log: list[IterationRecord] = []
     iteration = 0
-    try:
-        while iteration < config.max_iterations:
-            iteration += 1
-            state = build_spaces(problem, current, current_values, fns=fns)
-            accepted: Valuation | None = None
-            tried = {_bits(current)}
-            for source, u in _candidates(state, rng, move):
-                with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            while iteration < config.max_iterations:
+                iteration += 1
+                state = build_spaces(problem, current, current_values, fns=fns)
+                accepted: Valuation | None = None
+                tried = {_bits(current)}
+                for source, u in _candidates(state, rng, move):
                     point = state.vec + state.chain.lift(u)
-                try:
-                    candidate = extract(point, current.signature)
-                except ExtractionError:
-                    continue
-                key = _bits(candidate)
-                if key in tried:
-                    continue
-                tried.add(key)
-                record = eval_prefix(fns, comps, candidate)
-                if record.outcome is Outcome.DIVERGED:
-                    continue
-                value = record.values[-1]
-                if record.outcome is Outcome.FULL_TRUE:
-                    log.append(IterationRecord(iteration, source, value))
-                    return SolverResult(Status.SOLVED, candidate, iteration,
+                    try:
+                        candidate = extract(point, current.signature)
+                    except ExtractionError:
+                        continue
+                    key = _bits(candidate)
+                    if key in tried:
+                        continue
+                    tried.add(key)
+                    record = eval_prefix(fns, comps, candidate)
+                    if record.outcome is Outcome.DIVERGED:
+                        continue
+                    value = record.values[-1]
+                    if record.outcome is Outcome.FULL_TRUE:
+                        log.append(IterationRecord(iteration, source, value))
+                        return SolverResult(Status.SOLVED, candidate, iteration,
+                                            budget.used, tuple(log))
+                    if comp_last.improves(state.f_n, value):
+                        log.append(IterationRecord(iteration, source, value))
+                        accepted, current_values = candidate, record.values
+                        move = _doubled_move(state.vec, candidate, source)
+                        break
+                if accepted is None:
+                    return SolverResult(Status.FAILED_NO_PROGRESS, None, iteration,
                                         budget.used, tuple(log))
-                if comp_last.improves(state.f_n, value):
-                    log.append(IterationRecord(iteration, source, value))
-                    accepted, current_values = candidate, record.values
-                    move = _doubled_move(state.vec, candidate, source)
-                    break
-            if accepted is None:
-                return SolverResult(Status.FAILED_NO_PROGRESS, None, iteration,
-                                    budget.used, tuple(log))
-            current = accepted
-    except _BudgetExhausted:
-        pass
+                current = accepted
+        except _BudgetExhausted:
+            pass
     return SolverResult(Status.FAILED_BUDGET, None, iteration, budget.used,
                         tuple(log))

@@ -109,8 +109,7 @@ def every_raw_candidates(state, rng, move=None):
     """``solver._candidates`` also trying every random sample raw after its clipped form."""
     constraints = state.constraints
     if move is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield PATTERN, clip(dot(state.chain.rows, move), constraints)
+        yield PATTERN, clip(dot(state.chain.rows, move), constraints)
     for u in grad_step_candidates(state):
         yield GRAD_STEP, clip(u, constraints)
     for u in bit_mutation_candidates(state):

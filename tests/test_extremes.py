@@ -46,6 +46,12 @@ var x : f64
 init x = 0
 abe x * 0.001 - 1e305 >= 0
 """,
+    # the descent step from 1e308 lands at 2e308: the grad-step landing point overflows
+    "landing-past-the-float-range": """
+var x : f64
+init x = 1e308
+abe x * 1e-300 - 2e8 >= 0
+""",
     "huge-initial-values": """
 var x : f64
 init x = 1e280

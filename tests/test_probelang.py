@@ -108,6 +108,24 @@ class TestEvalExpr:
         v = Valuation.of([("a", I32, 3)])
         assert eval_expr(expr, v) == 2.5
 
+    def test_leaves_are_read_by_position_not_by_name(self, monkeypatch):
+        names = [f"x{i}" for i in range(200)]
+        values = [i if i % 2 else i / 7 for i in range(200)]
+        types = [I32 if i % 2 else F64 for i in range(200)]
+        text = "".join(f"var {x} : {t.name}\ninit {x} = 0\n" for x, t in zip(names, types))
+        fn = compile_spec(parse_spec(text + "abe " + " + ".join(names) + " - 5 >= 0\n")).fns[-1]
+        valuation = Valuation.of(zip(names, types, values))
+        expected = 0.0
+        for v in values:  # the sum is left-associative: x0 + x1 first
+            expected += float(v)
+        expected -= 5.0
+        reads = []
+        by_name = Valuation.__getitem__
+        monkeypatch.setattr(Valuation, "__getitem__",
+                            lambda self, name: reads.append(name) or by_name(self, name))
+        assert fn.call(valuation) == expected
+        assert reads == []
+
 
 class TestParsing:
     def test_basic_document(self):
