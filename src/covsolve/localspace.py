@@ -107,14 +107,23 @@ class BasisChain:
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        self.rows = np.eye(dim, dtype=np.float64)
+        self.rows = self._axes = np.eye(dim, dtype=np.float64)
 
     def extend(self, basis: np.ndarray) -> np.ndarray:
-        """Move to the next level; the basis rows must live in the current space."""
+        """Move to the next level; the basis rows must live in the current space.
+
+        From the axis basis no product is taken: for a finite basis each of
+        its entries sums exact zeros and one basis entry, and numpy's sum
+        starts from +0.0, so it is ``basis + 0.0`` bit for bit, a -0.0 made
+        +0.0.
+        """
         size, dim = self.rows.shape
         if basis.shape[1] != size:
             raise ValueError(
                 f"basis over dimension {basis.shape[1]} cannot follow level of size {size}")
+        if self.rows is self._axes:
+            self.rows, self._axes = basis + 0.0, None
+            return basis
         # each output row sums its own (size, dim) product, so blocks of rows give the
         # same bytes as one product, in memory bounded however wide the space
         block = max(1, _PRODUCT_ELEMENTS // max(1, size * dim))

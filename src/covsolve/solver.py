@@ -8,7 +8,9 @@ accepts the first candidate that either solves the problem or brings the
 last function's value strictly closer to satisfying its comparator.  The
 generators only propose vectors; the candidate loop tries each once,
 clipping pattern, grad-step and random candidates into the prefix
-constraints only when it reaches them.
+constraints only when it reaches them.  A grad-step candidate's lift and
+line step wait for the loop too: the first one usually solves or improves,
+and the loop stops there.
 
 Ahead of the paper's three generators comes a pattern move (Korel,
 "Automated Software Test Data Generation", IEEE TSE 1990): when the last
@@ -35,7 +37,8 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -272,7 +275,53 @@ def _descent_step(direction: np.ndarray, f_n: float) -> tuple[np.ndarray, float]
     return (w, t) if math.isfinite(t) else None
 
 
-def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
+class _Landing:
+    """One grad-step direction's landing points, worked out when the loop first reaches one.
+
+    ``t``, the linearised step to F = 0, is known when the candidate list is
+    built.  The local vector ``w``, its root vector, the landing point's
+    magnitude and the line step wait for the first candidate reached, and
+    each is computed once.  ``axis`` None is the full gradient, whose ``w``
+    is given; otherwise ``w`` is zero but for ``entry`` at ``axis``.
+    """
+
+    __slots__ = ("state", "t", "axis", "entry", "w", "eps")
+
+    def __init__(self, state: IterationState, t: float, w: np.ndarray | None = None,
+                 axis: int | None = None, entry: float = 0.0):
+        self.state, self.t, self.w = state, t, w
+        self.axis, self.entry, self.eps = axis, entry, None
+
+    def _local(self) -> np.ndarray:
+        if self.w is None:
+            self.w = np.zeros(len(self.state.grad_n))
+            self.w[self.axis] = self.entry
+        return self.w
+
+    def _line_step(self) -> float:
+        if self.eps is None:
+            state = self.state
+            if self.axis is None:
+                d_root = state.chain.lift(self.w)
+            else:  # a single axis lifts to its one row; + 0.0 makes a zero +0.0, as the sum does
+                d_root = self.entry * state.chain.rows[self.axis] + 0.0
+            z = ((1.0 - ALPHA) * float(np.max(np.abs(state.vec + self.t * d_root)))
+                 + ALPHA * abs(state.f_n))
+            try:
+                self.eps = epsilon_along_line(state.valuation, d_root,
+                                              epsilon_from_value(z)) if math.isfinite(z) else 0.0
+            except NoStepError:
+                self.eps = 0.0
+        return self.eps
+
+    def point(self, k: int) -> np.ndarray:
+        """The k-th landing point times ``w``; a landing at t itself (sign 0) takes no line step."""
+        comp = self.state.problem.comps[-1]
+        eps = self._line_step() if comp.signs[k] else 0.0
+        return comp.landing(self.t, eps)[k] * self._local()
+
+
+def grad_step_candidates(state: IterationState) -> list[Callable[[], np.ndarray]]:
     """Unclipped candidates from one linearised descent step of the last function.
 
     The step length t solves the linear model F[I + t*w] = 0 along w, the
@@ -281,25 +330,29 @@ def grad_step_candidates(state: IterationState) -> list[np.ndarray]:
     tried.  Besides the full gradient direction, a step is taken along
     every single axis with a nonzero partial derivative, which helps
     escaping local minima.
+
+    Each candidate is a zero-argument callable that builds its vector when
+    called, so that, like clipping, its lift and line step wait until the
+    candidate loop reaches it.  The list has one entry per candidate, in
+    trial order, and the candidates of one direction share its work.
     """
-    grad, f_n, comp = state.grad_n, state.f_n, state.problem.comps[-1]
-    out: list[np.ndarray] = []
-    rows, axes = state.chain.rows, np.arange(len(grad))
-    for j in [None, *np.flatnonzero(grad)]:
-        direction = grad if j is None else np.where(axes == j, grad, 0.0)
-        if (step := _descent_step(direction, f_n)) is None:
-            continue
-        w, t = step
-        # a single axis lifts to its one row; + 0.0 makes a zero +0.0, as the sum does
-        d_root = state.chain.lift(w) if j is None else w[j] * rows[j] + 0.0
-        z = (1.0 - ALPHA) * float(np.max(np.abs(state.vec + t * d_root))) + ALPHA * abs(f_n)
-        try:
-            eps = epsilon_along_line(state.valuation, d_root,
-                                     epsilon_from_value(z)) if math.isfinite(z) else 0.0
-        except NoStepError:
-            eps = 0.0
-        out.extend(p * w for p in comp.landing(t, eps))
-    return out
+    grad, f_n = state.grad_n, state.f_n
+    landings = []
+    if (step := _descent_step(grad, f_n)) is not None:
+        landings.append(_Landing(state, step[1], w=step[0]))
+    axes = np.flatnonzero(grad)
+    for j, g in zip(axes.tolist(), grad[axes].tolist()):
+        # _descent_step on the one-hot direction, in plain floats: ``rescaled``
+        # keeps g*g in the normal range and otherwise divides by |g|
+        gg = g * g
+        if 2.0 ** -1022 <= gg < math.inf:
+            entry, t = g, -f_n / gg
+        else:
+            entry, t = g / abs(g), -f_n / abs(g)
+        if math.isfinite(t):
+            landings.append(_Landing(state, t, axis=j, entry=entry))
+    points = range(len(state.problem.comps[-1].signs))
+    return [partial(landing.point, k) for landing in landings for k in points]
 
 
 def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
@@ -368,17 +421,19 @@ def _candidates(state: IterationState, rng: np.random.Generator,
     accepted grad-step or pattern candidate.  Its projection onto the last
     local space, whose rows are orthonormal, comes first as the pattern
     candidate.  The loop stops at the first accepted candidate, so clipping
-    waits until a candidate is reached.  The pattern and grad-step candidates
-    are clipped, along the gradient's tangent in the first round, so that
-    the prefix predicates keep holding at the descent target, and random
-    samples are clipped too.  Bit mutations stay unclipped: clipping them
-    solved no more problems in the benchmark and cost extra evaluations.
+    waits until a candidate is reached, and so do a grad-step candidate's
+    lift and line step: each grad-step candidate is called here, when its
+    turn comes.  The pattern and grad-step candidates are clipped, along the
+    gradient's tangent in the first round, so that the prefix predicates
+    keep holding at the descent target, and random samples are clipped too.
+    Bit mutations stay unclipped: clipping them solved no more problems in
+    the benchmark and cost extra evaluations.
     """
     constraints = state.constraints
     if move is not None:
         yield PATTERN, clip(dot(state.chain.rows, move), constraints)
-    for u in grad_step_candidates(state):
-        yield GRAD_STEP, clip(u, constraints)
+    for candidate in grad_step_candidates(state):
+        yield GRAD_STEP, clip(candidate(), constraints)
     for u in bit_mutation_candidates(state):
         yield BIT_MUT, u
     for u in random_candidates(state, rng):

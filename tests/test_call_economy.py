@@ -110,8 +110,8 @@ def every_raw_candidates(state, rng, move=None):
     constraints = state.constraints
     if move is not None:
         yield PATTERN, clip(dot(state.chain.rows, move), constraints)
-    for u in grad_step_candidates(state):
-        yield GRAD_STEP, clip(u, constraints)
+    for candidate in grad_step_candidates(state):
+        yield GRAD_STEP, clip(candidate(), constraints)
     for u in bit_mutation_candidates(state):
         yield BIT_MUT, u
     for u in random_candidates(state, rng):

@@ -470,6 +470,29 @@ class TestBasisChain:
             assert repr(ours) == repr(theirs)
 
 
+class TestExtendFromTheAxisBasis:
+    """The first ``extend`` takes no product with the axis basis: its bytes are the product's."""
+
+    def test_random_bases_match_the_product(self):
+        rng = np.random.default_rng(24)
+        negative_zeros = 0
+        for case in range(3000):
+            dim = int(rng.integers(1, 30))
+            basis = (rng.normal(size=(int(rng.integers(0, dim + 2)), dim))
+                     * 10.0 ** rng.integers(-300, 300, size=(1, dim)))
+            basis[rng.random(size=basis.shape) < 0.3] = 0.0
+            basis[rng.random(size=basis.shape) < 0.3] = -0.0
+            if case % 4 == 0:  # rows with no positive entry sum only -0.0 products
+                basis = -np.abs(basis)
+            negative_zeros += int(np.count_nonzero(np.signbit(basis) & (basis == 0.0)))
+            expected = dot(basis[:, :, None], np.eye(dim), axis=1)
+            chain = BasisChain(dim)
+            assert chain.extend(basis) is basis
+            assert chain.rows is not basis
+            assert chain.rows.tobytes() == expected.tobytes()
+        assert negative_zeros > 1000
+
+
 class TestExtendInBlocks:
     """``extend`` sums its product over blocks of output rows, so its memory
     stays bounded in the dimension; the bytes are the one product's."""

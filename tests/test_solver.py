@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from types import SimpleNamespace
@@ -310,7 +311,7 @@ class TestGradStepCandidates:
         state = build_spaces(problem, problem.init, problem.init_values)
         candidates = grad_step_candidates(state)
         assert candidates, "gradient present, candidates expected"
-        landing = state.vec + state.chain.lift(candidates[0])
+        landing = state.vec + state.chain.lift(candidates[0]())
         assert landing == pytest.approx([10.0, 10.0], rel=1e-5)
         assert len(candidates) <= 2 * (1 + state.chain.rows.shape[0])
 
@@ -332,11 +333,64 @@ abe 2 * x - 6 == 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
         candidates = grad_step_candidates(state)
-        landing = state.vec + state.chain.lift(candidates[0])
+        landing = state.vec + state.chain.lift(candidates[0]())
         record = eval_prefix(problem.fns, problem.comps,
                              type(problem.init)(problem.init.signature,
                                                 (float(landing[0]),)))
         assert record.values[0] == 0.0
+
+    @pytest.mark.parametrize("comp, line_steps", [(">=", 0), (">", 1)])
+    def test_line_steps_wait_for_the_candidate_reached(self, monkeypatch, comp, line_steps):
+        """The first grad-step candidate solves the 200-variable sum: a landing at t
+        itself (``>=``) takes no line step, a landing past it (``>``) one, not one per
+        direction."""
+        names = [f"x{i}" for i in range(200)]
+        problem = problem_of("\n".join(
+            [*(f"var {n} : i32" for n in names), *(f"init {n} = 0" for n in names),
+             "abe " + " + ".join(names) + f" - 400 {comp} 0"]))
+        calls, building = [], []
+
+        def counting(*args):
+            calls.append(bool(building))
+            return epsilon_along_line(*args)
+
+        def marked(*args, **kwargs):
+            building.append(True)
+            try:
+                return build_spaces(*args, **kwargs)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(solver, "epsilon_along_line", counting)
+        monkeypatch.setattr(solver, "build_spaces", marked)
+        result = solve(problem, SolverConfig(max_iterations=1))
+        assert result.solved and [r.source for r in result.log] == [solver.GRAD_STEP]
+        assert calls.count(False) == line_steps
+
+        state = build_spaces(problem, problem.init, problem.init_values)
+        calls.clear()
+        candidates = grad_step_candidates(state)
+        assert len(candidates) == 201 * len(problem.comps[-1].signs) and calls == []
+        first = candidates[0]()
+        assert len(calls) == line_steps
+        landing = extract(state.vec + state.chain.lift(first), problem.init.signature)
+        assert is_solution(problem, landing)
+
+    def test_the_list_stays_small(self):
+        """1001 directions of a 1000-variable sum: the list holds no vector."""
+        names = [f"x{i}" for i in range(1000)]
+        problem = problem_of("\n".join(
+            [*(f"var {n} : i32" for n in names), *(f"init {n} = 0" for n in names),
+             "abe " + " + ".join(names) + " - 5 >= 0"]))
+        state = build_spaces(problem, problem.init, problem.init_values)
+        tracemalloc.start()
+        try:
+            candidates = grad_step_candidates(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(candidates) == 2 * 1001
+        assert peak < 1e6
 
     def test_single_axis_lift_matches_the_one_hot_product(self):
         """A single-axis direction lifts as its entry times its row; ``lift`` of
@@ -996,6 +1050,33 @@ class TestCandidatesAgainstEagerGenerators:
             moved += any(a.tobytes() != b.tobytes() for a, b in zip(randoms, samples))
         assert constrained >= 200 and moved >= 100
 
+    def test_one_entry_per_eager_candidate(self):
+        """The tracer counts grad-step candidates with ``len``: the deferred list has
+        the eager one's length on the same 300 problems."""
+        rand = random.Random(1010)
+        rng = np.random.default_rng(1010)
+        for _ in range(300):
+            problem = _typed_linear_problem(rand, rng)
+            state = build_spaces(problem, problem.init, problem.init_values)
+            assert len(grad_step_candidates(state)) == len(eager_grad_step_candidates(state))
+
+    def test_deferred_candidates_repeat_and_commute(self):
+        """A candidate called twice, or after the ones behind it, has the bytes of
+        the list called once in order."""
+        rand = random.Random(1212)
+        rng = np.random.default_rng(1212)
+        called = 0
+        for _ in range(150):
+            problem = _typed_linear_problem(rand, rng)
+            state = build_spaces(problem, problem.init, problem.init_values)
+            in_order = [candidate().tobytes() for candidate in grad_step_candidates(state)]
+            candidates = grad_step_candidates(state)
+            for k in reversed(range(len(candidates))):
+                assert candidates[k]().tobytes() == in_order[k]
+                assert candidates[k]().tobytes() == in_order[k]
+            called += len(candidates)
+        assert called >= 300
+
     def test_merged_clip_matches_two_branches(self, monkeypatch):
         rng = np.random.default_rng(77)
         comps = (Comparator.LE, Comparator.LT, Comparator.GE, Comparator.GT,
@@ -1121,7 +1202,7 @@ class TestGradientsWhoseSquaresUnderflow:
     def test_step_along_the_rescaled_direction(self):
         problem = problem_of(FAR_TINY_SLOPE)
         state = build_spaces(problem, problem.init, problem.init_values)
-        first = state.chain.lift(grad_step_candidates(state)[0])
+        first = state.chain.lift(grad_step_candidates(state)[0]())
         assert first == pytest.approx([1e5], rel=1e-2)
         target = random_candidates(state, np.random.default_rng(0))[-1]
         assert target == pytest.approx([1e5], rel=1e-2)
@@ -1133,7 +1214,7 @@ class TestGradientsWhoseSquaresUnderflow:
         problem = problem_of(TINY_SLOPE)
         state = build_spaces(problem, problem.init, problem.init_values)
         assert state.grad_n == pytest.approx([1e-170], rel=1e-9)
-        first = state.chain.lift(grad_step_candidates(state)[0])
+        first = state.chain.lift(grad_step_candidates(state)[0]())
         assert first == pytest.approx([1e-130], rel=1e-9)  # x * 1e-170 reaches 1e-300
         samples = random_candidates(state, np.random.default_rng(0))
         assert len(samples) == 2 * solver.SAMPLES_PER_CUBE  # the target cube is kept
