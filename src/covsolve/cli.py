@@ -177,7 +177,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     reports = [report for _, report, _ in rows if report is not None]
     solved = [report.result for report in reports if report.result.solved]
     mean_iters = (sum(r.iterations_used for r in solved) / len(solved)) if solved else None
-    total_time = sum(report.wall_time for report in reports)
 
     if args.json:
         print(json.dumps({
@@ -189,7 +188,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "solved": len(solved),
             "count": len(rows),
             "mean_iterations_solved": mean_iters,
-            "total_wall_time": total_time,
         }, indent=2))
         return 0
 
@@ -203,6 +201,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                   f"iters {result.iterations_used:3d}  evals {result.evaluations_used:6d}  "
                   f"{report.wall_time:7.3f} s")
     fraction = (len(solved) / len(rows)) if rows else 0.0
+    total_time = sum(report.wall_time for report in reports)
     print(f"solved {len(solved)}/{len(rows)} ({fraction:.0%})"
           + (f", mean iterations {mean_iters:.1f}" if mean_iters is not None else "")
           + f", total {total_time:.2f} s")

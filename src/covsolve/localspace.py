@@ -60,8 +60,8 @@ def vector_norm(v: np.ndarray) -> float:
     return scale * math.sqrt(ww)
 
 
-def next_basis(grad: np.ndarray, prev_dim: int, *, append_gradient: bool) -> np.ndarray:
-    """Basis of the next level, orthogonal to ``grad``, as ``(size, prev_dim)`` rows.
+def next_basis(grad: np.ndarray, *, append_gradient: bool) -> np.ndarray:
+    """Basis of the next level, orthogonal to ``grad``, as ``(size, len(grad))`` rows.
 
     A zero gradient (a constant function) keeps the space: the axis basis is
     returned.  Otherwise let a = grad / max|grad| and r_j be the norm of its
@@ -74,8 +74,9 @@ def next_basis(grad: np.ndarray, prev_dim: int, *, append_gradient: bool) -> np.
     the final row, an explicit axis for inequality comparators to constrain.
     """
     grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != (prev_dim,):
-        raise ValueError(f"gradient of dimension {grad.shape} in space of {prev_dim}")
+    if grad.ndim != 1:
+        raise ValueError(f"gradient of shape {grad.shape} is not a vector")
+    prev_dim = len(grad)
     scale = float(np.abs(grad).max(initial=0.0))
     if scale == 0.0:
         return np.eye(prev_dim, dtype=np.float64)

@@ -67,10 +67,10 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) ->
     nearer the line than this one.
 
     A sample rounds only what it moves: the coordinates where ``direction``
-    is nonzero, walked in plain floats.  Every other coordinate stays the
-    origin's, which is on the grid by type.  The returned epsilon is read
-    from the full-length step, so it is the same as a walk over every
-    coordinate gives.
+    is nonzero, under a signature of their own, walked in plain floats.
+    Every other coordinate stays the origin's, which is on the grid by
+    type.  The returned epsilon is read from the full-length step, so it is
+    the same as a walk over every coordinate gives.
 
     Raises NoStepError when every sample rounds back onto the origin, or
     when the first that moves lies farther than a float can measure.
@@ -86,16 +86,12 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) ->
         raise ValueError("initial epsilon must be positive")
 
     support = direction.nonzero()[0]
-    moves, values = direction[support].tolist(), origin.values
+    indices, moves = support.tolist(), direction[support].tolist()
+    moved = Signature(tuple([signature.names[i] for i in indices]),
+                      tuple([signature.types[i] for i in indices]))
     # the origin's floats, as embed gives them: compared as an int, a clamped
     # i64 would read 2**63 - 1 where its embedding reads 2**63
-    if len(moves) == len(signature):
-        moved, start = signature, list(map(float, values))
-    else:
-        indices = support.tolist()
-        moved = Signature(tuple([signature.names[i] for i in indices]),
-                          tuple([signature.types[i] for i in indices]))
-        start = [float(values[i]) for i in indices]
+    start = [float(origin.values[i]) for i in indices]
     point = [x + eps1 * g for x, g in zip(start, moves)]
     for _ in range(2 * len(signature)):
         try:

@@ -316,29 +316,27 @@ def _parse_abe_line(rest: str, lineno: int) -> tuple[Program, Comparator]:
 
 # --- printing -------------------------------------------------------------
 
-_ADD, _MUL, _UNARY, _ATOM = 1, 2, 3, 4
-
 
 def format_expr(program: Program) -> str:
-    """Infix text for ``program``, parenthesised only where precedence needs it."""
+    """Infix text for ``program``, parenthesised only where the parser's precedences need it."""
     stack: list[tuple[str, int]] = []  # (text, precedence) per pending operand
     for op, arg in program:
-        if op == "var":
-            stack.append((arg, _ATOM))
+        if op == "var":  # an atom, like a negation, is never parenthesised as an operand
+            stack.append((arg, _NEG))
         elif op == "lit":
-            stack.append((repr(arg), _ATOM))
+            stack.append((repr(arg), _NEG))
         elif op == "neg":
             text, prec = stack.pop()
-            if prec < _UNARY:
+            if prec < _NEG:
                 text = f"({text})"
-            stack.append((f"-{text}", _UNARY))
+            stack.append((f"-{text}", _NEG))
         elif op in _FUNCTIONS:
             first = len(stack) - _FUNCTIONS[op]
             args = ", ".join(text for text, _ in stack[first:])
             del stack[first:]
-            stack.append((f"{op}({args})", _ATOM))
+            stack.append((f"{op}({args})", _NEG))
         else:
-            op_prec = _ADD if op in "+-" else _MUL
+            op_prec = _BINARY[op]
             rtext, rprec = stack.pop()
             text, prec = stack.pop()
             if prec < op_prec:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -255,7 +256,7 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation,
         grad = finite_diff_gradient(fn, valuation, value, chain.rows, eps_seed)
         grad_norm = vector_norm(grad)
         append = comp.side != 0 and grad_norm > 0.0
-        chain.extend(next_basis(grad, len(grad), append_gradient=append))
+        chain.extend(next_basis(grad, append_gradient=append))
         if append and math.isfinite(bound := -value / grad_norm):
             rooted.append(Constraint(chain.rows[-1], bound, comp, chain.rows[-1]))
 
@@ -275,50 +276,29 @@ def _descent_step(direction: np.ndarray, f_n: float) -> tuple[np.ndarray, float]
     return (w, t) if math.isfinite(t) else None
 
 
-class _Landing:
-    """One grad-step direction's landing points, worked out when the loop first reaches one.
+def _landing_point(state: IterationState, t: float, k: int, axis: int | None,
+                   entry: float) -> np.ndarray:
+    """The k-th landing point of the step t along one grad-step direction, times the direction.
 
-    ``t``, the linearised step to F = 0, is known when the candidate list is
-    built.  The local vector ``w``, its root vector, the landing point's
-    magnitude and the line step wait for the first candidate reached, and
-    each is computed once.  ``axis`` None is the full gradient, whose ``w``
-    is given; otherwise ``w`` is zero but for ``entry`` at ``axis``.
+    ``axis`` None is the full gradient, as ``rescaled`` gives it; otherwise
+    the direction is zero but for ``entry`` at ``axis``.  A landing at t
+    itself (sign 0) takes no line step and no lift.
     """
-
-    __slots__ = ("state", "t", "axis", "entry", "w", "eps")
-
-    def __init__(self, state: IterationState, t: float, w: np.ndarray | None = None,
-                 axis: int | None = None, entry: float = 0.0):
-        self.state, self.t, self.w = state, t, w
-        self.axis, self.entry, self.eps = axis, entry, None
-
-    def _local(self) -> np.ndarray:
-        if self.w is None:
-            self.w = np.zeros(len(self.state.grad_n))
-            self.w[self.axis] = self.entry
-        return self.w
-
-    def _line_step(self) -> float:
-        if self.eps is None:
-            state = self.state
-            if self.axis is None:
-                d_root = state.chain.lift(self.w)
-            else:  # a single axis lifts to its one row; + 0.0 makes a zero +0.0, as the sum does
-                d_root = self.entry * state.chain.rows[self.axis] + 0.0
-            z = ((1.0 - ALPHA) * float(np.max(np.abs(state.vec + self.t * d_root)))
-                 + ALPHA * abs(state.f_n))
-            try:
-                self.eps = epsilon_along_line(state.valuation, d_root,
-                                              epsilon_from_value(z)) if math.isfinite(z) else 0.0
-            except NoStepError:
-                self.eps = 0.0
-        return self.eps
-
-    def point(self, k: int) -> np.ndarray:
-        """The k-th landing point times ``w``; a landing at t itself (sign 0) takes no line step."""
-        comp = self.state.problem.comps[-1]
-        eps = self._line_step() if comp.signs[k] else 0.0
-        return comp.landing(self.t, eps)[k] * self._local()
+    comp = state.problem.comps[-1]
+    if axis is None:
+        w = rescaled(state.grad_n)[0]
+    else:
+        w = np.zeros(len(state.grad_n))
+        w[axis] = entry
+    eps = 0.0
+    if comp.signs[k]:
+        # a single axis lifts to its one row; + 0.0 makes a zero +0.0, as the sum does
+        d_root = state.chain.lift(w) if axis is None else entry * state.chain.rows[axis] + 0.0
+        z = (1.0 - ALPHA) * float(np.max(np.abs(state.vec + t * d_root))) + ALPHA * abs(state.f_n)
+        if math.isfinite(z):
+            with suppress(NoStepError):
+                eps = epsilon_along_line(state.valuation, d_root, epsilon_from_value(z))
+    return comp.landing(t, eps)[k] * w
 
 
 def grad_step_candidates(state: IterationState) -> list[Callable[[], np.ndarray]]:
@@ -331,15 +311,15 @@ def grad_step_candidates(state: IterationState) -> list[Callable[[], np.ndarray]
     every single axis with a nonzero partial derivative, which helps
     escaping local minima.
 
-    Each candidate is a zero-argument callable that builds its vector when
-    called, so that, like clipping, its lift and line step wait until the
-    candidate loop reaches it.  The list has one entry per candidate, in
-    trial order, and the candidates of one direction share its work.
+    Each candidate is a zero-argument callable that builds its vector from
+    scratch when called, so that, like clipping, its lift and line step wait
+    until the candidate loop reaches it.  The list has one entry per
+    candidate, in trial order, and no two candidates share any work.
     """
     grad, f_n = state.grad_n, state.f_n
-    landings = []
+    steps = []  # (t, axis, entry) per direction
     if (step := _descent_step(grad, f_n)) is not None:
-        landings.append(_Landing(state, step[1], w=step[0]))
+        steps.append((step[1], None, 0.0))
     axes = np.flatnonzero(grad)
     for j, g in zip(axes.tolist(), grad[axes].tolist()):
         # _descent_step on the one-hot direction, in plain floats: ``rescaled``
@@ -350,9 +330,10 @@ def grad_step_candidates(state: IterationState) -> list[Callable[[], np.ndarray]
         else:
             entry, t = g / abs(g), -f_n / abs(g)
         if math.isfinite(t):
-            landings.append(_Landing(state, t, axis=j, entry=entry))
+            steps.append((t, j, entry))
     points = range(len(state.problem.comps[-1].signs))
-    return [partial(landing.point, k) for landing in landings for k in points]
+    return [partial(_landing_point, state, t, k, axis, entry)
+            for t, axis, entry in steps for k in points]
 
 
 def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:

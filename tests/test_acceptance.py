@@ -171,7 +171,7 @@ class TestOrthonormalityProperty:
                 grad = rng.normal(size=size)
                 if rng.uniform() < 0.1:
                     grad = np.zeros(size)
-                basis = next_basis(grad, size, append_gradient=bool(rng.integers(0, 2)))
+                basis = next_basis(grad, append_gradient=bool(rng.integers(0, 2)))
                 assert orthonormality_error(basis) <= 1e-9
                 chain.extend(basis)
                 assert orthonormality_error(chain.rows) <= 1e-9

@@ -359,6 +359,14 @@ class TestBenchCommand:
         assert doc["problems"][0]["error"] is None
         assert doc["mean_iterations_solved"] >= 1
 
+    def test_identical_invocations_identical_json(self, tmp_path, capsys):
+        (tmp_path / "a.prob").write_text(EQ_GE_TRACE)
+        outputs = []
+        for _ in range(2):
+            assert cli.main(["bench", str(tmp_path), "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_bundled_suite_is_large_enough(self):
         entries = [item for item in cli.bundled_suite_dir().iterdir()
                    if item.name.endswith(".prob")]

@@ -73,7 +73,7 @@ abe x1 - 1 == 0
 class TestTransformConstraint:
     def test_transforms_into_narrower_space(self):
         # B_3 = {(1,-1)/sqrt2} over the two-dimensional level-2 space
-        basis = next_basis(np.array([1.0, 1.0]) / SQ2, 2, append_gradient=False)
+        basis = next_basis(np.array([1.0, 1.0]) / SQ2, append_gradient=False)
         n = np.array([0.0, 1.0])
         moved = transform_constraint(Constraint(n, 0.0, Comparator.LE, n), basis, np.zeros(1))
         assert moved is not None
@@ -82,7 +82,7 @@ class TestTransformConstraint:
         assert moved.comp is Comparator.LE
 
     def test_orthogonal_normal_cancels(self):
-        basis = next_basis(np.array([0.0, 1.0]), 2, append_gradient=False)
+        basis = next_basis(np.array([0.0, 1.0]), append_gradient=False)
         # basis spans (1,0); a normal along (0,1) cannot be expressed there
         n = np.array([0.0, 1.0])
         assert transform_constraint(Constraint(n, 0.5, Comparator.LE, n), basis,
@@ -98,7 +98,7 @@ class TestTransformConstraint:
         assert moved.bound == c.bound
 
     def test_transformed_boundary_stays_on_original_plane(self):
-        basis = next_basis(np.array([1.0, 1.0]) / SQ2, 2, append_gradient=False)
+        basis = next_basis(np.array([1.0, 1.0]) / SQ2, append_gradient=False)
         n = np.array([0.0, 1.0])
         c = Constraint(n, 0.5, Comparator.LE, n)
         moved = transform_constraint(c, basis, np.zeros(1))

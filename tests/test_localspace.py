@@ -98,8 +98,8 @@ def three_level_chain():
     Returns the chain and B_3, whose rows live in the level-2 space.
     """
     chain = BasisChain(2)
-    chain.extend(next_basis(np.array([1.0, -1.0]), 2, append_gradient=True))
-    basis3 = chain.extend(next_basis(np.array([1.0, 1.0]) / SQ2, 2, append_gradient=False))
+    chain.extend(next_basis(np.array([1.0, -1.0]), append_gradient=True))
+    basis3 = chain.extend(next_basis(np.array([1.0, 1.0]) / SQ2, append_gradient=False))
     return chain, basis3
 
 
@@ -116,28 +116,28 @@ class TestRootBasis:
 
 class TestNextBasis:
     def test_equality_case_drops_gradient_direction(self):
-        basis = next_basis(np.array([1.0, -1.0]), 2, append_gradient=False)
+        basis = next_basis(np.array([1.0, -1.0]), append_gradient=False)
         assert basis.shape[0] == 1
         assert basis[0] == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-12)
         # exactly symmetric on every kernel, so a step along it keeps x == y
         assert basis[0, 0] == basis[0, 1]
 
     def test_inequality_case_appends_gradient(self):
-        basis = next_basis(np.array([1.0, -1.0]), 2, append_gradient=True)
+        basis = next_basis(np.array([1.0, -1.0]), append_gradient=True)
         assert basis.shape[0] == 2
         assert basis[0] == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-12)
         assert basis[1] == pytest.approx([1 / SQ2, -1 / SQ2], abs=1e-12)
 
     def test_zero_gradient_keeps_space(self):
-        basis = next_basis(np.zeros(2), 2, append_gradient=True)
+        basis = next_basis(np.zeros(2), append_gradient=True)
         assert np.array_equal(basis, np.eye(2))
 
     def test_dimension_law(self):
         rng = np.random.default_rng(7)
         for dim in range(1, 9):
             grad = rng.normal(size=dim)
-            eq_case = next_basis(grad, dim, append_gradient=False)
-            ineq_case = next_basis(grad, dim, append_gradient=True)
+            eq_case = next_basis(grad, append_gradient=False)
+            ineq_case = next_basis(grad, append_gradient=True)
             assert eq_case.shape[0] == dim - 1
             assert ineq_case.shape[0] == dim
 
@@ -145,13 +145,17 @@ class TestNextBasis:
         rng = np.random.default_rng(11)
         for dim in range(1, 17):
             grad = rng.normal(size=dim)
-            basis = next_basis(grad, dim, append_gradient=True)
+            basis = next_basis(grad, append_gradient=True)
             assert orthonormality_error(basis) <= 1e-9
+
+    def test_gradient_must_be_a_vector(self):
+        with pytest.raises(ValueError):
+            next_basis(np.ones((2, 2)), append_gradient=True)
 
     def test_deterministic_bitwise(self):
         grad = np.array([0.3, -1.7, 0.0, 2.5])
-        a = next_basis(grad, 4, append_gradient=True)
-        b = next_basis(grad, 4, append_gradient=True)
+        a = next_basis(grad, append_gradient=True)
+        b = next_basis(grad, append_gradient=True)
         assert a.tobytes() == b.tobytes()
 
 
@@ -186,7 +190,7 @@ class TestAgainstGramSchmidt:
         grad = np.asarray(grad, dtype=np.float64)
         for append in (False, True):
             want = gram_schmidt_basis(grad, grad.size, append_gradient=append)
-            got = next_basis(grad, grad.size, append_gradient=append)
+            got = next_basis(grad, append_gradient=append)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-15, grad
 
@@ -212,7 +216,7 @@ class TestAgainstGramSchmidt:
             grad = ratio ** np.arange(40.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                basis = next_basis(grad, 40, append_gradient=True)
+                basis = next_basis(grad, append_gradient=True)
             assert orthonormality_error(basis) <= 1e-15
             want = gram_schmidt_basis(grad, 40, append_gradient=True)
             assert np.max(np.abs(basis - want)) <= 1e-15
@@ -228,8 +232,8 @@ class TestUnderflowingGradients:
                      [-1e-300], [0.0, 1e-300, 0.0], *seeded]:
             grad = np.array(grad)
             for append in (False, True):
-                small = next_basis(grad, grad.size, append_gradient=append)
-                big = next_basis(grad * 2.0 ** 600, grad.size, append_gradient=append)
+                small = next_basis(grad, append_gradient=append)
+                big = next_basis(grad * 2.0 ** 600, append_gradient=append)
                 assert small.tobytes() == big.tobytes()
                 assert small.shape[0] == grad.size - 1 + append
 
@@ -273,7 +277,7 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("key", sorted(PINNED_BASES))
     def test_bytes(self, key):
         grad, append = key
-        basis = next_basis(np.array(grad), len(grad), append_gradient=append)
+        basis = next_basis(np.array(grad), append_gradient=append)
         assert [[x.hex() for x in row] for row in basis.tolist()] == PINNED_BASES[key]
 
 
@@ -326,7 +330,7 @@ class TestPinnedChainProducts:
         chain = BasisChain(12)
         for append in (False, True):
             d = chain.rows.shape[0]
-            chain.extend(next_basis(rng.normal(size=d), d, append_gradient=append))
+            chain.extend(next_basis(rng.normal(size=d), append_gradient=append))
         u = rng.normal(size=chain.rows.shape[0])
         digest = hashlib.sha256(chain.rows.tobytes() + chain.lift(u).tobytes()).hexdigest()
         assert digest == "3ee65f8b95d61afe1a4f6f542f35b92d4e15a9aad7ceda52bc8c2fc0f4e1cf05"
@@ -357,7 +361,7 @@ class TestNextBasisOfHugeGradients:
     @pytest.mark.parametrize("scale", [1e154, 1e300, 1.5e308])
     def test_orthonormal_with_unit_gradient_axis(self, scale):
         grad = np.array([1.0, 1.0, 0.0]) * scale
-        basis = next_basis(grad, 3, append_gradient=True)
+        basis = next_basis(grad, append_gradient=True)
         assert orthonormality_error(basis) <= 1e-12
         assert basis[-1] == pytest.approx([1 / SQ2, 1 / SQ2, 0.0], abs=1e-15)
 
@@ -365,7 +369,7 @@ class TestNextBasisOfHugeGradients:
 class TestLift:
     def test_level2_scaling(self):
         chain = BasisChain(2)
-        chain.extend(next_basis(np.array([1.0, -1.0]), 2, append_gradient=False))
+        chain.extend(next_basis(np.array([1.0, -1.0]), append_gradient=False))
         t = 3.7
         lifted = chain.lift(np.array([t]))
         assert lifted == pytest.approx([t / SQ2, t / SQ2], abs=1e-12)
@@ -383,8 +387,8 @@ class TestLift:
         rng = np.random.default_rng(3)
         chain = BasisChain(5)
         grad = rng.normal(size=5)
-        chain.extend(next_basis(grad, 5, append_gradient=True))
-        chain.extend(next_basis(rng.normal(size=5), 5, append_gradient=False))
+        chain.extend(next_basis(grad, append_gradient=True))
+        chain.extend(next_basis(rng.normal(size=5), append_gradient=False))
         u = rng.normal(size=chain.rows.shape[0])
         assert np.linalg.norm(chain.lift(u)) == pytest.approx(
             np.linalg.norm(u), rel=1e-12)
@@ -397,12 +401,12 @@ class TestLift:
 
 class TestProjectToLevel:
     def test_gradient_into_level2(self):
-        basis = next_basis(np.array([1.0, -1.0]), 2, append_gradient=True)
+        basis = next_basis(np.array([1.0, -1.0]), append_gradient=True)
         projected = basis @ np.array([1.0, 0.0])
         assert projected == pytest.approx([1 / SQ2, 1 / SQ2], abs=1e-9)
 
     def test_own_basis_vector_projects_to_axis(self):
-        basis = next_basis(np.array([0.3, 0.4, -1.0]), 3, append_gradient=True)
+        basis = next_basis(np.array([0.3, 0.4, -1.0]), append_gradient=True)
         projected = basis @ basis[1]
         expected = np.zeros(basis.shape[0])
         expected[1] = 1.0
@@ -415,7 +419,7 @@ class TestProjectToLevel:
 
     def test_project_then_lift_recovers_in_subspace_component(self):
         rng = np.random.default_rng(5)
-        basis = next_basis(rng.normal(size=4), 4, append_gradient=False)
+        basis = next_basis(rng.normal(size=4), append_gradient=False)
         inside = basis.T @ rng.normal(size=basis.shape[0])
         projected = basis @ inside
         back = basis.T @ projected
@@ -432,8 +436,7 @@ class TestBasisChain:
             for _ in range(int(rng.integers(1, 5))):
                 size = chain.rows.shape[0]
                 grad = rng.normal(size=size)
-                chain.extend(next_basis(grad, size,
-                                        append_gradient=bool(rng.integers(0, 2))))
+                chain.extend(next_basis(grad, append_gradient=bool(rng.integers(0, 2))))
                 assert orthonormality_error(chain.rows) <= 1e-9
 
     def test_extend_checks_dimensions(self):
@@ -450,8 +453,7 @@ class TestBasisChain:
                 size = ours.rows.shape[0]
                 if size == 0:
                     break
-                basis = next_basis(rng.normal(size=size), size,
-                                   append_gradient=bool(rng.integers(0, 2)))
+                basis = next_basis(rng.normal(size=size), append_gradient=bool(rng.integers(0, 2)))
                 ours.extend(basis)
                 theirs.extend(basis)
                 assert ours.rows.tobytes() == theirs.lifted(len(theirs)).tobytes()

@@ -339,15 +339,18 @@ abe 2 * x - 6 == 0
                                                 (float(landing[0]),)))
         assert record.values[0] == 0.0
 
-    @pytest.mark.parametrize("comp, line_steps", [(">=", 0), (">", 1)])
+    @pytest.mark.parametrize("comp, line_steps", [
+        (">=", 0), (">", 1), ("==", 0), ("<=", 1), ("<", 1), ("!=", 1)])
     def test_line_steps_wait_for_the_candidate_reached(self, monkeypatch, comp, line_steps):
         """The first grad-step candidate solves the 200-variable sum: a landing at t
-        itself (``>=``) takes no line step, a landing past it (``>``) one, not one per
-        direction."""
+        itself (the first of ``>=`` and ``==``) takes no line step, any other landing
+        one, not one per direction; and each candidate called alone takes its own."""
         names = [f"x{i}" for i in range(200)]
+        shift = {"<=": " + 400", "<": " + 400", "!=": ""}.get(comp, " - 400")  # fails at 0
         problem = problem_of("\n".join(
             [*(f"var {n} : i32" for n in names), *(f"init {n} = 0" for n in names),
-             "abe " + " + ".join(names) + f" - 400 {comp} 0"]))
+             "abe " + " + ".join(names) + f"{shift} {comp} 0"]))
+        signs = problem.comps[-1].signs
         calls, building = [], []
 
         def counting(*args):
@@ -370,11 +373,15 @@ abe 2 * x - 6 == 0
         state = build_spaces(problem, problem.init, problem.init_values)
         calls.clear()
         candidates = grad_step_candidates(state)
-        assert len(candidates) == 201 * len(problem.comps[-1].signs) and calls == []
+        assert len(candidates) == 201 * len(signs) and calls == []
         first = candidates[0]()
         assert len(calls) == line_steps
         landing = extract(state.vec + state.chain.lift(first), problem.init.signature)
         assert is_solution(problem, landing)
+        for k in reversed(range(len(candidates))):
+            calls.clear()
+            candidates[k]()
+            assert len(calls) == (signs[k % len(signs)] != 0)
 
     def test_the_list_stays_small(self):
         """1001 directions of a 1000-variable sum: the list holds no vector."""
@@ -592,7 +599,7 @@ def _bit_mutation_state(seed, *, axis_gradients):
                 grad += rng.normal(size=top) * 10.0 ** -rand.randint(3, 14)
         else:
             grad = rng.normal(size=top)
-        chain.extend(next_basis(grad, top, append_gradient=rand.random() < 0.5))
+        chain.extend(next_basis(grad, append_gradient=rand.random() < 0.5))
     params = [name for name in valuation.signature.names if rand.random() < 0.8]
     fn = BlackBoxFn(tuple(params), lambda v: 0.0)
     return SimpleNamespace(valuation=valuation, chain=chain,
@@ -1076,6 +1083,35 @@ class TestCandidatesAgainstEagerGenerators:
                 assert candidates[k]().tobytes() == in_order[k]
             called += len(candidates)
         assert called >= 300
+
+    def test_neq_directions_match_the_eager_oracle(self, monkeypatch):
+        """Both landings of a ``!=`` direction, t - eps and t + eps, take their own
+        line step: called second first, each has the eager oracle's bytes."""
+        rand = random.Random(1313)
+        rng = np.random.default_rng(1313)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return epsilon_along_line(*args)
+
+        directions = 0
+        while directions < 300:
+            problem = _typed_linear_problem(rand, rng)
+            if problem.comps[-1] is not Comparator.NEQ:
+                continue
+            state = build_spaces(problem, problem.init, problem.init_values)
+            theirs = [u.tobytes() for u in eager_grad_step_candidates(state)]
+            candidates = grad_step_candidates(state)
+            assert len(candidates) == len(theirs)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "epsilon_along_line", counting)
+                for k in range(0, len(candidates), 2):
+                    for j in (k + 1, k):
+                        calls.clear()
+                        assert clip(candidates[j](), state.constraints).tobytes() == theirs[j]
+                        assert len(calls) == 1
+            directions += len(candidates) // 2
 
     def test_merged_clip_matches_two_branches(self, monkeypatch):
         rng = np.random.default_rng(77)

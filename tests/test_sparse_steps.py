@@ -187,7 +187,7 @@ def random_rows(rand: random.Random, dim: int) -> np.ndarray:
     if kind == "basis":
         grad = np.array([rand.gauss(0.0, 1.0) if rand.random() < 0.7 else 0.0
                          for _ in range(dim)])
-        return next_basis(grad, dim, append_gradient=rand.random() < 0.5)
+        return next_basis(grad, append_gradient=rand.random() < 0.5)
     return np.array([random_direction(rand, dim, rand.choice(["axis", "pair", "dense"]))
                      for _ in range(rand.randint(1, dim))])
 
@@ -312,8 +312,8 @@ class TestGradientAgainstDenseSteps:
         # embed moves 2**53 + 1 to 2**53, and the steps start from there
         origin = Valuation.of([("a", I64, 2**53 + 1), ("b", U64, 2**64 - 1), ("c", I64, 2**63 - 1),
                                ("d", I8, -128)])
-        for lifted in (np.eye(4), next_basis(np.array([1.0, -2.0, 0.0, 3.0]), 4,
-                                             append_gradient=True)):
+        for lifted in (np.eye(4),
+                       next_basis(np.array([1.0, -2.0, 0.0, 3.0]), append_gradient=True)):
             for offset in (0.0, 3.2e18):
                 compare_gradients(origin, ["a", "b", "c", "d"], [1.0, -1.0, 0.5, 2.0],
                                   offset, lifted, 2.0**-26)
