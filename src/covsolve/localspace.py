@@ -21,7 +21,7 @@ import numpy as np
 #: An axis whose part orthogonal to the gradient and the earlier axes is shorter is dropped.
 ZERO_NORM = 1e-12
 
-#: Elements of the product ``BasisChain.extend`` holds at once (2 MB): a whole
+#: Elements of the product ``BasisChain.lift_rows`` holds at once (2 MB): a whole
 #: level up to dimension 64 is one block.
 _PRODUCT_ELEMENTS = 1 << 18
 
@@ -124,15 +124,8 @@ class BasisChain:
                 f"basis over dimension {basis.shape[1]} cannot follow level of size {size}")
         if self.rows is self._axes:
             self.rows, self._axes = basis + 0.0, None
-            return basis
-        # each output row sums its own (size, dim) product, so blocks of rows give the
-        # same bytes as one product, in memory bounded however wide the space
-        block = max(1, _PRODUCT_ELEMENTS // max(1, size * dim))
-        rows = np.empty((basis.shape[0], dim), dtype=np.float64)
-        for start in range(0, basis.shape[0], block):
-            rows[start:start + block] = dot(basis[start:start + block, :, None],
-                                            self.rows, axis=1)
-        self.rows = rows
+        else:
+            self.rows = self.lift_rows(basis)
         return basis
 
     def lift(self, u: np.ndarray) -> np.ndarray:
@@ -142,3 +135,19 @@ class BasisChain:
             raise ValueError(
                 f"vector of dimension {u.shape} at a level of size {self.rows.shape[0]}")
         return dot(u[:, None], self.rows, axis=0)
+
+    def lift_rows(self, V: np.ndarray) -> np.ndarray:
+        """Each row of ``V``, a current-level vector, in root coordinates: ``lift`` row by row.
+
+        Each output row sums its own (size, dim) product term by term, as
+        ``lift`` does, so blocks of rows give the same bytes as one product,
+        in memory bounded however wide the space.
+        """
+        size, dim = self.rows.shape
+        if V.ndim != 2 or V.shape[1] != size:
+            raise ValueError(f"rows of shape {V.shape} at a level of size {size}")
+        block = max(1, _PRODUCT_ELEMENTS // max(1, size * dim))
+        out = np.empty((V.shape[0], dim), dtype=np.float64)
+        for start in range(0, V.shape[0], block):
+            out[start:start + block] = dot(V[start:start + block, :, None], self.rows, axis=1)
+        return out

@@ -55,6 +55,17 @@ def epsilon_from_value(a: float) -> float:
     return eps
 
 
+def epsilon_from_values(a: np.ndarray) -> np.ndarray:
+    """``epsilon_from_value`` of each entry of a finite array, bit for bit.
+
+    ``np.frexp`` gives 0 the exponent 0 too, and exact powers of two are
+    exact in ``np.ldexp`` as in ``math.ldexp``.
+    """
+    m, e = np.frexp(a)
+    eps = np.ldexp(1.0, e - (np.abs(m) == 0.5) - _HALF_DIGITS)
+    return np.where(eps == 0.0, _SMALLEST_SUBNORMAL, eps)
+
+
 def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) -> float:
     """Step size along ``embed(origin) + eps*direction`` that moves the rounded point.
 

@@ -8,9 +8,13 @@ accepts the first candidate that either solves the problem or brings the
 last function's value strictly closer to satisfying its comparator.  The
 generators only propose vectors; the candidate loop tries each once,
 clipping pattern, grad-step and random candidates into the prefix
-constraints only when it reaches them.  A grad-step candidate's lift and
-line step wait for the loop too: the first one usually solves or improves,
-and the loop stops there.
+constraints and lifting them to root space only when it reaches them.  The
+pattern and grad-step candidates are clipped and lifted one at a time, and
+a grad-step candidate's line step waits for the loop too: the first one
+usually solves or improves, and the loop stops there.  The random samples
+are clipped and lifted as one block once the loop reaches their generator:
+the search tries them only when nothing before them was accepted, and
+then often all of them.
 
 Ahead of the paper's three generators comes a pattern move (Korel,
 "Automated Software Test Data Generation", IEEE TSE 1990): when the last
@@ -43,7 +47,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .constraints import Constraint, clip, transform_constraint
+from .constraints import Constraint, clip, clip_rows, transform_constraint
 from .localspace import BasisChain, dot, next_basis, rescaled, vector_norm
 from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from .problem import BlackBoxFn, CoverageProblem, Outcome, eval_prefix
@@ -361,46 +365,51 @@ def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
     return out
 
 
-def random_candidates(state: IterationState, rng: np.random.Generator) -> list[np.ndarray]:
-    """``SAMPLES_PER_CUBE`` uniform samples from a cube around the origin.
+def random_candidates(state: IterationState, rng: np.random.Generator) -> np.ndarray:
+    """``SAMPLES_PER_CUBE`` uniform samples from a cube around the origin, one per row.
 
     The cube half-edge grows logarithmically with the last function's
     magnitude.  The paper samples a second cube, around the linearised
     descent target; the grad-step candidates already try that target, and
-    no sample of that cube was ever accepted in the benchmark.
+    no sample of that cube was ever accepted in the benchmark.  A level of
+    size 0 draws nothing.
     """
     dim_local = state.chain.rows.shape[0]
     if dim_local == 0:
-        return []
+        return np.empty((0, 0))
     half_edge = CUBE_SCALE * math.log(abs(state.f_n) + 1.0)
-    return list(rng.uniform(-half_edge, half_edge, size=(SAMPLES_PER_CUBE, dim_local)))
+    return rng.uniform(-half_edge, half_edge, size=(SAMPLES_PER_CUBE, dim_local))
 
 
 def _candidates(state: IterationState, rng: np.random.Generator,
                 move: np.ndarray | None = None) -> Iterable[tuple[str, np.ndarray]]:
-    """Every generator's proposals in trial order, each tried once.
+    """Every generator's proposals in trial order, each tried once, as root-space points.
 
     ``move``, when given, is a root-space step: twice the move of the last
     accepted grad-step or pattern candidate.  Its projection onto the last
     local space, whose rows are orthonormal, comes first as the pattern
-    candidate.  The loop stops at the first accepted candidate, so clipping
-    waits until a candidate is reached, and so do a grad-step candidate's
-    lift and line step: each grad-step candidate is called here, when its
-    turn comes.  The pattern and grad-step candidates are clipped, along the
-    gradient's tangent in the first round, so that the prefix predicates
-    keep holding at the descent target, and random samples are clipped too.
-    Bit mutations stay unclipped: clipping them solved no more problems in
-    the benchmark and cost extra evaluations.
+    candidate.  The loop stops at the first accepted candidate, so the work
+    on a candidate waits until the loop reaches it.  The pattern candidate
+    and each grad-step candidate are clipped and lifted one at a time, and a
+    grad-step candidate's line step waits with them: each one is called
+    here, when its turn comes.  The random samples are clipped and lifted
+    as one block, once the loop reaches the generator: dead ends try every
+    sample, and the block's arithmetic is each row's, bit for bit.  The
+    pattern and grad-step candidates are clipped along the gradient's
+    tangent in the first round, so that the prefix predicates keep holding
+    at the descent target, and random samples are clipped too.  Bit
+    mutations stay unclipped: clipping them solved no more problems in the
+    benchmark and cost extra evaluations.
     """
-    constraints = state.constraints
+    constraints, vec, chain = state.constraints, state.vec, state.chain
     if move is not None:
-        yield PATTERN, clip(dot(state.chain.rows, move), constraints)
+        yield PATTERN, vec + chain.lift(clip(dot(chain.rows, move), constraints))
     for candidate in grad_step_candidates(state):
-        yield GRAD_STEP, clip(candidate(), constraints)
+        yield GRAD_STEP, vec + chain.lift(clip(candidate(), constraints))
     for u in bit_mutation_candidates(state):
-        yield BIT_MUT, u
-    for u in random_candidates(state, rng):
-        yield RANDOM, clip(u, constraints)
+        yield BIT_MUT, vec + chain.lift(u)
+    for point in vec + chain.lift_rows(clip_rows(random_candidates(state, rng), constraints)):
+        yield RANDOM, point
 
 
 def _bits(valuation: Valuation) -> tuple:
@@ -449,8 +458,7 @@ def solve(problem: CoverageProblem,
                 state = build_spaces(problem, current, current_values, fns=fns)
                 accepted: Valuation | None = None
                 tried = {_bits(current)}
-                for source, u in _candidates(state, rng, move):
-                    point = state.vec + state.chain.lift(u)
+                for source, point in _candidates(state, rng, move):
                     try:
                         candidate = extract(point, current.signature)
                     except ExtractionError:

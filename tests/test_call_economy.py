@@ -106,17 +106,24 @@ def reevaluating_build_spaces(problem, valuation, values, *, fns=None):
 
 
 def every_raw_candidates(state, rng, move=None):
-    """``solver._candidates`` also trying every random sample raw after its clipped form."""
+    """``solver._candidates`` also trying every random sample raw after its clipped form.
+
+    Every candidate is clipped and lifted on its own, random samples too.
+    """
     constraints = state.constraints
+
+    def point(u):
+        return state.vec + state.chain.lift(u)
+
     if move is not None:
-        yield PATTERN, clip(dot(state.chain.rows, move), constraints)
+        yield PATTERN, point(clip(dot(state.chain.rows, move), constraints))
     for candidate in grad_step_candidates(state):
-        yield GRAD_STEP, clip(candidate(), constraints)
+        yield GRAD_STEP, point(clip(candidate(), constraints))
     for u in bit_mutation_candidates(state):
-        yield BIT_MUT, u
+        yield BIT_MUT, point(u)
     for u in random_candidates(state, rng):
-        yield RANDOM, clip(u, constraints)
-        yield RANDOM, u
+        yield RANDOM, point(clip(u, constraints))
+        yield RANDOM, point(u)
 
 
 def _random_value(rand, typ):

@@ -5,8 +5,10 @@ import pytest
 
 from covsolve import constraints
 from covsolve.constraints import (
+    CLIP_ROUNDS,
     Constraint,
     clip,
+    clip_rows,
     satisfies,
     satisfies_all,
     transform_constraint,
@@ -177,3 +179,101 @@ class TestClip:
         assert clip(u, (c,)).tobytes() == u.tobytes()
         monkeypatch.setattr(constraints, "CLIP_ROUNDS", 10)
         assert satisfies(clip(u, (c,)), c)
+
+
+SIDED = tuple(c for c in Comparator if c.side)  # every comparator a constraint can have
+
+
+def _random_constraint(rng, m):
+    """A half-space with some zero normal entries and, half the time, a tilted direction."""
+    normal = rng.normal(size=m) * 10.0 ** float(rng.uniform(-7, 3))
+    normal[rng.random(m) < 0.25] = 0.0
+    direction = normal if rng.random() < 0.5 else normal + rng.normal(size=m) * 0.3
+    comp = SIDED[int(rng.integers(len(SIDED)))]
+    return Constraint(normal, float(rng.normal() * 10.0 ** float(rng.uniform(-3, 3))),
+                      comp, direction)
+
+
+class TestClipRows:
+    """``clip_rows`` against ``clip``, the scalar routine it replaces on a block, row by row."""
+
+    def test_rows_match_scalar_clip_byte_for_byte(self, monkeypatch):
+        rng = np.random.default_rng(2027)
+        nudges = []
+
+        def counting(value):
+            nudges.append(value)
+            return epsilon_from_value(value)
+
+        seen = dict.fromkeys(SIDED, 0)
+        all_rounds = nudged = huge = not_finite = empty = rows = 0
+        for case in range(1500):
+            m = int(rng.integers(1, 10))
+            cs = [_random_constraint(rng, m) for _ in range(int(rng.integers(0, 5)))]
+            if cs and rng.random() < 0.2:  # a contradicting copy: no row can satisfy both
+                c = cs[0]
+                cs.append(Constraint(-c.normal, -c.bound - 1.0, c.comp, -c.direction))
+            k = int(rng.integers(1, 40))
+            U = rng.normal(size=(k, m)) * 10.0 ** float(rng.uniform(-2, 3))
+            kind = rng.random(k)
+            U[kind < 0.04, int(rng.integers(m))] = math.inf
+            U[(0.04 <= kind) & (kind < 0.06), 0] = math.nan
+            U[(0.06 <= kind) & (kind < 0.1), int(rng.integers(m))] = 1e300
+            U[(0.1 <= kind) & (kind < 0.13)] = 0.0
+            given = U.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = clip_rows(U, cs)
+                assert got.shape == U.shape and got.dtype == np.float64
+                assert U.tobytes() == given.tobytes()
+                non_strict = all(not c.comp.strict for c in cs)
+                for u, row in zip(U, got):
+                    nudges.clear()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(constraints, "epsilon_from_value", counting)
+                        expected = clip(u, cs)
+                    assert row.tobytes() == expected.tobytes()
+                    finite = bool(np.all(np.isfinite(u)))
+                    not_finite += not finite
+                    huge += finite and float(np.abs(u).max()) == 1e300
+                    all_rounds += finite and not satisfies_all(expected, cs)
+                    nudged += non_strict and bool(nudges)  # only the nudge takes an epsilon
+            for c in cs:
+                seen[c.comp] += 1
+            empty += not cs
+            rows += k
+        # a finite row that still violates the set after clipping ran every round
+        assert all_rounds >= 2000 and nudged >= 500
+        assert huge >= 800 and not_finite >= 1200 and empty >= 200
+        assert min(seen.values()) >= 500
+
+    @pytest.mark.parametrize("comp", SIDED)
+    def test_residuals_past_the_float_range(self, comp):
+        # finite rows whose residual overflows: violated, and moved to an infinity
+        n = np.array([1.0, 0.0])
+        U = np.array([[1.5e308, 1.0], [-1.5e308, 1.0], [1e308, -0.0], [-1e308, 2.0]])
+        moved = 0
+        for bound in (1e308, -1e308):
+            cs = (Constraint(n, bound, comp, n),)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = clip_rows(U, cs)
+                for u, row in zip(U, got):
+                    assert row.tobytes() == clip(u, cs).tobytes()
+                    moved += not np.all(np.isfinite(row))
+        assert moved >= 2
+
+    @pytest.mark.parametrize("rounds", [0, 1, 3])
+    def test_follows_the_round_limit(self, monkeypatch, rounds):
+        monkeypatch.setattr(constraints, "CLIP_ROUNDS", rounds)
+        rng = np.random.default_rng(rounds)
+        for _ in range(200):
+            m = int(rng.integers(1, 6))
+            cs = [_random_constraint(rng, m) for _ in range(int(rng.integers(1, 5)))]
+            U = rng.normal(size=(8, m)) * 10.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = clip_rows(U, cs)
+                assert got.tobytes() == np.array([clip(u, cs) for u in U]).tobytes()
+
+    def test_empty_block(self):
+        n = np.array([1.0, 0.0])
+        got = clip_rows(np.empty((0, 2)), (Constraint(n, 1.0, Comparator.GE, n),))
+        assert got.shape == (0, 2)

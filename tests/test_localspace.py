@@ -91,6 +91,10 @@ class MultiLevelChain:
                 f"vector of dimension {u.shape} at top level of size {lifted.shape[0]}")
         return dot(u[:, None], lifted, axis=0)
 
+    def lift_rows(self, V):
+        """Each row lifted on its own."""
+        return np.array([self.lift(v) for v in V]).reshape(len(V), self.rows.shape[1])
+
 
 def three_level_chain():
     """B_1 axes, B_2 = {(1,1)/sqrt2, (1,-1)/sqrt2}, B_3 = {(1,-1)/sqrt2}.
@@ -335,6 +339,19 @@ class TestPinnedChainProducts:
         digest = hashlib.sha256(chain.rows.tobytes() + chain.lift(u).tobytes()).hexdigest()
         assert digest == "3ee65f8b95d61afe1a4f6f542f35b92d4e15a9aad7ceda52bc8c2fc0f4e1cf05"
 
+    def test_lift_rows_bytes(self):
+        # the chain above, and a block of rows lifted as one product
+        rng = np.random.default_rng(12)
+        chain = BasisChain(12)
+        for append in (False, True):
+            d = chain.rows.shape[0]
+            chain.extend(next_basis(rng.normal(size=d), append_gradient=append))
+        V = rng.normal(size=(9, chain.rows.shape[0]))
+        lifted = chain.lift_rows(V)
+        assert lifted.tobytes() == b"".join(chain.lift(v).tobytes() for v in V)
+        digest = hashlib.sha256(lifted.tobytes()).hexdigest()
+        assert digest == "8ef1ffb486557e770dd18b7abc4180b23c5a4f17c4d415a36ee9305de447285c"
+
 
 class TestVectorNorm:
     def test_ordinary_vectors_match_plain_norm_within_ulps(self):
@@ -470,6 +487,61 @@ class TestBasisChain:
                 patch.setattr(solver, "BasisChain", MultiLevelChain)
                 theirs = solve(problem, config)
             assert repr(ours) == repr(theirs)
+
+
+class TestLiftRows:
+    """``lift_rows`` is ``lift`` row by row, bit for bit, in memory bounded by blocks."""
+
+    def test_rows_match_per_row_lift(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        lifted_rows = 0
+        for _ in range(300):
+            dim = int(rng.integers(1, 30))
+            chain = BasisChain(dim)
+            for _ in range(int(rng.integers(0, 4))):
+                size = chain.rows.shape[0]
+                if size == 0:
+                    break
+                chain.extend(next_basis(rng.normal(size=size),
+                                        append_gradient=bool(rng.integers(0, 2))))
+            size = chain.rows.shape[0]
+            V = rng.normal(size=(int(rng.integers(0, 40)), size)) * 10.0 ** float(rng.uniform(-5, 5))
+            V[rng.random(size=V.shape) < 0.2] = -0.0
+            expected = b"".join(chain.lift(v).tobytes() for v in V)
+            for block in (1, 3, None):
+                if block is not None:
+                    monkeypatch.setattr(localspace, "_PRODUCT_ELEMENTS", block * size * dim)
+                got = chain.lift_rows(V)
+                assert got.shape == (len(V), dim) and got.tobytes() == expected
+            monkeypatch.undo()
+            lifted_rows += len(V)
+        assert lifted_rows >= 5000
+
+    def test_checks_the_level_size(self):
+        chain = BasisChain(3)
+        with pytest.raises(ValueError):
+            chain.lift_rows(np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            chain.lift_rows(np.zeros(3))
+
+    def test_a_wide_dead_end_stays_small(self):
+        # one iteration over 300 f64 variables that no point satisfies: every
+        # random sample is clipped and lifted, and the block of 100 lifted in
+        # one (100, 299, 300) product would take 71 MB at once
+        names = [f"x{i}" for i in range(300)]
+        total = " + ".join(names)
+        text = "\n".join([*(f"var {n} : f64" for n in names), *(f"init {n} = 0" for n in names),
+                          f"abe {total} <= 0", f"abe {total} - 5 >= 0"])
+        problem = reduce_problem(compile_spec(parse_spec(text))).problem
+        tracemalloc.start()
+        try:
+            result = solve(problem, SolverConfig(max_iterations=1, rng_seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.status is solver.Status.FAILED_NO_PROGRESS
+        assert (result.iterations_used, result.evaluations_used) == (1, 804)
+        assert peak < 10e6
 
 
 class TestExtendFromTheAxisBasis:

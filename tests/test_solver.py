@@ -777,15 +777,16 @@ init x1 = 0
 abe 0 * x1 - 3 >= 0
 """, False), (LE_EQ_TRACE, True)])
     def test_each_random_sample_tried_once_clipped(self, text, moved):
-        """Each sample is tried once, clipped, whether or not clipping moved it."""
+        """Each sample is tried once, clipped and lifted, whether or not clipping moved it."""
         problem = problem_of(text)
         state = build_spaces(problem, problem.init, problem.init_values)
-        tried = [u for source, u in solver._candidates(state, np.random.default_rng(3))
+        tried = [point for source, point in solver._candidates(state, np.random.default_rng(3))
                  if source == solver.RANDOM]
         samples = random_candidates(state, np.random.default_rng(3))
-        expected = [clip(sample, state.constraints) for sample in samples]
-        assert [u.tobytes() for u in tried] == [u.tobytes() for u in expected]
-        moved_count = sum(a.tobytes() != b.tobytes() for a, b in zip(expected, samples))
+        clipped = [clip(sample, state.constraints) for sample in samples]
+        expected = [state.vec + state.chain.lift(u) for u in clipped]
+        assert [p.tobytes() for p in tried] == [p.tobytes() for p in expected]
+        moved_count = sum(a.tobytes() != b.tobytes() for a, b in zip(clipped, samples))
         if moved:  # some samples already satisfy the constraint, others do not
             assert 0 < moved_count < len(samples)
         else:  # no constraints: clipping moves nothing
@@ -992,10 +993,12 @@ def eager_random_candidates(state, rng):
 
 
 def eager_candidates(state, rng):
-    """Every candidate in trial order, built list by list with clipping inside the generators."""
-    return ([(solver.GRAD_STEP, u) for u in eager_grad_step_candidates(state)]
+    """Every candidate in trial order, built list by list with clipping inside the
+    generators, and each lifted on its own to a root-space point."""
+    return [(source, state.vec + state.chain.lift(u)) for source, u in
+            [(solver.GRAD_STEP, u) for u in eager_grad_step_candidates(state)]
             + [(solver.BIT_MUT, u) for u in bit_mutation_candidates(state)]
-            + [(solver.RANDOM, u) for u in eager_random_candidates(state, rng)])
+            + [(solver.RANDOM, u) for u in eager_random_candidates(state, rng)]]
 
 
 TYPED_CHOICES = (I8, I16, I32, I64, U8, U16, U32, U64, F32, F32)  # f32 one draw in five
@@ -1060,10 +1063,11 @@ class TestCandidatesAgainstEagerGenerators:
                 assert a.tobytes() == b.tobytes()
             assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
             constrained += bool(state.constraints)
-            randoms = [u for s, u in ours if s == solver.RANDOM]
+            randoms = [point for s, point in ours if s == solver.RANDOM]
             samples = random_candidates(state, np.random.default_rng(seed))
             assert len(randoms) == len(samples)
-            moved += any(a.tobytes() != b.tobytes() for a, b in zip(randoms, samples))
+            moved += any(a.tobytes() != (state.vec + state.chain.lift(b)).tobytes()
+                         for a, b in zip(randoms, samples))
         assert constrained >= 200 and moved >= 100
 
     def test_one_entry_per_eager_candidate(self):
@@ -1331,11 +1335,13 @@ abe x1 + x2 - 100 >= 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
         move = np.array([20.0, 0.0])  # alone it breaks x1 <= x2
-        source, u = next(iter(solver._candidates(state, np.random.default_rng(0), move)))
+        source, point = next(iter(solver._candidates(state, np.random.default_rng(0), move)))
         assert source == solver.PATTERN
         assert not satisfies_all(dot(state.chain.rows, move), state.constraints)
+        u = clip(dot(state.chain.rows, move), state.constraints)
+        assert point.tobytes() == (state.vec + state.chain.lift(u)).tobytes()
         assert satisfies_all(u, state.constraints)
-        candidate = extract(state.vec + state.chain.lift(u), problem.signature)
+        candidate = extract(point, problem.signature)
         assert problem.comps[0].holds(problem.fns[0].eval(candidate))
         assert problem.fns[1].eval(candidate) > problem.init_values[1]
 
