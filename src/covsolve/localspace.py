@@ -42,10 +42,10 @@ def rescaled(v: np.ndarray) -> tuple[np.ndarray, float, float]:
     underflows below 2**-511.  Only then is ``v`` divided by its largest
     magnitude first.  ``w . w`` is 0 only for a zero ``v``.  A step
     a*v/(v . v) then reads (a / (scale * ww)) * w, and the coefficient
-    (x . v)/(v . v) reads dot(x, w) / (scale * ww).
+    (x . v)/(v . v) reads dot(x, w) / (scale * ww).  Runs under ``solve``'s
+    float policy: called alone, a square that overflows warns as numpy does.
     """
-    with np.errstate(over="ignore"):
-        vv = float(dot(v, v))
+    vv = float(dot(v, v))
     if not 2.0 ** -1022 <= vv < math.inf:
         scale = float(np.abs(v).max(initial=0.0))
         if scale > 0.0:

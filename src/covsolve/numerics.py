@@ -84,7 +84,8 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) ->
     the same as a walk over every coordinate gives.
 
     Raises NoStepError when every sample rounds back onto the origin, or
-    when the first that moves lies farther than a float can measure.
+    when the first that moves lies farther than a float can measure.  Runs
+    under ``solve``'s float policy, as ``rescaled`` does.
     """
     signature = origin.signature
     direction = np.asarray(direction, dtype=np.float64)
@@ -112,8 +113,7 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) ->
         if rounded != start:
             step = np.zeros(len(signature))
             step[support] = [x - x0 for x, x0 in zip(point, start)]
-            with np.errstate(over="ignore", invalid="ignore"):
-                eps = float(dot(step, w)) / (scale * ww)
+            eps = float(dot(step, w)) / (scale * ww)
             if math.isfinite(eps * scale * math.sqrt(ww)):
                 return eps
             break

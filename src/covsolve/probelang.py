@@ -318,12 +318,19 @@ def _parse_abe_line(rest: str, lineno: int) -> tuple[Program, Comparator]:
 
 
 def format_expr(program: Program) -> str:
-    """Infix text for ``program``, parenthesised only where the parser's precedences need it."""
+    """Infix text for ``program``, parenthesised only where the parser's precedences need it.
+
+    Raises ValueError for a literal that no ``.prob`` number spells: a
+    negative one or -0.0, which would parse back as a negation, or a
+    non-finite one.
+    """
     stack: list[tuple[str, int]] = []  # (text, precedence) per pending operand
     for op, arg in program:
         if op == "var":  # an atom, like a negation, is never parenthesised as an operand
             stack.append((arg, _NEG))
         elif op == "lit":
+            if not (math.isfinite(arg) and math.copysign(1.0, arg) > 0.0):
+                raise ValueError(f"literal {arg!r} has no .prob spelling")
             stack.append((repr(arg), _NEG))
         elif op == "neg":
             text, prec = stack.pop()
@@ -348,7 +355,10 @@ def format_expr(program: Program) -> str:
 
 
 def format_spec(spec: ProblemSpec) -> str:
-    """Render a spec as ``.prob`` text that parses back to an equal spec."""
+    """Render a spec as ``.prob`` text that parses back to an equal spec.
+
+    Raises ValueError, as ``format_expr`` does, for a literal it cannot spell.
+    """
     lines = [f"var {name} : {typ}" for name, typ in spec.variables]
     for name, value in spec.inits:
         lines.append(f"init {name} = {value!r}" if isinstance(value, float)
@@ -363,20 +373,36 @@ def format_spec(spec: ProblemSpec) -> str:
 def compile_spec(spec: ProblemSpec) -> CoverageProblem:
     """Build the coverage problem a spec denotes.
 
-    Raises CompileError when the initial valuation does not execute the
-    trace (a prefix predicate fails) or already satisfies the last
-    predicate, naming the offending ABE index.
+    Raises CompileError when a variable is declared twice, when the inits
+    and the declarations name different variables, when an init holds a
+    value its type does not, when an ABE uses an undeclared variable, or
+    when the initial valuation does not execute the trace (a prefix
+    predicate fails) or already satisfies the last predicate, naming the
+    offending ABE index.
     """
     declared = dict(spec.variables)
     order = [name for name, _ in spec.variables]
-    init = Valuation.of(
-        (name, declared[name], value) for name, value in spec.inits)
+    if len(declared) != len(order):
+        raise CompileError("a variable is declared twice")
+    inits = dict(spec.inits)
+    undeclared = [name for name in inits if name not in declared]
+    if undeclared:
+        raise CompileError(f"init of undeclared variable(s) {', '.join(undeclared)}")
+    missing = [name for name in order if name not in inits]
+    if missing:
+        raise CompileError(f"missing init for variable(s) {', '.join(missing)}")
+    try:
+        init = Valuation.of(
+            (name, declared[name], value) for name, value in spec.inits)
+    except ValueError as exc:
+        raise CompileError(f"initial valuation: {exc}") from exc
 
     fns = []
     comps = []
     for idx, (expr, comp) in enumerate(spec.abes, start=1):
         names = free_vars(expr)
-        params = tuple(n for n in order if n in names)
+        # undeclared names stay, last, for CoverageProblem to name
+        params = tuple(n for n in order if n in names) + tuple(sorted(names - declared.keys()))
         fns.append(BlackBoxFn(
             params,
             lambda v, _expr=expr: eval_expr(_expr, v),

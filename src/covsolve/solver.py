@@ -420,12 +420,12 @@ def _bits(valuation: Valuation) -> tuple:
 def _doubled_move(origin: np.ndarray, accepted: Valuation, source: str) -> np.ndarray | None:
     """Twice the root-space move from ``origin`` to a grad-step or pattern candidate.
 
-    Any other source, or a move that overflows, carries nothing.
+    Any other source, or a move that overflows, carries nothing.  Runs under
+    ``solve``'s float policy.
     """
     if source not in (GRAD_STEP, PATTERN):
         return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        move = 2.0 * (embed(accepted) - origin)
+    move = 2.0 * (embed(accepted) - origin)
     return move if np.all(np.isfinite(move)) else None
 
 

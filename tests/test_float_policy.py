@@ -3,9 +3,11 @@
 Descent steps, random cubes, clipping shifts and doubled moves can all
 leave the float range, and the search checks every such value with
 ``math.isfinite``.  So ``solve`` runs its iteration loop under one
-``np.errstate`` that silences overflow and invalid results.  Three
-functions keep their own, because they promise quiet overflow when called
-alone.  This check reads the source, so a new per-call block fails it.
+``np.errstate`` that silences overflow and invalid results, and no
+function it calls sets its own: called alone, a stage warns as numpy does.
+The check reads the source, so a new per-call block fails it, and two
+searches reach the sites that overflow most readily, with every warning
+an error.
 """
 
 import ast
@@ -15,13 +17,15 @@ from pathlib import Path
 import numpy as np
 
 import covsolve
-from covsolve import F64, BlackBoxFn, Comparator, CoverageProblem, Valuation, solve
+from covsolve import (
+    F64, BlackBoxFn, Comparator, CoverageProblem, SolverResult, Valuation, localspace, numerics,
+    solve,
+)
 
 SOURCES = sorted(Path(covsolve.__file__).parent.glob("*.py"))
 
 #: The functions that enter an ``np.errstate``, and their modules.
-POLICY_SITES = [("localspace.py", "rescaled"), ("numerics.py", "epsilon_along_line"),
-                ("solver.py", "_doubled_move"), ("solver.py", "solve")]
+POLICY_SITES = [("solver.py", "solve")]
 
 
 def errstate_sites(tree: ast.AST) -> list[tuple[str, bool]]:
@@ -84,3 +88,46 @@ def test_solve_enters_the_policy_per_call_and_leaves_it_on_return():
             assert solve(problem).solved
         assert seen and all(s["over"] == s["invalid"] == "ignore" for s in seen)
         assert np.geterr() == before
+
+
+def solve_with_warnings_as_errors(problem: CoverageProblem) -> SolverResult:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return solve(problem)
+
+
+def test_a_prefix_gradient_whose_square_overflows_is_rescaled(monkeypatch):
+    rescaled, rescales = localspace.rescaled, []
+
+    def counting(v):
+        w, ww, scale = rescaled(v)
+        rescales.append(scale > 1.0)  # only a square past the float range divides
+        return w, ww, scale
+
+    monkeypatch.setattr(localspace, "rescaled", counting)
+    # the prefix's gradient is about [1e200, 1e200], whose plain square is inf
+    problem = CoverageProblem(
+        (BlackBoxFn(("x", "y"), lambda v: 1e200 * v["x"] + 1e200 * v["y"]),
+         BlackBoxFn(("x", "y"), lambda v: v["x"] - v["y"] - 5.0)),
+        (Comparator.GE, Comparator.GE),
+        Valuation.of([("x", F64, 1.0), ("y", F64, 0.0)]))
+    assert isinstance(solve_with_warnings_as_errors(problem), SolverResult)
+    assert any(rescales)
+
+
+def test_a_line_step_whose_offset_overflows_finds_no_step(monkeypatch):
+    dot, overflows = numerics.dot, []
+
+    def counting(a, b, axis=-1):
+        product = dot(a, b, axis)
+        overflows.append(not np.all(np.isfinite(product)))
+        return product
+
+    monkeypatch.setattr(numerics, "dot", counting)
+    # the strict target's line step seeds near 1e66 along a gradient of 1e150:
+    # the sample moves x by about 1e216, whose product with the gradient is inf
+    problem = CoverageProblem(
+        (BlackBoxFn(("x",), lambda v: 1e150 * v["x"] - 1e76),), (Comparator.GT,),
+        Valuation.of([("x", F64, 0.0)]))
+    assert isinstance(solve_with_warnings_as_errors(problem), SolverResult)
+    assert any(overflows)

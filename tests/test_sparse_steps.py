@@ -146,9 +146,13 @@ def random_seed_step(rand: random.Random, origin: Valuation) -> float:
 
 
 def outcome(routine, *args):
-    """The routine's float, as hex digits, or the name of what it raised."""
+    """The routine's float, as hex digits, or the name of what it raised.
+
+    The routine runs under ``solve``'s float policy, as it does in a search.
+    """
     try:
-        return routine(*args).hex()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return routine(*args).hex()
     except ValueError as exc:  # NoStepError among them
         return type(exc).__name__
 
