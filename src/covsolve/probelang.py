@@ -135,18 +135,16 @@ def _tokenize(text: str, line: int) -> list[tuple[str, str]]:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Declarations, initial values, and the trace-ordered ABE list."""
+    """(name, type, initial value) per variable, and the trace-ordered ABE list."""
 
-    variables: tuple[tuple[str, ScalarType], ...]
-    inits: tuple[tuple[str, int | float], ...]
+    variables: tuple[tuple[str, ScalarType, int | float], ...]
     abes: tuple[tuple[Program, Comparator], ...]
 
 
 def parse_spec(text: str) -> ProblemSpec:
     """Parse a ``.prob`` document; errors carry 1-based line numbers."""
-    variables: list[tuple[str, ScalarType]] = []
-    declared: dict[str, ScalarType] = {}
-    inits: dict[str, int | float] = {}
+    # name -> [type, initial value], the value None until its init line
+    declared: dict[str, list] = {}
     abes: list[tuple[Program, Comparator]] = []
     abe_lines: list[int] = []
 
@@ -159,15 +157,14 @@ def parse_spec(text: str) -> ProblemSpec:
             name, typ = _parse_var_line(rest, lineno)
             if name in declared:
                 raise ParseError(lineno, f"variable {name!r} declared twice")
-            declared[name] = typ
-            variables.append((name, typ))
+            declared[name] = [typ, None]
         elif keyword == "init":
             name, literal = _parse_init_line(rest, lineno)
             if name not in declared:
                 raise ParseError(lineno, f"init of undeclared variable {name!r}")
-            if name in inits:
+            if declared[name][1] is not None:
                 raise ParseError(lineno, f"variable {name!r} initialised twice")
-            inits[name] = _coerce_literal(literal, declared[name], lineno)
+            declared[name][1] = _coerce_literal(literal, declared[name][0], lineno)
         elif keyword == "abe":
             abes.append(_parse_abe_line(rest, lineno))
             abe_lines.append(lineno)
@@ -176,17 +173,17 @@ def parse_spec(text: str) -> ProblemSpec:
 
     if not abes:
         raise ParseError(len(text.splitlines()) + 1, "no abe lines: nothing to flip")
-    missing = [n for n, _ in variables if n not in inits]
+    missing = [name for name, (_, value) in declared.items() if value is None]
     if missing:
         raise ParseError(len(text.splitlines()) + 1,
                          f"missing init for variable(s) {', '.join(missing)}")
     for (expr, _), lineno in zip(abes, abe_lines):
-        unknown = free_vars(expr) - set(declared)
+        unknown = free_vars(expr) - declared.keys()
         if unknown:
             raise ParseError(lineno, f"undeclared variable(s) {', '.join(sorted(unknown))}")
 
-    ordered_inits = tuple((name, inits[name]) for name, _ in variables)
-    return ProblemSpec(tuple(variables), ordered_inits, tuple(abes))
+    return ProblemSpec(tuple((name, typ, value) for name, (typ, value) in declared.items()),
+                       tuple(abes))
 
 
 def _parse_var_line(rest: str, lineno: int) -> tuple[str, ScalarType]:
@@ -357,12 +354,13 @@ def format_expr(program: Program) -> str:
 def format_spec(spec: ProblemSpec) -> str:
     """Render a spec as ``.prob`` text that parses back to an equal spec.
 
-    Raises ValueError, as ``format_expr`` does, for a literal it cannot spell.
+    Raises ValueError for a literal it cannot spell, and for an init its type does not hold.
     """
-    lines = [f"var {name} : {typ}" for name, typ in spec.variables]
-    for name, value in spec.inits:
-        lines.append(f"init {name} = {value!r}" if isinstance(value, float)
-                     else f"init {name} = {value}")
+    lines = [f"var {name} : {typ}" for name, typ, _ in spec.variables]
+    for name, typ, value in spec.variables:
+        if not typ.contains(value):
+            raise ValueError(f"initial value {value!r} is not a {typ} value (variable {name})")
+        lines.append(f"init {name} = {value!r}")
     for expr, comp in spec.abes:
         lines.append(f"abe {format_expr(expr)} {comp.symbol} 0")
     return "\n".join(lines) + "\n"
@@ -373,44 +371,30 @@ def format_spec(spec: ProblemSpec) -> str:
 def compile_spec(spec: ProblemSpec) -> CoverageProblem:
     """Build the coverage problem a spec denotes.
 
-    Raises CompileError when a variable is declared twice, when the inits
-    and the declarations name different variables, when an init holds a
-    value its type does not, when an ABE uses an undeclared variable, or
-    when the initial valuation does not execute the trace (a prefix
-    predicate fails) or already satisfies the last predicate, naming the
-    offending ABE index.
+    Raises CompileError when the initial valuation is invalid (a variable
+    declared twice, or an init value its type does not hold), when an ABE
+    uses an undeclared variable, or when the initial valuation does not
+    execute the trace (a prefix predicate fails) or already satisfies the
+    last predicate, naming the offending ABE index.
     """
-    declared = dict(spec.variables)
-    order = [name for name, _ in spec.variables]
-    if len(declared) != len(order):
-        raise CompileError("a variable is declared twice")
-    inits = dict(spec.inits)
-    undeclared = [name for name in inits if name not in declared]
-    if undeclared:
-        raise CompileError(f"init of undeclared variable(s) {', '.join(undeclared)}")
-    missing = [name for name in order if name not in inits]
-    if missing:
-        raise CompileError(f"missing init for variable(s) {', '.join(missing)}")
     try:
-        init = Valuation.of(
-            (name, declared[name], value) for name, value in spec.inits)
+        init = Valuation.of(spec.variables)
     except ValueError as exc:
         raise CompileError(f"initial valuation: {exc}") from exc
+    declared = init.signature.positions  # name -> position, in declared order
 
     fns = []
-    comps = []
-    for idx, (expr, comp) in enumerate(spec.abes, start=1):
+    for idx, (expr, _) in enumerate(spec.abes, start=1):
         names = free_vars(expr)
         # undeclared names stay, last, for CoverageProblem to name
-        params = tuple(n for n in order if n in names) + tuple(sorted(names - declared.keys()))
+        params = tuple(n for n in declared if n in names) + tuple(sorted(names - declared.keys()))
         fns.append(BlackBoxFn(
             params,
             lambda v, _expr=expr: eval_expr(_expr, v),
             name=f"abe {idx}"))
-        comps.append(comp)
 
     try:
-        return CoverageProblem(tuple(fns), tuple(comps), init)
+        return CoverageProblem(tuple(fns), tuple(comp for _, comp in spec.abes), init)
     except InvalidProblemError as exc:
         raise CompileError(str(exc)) from exc
 
@@ -427,4 +411,4 @@ def prefix_spec(spec: ProblemSpec, k: int) -> ProblemSpec:
     if k < len(spec.abes):
         expr, comp = abes[-1]
         abes[-1] = (expr, comp.opposite)
-    return ProblemSpec(spec.variables, spec.inits, tuple(abes))
+    return ProblemSpec(spec.variables, tuple(abes))

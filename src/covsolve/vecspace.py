@@ -135,7 +135,7 @@ U64 = ScalarType("u64", True, 64, 0, (1 << 64) - 1)
 F32 = ScalarType("f32", False, 32, -_FLOAT32_MAX, _FLOAT32_MAX)
 F64 = ScalarType("f64", False, 64, -math.inf, math.inf)
 
-#: The Boolean type: an 8-bit unsigned integer restricted to {0, 1}.
+#: The Boolean type: ``U8`` itself, so it holds every value 0..255.
 BOOL = U8
 
 TYPES_BY_NAME = {t.name: t for t in (I8, I16, I32, I64, U8, U16, U32, U64, F32, F64)}
@@ -216,7 +216,9 @@ class Signature:
             raise ValueError("names and types differ in length")
         object.__setattr__(self, "positions", dict(zip(self.names, range(len(self.names)))))
         if len(self.positions) != len(self.names):
-            raise ValueError("duplicate variable names")
+            # positions keeps each name's last index, so an earlier one is a repeat
+            repeated = dict.fromkeys(n for i, n in enumerate(self.names) if self.positions[n] != i)
+            raise ValueError(f"variable(s) {', '.join(repeated)} declared twice")
 
     @classmethod
     def of(cls, decls: Iterable[tuple[str, ScalarType]]) -> "Signature":

@@ -373,10 +373,17 @@ class TestSearchUnchanged:
 
     def test_carried_values_save_one_prefix_per_iteration(self, monkeypatch):
         """The first iteration starts from the values construction obtained at
-        ``init``, and each later one from its accepted candidate's."""
+        ``init``, and each later one from its accepted candidate's.
+
+        At least 60 problems are drawn, and more, up to a cap, until 20 of
+        them take more than one iteration, so a faster search still tries
+        the carried values often enough.
+        """
         rand = random.Random(5)
         carried = 0
-        for seed in range(60):
+        for seed in range(240):
+            if seed >= 60 and carried >= 20:
+                break
             problem = random_problem(rand)
             config = SolverConfig(rng_seed=seed, max_iterations=8)
             ours = solve(problem, config)

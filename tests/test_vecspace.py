@@ -351,8 +351,10 @@ class TestProperties:
 
 class TestValuation:
     def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"variable\(s\) a declared twice"):
             Signature.of([("a", I32), ("a", I32)])
+        with pytest.raises(ValueError, match=r"variable\(s\) a, b declared twice"):
+            Signature.of([("a", I32), ("b", I32), ("c", I32), ("b", F64), ("a", I32), ("a", I32)])
 
     def test_value_must_fit_type(self):
         with pytest.raises(ValueError):
