@@ -12,9 +12,9 @@ constraints and lifting them to root space only when it reaches them.  The
 pattern and grad-step candidates are clipped and lifted one at a time, and
 a grad-step candidate's line step waits for the loop too: the first one
 usually solves or improves, and the loop stops there.  The random samples
-are clipped and lifted as one block once the loop reaches their generator:
-the search tries them only when nothing before them was accepted, and
-then often all of them.
+are clipped and lifted as one block once the loop reaches their generator,
+and so are the bit mutations, unclipped: the search tries them only when
+nothing before them was accepted, and then often all of them.
 
 Ahead of the paper's three generators comes a pattern move (Korel,
 "Automated Software Test Data Generation", IEEE TSE 1990): when the last
@@ -162,16 +162,13 @@ def finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: float,
                          lifted: np.ndarray, eps_seed: float) -> np.ndarray:
     """Forward-difference gradient of ``fn`` at ``origin`` along each row of ``lifted``.
 
-    ``origin_value`` is the already-known value at ``origin``, whose
-    embedding is ``vec``.  Row j's step is the line step from ``origin``
-    along the row, seeded with ``eps_seed``.  A failing call at
-    ``vec + eps*row``, or one whose difference quotient overflows, is
-    retried at ``vec - eps*row``; with no step, or both
-    attempts failing, the partial derivative is zero.  A row with no
-    component on any of ``fn.params`` moves no input ``fn`` reads, so its
-    partial is zero without a step or a call.  Calling there would differ
-    from ``origin_value`` only where ``embed`` rounded a 64-bit integer
-    parameter past 2**53, and then measure that rounding, not the row.
+    ``origin_value`` is the already-known value at ``origin``.  Row j's step
+    is the line step from ``origin`` along the row, seeded with
+    ``eps_seed``.  A failing call at ``origin + eps*row``, or one whose
+    difference quotient overflows, is retried at ``origin - eps*row``; with
+    no step, or both attempts failing, the partial derivative is zero.  A
+    row with no component on any of ``fn.params`` moves no input ``fn``
+    reads, so its partial is zero without a step or a call.
 
     A partial is *absorbed* when its call returned exactly ``origin_value``
     and its step lies below ``math.ulp(origin_value)``: the value is too
@@ -181,23 +178,17 @@ def finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: float,
     that the step is scaled to the function's value rather than to the
     point's.  A partial that is not absorbed costs nothing more.
 
-    A step rounds only what it moves: the row's nonzero coordinates, and
-    the origin's -0.0 floats, which the step's zero can turn to +0.0.  The
-    other coordinates keep the values of the embedding the steps start
-    from.  That is the origin itself while every coordinate lies below
-    2**53; from there on ``embed`` can move a 64-bit integer, and the
-    embedding is rounded back, once per gradient.
+    A step rounds only the row's nonzero coordinates, each from its value
+    as a float.  Every other coordinate keeps ``origin``'s value exactly.
     """
-    signature, vec = origin.signature, embed(origin)
-    types, starts = signature.types, vec.tolist()
-    values = origin.values
-    if max(map(abs, starts), default=0.0) >= 2.0**53:
-        values = extract(vec, signature).values
-    signed_zeros = np.signbit(vec) & (vec == 0.0)
+    signature, values = origin.signature, origin.values
+    types, starts = signature.types, [float(v) for v in values]
     grad = np.zeros(lifted.shape[0], dtype=np.float64)
     cols = [signature.positions[name] for name in fn.params]
     for j in np.flatnonzero(lifted[:, cols].any(axis=1)):
         row = lifted[j]
+        moved = np.flatnonzero(row)
+        moves, moved = row[moved].tolist(), moved.tolist()
         seed = eps_seed
         for _ in range(2):  # the first step, then at most one retake
             try:
@@ -206,8 +197,6 @@ def finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: float,
                 break
             if eps == 0.0:
                 break
-            moved = ((row != 0.0) | signed_zeros).nonzero()[0]
-            moves, moved = row[moved].tolist(), moved.tolist()
             value = None
             for step in (eps, -eps):
                 stepped = list(values)
@@ -331,8 +320,8 @@ def grad_step_candidates(state: IterationState) -> list[Callable[[], np.ndarray]
             for t, axis, entry in steps for k in points]
 
 
-def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
-    """One candidate per bit of each integer parameter of the last function.
+def bit_mutation_candidates(state: IterationState) -> np.ndarray:
+    """One candidate per bit of each integer parameter of the last function, one per row.
 
     Flipping bit j of a value changes it by y = +-2**(j-1) (in unsigned
     arithmetic), so the mutated inputs lie on the root-space plane where
@@ -343,8 +332,6 @@ def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
     """
     signature = state.valuation.signature
     lifted = state.chain.rows
-    if lifted.shape[0] == 0:
-        return []
     params = set(state.problem.fns[-1].params)
     out: list[np.ndarray] = []
 
@@ -355,14 +342,14 @@ def bit_mutation_candidates(state: IterationState) -> list[np.ndarray]:
             logger.debug("bit mutations skip float-typed variable %s", name)
             continue
         coords = lifted[:, i]
-        if float(np.max(np.abs(coords))) < PIVOT_GUARD:
+        if float(np.abs(coords).max(initial=0.0)) < PIVOT_GUARD:
             continue  # no basis vector reaches this variable's axis
         u = coords / float(dot(coords, coords))
         width = typ.bit_width
         raw = int(state.valuation.values[i]) & ((1 << width) - 1)
         ys = [float((1 - 2 * ((raw >> j) & 1)) * (1 << j)) for j in range(width)]
-        out.extend(np.outer(ys, u) + 0.0)  # a negative y makes -0.0 of a zero; + 0.0 undoes it
-    return out
+        out.append(np.outer(ys, u) + 0.0)  # a negative y makes -0.0 of a zero; + 0.0 undoes it
+    return np.concatenate(out) if out else np.empty((0, lifted.shape[0]))
 
 
 def random_candidates(state: IterationState, rng: np.random.Generator) -> np.ndarray:
@@ -392,22 +379,22 @@ def _candidates(state: IterationState, rng: np.random.Generator,
     on a candidate waits until the loop reaches it.  The pattern candidate
     and each grad-step candidate are clipped and lifted one at a time, and a
     grad-step candidate's line step waits with them: each one is called
-    here, when its turn comes.  The random samples are clipped and lifted
-    as one block, once the loop reaches the generator: dead ends try every
-    sample, and the block's arithmetic is each row's, bit for bit.  The
-    pattern and grad-step candidates are clipped along the gradient's
-    tangent in the first round, so that the prefix predicates keep holding
-    at the descent target, and random samples are clipped too.  Bit
-    mutations stay unclipped: clipping them solved no more problems in the
-    benchmark and cost extra evaluations.
+    here, when its turn comes.  The bit mutations are lifted as one block,
+    and the random samples clipped and lifted as one, once the loop reaches
+    their generator: dead ends try every sample, and a block's arithmetic
+    is each row's, bit for bit.  The pattern and grad-step candidates are
+    clipped along the gradient's tangent in the first round, so that the
+    prefix predicates keep holding at the descent target, and random
+    samples are clipped too.  Bit mutations stay unclipped: clipping them
+    solved no more problems in the benchmark and cost extra evaluations.
     """
     constraints, vec, chain = state.constraints, state.vec, state.chain
     if move is not None:
         yield PATTERN, vec + chain.lift(clip(dot(chain.rows, move), constraints))
     for candidate in grad_step_candidates(state):
         yield GRAD_STEP, vec + chain.lift(clip(candidate(), constraints))
-    for u in bit_mutation_candidates(state):
-        yield BIT_MUT, vec + chain.lift(u)
+    for point in vec + chain.lift_rows(bit_mutation_candidates(state)):
+        yield BIT_MUT, point
     for point in vec + chain.lift_rows(clip_rows(random_candidates(state, rng), constraints)):
         yield RANDOM, point
 

@@ -45,9 +45,10 @@ class ScalarType:
     max_value: int | float
 
     def contains(self, value: int | float) -> bool:
-        """Whether ``value`` is exactly representable in this type."""
+        """Whether ``value`` is exactly representable in this type; a ``bool`` is not."""
         if self.is_integer:
-            return isinstance(value, int) and self.min_value <= value <= self.max_value
+            return (type(value) is not bool and isinstance(value, int)
+                    and self.min_value <= value <= self.max_value)
         return isinstance(value, float) and math.isfinite(value) and self.nearest(value) == value
 
     def nearest(self, x: float) -> int | float:

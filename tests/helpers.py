@@ -3,6 +3,7 @@
 import numpy as np
 
 from covsolve.localspace import BasisChain
+from covsolve.vecspace import Valuation, extract
 
 
 def orthonormality_error(vectors: np.ndarray) -> float:
@@ -35,3 +36,15 @@ def record_levels(monkeypatch) -> list:
     monkeypatch.setattr(BasisChain, "__init__", recording_init)
     monkeypatch.setattr(BasisChain, "extend", recording_extend)
     return levels
+
+
+def dense_step(origin: Valuation, point: np.ndarray, row: np.ndarray) -> Valuation:
+    """A finite-difference step as the dense oracles take it: ``point`` extracted whole,
+    then ``origin``'s own value wherever ``row`` is zero.
+
+    Raises ``ExtractionError`` where ``extract`` does.
+    """
+    stepped = extract(point, origin.signature).values
+    return Valuation(origin.signature, tuple(
+        kept if g == 0.0 else moved
+        for kept, moved, g in zip(origin.values, stepped, row.tolist())))

@@ -40,7 +40,7 @@ from covsolve.vecspace import (
     F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, Comparator, ExtractionError,
     Valuation, embed, extract,
 )
-from helpers import record_levels
+from helpers import dense_step, record_levels
 
 TYPES = (I8, I16, I32, I64, U8, U16, U32, U64, F32, F64)
 
@@ -72,7 +72,8 @@ def full_loop_gradient(fn, origin, origin_value, lifted, eps_seed):
 
 
 def single_step_gradient(fn, origin, origin_value, lifted, eps_seed):
-    """``solver.finite_diff_gradient`` as it was before absorbed partials were retaken."""
+    """``solver.finite_diff_gradient`` as it was before absorbed partials were retaken,
+    each step extracted whole but for the coordinates the row does not move."""
     signature, vec = origin.signature, embed(origin)
     grad = np.zeros(lifted.shape[0], dtype=np.float64)
     cols = [signature.positions[name] for name in fn.params]
@@ -86,7 +87,7 @@ def single_step_gradient(fn, origin, origin_value, lifted, eps_seed):
             continue
         for step in (eps, -eps):
             try:
-                valuation = extract(vec + step * row, signature)
+                valuation = dense_step(origin, vec + step * row, row)
             except ExtractionError:
                 continue
             value = fn.call(valuation)

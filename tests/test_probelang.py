@@ -343,9 +343,10 @@ abe abs(min(a, b) - max(a, -b)) > 0
     @pytest.mark.parametrize("typ, value", [
         (F64, math.inf), (F64, -math.inf), (F64, math.nan), (F32, math.nan),
         (F32, 1e39), (F32, 0.1), (I32, 0.5), (I32, 0.0), (I32, 2**31), (U8, 300), (U8, -1),
+        (U8, True), (I32, False),
     ])
     def test_init_its_type_does_not_hold_is_refused(self, typ, value):
-        # "init x = inf" would not parse back, nor "init x = 300" for a u8
+        # "init x = inf" would not parse back, nor "init x = 300" for a u8, nor "init x = True"
         spec = ProblemSpec((("w", F64, 0.0), ("x", typ, value)),
                            (((("var", "w"),), Comparator.GE),))
         with pytest.raises(ValueError, match=r"\(variable x\)"):

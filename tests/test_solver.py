@@ -466,7 +466,21 @@ abe x1 + x2 - 5 >= 0
     def test_float_variables_skipped(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
-        assert bit_mutation_candidates(state) == []
+        assert bit_mutation_candidates(state).shape == (0, state.chain.rows.shape[0])
+
+    def test_empty_level_gives_an_empty_block(self):
+        # the equality leaves no axis: no candidate, and a block the level lifts
+        problem = problem_of("""
+var x : i32
+init x = 0
+abe x == 0
+abe x - 5 >= 0
+""")
+        state = build_spaces(problem, problem.init, problem.init_values)
+        assert state.chain.rows.shape == (0, 1)
+        candidates = bit_mutation_candidates(state)
+        assert candidates.shape == (0, 0)
+        assert state.chain.lift_rows(candidates).shape == (0, 1)
 
     def test_set_bit_mutates_downward(self):
         problem = problem_of("""

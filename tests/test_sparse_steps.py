@@ -1,14 +1,17 @@
 """Line steps and finite differences that round only what they move.
 
 ``epsilon_along_line`` rounds, at each sample, only the coordinates its
-direction moves, and ``finite_diff_gradient`` re-rounds only a row's
-nonzero coordinates at each step.  The routines that rounded every
-coordinate stay here as differential oracles, copied as they were: the new
-ones must give the same bytes, and the gradient the same calls, on every
-type, at the ends of each range, past 2**53, at -0.0, among float32
-subnormals, and on walks that end without a step.  A call counter on
-``ScalarType.nearest`` pins the cost: a step along one axis rounds as many
-coordinates in 1000 dimensions as in 10.
+direction moves, and ``finite_diff_gradient`` rounds only a row's nonzero
+coordinates at each step, leaving every other one at the origin's exact
+value.  The routines that rounded every coordinate stay here as
+differential oracles: the line step copied as it was, the gradient's step
+keeping the origin's value wherever the row is zero.  The new ones must
+give the same bytes, and the gradient the same calls, on every type, at the
+ends of each range, past 2**53, at -0.0, among float32 subnormals, and on
+walks that end without a step.  Two boxes that read what the old dense step
+changed off the row, the sign of -0.0 and an i64 past 2**53, get their
+exact partial.  A call counter on ``ScalarType.nearest`` pins the cost: a
+step along one axis rounds as many coordinates in 1000 dimensions as in 10.
 """
 
 import math
@@ -28,8 +31,9 @@ from covsolve.problem import BlackBoxFn
 from covsolve.solver import finite_diff_gradient
 from covsolve.vecspace import (
     F32, F64, I8, I16, I32, I64, U8, U16, U32, U64,
-    ExtractionError, ScalarType, Signature, Valuation, embed, extract, round_vector,
+    ExtractionError, ScalarType, Valuation, embed, round_vector,
 )
+from helpers import dense_step
 
 TYPES = (I8, I16, I32, I64, U8, U16, U32, U64, F32, F64)
 
@@ -68,7 +72,8 @@ def dense_epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: flo
 
 def dense_finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: float,
                                lifted: np.ndarray, eps_seed: float) -> np.ndarray:
-    """``finite_diff_gradient`` as it was when every step extracted every coordinate."""
+    """``finite_diff_gradient`` as it was when every step extracted every coordinate,
+    except that a coordinate the row does not move keeps ``origin``'s value."""
     signature, vec = origin.signature, embed(origin)
     grad = np.zeros(lifted.shape[0], dtype=np.float64)
     cols = [signature.positions[name] for name in fn.params]
@@ -85,7 +90,7 @@ def dense_finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: 
             value = None
             for step in (eps, -eps):
                 try:
-                    valuation = extract(vec + step * row, signature)
+                    valuation = dense_step(origin, vec + step * row, row)
                 except ExtractionError:
                     continue
                 value = fn.call(valuation)
@@ -197,7 +202,10 @@ def random_rows(rand: random.Random, dim: int) -> np.ndarray:
 
 
 def compare_gradients(origin, params, coeffs, offset, lifted, eps_seed):
-    """Both gradients' bytes and the valuations each one called, bit for bit."""
+    """Both gradients' bytes and the valuations each one called, bit for bit.
+
+    Returns the valuations called, as ``value_bits``.
+    """
     logs = []
     results = []
     for routine in (finite_diff_gradient, dense_finite_diff_gradient):
@@ -212,7 +220,24 @@ def compare_gradients(origin, params, coeffs, offset, lifted, eps_seed):
         logs.append(log)
     assert results[0] == results[1]
     assert logs[0] == logs[1]
-    return len(logs[0])
+    return logs[0]
+
+
+def off_row_calls(origin, params, lifted) -> int:
+    """Each row's gradient alone: every valuation it calls keeps, bit for bit,
+    ``origin``'s value wherever the row is zero.  Returns the number of calls."""
+    kept = value_bits(origin)
+    calls = 0
+    for row in lifted:
+        log = []
+        fn = recording_box(params, [1.0] * len(params), 0.0, log)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite_diff_gradient(fn, origin, 0.5, row[None, :], 2.0**-26)
+        for call in log:
+            assert [c for c, g in zip(call, row.tolist()) if g == 0.0] \
+                == [k for k, g in zip(kept, row.tolist()) if g == 0.0]
+        calls += len(log)
+    return calls
 
 
 class TestLineStepAgainstDenseWalk:
@@ -298,29 +323,37 @@ class TestGradientAgainstDenseSteps:
             params = sorted(rand.sample(names, rand.randint(1, dim)))
             coeffs = [rand.gauss(0.0, 1.0) * rand.choice([1.0, 1e-9, 1e300]) for _ in params]
             offset = rand.choice([0.0, 0.0, 3.2e18, -7.5])
-            calls += compare_gradients(origin, params, coeffs, offset,
-                                       random_rows(rand, dim), random_seed_step(rand, origin))
+            calls += len(compare_gradients(origin, params, coeffs, offset,
+                                           random_rows(rand, dim),
+                                           random_seed_step(rand, origin)))
         assert calls >= 2000
 
-    def test_signed_zero_off_the_row_turns_as_the_dense_step_turns_it(self):
-        # x is -0.0 and the row does not move it: the dense step's x + step*0.0
-        # is +0.0 for a positive step and -0.0 for a negative one
+    def test_signed_zero_off_the_row_stays_negative(self):
+        # x and y are -0.0 and no row moves them: every step keeps them -0.0,
+        # where x + step*0.0 would be +0.0 for a positive step
         origin = Valuation.of([("x", F64, -0.0), ("y", F32, -0.0), ("n", I32, 0), ("z", F64, 1.0)])
+        negative_zeros = value_bits(origin)[:2]
         for zero in (0.0, -0.0):
             lifted = np.array([[zero, zero, zero, 1.0], [zero, -zero, 1.0, 0.5]])
             for offset in (0.0, 5.0, 11.0, 3.2e18):
-                compare_gradients(origin, ["x", "y", "n", "z"], [1.0, 2.0, 3.0, 4.0],
-                                  offset, lifted, 2.0**-26)
+                log = compare_gradients(origin, ["x", "y", "n", "z"], [1.0, 2.0, 3.0, 4.0],
+                                        offset, lifted, 2.0**-26)
+                assert log and all(call[:2] == negative_zeros for call in log)
+            assert off_row_calls(origin, ["x", "y", "n", "z"], lifted) >= 2
 
-    def test_integers_past_2_53_start_from_their_embedding(self):
-        # embed moves 2**53 + 1 to 2**53, and the steps start from there
+    def test_integers_past_2_53_off_the_row_keep_their_values(self):
+        # embed moves 2**53 + 1 to 2**53; a step that does not move a keeps 2**53 + 1
         origin = Valuation.of([("a", I64, 2**53 + 1), ("b", U64, 2**64 - 1), ("c", I64, 2**63 - 1),
                                ("d", I8, -128)])
         for lifted in (np.eye(4),
                        next_basis(np.array([1.0, -2.0, 0.0, 3.0]), append_gradient=True)):
+            kept_a = 0
             for offset in (0.0, 3.2e18):
-                compare_gradients(origin, ["a", "b", "c", "d"], [1.0, -1.0, 0.5, 2.0],
-                                  offset, lifted, 2.0**-26)
+                log = compare_gradients(origin, ["a", "b", "c", "d"], [1.0, -1.0, 0.5, 2.0],
+                                        offset, lifted, 2.0**-26)
+                kept_a += sum(call[0] == 2**53 + 1 for call in log)
+            assert kept_a >= 2
+            assert off_row_calls(origin, ["a", "b", "c", "d"], lifted) >= 2
 
     def test_step_that_overflows_is_skipped_alike(self):
         # the -eps step takes a from -max to -inf, which cannot be rounded
@@ -329,8 +362,8 @@ class TestGradientAgainstDenseSteps:
         lifted = np.array([[1.0, 1e-300]])
         log_sizes = set()
         for offset in (0.0, 1.0, 2.0, 3.0):  # the +eps call fails for some offsets
-            log_sizes.add(compare_gradients(origin, ["a", "b"], [1e-300, 1.0], offset,
-                                            lifted, 2.0**-26))
+            log_sizes.add(len(compare_gradients(origin, ["a", "b"], [1e-300, 1.0], offset,
+                                                lifted, 2.0**-26)))
         assert log_sizes == {1}
 
     @given(st.data())
@@ -351,6 +384,30 @@ class TestGradientAgainstDenseSteps:
         offset = data.draw(st.sampled_from([0.0, 3.2e18, -1.0]))
         eps_seed = data.draw(st.floats(min_value=5e-324, max_value=1e300))
         compare_gradients(origin, params, coeffs, offset, lifted, eps_seed)
+
+
+class TestExactPartials:
+    """F = y + g(x), stepped along y alone: the partial along y is exactly 1."""
+
+    def test_sign_of_negative_zero_is_not_read_as_a_slope(self):
+        # g reads x's sign: a step that turned x = -0.0 into +0.0 read 1 - 2**26
+        fn = BlackBoxFn(("x", "y"), lambda v: v["y"] + (1.0 if math.copysign(1.0, v["x"]) < 0.0
+                                                         else 0.0))
+        origin = Valuation.of([("x", F64, -0.0), ("y", F64, 0.0)])
+        grad = finite_diff_gradient(fn, origin, fn.call(origin), np.array([[0.0, 1.0]]),
+                                    epsilon_from_value(0.0))
+        assert grad.tolist() == [1.0]
+
+    def test_exact_64_bit_arithmetic_past_2_53_reads_the_true_slope(self):
+        # g is exact i64 arithmetic: a step that started a from its embedding 2**53
+        # read g = -1, and a partial of 1 - 1/eps
+        a0 = 2**53 + 1
+        fn = BlackBoxFn(("a", "y"), lambda v: float(v["a"] - a0) + v["y"])
+        origin = Valuation.of([("a", I64, a0), ("y", F64, 0.0)])
+        eps_seed = epsilon_from_value(float(np.max(np.abs(embed(origin)))))  # as build_spaces
+        grad = finite_diff_gradient(fn, origin, fn.call(origin), np.array([[0.0, 1.0]]),
+                                    eps_seed)
+        assert grad.tolist() == [1.0]
 
 
 class TestCostDoesNotGrowWithDimension:

@@ -69,6 +69,16 @@ class TestScalarType:
         assert F32.contains(0.5)
         assert not F32.contains(2.0**-300)  # underflows float32
 
+    @pytest.mark.parametrize("typ", [t for t in ALL_TYPES if t.is_integer], ids=str)
+    def test_integer_types_hold_no_bool(self, typ):
+        # True == 1 and isinstance(True, int), but "init x = True" parses as no value
+        assert not typ.contains(True) and not typ.contains(False)
+        assert typ.contains(1) and typ.contains(0)
+
+    def test_valuation_of_a_bool_names_its_variable(self):
+        with pytest.raises(ValueError, match=r"\(variable x\)"):
+            Valuation.of([("x", U8, True)])
+
     def test_next_value_integers(self):
         assert I8.next_value(5.0, 1.0) == 6.0
         assert I8.next_value(5.0, -1.0) == 4.0
