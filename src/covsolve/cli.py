@@ -81,9 +81,12 @@ def _config_from_args(args: argparse.Namespace) -> SolverConfig:
 
 
 def _read_problem_file(path) -> str:
-    """A problem file's text; unreadable or non-UTF-8 files are input errors."""
+    """A problem file's text, less a leading UTF-8 byte-order mark.
+
+    Unreadable or non-UTF-8 files are input errors.
+    """
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path.name}: {exc}") from exc
 

@@ -21,10 +21,15 @@ Each expression is held as a flat program: a tuple of postfix steps
 ``(op, arg)``, namely ``("var", name)``, ``("lit", value)``, ``("neg", None)``,
 ``("+" | "-" | "*" | "/", None)`` and ``("abs" | "min" | "max" | "f64", None)``.
 ``x1 - 10`` is ``(("var", "x1"), ("lit", 10.0), ("-", None))``.  Parsing is
-one operator-precedence loop over a line's tokens; evaluating, printing and
-listing variables are single loops over the steps; and programs compare,
-hash and print as plain tuples.  Nothing recurses, so neither a sum as long
-as its line nor parentheses nested to any depth hit Python's stack limit.
+one ``findall`` scan of a line into token texts and one operator-precedence
+loop over them; evaluating, printing and listing variables are single loops
+over the steps; and programs compare, hash and print as plain tuples.
+Programs share their steps: every operator has one step object, and within
+a line so has every distinct variable and literal text, so a program of n
+steps holds n pointers rather than n fresh tuples.  Nothing recurses, so
+neither a sum as long as its line nor parentheses nested to any depth hit
+Python's stack limit.  Whitespace is any character ``str.split`` splits on,
+between tokens and after a directive's keyword alike.
 """
 
 from __future__ import annotations
@@ -107,31 +112,17 @@ def eval_expr(program: Program, valuation: Valuation) -> float | None:
 
 _NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
 
-# finditer skips only whitespace: every other character starts a token or is bad
-_TOKEN_RE = re.compile(
-    rf"(?P<num>{_NUMBER})"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>==|!=|<=|>=|[-+*/(),<>])"
-    r"|(?P<bad>\S)"
-)
-
-_END = ("end", "")  # closes every token list, so a parser never reads past it
+# no groups, so findall returns the token texts; a character that starts no
+# token is skipped, and the parser finds it by length
+_TOKEN_RE = re.compile(rf"{_NUMBER}|[A-Za-z_][A-Za-z_0-9]*|==|!=|<=|>=|[-+*/(),<>]")
 
 #: Precedences; all operators are left-associative, and unary minus binds tightest.
 _BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}
 _NEG = 3
 
+#: The one step of each operator, shared by every program.
+_OP_STEPS = {op: (op, None) for op in ("neg", *_BINARY, *_FUNCTIONS)}
 
-def _tokenize(text: str, line: int) -> list[tuple[str, str]]:
-    """The (kind, text) tokens of ``text``, closed by the end marker ``_END``."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(line, f"unexpected character {m.group()!r}")
-        tokens.append((kind, m.group()))
-    tokens.append(_END)
-    return tokens
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -152,7 +143,8 @@ def parse_spec(text: str) -> ProblemSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        keyword, _, rest = line.partition(" ")
+        keyword = line.split(None, 1)[0]  # any whitespace, a tab too, ends the keyword
+        rest = line[len(keyword):]
         if keyword == "var":
             name, typ = _parse_var_line(rest, lineno)
             if name in declared:
@@ -235,49 +227,67 @@ def _coerce_literal(literal: str, typ: ScalarType, lineno: int) -> int | float:
 def _parse_abe_line(rest: str, lineno: int) -> tuple[Program, Comparator]:
     """Parse ``<expr> <comparator> 0`` in one operator-precedence loop.
 
-    The stack holds pending operators as (precedence, op) and open groups as
-    (0, name, argument count), with name "(" for a parenthesis, so every pop
-    stops at the innermost open group.
+    One findall scan gives the line's token texts, closed by the end marker
+    "", and the loop classifies each where it reads it: a number starts with
+    a digit or ".", a name is an identifier, and any other token is an
+    operator.  The stack holds pending operators as (precedence, step) and
+    open groups as (0, name, argument count), with name "(" for a
+    parenthesis, so every pop stops at the innermost open group.  Each
+    distinct variable and literal text gets one step per line, and each
+    operator its step in ``_OP_STEPS``, so programs share their steps.
     """
-    tokens = _tokenize(rest, lineno)
+    tokens = _TOKEN_RE.findall(rest)
+    if sum(map(len, tokens)) != len("".join(rest.split())):
+        # the pieces between tokens hold the characters that start none
+        bad = "".join(_TOKEN_RE.split(rest)).split()[0][0]
+        raise ParseError(lineno, f"unexpected character {bad!r}")
+    tokens.append("")
+    variables: dict[str, Step] = {}  # name -> its ("var", name) step
+    literals: dict[str, Step] = {}  # literal text -> its ("lit", value) step
     out: list[Step] = []
     stack: list[tuple] = []
     operand = True  # whether the next token starts an operand
     pos = 0
     while True:
-        kind, text = tokens[pos]
+        text = tokens[pos]
         pos += 1
-        if kind == "end":
+        if not text:
             raise ParseError(lineno, "unexpected end of line")
         if operand:
             if text == "-":
-                stack.append((_NEG, "neg"))
+                stack.append((_NEG, _OP_STEPS["neg"]))
             elif text == "(":
                 stack.append((0, "(", 1))
-            elif kind == "name" and tokens[pos] == ("op", "("):
+            elif text[0].isdigit() or text[0] == ".":
+                step = literals.get(text)
+                if step is None:
+                    value = float(text)
+                    if not math.isfinite(value):  # no literal prints back as infinity
+                        raise ParseError(lineno, f"literal {text} is out of range")
+                    step = literals[text] = ("lit", value)
+                out.append(step)
+                operand = False
+            elif not text.isidentifier():
+                raise ParseError(lineno, f"unexpected token {text!r}")
+            elif tokens[pos] == "(":
                 if text not in _FUNCTIONS:
                     raise ParseError(lineno, f"unknown function {text!r}")
                 stack.append((0, text, 1))
                 pos += 1
-            elif kind == "num":
-                value = float(text)
-                if not math.isfinite(value):  # no literal prints back as infinity
-                    raise ParseError(lineno, f"literal {text} is out of range")
-                out.append(("lit", value))
-                operand = False
-            elif kind == "name":
-                out.append(("var", text))
-                operand = False
             else:
-                raise ParseError(lineno, f"unexpected token {text!r}")
+                step = variables.get(text)
+                if step is None:
+                    step = variables[text] = ("var", text)
+                out.append(step)
+                operand = False
             continue
         # after an operand: emit the pending operators that bind at least as
         # tightly as a binary operator here, or all of them before a closer
         floor = _BINARY.get(text, 1)
         while stack and stack[-1][0] >= floor:
-            out.append((stack.pop()[1], None))
+            out.append(stack.pop()[1])
         if text in _BINARY:
-            stack.append((floor, text))
+            stack.append((floor, _OP_STEPS[text]))
             operand = True
         elif not stack:
             break  # the expression is complete
@@ -295,18 +305,18 @@ def _parse_abe_line(rest: str, lineno: int) -> tuple[Program, Comparator]:
                     lineno, f"{name} takes {_FUNCTIONS[name]} argument(s), got {n_args}")
             else:
                 stack.pop()
-                out.append((name, None))
+                out.append(_OP_STEPS[name])
 
     try:
         comp = Comparator.from_symbol(text)
     except ValueError:
         raise ParseError(lineno, f"expected a comparator, found {text!r}") from None
-    zero_kind, zero_text = tokens[pos]
-    if zero_kind == "end":
+    zero = tokens[pos]
+    if not zero:
         raise ParseError(lineno, "unexpected end of line")
-    if zero_kind != "num" or float(zero_text) != 0.0:
+    if not (zero[0].isdigit() or zero[0] == ".") or float(zero) != 0.0:
         raise ParseError(lineno, "abe lines must compare against 0")
-    if tokens[pos + 1] != _END:
+    if tokens[pos + 1]:
         raise ParseError(lineno, "trailing tokens after abe")
     return tuple(out), comp
 

@@ -142,6 +142,14 @@ class TestSolveCommand:
         assert err.startswith("error: latin1.prob:")
         assert "Traceback" not in err
 
+    def test_byte_order_mark_is_skipped(self, eq_ge_file, tmp_path, capsys):
+        path = tmp_path / "bom.prob"
+        path.write_bytes(b"\xef\xbb\xbf" + EQ_GE_TRACE.encode())
+        assert cli.main(["solve", str(path), "--json"]) == 0
+        with_bom = capsys.readouterr()
+        assert cli.main(["solve", str(eq_ge_file), "--json"]) == 0
+        assert with_bom == capsys.readouterr()
+
     def test_parse_error_exits_2_with_line(self, tmp_path, capsys):
         path = tmp_path / "bad.prob"
         path.write_text("var x : f64\ninit x = 0\nabe x $ 0\n")

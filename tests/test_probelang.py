@@ -1,6 +1,8 @@
 import math
+import random
 import re
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -223,6 +225,13 @@ abe a + 5 == 0   # distance
         ("var a : f64\ninit a = 0\nabe min(1e400, a) - 1 > 0\n",
          "line 3: literal 1e400 is out of range"),
         ("frob a\n", "unknown directive"),
+        ("var\n", "line 1: expected: var <name> : <type>"),
+        ("var \t\n", "line 1: expected: var <name> : <type>"),
+        ("var a : i32\ninit\n", "line 2: expected: init <name> = <literal>"),
+        ("var a : i32\ninit a = 0\nabe\n", "line 3: unexpected end of line"),
+        # the first character that starts no token, before any other error
+        ("var a : i32\ninit a = 0\nabe ) a \u2003! b = $ >= 1\n",
+         "line 3: unexpected character '!'"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(ParseError) as err:
@@ -233,6 +242,21 @@ abe a + 5 == 0   # distance
         with pytest.raises(ParseError) as err:
             parse_spec("var a : i32\ninit a = 0\nabe a $ 0\n")
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("directive", ["var", "init", "abe"])
+    def test_a_tab_ends_a_directive(self, directive):
+        text = EQ_GE_TRACE.replace(f"\n{directive} ", f"\n{directive}\t")
+        assert text != EQ_GE_TRACE
+        assert parse_spec(text) == parse_spec(EQ_GE_TRACE)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("abe x\t-\t1 >= 0", BinOp("-", Var("x"), Lit(1.0))),
+        ("abe x\xa0-\u20031 >= 0", BinOp("-", Var("x"), Lit(1.0))),
+        ("abe x - \u0663 >= 0", BinOp("-", Var("x"), Lit(3.0))),  # ARABIC-INDIC DIGIT THREE
+    ])
+    def test_unicode_whitespace_and_digits(self, text, expected):
+        spec = parse_spec(f"var x : f64\ninit x = 0\n{text}\n")
+        assert spec.abes[0][0] == expected
 
 
 class TestNesting:
@@ -371,6 +395,52 @@ abe abs(min(a, b) - max(a, -b)) > 0
         assert [repr(v) for _, _, v in reparsed.variables] == [repr(v) for v in values]
 
 
+def _padded_line(count, names, rng):
+    """An abe like the costly-calls workload's: ``count`` terms k*x - k*x in a balanced sum."""
+    terms = []
+    for _ in range(count):
+        k, x = rng.randint(2, 9), rng.choice(names)
+        terms.append(f"(({k} * {x}) - ({k} * {x}))")
+    while len(terms) > 1:
+        pairs = [f"({a} + {b})" for a, b in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[len(terms) // 2 * 2:]
+    return f"abe ((x0 - x1) + {terms[0]}) >= 0\n"
+
+
+class TestSharedSteps:
+    """A program holds one step object per distinct variable, literal text and operator."""
+
+    def test_one_object_per_distinct_step(self):
+        spec = parse_spec("var a : f64\nvar abs : f64\ninit a = 0\ninit abs = 0\n"
+                          "abe abs(a) * 2 - -abs / 2.0 + min(a, abs * 2) - 2.0 / a > 0\n")
+        program = spec.abes[0][0]
+        # a, abs; "2", "2.0"; abs, *, -, neg, /, +, min
+        assert len({id(step) for step in program}) == 2 + 2 + 7
+        assert len(set(program)) == 2 + 1 + 7  # the literals 2 and 2.0 are equal
+
+    def test_operators_share_one_step_across_lines(self):
+        spec = parse_spec("var a : f64\ninit a = 0\nabe a - 1 < 0\nabe 2 - a * a > 0\n")
+        first, second = (expr for expr, _ in spec.abes)
+        assert first[-1] is second[-1] == ("-", None)
+
+    def test_a_padded_line_holds_one_pointer_per_step(self):
+        names = [f"x{i}" for i in range(8)]
+        text = "".join(f"var {x} : f64\ninit {x} = 0\n" for x in names)
+        text += _padded_line(200, names, random.Random(0))
+        parse_spec(text)  # fills re's pattern cache
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            spec = parse_spec(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(spec.abes[0][0]) == 1603
+        # 1603 pointers take 12.9 kB; a fresh (op, arg) tuple per step
+        # would hold about 199 kB
+        assert held < 32_000
+
+
 class TestCompile:
     def test_basic_document(self):
         problem = compile_spec(parse_spec(EQ_GE_TRACE))
@@ -491,21 +561,26 @@ _ORACLE_FUNCTIONS = {"abs": 1, "min": 2, "max": 2, "f64": 1}
 _ORACLE_COMPARATORS = {"==", "!=", "<", "<=", ">", ">="}
 
 
+def _scan(text, line):
+    """The (kind, text) tokens of ``text``, matched one at a time between spaces."""
+    items = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _ORACLE_TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(line, f"unexpected character {text[pos]!r}")
+        items.append((m.lastgroup, m.group()))
+        pos = m.end()
+    return items
+
+
 class _Tokens:
-    def __init__(self, text, line):
+    def __init__(self, items, line):
         self.line = line
-        self.items = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _ORACLE_TOKEN_RE.match(text, pos)
-            if not m:
-                raise ParseError(line, f"unexpected character {text[pos]!r}")
-            kind = m.lastgroup
-            self.items.append((kind, m.group()))
-            pos = m.end()
+        self.items = items
         self.index = 0
 
     def peek(self):
@@ -586,23 +661,49 @@ def _parse_atom(toks, out):
         raise ParseError(toks.line, f"unexpected token {text!r}")
 
 
-def _parse_abe_line(rest, lineno):
-    toks = _Tokens(rest, lineno)
-    steps = []
-    try:
-        _parse_expr(toks, steps)
-    except RecursionError:
-        raise ParseError(lineno, "expression nested too deeply") from None
-    kind, text = toks.next()
-    if kind != "op" or text not in _ORACLE_COMPARATORS:
-        raise ParseError(lineno, f"expected a comparator, found {text!r}")
-    comp = Comparator.from_symbol(text)
-    zero_kind, zero_text = toks.next()
-    if zero_kind != "num" or float(zero_text) != 0.0:
-        raise ParseError(lineno, "abe lines must compare against 0")
-    if not toks.at_end():
-        raise ParseError(lineno, "trailing tokens after abe")
-    return tuple(steps), comp
+def _recursive_descent(scan):
+    """A recursive-descent ``_parse_abe_line`` over the tokens ``scan`` gives."""
+
+    def parse_abe_line(rest, lineno):
+        toks = _Tokens(scan(rest, lineno), lineno)
+        steps = []
+        try:
+            _parse_expr(toks, steps)
+        except RecursionError:
+            raise ParseError(lineno, "expression nested too deeply") from None
+        kind, text = toks.next()
+        if kind != "op" or text not in _ORACLE_COMPARATORS:
+            raise ParseError(lineno, f"expected a comparator, found {text!r}")
+        comp = Comparator.from_symbol(text)
+        zero_kind, zero_text = toks.next()
+        if zero_kind != "num" or float(zero_text) != 0.0:
+            raise ParseError(lineno, "abe lines must compare against 0")
+        if not toks.at_end():
+            raise ParseError(lineno, "trailing tokens after abe")
+        return tuple(steps), comp
+
+    return parse_abe_line
+
+
+# --- the finditer tokenizer that preceded the one findall scan ---------------
+
+_FINDITER_TOKEN_RE = re.compile(
+    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>==|!=|<=|>=|[-+*/(),<>])"
+    r"|(?P<bad>\S)"
+)
+
+
+def _tokenize(text, line):
+    """The (kind, text) tokens of ``text``; finditer skips only whitespace."""
+    tokens = []
+    for m in _FINDITER_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(line, f"unexpected character {m.group()!r}")
+        tokens.append((kind, m.group()))
+    return tokens
 
 
 def _outcome(text):
@@ -613,23 +714,32 @@ def _outcome(text):
         return str(exc), exc.line
 
 
-def _oracle_outcome(text):
-    with mock.patch.object(probelang, "_parse_abe_line", _parse_abe_line):
-        return _outcome(text)
+def _oracle_outcomes(text):
+    """The outcomes under recursive descent, over each oracle's tokens."""
+    outcomes = []
+    for scan in (_scan, _tokenize):
+        with mock.patch.object(probelang, "_parse_abe_line", _recursive_descent(scan)):
+            outcomes.append(_outcome(text))
+    return outcomes
 
 
 def assert_parsers_agree(text):
-    expected = _oracle_outcome(text)
-    if isinstance(expected, tuple) and "nested too deeply" in expected[0]:
+    expected = _oracle_outcomes(text)
+    assert expected[0] == expected[1]
+    if isinstance(expected[0], tuple) and "nested too deeply" in expected[0][0]:
         return
-    assert _outcome(text) == expected
+    assert _outcome(text) == expected[0]
 
 
 _SOUP_TOKENS = (
     "a", "b", "abs", "min", "max", "f64", "sin", "0", "1", "2.5", ".5", "1e400", "0.0",
     "(", "(", ")", ")", ",", "+", "-", "-", "*", "/",
     "==", "!=", "<", "<=", ">", ">=", "$", ".",
+    "\t", "\xa0", "\u2003", "\u0663", "!", "=",
 )
+
+#: Whitespace, ASCII or not, that ``str.split`` and ``re``'s ``\s`` both skip.
+_SEPARATORS = (" ", "", "\t", "\xa0", "\u2003")
 
 _ATOM_TOKENS = ("a", "b", "0", "1", "2.5", ".5", "1e400")
 
@@ -667,7 +777,8 @@ def _spliced(tokens_index_token):
 
 
 _ABE_TOKENS = st.tuples(
-    _WELL_FORMED, st.sampled_from(("==", "<", ">=", "!=")), st.sampled_from(("0", "0.0", "1")),
+    _WELL_FORMED, st.sampled_from(("==", "<", ">=", "!=")),
+    st.sampled_from(("0", "0.0", "1", "\u0660")),
 ).map(_with_tail)
 
 _SOUP = st.one_of(
@@ -679,17 +790,21 @@ _SOUP = st.one_of(
 
 
 class TestParserAgainstRecursiveDescent:
-    """The operator-precedence loop against the recursive-descent parser it replaced."""
+    """The operator-precedence loop against the recursive-descent parser it replaced.
+
+    The parser runs over two oracle tokenizers: its own scan, and the
+    finditer tokenizer that the one findall scan replaced.
+    """
 
     def test_bundled_files(self):
         paths = sorted(cli.bundled_suite_dir().glob("*.prob"))
         assert len(paths) == 40
         for path in paths:
             text = path.read_text()
-            assert isinstance(_oracle_outcome(text), ProblemSpec)
+            assert all(isinstance(o, ProblemSpec) for o in _oracle_outcomes(text))
             assert_parsers_agree(text)
 
-    @given(st.lists(st.tuples(_SOUP, st.sampled_from((" ", ""))), min_size=1, max_size=2))
+    @given(st.lists(st.tuples(_SOUP, st.sampled_from(_SEPARATORS)), min_size=1, max_size=2))
     @settings(max_examples=2000, derandomize=True, deadline=None)
     def test_token_soup(self, lines):
         text = "var a : f64\nvar b : i32\ninit a = 0\ninit b = 0\n" + "".join(
