@@ -7,9 +7,9 @@ are provided: one relative to a single value, and one along a line from a
 valuation, the first sampled step that moves the rounded point.  The
 solver's finite-difference gradient takes its steps from the latter.  A
 valuation's embedding lies on the typed grid, so the line's origin is never
-rounded, and a sample rounds only what it moves: the coordinates where the
-direction is nonzero.  A step along one axis of a wide space costs what it
-costs in one dimension.
+rounded, and a sample rounds only what it moves, the coordinates where the
+direction is nonzero, each through its type in plain floats.  A step along
+one axis of a wide space costs what it costs in one dimension.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .localspace import dot, rescaled
-from .vecspace import ExtractionError, Signature, Valuation, round_vector
+from .vecspace import ExtractionError, ScalarType, Valuation, round_vector
 
 #: Significand digits of a 64-bit float; steps shift the lower half of them.
 _DIGITS = 53
@@ -78,7 +78,7 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) ->
     nearer the line than this one.
 
     A sample rounds only what it moves: the coordinates where ``direction``
-    is nonzero, under a signature of their own, walked in plain floats.
+    is nonzero, each through its type, walked in plain floats.
     Every other coordinate stays the origin's, which is on the grid by
     type.  The returned epsilon is read from the full-length step, so it is
     the same as a walk over every coordinate gives.
@@ -99,15 +99,14 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) ->
 
     support = direction.nonzero()[0]
     indices, moves = support.tolist(), direction[support].tolist()
-    moved = Signature(tuple([signature.names[i] for i in indices]),
-                      tuple([signature.types[i] for i in indices]))
+    types = [signature.types[i] for i in indices]
     # the origin's floats, as embed gives them: compared as an int, a clamped
     # i64 would read 2**63 - 1 where its embedding reads 2**63
     start = [float(origin.values[i]) for i in indices]
     point = [x + eps1 * g for x, g in zip(start, moves)]
     for _ in range(2 * len(signature)):
         try:
-            rounded = round_vector(point, moved).tolist()
+            rounded = round_vector(point, types)
         except ExtractionError:
             break
         if rounded != start:
@@ -117,7 +116,7 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) ->
             if math.isfinite(eps * scale * math.sqrt(ww)):
                 return eps
             break
-        increment = _min_coordinate_step(rounded, moves, moved)
+        increment = _min_coordinate_step(rounded, moves, types)
         if increment is None or increment <= 0.0 or not math.isfinite(increment):
             break
         point = [x + increment * g for x, g in zip(point, moves)]
@@ -126,13 +125,13 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) ->
 
 
 def _min_coordinate_step(rounded: Sequence[float], direction: Sequence[float],
-                         signature: Signature) -> float | None:
+                         types: Sequence[ScalarType]) -> float | None:
     """Smallest line step advancing some coordinate to its next typed value."""
     best = None
     for j, g_j in enumerate(direction):
         if g_j == 0.0:
             continue
-        nxt = signature.types[j].next_value(float(rounded[j]), math.copysign(1.0, g_j))
+        nxt = types[j].next_value(float(rounded[j]), math.copysign(1.0, g_j))
         if nxt is None:
             continue
         step = (nxt - float(rounded[j])) / g_j

@@ -28,12 +28,13 @@ Programs share their steps: every operator has one step object, and within
 a line so has every distinct variable and literal text, so a program of n
 steps holds n pointers rather than n fresh tuples.  Nothing recurses, so
 neither a sum as long as its line nor parentheses nested to any depth hit
-Python's stack limit.  Whitespace is any character ``str.split`` splits on,
-between tokens and after a directive's keyword alike.
+Python's stack limit.  A line ends at ``\r\n``, ``\r`` or ``\n``, and any
+other character ``str.split`` splits on is whitespace, after a keyword too.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -139,7 +140,9 @@ def parse_spec(text: str) -> ProblemSpec:
     abes: list[tuple[Program, Comparator]] = []
     abe_lines: list[int] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # universal newlines: text.splitlines() also breaks at \f, \v, \x1c-\x1e, \x85, \u2028, \u2029
+    lines = io.StringIO(text, newline=None).readlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -164,10 +167,10 @@ def parse_spec(text: str) -> ProblemSpec:
             raise ParseError(lineno, f"unknown directive {keyword!r}")
 
     if not abes:
-        raise ParseError(len(text.splitlines()) + 1, "no abe lines: nothing to flip")
+        raise ParseError(len(lines) + 1, "no abe lines: nothing to flip")
     missing = [name for name, (_, value) in declared.items() if value is None]
     if missing:
-        raise ParseError(len(text.splitlines()) + 1,
+        raise ParseError(len(lines) + 1,
                          f"missing init for variable(s) {', '.join(missing)}")
     for (expr, _), lineno in zip(abes, abe_lines):
         unknown = free_vars(expr) - declared.keys()
@@ -329,7 +332,7 @@ def format_expr(program: Program) -> str:
 
     Raises ValueError for a literal that no ``.prob`` number spells: a
     negative one or -0.0, which would parse back as a negation, or a
-    non-finite one.
+    non-finite one; and for a step that is no operator of the language.
     """
     stack: list[tuple[str, int]] = []  # (text, precedence) per pending operand
     for op, arg in program:
@@ -349,7 +352,7 @@ def format_expr(program: Program) -> str:
             args = ", ".join(text for text, _ in stack[first:])
             del stack[first:]
             stack.append((f"{op}({args})", _NEG))
-        else:
+        elif op in _BINARY:
             op_prec = _BINARY[op]
             rtext, rprec = stack.pop()
             text, prec = stack.pop()
@@ -358,20 +361,27 @@ def format_expr(program: Program) -> str:
             if rprec <= op_prec:
                 rtext = f"({rtext})"
             stack.append((f"{text} {op} {rtext}", op_prec))
+        else:
+            raise ValueError(f"step {(op, arg)!r} has no .prob spelling")
     return stack[-1][0]
 
 
 def format_spec(spec: ProblemSpec) -> str:
     """Render a spec as ``.prob`` text that parses back to an equal spec.
 
-    Raises ValueError for a literal it cannot spell, and for an init its type does not hold.
+    Raises ValueError, naming what is at fault, for a spec whose text ``parse_spec`` rejects.
     """
+    declared = Valuation.of(spec.variables).signature.positions
+    for name in declared:
+        if not (name.isidentifier() and name.isascii()):
+            raise ValueError(f"variable name {name!r} is not a .prob name")
+    if not spec.abes:
+        raise ValueError("no abes: nothing to flip")
     lines = [f"var {name} : {typ}" for name, typ, _ in spec.variables]
-    for name, typ, value in spec.variables:
-        if not typ.contains(value):
-            raise ValueError(f"initial value {value!r} is not a {typ} value (variable {name})")
-        lines.append(f"init {name} = {value!r}")
-    for expr, comp in spec.abes:
+    lines += [f"init {name} = {value!r}" for name, _, value in spec.variables]
+    for idx, (expr, comp) in enumerate(spec.abes, start=1):
+        if unknown := free_vars(expr) - declared.keys():
+            raise ValueError(f"abe {idx} uses undeclared variable(s) {', '.join(sorted(unknown))}")
         lines.append(f"abe {format_expr(expr)} {comp.symbol} 0")
     return "\n".join(lines) + "\n"
 

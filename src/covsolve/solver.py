@@ -38,7 +38,6 @@ was not accepted.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from contextlib import suppress
 from dataclasses import dataclass
@@ -52,8 +51,6 @@ from .localspace import BasisChain, dot, next_basis, rescaled, vector_norm
 from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from .problem import BlackBoxFn, CoverageProblem, Outcome, eval_prefix
 from .vecspace import ExtractionError, Valuation, embed, extract
-
-logger = logging.getLogger(__name__)
 
 #: A variable whose root coordinates in the last local space all lie below
 #: this magnitude is out of reach of bit mutations.
@@ -336,10 +333,7 @@ def bit_mutation_candidates(state: IterationState) -> np.ndarray:
     out: list[np.ndarray] = []
 
     for i, (name, typ) in enumerate(zip(signature.names, signature.types)):
-        if name not in params:
-            continue
-        if not typ.is_integer:
-            logger.debug("bit mutations skip float-typed variable %s", name)
+        if name not in params or not typ.is_integer:
             continue
         coords = lifted[:, i]
         if float(np.abs(coords).max(initial=0.0)) < PIVOT_GUARD:

@@ -289,17 +289,16 @@ def extract(vector: Sequence[float] | np.ndarray, signature: Signature) -> Valua
     The rounding is the check: the result is built without ``Valuation``'s
     validation, which is for values from outside.
     """
-    return Valuation._rounded(signature, tuple(_nearest_values(vector, signature)))
-
-
-def round_vector(vector: np.ndarray, signature: Signature) -> np.ndarray:
-    """Round coordinates through their types and re-embed (the <.> operator)."""
-    return np.array(_nearest_values(vector, signature), dtype=np.float64)
-
-
-def _nearest_values(vector: Sequence[float] | np.ndarray, signature: Signature) -> list:
     vec = np.asarray(vector, dtype=np.float64)
     if vec.ndim != 1 or vec.shape[0] != len(signature):
         raise ExtractionError(
             f"vector of dimension {vec.shape} does not match signature of {len(signature)}")
-    return [t.nearest(x) for t, x in zip(signature.types, vec.tolist())]
+    return Valuation._rounded(signature, tuple(
+        [t.nearest(x) for t, x in zip(signature.types, vec.tolist())]))
+
+
+def round_vector(values: Sequence[float], types: Sequence[ScalarType]) -> list[float]:
+    """Round each coordinate through its type and re-embed (the <.> operator)."""
+    if len(values) != len(types):
+        raise ExtractionError(f"{len(values)} coordinates do not match {len(types)} types")
+    return [float(t.nearest(x)) for t, x in zip(types, values)]

@@ -1,9 +1,12 @@
 """Checks shared by several test modules."""
 
+import math
+
 import numpy as np
 
-from covsolve.localspace import BasisChain
-from covsolve.vecspace import Valuation, extract
+from covsolve.localspace import BasisChain, dot, rescaled
+from covsolve.numerics import NoStepError, _min_coordinate_step
+from covsolve.vecspace import ExtractionError, Valuation, embed, extract, round_vector
 
 
 def orthonormality_error(vectors: np.ndarray) -> float:
@@ -48,3 +51,36 @@ def dense_step(origin: Valuation, point: np.ndarray, row: np.ndarray) -> Valuati
     return Valuation(origin.signature, tuple(
         kept if g == 0.0 else moved
         for kept, moved, g in zip(origin.values, stepped, row.tolist())))
+
+
+def dense_epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) -> float:
+    """``epsilon_along_line`` as it was when its origin was an array and every
+    sample rounded every coordinate."""
+    types, vec = origin.signature.types, embed(origin)
+    direction = np.asarray(direction, dtype=np.float64)
+    w, ww, scale = rescaled(direction)
+    if ww == 0.0:
+        raise ValueError("line direction must be nonzero")
+    if not math.isfinite(ww):
+        raise ValueError("line direction is not finite")
+    if eps1 <= 0.0:
+        raise ValueError("initial epsilon must be positive")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = vec + eps1 * direction
+        for _ in range(2 * vec.shape[0]):
+            try:
+                rounded = np.array(round_vector(point, types))
+            except ExtractionError:
+                break
+            if not np.array_equal(rounded, vec):
+                eps = float(dot(point - vec, w)) / (scale * ww)
+                if math.isfinite(eps * scale * math.sqrt(ww)):
+                    return eps
+                break
+            increment = _min_coordinate_step(rounded, direction, types)
+            if increment is None or increment <= 0.0 or not math.isfinite(increment):
+                break
+            point = point + increment * direction
+
+    raise NoStepError("no sample along the line changes the rounded vector")

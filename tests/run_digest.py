@@ -8,8 +8,8 @@ and solved with ``SolverConfig(max_iterations=100, rng_seed=(seed + index)
 % 2**32)``.  The digest is taken over the ``repr`` of each ``SolverResult``
 in that order, concatenated, and printed as one hex line.  Equal digests
 mean equal statuses, solutions, iterations, evaluations and logs.  The
-script builds its problems from the checkout it lives in, and pytest does
-not collect it.
+script builds its problems from the checkout it lives in.  pytest does not
+collect it; ``test_run_digest.py`` pins its digest at seeds 0 and 7.
 """
 
 import argparse

@@ -251,7 +251,7 @@ class TestEpsilonProperties:
             dim = int(rng.integers(1, 7))
             types = [type_pool[int(rng.integers(0, len(type_pool)))] for _ in range(dim)]
             sig = Signature.of([(f"x{i}", t) for i, t in enumerate(types)])
-            origin = round_vector(rng.uniform(-40, 40, size=dim), sig)
+            origin = np.array(round_vector(rng.uniform(-40, 40, size=dim), types))
             direction = rng.uniform(-3, 3, size=dim)
             if float(direction @ direction) == 0.0:
                 continue

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covsolve.localspace import dot, rescaled
+from covsolve.localspace import dot
 from covsolve.numerics import (
     NoStepError,
     _min_coordinate_step,
@@ -20,26 +20,28 @@ from covsolve.vecspace import (
     F32, F64, I8, I16, I32, I64, U8, U16, U32, U64,
     ExtractionError, Signature, embed, extract, round_vector,
 )
+from helpers import dense_epsilon_along_line
 
 ALL_TYPES = [I8, I16, I32, I64, U8, U16, U32, U64, F32, F64]
 
 
-def full_walk_epsilon_along_line(origin, direction, eps1, signature):
+def full_walk_epsilon_along_line(valuation, direction, eps1):
     """The scored line step: of all 2*dim samples, the moving one nearest the line.
 
     A sample's score is the larger of its step length and the distance of
     its rounded point from the line.  Its products are ``dot``'s, as in
     ``epsilon_along_line``, so the two agree bit for bit.
     """
+    types, origin = valuation.signature.types, embed(valuation)
     gg = float(dot(direction, direction))
-    rounded_origin = round_vector(origin, signature)
+    rounded_origin = np.array(round_vector(origin, types))
     best_eps = None
     best_score = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         point = origin + eps1 * direction
         for _ in range(2 * origin.shape[0]):
             try:
-                rounded = round_vector(point, signature)
+                rounded = np.array(round_vector(point, types))
             except ExtractionError:
                 break
             if not np.array_equal(rounded, rounded_origin):
@@ -52,48 +54,13 @@ def full_walk_epsilon_along_line(origin, direction, eps1, signature):
                 if score < best_score:
                     best_score = score
                     best_eps = eps
-            increment = _min_coordinate_step(rounded, direction, signature)
+            increment = _min_coordinate_step(rounded, direction, types)
             if increment is None or increment <= 0.0 or not math.isfinite(increment):
                 break
             point = point + increment * direction
     if best_eps is None:
         raise NoStepError("no sample along the line changes the rounded vector")
     return best_eps
-
-
-def array_origin_epsilon_along_line(origin, direction, eps1, signature):
-    """``epsilon_along_line`` as it was when its origin was an array, rounded
-    at every call so that it could lie off the typed grid."""
-    origin = np.asarray(origin, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    w, ww, scale = rescaled(direction)
-    if ww == 0.0:
-        raise ValueError("line direction must be nonzero")
-    if not math.isfinite(ww):
-        raise ValueError("line direction is not finite")
-    if eps1 <= 0.0:
-        raise ValueError("initial epsilon must be positive")
-
-    rounded_origin = round_vector(origin, signature)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        point = origin + eps1 * direction
-        for _ in range(2 * origin.shape[0]):
-            try:
-                rounded = round_vector(point, signature)
-            except ExtractionError:
-                break
-            if not np.array_equal(rounded, rounded_origin):
-                eps = float(dot(point - origin, w)) / (scale * ww)
-                if math.isfinite(eps * scale * math.sqrt(ww)):
-                    return eps
-                break
-            increment = _min_coordinate_step(rounded, direction, signature)
-            if increment is None or increment <= 0.0 or not math.isfinite(increment):
-                break
-            point = point + increment * direction
-
-    raise NoStepError("no sample along the line changes the rounded vector")
 
 
 def valuation_at(point, signature):
@@ -163,7 +130,7 @@ class TestEpsilonAlongLine:
         direction = np.array([1.0, 0.0])
         eps = epsilon_along_line(valuation_at(origin, sig), direction, 0.1)
         # the minimal integer step along the axis: the rounded point is (1, 0)
-        assert np.array_equal(round_vector(origin + eps * direction, sig),
+        assert np.array_equal(round_vector(origin + eps * direction, sig.types),
                               np.array([1.0, 0.0]))
         assert eps == pytest.approx(1.1)  # S_1=(0.1,0) rounds home; S_2=(1.1,0)
 
@@ -181,7 +148,7 @@ class TestEpsilonAlongLine:
         # hand enumeration: S_1=(0.1,0.1) rounds home, S_2=(1.1,1.1), eps=1.1,
         # whose rounded point (1,1) lies exactly on the line
         assert eps == pytest.approx(1.1)
-        assert np.array_equal(round_vector(origin + eps * direction, sig),
+        assert np.array_equal(round_vector(origin + eps * direction, sig.types),
                               np.array([1.0, 1.0]))
 
     def test_no_step_raises(self):
@@ -198,8 +165,8 @@ class TestEpsilonAlongLine:
         direction = np.array([1.0, 1.0])
         eps = epsilon_along_line(valuation_at(origin, sig), direction, 1e-3)
         assert eps == pytest.approx(0.5005)
-        assert not np.array_equal(round_vector(origin + eps * direction, sig),
-                                  round_vector(origin, sig))
+        assert not np.array_equal(round_vector(origin + eps * direction, sig.types),
+                                  round_vector(origin, sig.types))
 
     def test_overflow_ends_the_walk_quietly(self, recwarn):
         # the first sample overflows to inf, which cannot be rounded
@@ -228,8 +195,8 @@ class TestEpsilonAlongLine:
         direction = np.array([0.5, -1.0, 2.0])
         eps = epsilon_along_line(valuation_at(origin, sig), direction, epsilon_from_value(3.0))
         assert not np.array_equal(
-            round_vector(origin + eps * direction, sig),
-            round_vector(origin, sig))
+            round_vector(origin + eps * direction, sig.types),
+            round_vector(origin, sig.types))
 
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=150, deadline=None)
@@ -237,7 +204,7 @@ class TestEpsilonAlongLine:
         rng = np.random.default_rng(seed)
         types = [([I32, F32, F64])[rng.integers(0, 3)] for _ in range(dim)]
         sig = Signature.of([(f"x{i}", t) for i, t in enumerate(types)])
-        origin = round_vector(rng.uniform(-50, 50, dim), sig)
+        origin = np.array(round_vector(rng.uniform(-50, 50, dim), types))
         direction = rng.uniform(-2, 2, dim)
         if float(direction @ direction) == 0.0:
             return
@@ -247,8 +214,8 @@ class TestEpsilonAlongLine:
         except NoStepError:
             return
         assert not np.array_equal(
-            round_vector(origin + eps * direction, sig),
-            round_vector(origin, sig))
+            round_vector(origin + eps * direction, sig.types),
+            round_vector(origin, sig.types))
 
 
 class TestFirstMovingSampleAgainstFullWalk:
@@ -256,12 +223,12 @@ class TestFirstMovingSampleAgainstFullWalk:
 
     @staticmethod
     def _random_line(seed):
-        """A random line from a valuation, and the valuation's embedding."""
+        """A random line from a valuation."""
         rand = random.Random(seed)
         dim = rand.randint(1, 8)
         types = [rand.choice(ALL_TYPES) for _ in range(dim)]
         sig = Signature.of([(f"x{i}", t) for i, t in enumerate(types)])
-        origin = round_vector(np.array([_random_coordinate(rand, t) for t in types]), sig)
+        origin = np.array(round_vector([_random_coordinate(rand, t) for t in types], types))
         # some zero components, so some coordinates stay put along the line
         direction = np.array([rand.gauss(0.0, 1.0) if rand.random() < 0.8 else 0.0
                               for _ in range(dim)])
@@ -269,7 +236,7 @@ class TestFirstMovingSampleAgainstFullWalk:
             direction[0] = 1.0
         eps1 = epsilon_from_value(float(np.max(np.abs(origin))))
         eps1 *= rand.choice([1.0, 2.0 ** rand.randint(-30, 30)])
-        return (valuation_at(origin, sig), direction, eps1), (origin, direction, eps1, sig)
+        return valuation_at(origin, sig), direction, eps1
 
     @classmethod
     def _outcomes(cls, routine_of_line):
@@ -281,9 +248,8 @@ class TestFirstMovingSampleAgainstFullWalk:
             except NoStepError:
                 return NoStepError
         for seed in range(1500):
-            line, array_line = cls._random_line(seed)
-            yield (seed, outcome(epsilon_along_line, *line),
-                   outcome(routine_of_line, *array_line))
+            line = cls._random_line(seed)
+            yield seed, outcome(epsilon_along_line, *line), outcome(routine_of_line, *line)
 
     def test_on_grid_origins_match_full_walk(self):
         for seed, ours, full_walk in self._outcomes(full_walk_epsilon_along_line):
@@ -291,7 +257,7 @@ class TestFirstMovingSampleAgainstFullWalk:
 
     def test_matches_the_array_origin_routine(self):
         steps = 0
-        for seed, ours, theirs in self._outcomes(array_origin_epsilon_along_line):
+        for seed, ours, theirs in self._outcomes(dense_epsilon_along_line):
             assert ours == theirs, seed
             steps += ours is not NoStepError
         assert steps >= 1000

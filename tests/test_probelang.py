@@ -232,6 +232,24 @@ abe a + 5 == 0   # distance
         # the first character that starts no token, before any other error
         ("var a : i32\ninit a = 0\nabe ) a \u2003! b = $ >= 1\n",
          "line 3: unexpected character '!'"),
+        # only \r\n, \r and \n end a line: a form feed in a comment leaves it on its line,
+        # and every other character str.splitlines breaks at is whitespace in its line
+        ("# a\x0cb\nfrob\n", "line 2: unknown directive 'frob'"),
+        ("var x : f64\ninit x = 0\nabe x - 1 >= 0 # \x1c\nfrob\n",
+         "line 4: unknown directive 'frob'"),
+        ("var x : f64 # \x0binit x = 0\nfrob\n", "line 2: unknown directive 'frob'"),
+        ("var x : f64\ninit x = 0\nabe x\x85-\u2028 1\u2029>= 0\x1d\x1e\nfrob\n",
+         "line 4: unknown directive 'frob'"),
+        ("var x : f64\r\ninit x = 0\r\nabe x - 1 >= 0\r\nfrob\r\n",
+         "line 4: unknown directive 'frob'"),
+        ("var x : f64\rinit x = 0\r\rfrob\n", "line 4: unknown directive 'frob'"),
+        # an end-of-file error names the line after the last
+        ("", "line 1: no abe"),
+        ("var a : i32\ninit a = 0", "line 3: no abe"),
+        ("var a : i32\ninit a = 0\n", "line 3: no abe"),
+        ("var a : i32\r\ninit a = 0\r\n\r\n", "line 4: no abe"),
+        ("var a : i32\ninit a = 0\n\x0c\n", "line 4: no abe"),
+        ("var a : i32\n\x85abe a == 0\n", "line 3: missing init"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(ParseError) as err:
@@ -242,6 +260,9 @@ abe a + 5 == 0   # distance
         with pytest.raises(ParseError) as err:
             parse_spec("var a : i32\ninit a = 0\nabe a $ 0\n")
         assert err.value.line == 3
+
+    def test_crlf_line_ends_parse_as_newlines(self):
+        assert parse_spec(EQ_GE_TRACE.replace("\n", "\r\n")) == parse_spec(EQ_GE_TRACE)
 
     @pytest.mark.parametrize("directive", ["var", "init", "abe"])
     def test_a_tab_ends_a_directive(self, directive):
@@ -375,6 +396,22 @@ abe abs(min(a, b) - max(a, -b)) > 0
                            (((("var", "w"),), Comparator.GE),))
         with pytest.raises(ValueError, match=r"\(variable x\)"):
             format_spec(spec)
+
+    @pytest.mark.parametrize("variables, abes, fragment", [
+        ((("x", F64, 0.0), ("x", F64, 0.0)), (((("var", "x"),), Comparator.GE),),
+         "variable(s) x declared twice"),
+        ((("x", F64, 0.0),), (((("var", "x"),), Comparator.GE), ((("var", "y"),), Comparator.GE)),
+         "abe 2 uses undeclared variable(s) y"),
+        ((("x", F64, 0.0),), (), "no abes"),
+        ((("1x", F64, 0.0),), (((("var", "1x"),), Comparator.GE),), "variable name '1x'"),
+        ((("x y", F64, 0.0),), (((("var", "x y"),), Comparator.GE),), "variable name 'x y'"),
+        ((("x", F64, 0.0),), (((("var", "x"), ("var", "x"), ("pow", None)), Comparator.GE),),
+         "step ('pow', None)"),
+    ])
+    def test_spec_that_would_not_parse_back_is_refused(self, variables, abes, fragment):
+        # parse_spec would reject the text of each, so format_spec refuses it by name
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            format_spec(ProblemSpec(variables, abes))
 
     @pytest.mark.parametrize("type_name", sorted(TYPES_BY_NAME))
     def test_edge_inits_parse_back(self, type_name):

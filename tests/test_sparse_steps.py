@@ -3,9 +3,9 @@
 ``epsilon_along_line`` rounds, at each sample, only the coordinates its
 direction moves, and ``finite_diff_gradient`` rounds only a row's nonzero
 coordinates at each step, leaving every other one at the origin's exact
-value.  The routines that rounded every coordinate stay here as
-differential oracles: the line step copied as it was, the gradient's step
-keeping the origin's value wherever the row is zero.  The new ones must
+value.  The routines that rounded every coordinate stay as differential
+oracles: the line step copied as it was (in ``helpers``), the gradient's
+step keeping the origin's value wherever the row is zero.  The new ones must
 give the same bytes, and the gradient the same calls, on every type, at the
 ends of each range, past 2**53, at -0.0, among float32 subnormals, and on
 walks that end without a step.  Two boxes that read what the old dense step
@@ -23,51 +23,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covsolve.localspace import dot, next_basis, rescaled
+from covsolve.localspace import next_basis
 from covsolve.numerics import (
-    NoStepError, _min_coordinate_step, epsilon_along_line, epsilon_from_value,
+    NoStepError, epsilon_along_line, epsilon_from_value,
 )
 from covsolve.problem import BlackBoxFn
 from covsolve.solver import finite_diff_gradient
 from covsolve.vecspace import (
     F32, F64, I8, I16, I32, I64, U8, U16, U32, U64,
-    ExtractionError, ScalarType, Valuation, embed, round_vector,
+    ExtractionError, ScalarType, Valuation, embed,
 )
-from helpers import dense_step
+from helpers import dense_epsilon_along_line, dense_step
 
 TYPES = (I8, I16, I32, I64, U8, U16, U32, U64, F32, F64)
-
-
-def dense_epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) -> float:
-    """``epsilon_along_line`` as it was when every sample rounded every coordinate."""
-    signature, vec = origin.signature, embed(origin)
-    direction = np.asarray(direction, dtype=np.float64)
-    w, ww, scale = rescaled(direction)
-    if ww == 0.0:
-        raise ValueError("line direction must be nonzero")
-    if not math.isfinite(ww):
-        raise ValueError("line direction is not finite")
-    if eps1 <= 0.0:
-        raise ValueError("initial epsilon must be positive")
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        point = vec + eps1 * direction
-        for _ in range(2 * vec.shape[0]):
-            try:
-                rounded = round_vector(point, signature)
-            except ExtractionError:
-                break
-            if not np.array_equal(rounded, vec):
-                eps = float(dot(point - vec, w)) / (scale * ww)
-                if math.isfinite(eps * scale * math.sqrt(ww)):
-                    return eps
-                break
-            increment = _min_coordinate_step(rounded, direction, signature)
-            if increment is None or increment <= 0.0 or not math.isfinite(increment):
-                break
-            point = point + increment * direction
-
-    raise NoStepError("no sample along the line changes the rounded vector")
 
 
 def dense_finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: float,
