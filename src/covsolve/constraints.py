@@ -8,10 +8,9 @@ space's lifted basis rows, which are orthonormal, restricts the half-space
 to that space with the same bound, so one projection carries a constraint
 into the last local space.  There each constraint also gets the direction
 that clipping's first round moves along: the part of its normal orthogonal
-to the last function's gradient, fixed for the whole iteration.  Candidate
-vectors are pushed into the feasible region by iterated projection
-(clipping): ``clip`` takes one vector, and ``clip_rows`` a block of them
-with the same arithmetic per row.
+to the last function's gradient, fixed for the whole iteration.  The
+solver's pattern and grad-step candidates are pushed into the feasible
+region by iterated projection (clipping), one vector at a time by ``clip``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .localspace import dot, rescaled
-from .numerics import epsilon_from_value, epsilon_from_values
+from .numerics import epsilon_from_value
 from .vecspace import Comparator
 
 #: Projections divide by these dot products; smaller magnitudes are skipped.
@@ -145,61 +144,3 @@ def clip(u: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
             break
     return u
 
-
-def _violated(residuals: np.ndarray, comp: Comparator) -> np.ndarray:
-    """Where ``comp`` fails to hold at a residual; a non-finite residual fails every one."""
-    signs = np.sign(residuals)
-    held = signs == comp.signs[0]
-    for sign in comp.signs[1:]:
-        held |= signs == sign
-    return ~(held & np.isfinite(residuals))
-
-
-def clip_rows(U: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
-    """``clip`` of each row of ``U``, bit for bit, taken over the block at once.
-
-    A round runs over the rows still active.  Each constraint in turn tests
-    them all at their rows as they stand, then moves and nudges the ones it
-    finds violated with ``clip``'s arithmetic, row by row.  A row that
-    violates nothing in a round leaves the active set, as ``clip`` stops
-    there, and a row that is not finite is returned as it came.
-    """
-    U = np.array(U, dtype=np.float64)
-    # n . n, and n . m in the first round; later rounds move along n itself
-    products = [(float(dot(c.normal, c.normal)), float(dot(c.normal, c.direction)))
-                for c in constraints]
-    active = np.flatnonzero(np.isfinite(U).all(axis=1))
-    for round_no in range(CLIP_ROUNDS):
-        if not active.size:
-            break
-        relax = 1.0 if round_no == 0 else RELAXATION
-        V = U[active]
-        violated = np.zeros(active.size, dtype=bool)
-        for c, (nn, first_nm) in zip(constraints, products):
-            n, comp = c.normal, c.comp
-            nu = dot(V, n)
-            hit = np.flatnonzero(_violated(nu - c.bound, comp))
-            if not hit.size:
-                continue
-            violated[hit] = True
-            m, nm = (c.direction, first_nm) if round_no == 0 else (n, nn)
-            if abs(nm) < DIVISION_GUARD:
-                continue
-            nu = nu[hit]
-            if nn >= DIVISION_GUARD:
-                moving = np.isfinite(coord := nu / nn)
-                hit, nu, coord = hit[moving], nu[moving], coord[moving]
-            else:
-                coord = np.zeros(hit.size)
-            shift = comp.side * epsilon_from_values(coord) if comp.strict else np.zeros(hit.size)
-            V[hit] += (relax * (-(nu - c.bound) / nm + shift))[:, None] * m
-            if nn < DIVISION_GUARD:
-                continue
-            # the ulp nudge of ``clip``, for the rows the move left outside
-            nu = dot(V[hit], n)
-            outside = _violated(nu - c.bound, comp)
-            moving = np.isfinite(coord := nu[outside] / nn)
-            V[hit[outside][moving]] += (comp.side * epsilon_from_values(coord[moving]))[:, None] * n
-        U[active] = V
-        active = active[violated]
-    return U

@@ -44,26 +44,9 @@ def epsilon_from_value(a: float) -> float:
     """
     if not math.isfinite(a):
         raise ValueError(f"epsilon step of non-finite value {a!r}")
-    if a == 0.0:
-        n = 0
-    else:
-        m, e = math.frexp(a)  # |m| in [0.5, 1)
-        n = e - 1 if abs(m) == 0.5 else e
-    eps = math.ldexp(1.0, n - _HALF_DIGITS)  # n <= 1024: cannot overflow
-    if eps == 0.0:
-        return _SMALLEST_SUBNORMAL
-    return eps
-
-
-def epsilon_from_values(a: np.ndarray) -> np.ndarray:
-    """``epsilon_from_value`` of each entry of a finite array, bit for bit.
-
-    ``np.frexp`` gives 0 the exponent 0 too, and exact powers of two are
-    exact in ``np.ldexp`` as in ``math.ldexp``.
-    """
-    m, e = np.frexp(a)
-    eps = np.ldexp(1.0, e - (np.abs(m) == 0.5) - _HALF_DIGITS)
-    return np.where(eps == 0.0, _SMALLEST_SUBNORMAL, eps)
+    m, e = math.frexp(a)  # |m| in [0.5, 1), and frexp(0.0) is (0.0, 0)
+    eps = math.ldexp(1.0, e - (abs(m) == 0.5) - _HALF_DIGITS)  # cannot overflow
+    return eps if eps != 0.0 else _SMALLEST_SUBNORMAL
 
 
 def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) -> float:

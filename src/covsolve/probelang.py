@@ -64,6 +64,37 @@ Program = tuple[Step, ...]
 _FUNCTIONS = {"abs": 1, "min": 2, "max": 2, "f64": 1}
 
 
+def _check_program(program: Program) -> None:
+    """Raise ValueError unless ``program`` computes one value.
+
+    Each step must be an ``(op, arg)`` step of the language and find its
+    operands on the value stack, a variable must be named by a string and a
+    literal must be a float, and one value must be left at the end.
+    ``parse_spec`` builds only such programs; a hand-built one is checked
+    before it is printed or compiled.
+    """
+    depth = 0
+    for index, step in enumerate(program, start=1):
+        if not (isinstance(step, tuple) and len(step) == 2 and isinstance(step[0], str)):
+            raise ValueError(f"step {index} {step!r} is not an (op, arg) pair")
+        op, arg = step
+        if op == "var" and not isinstance(arg, str):
+            raise ValueError(f"variable {arg!r} is not a name")
+        if op == "lit" and not isinstance(arg, float):
+            raise ValueError(f"literal {arg!r} is not a float")
+        if op in ("var", "lit"):
+            operands = 0
+        elif op in _OP_STEPS:
+            operands = 1 if op == "neg" else _FUNCTIONS.get(op, 2)
+        else:
+            raise ValueError(f"step {step!r} has no .prob spelling")
+        if depth < operands:
+            raise ValueError(f"step {index} {step!r} finds {depth} of its {operands} operands")
+        depth += 1 - operands
+    if depth != 1:
+        raise ValueError(f"program leaves {depth} values, not one")
+
+
 def free_vars(program: Program) -> set[str]:
     return {arg for op, arg in program if op == "var"}
 
@@ -330,10 +361,12 @@ def _parse_abe_line(rest: str, lineno: int) -> tuple[Program, Comparator]:
 def format_expr(program: Program) -> str:
     """Infix text for ``program``, parenthesised only where the parser's precedences need it.
 
-    Raises ValueError for a literal that no ``.prob`` number spells: a
-    negative one or -0.0, which would parse back as a negation, or a
-    non-finite one; and for a step that is no operator of the language.
+    Raises ValueError for a program that ``_check_program`` refuses, and for
+    a literal that no ``.prob`` number spells: a negative one or -0.0, which
+    would parse back as a negation, or a non-finite one.  A literal prints
+    as the ``repr`` of its plain float, so a numpy float prints as a number.
     """
+    _check_program(program)
     stack: list[tuple[str, int]] = []  # (text, precedence) per pending operand
     for op, arg in program:
         if op == "var":  # an atom, like a negation, is never parenthesised as an operand
@@ -341,7 +374,7 @@ def format_expr(program: Program) -> str:
         elif op == "lit":
             if not (math.isfinite(arg) and math.copysign(1.0, arg) > 0.0):
                 raise ValueError(f"literal {arg!r} has no .prob spelling")
-            stack.append((repr(arg), _NEG))
+            stack.append((repr(float(arg)), _NEG))
         elif op == "neg":
             text, prec = stack.pop()
             if prec < _NEG:
@@ -352,7 +385,7 @@ def format_expr(program: Program) -> str:
             args = ", ".join(text for text, _ in stack[first:])
             del stack[first:]
             stack.append((f"{op}({args})", _NEG))
-        elif op in _BINARY:
+        else:
             op_prec = _BINARY[op]
             rtext, rprec = stack.pop()
             text, prec = stack.pop()
@@ -361,8 +394,6 @@ def format_expr(program: Program) -> str:
             if rprec <= op_prec:
                 rtext = f"({rtext})"
             stack.append((f"{text} {op} {rtext}", op_prec))
-        else:
-            raise ValueError(f"step {(op, arg)!r} has no .prob spelling")
     return stack[-1][0]
 
 
@@ -378,11 +409,13 @@ def format_spec(spec: ProblemSpec) -> str:
     if not spec.abes:
         raise ValueError("no abes: nothing to flip")
     lines = [f"var {name} : {typ}" for name, typ, _ in spec.variables]
-    lines += [f"init {name} = {value!r}" for name, _, value in spec.variables]
+    lines += [f"init {name} = {(float(value) if isinstance(value, float) else value)!r}"
+              for name, _, value in spec.variables]
     for idx, (expr, comp) in enumerate(spec.abes, start=1):
+        text = format_expr(expr)
         if unknown := free_vars(expr) - declared.keys():
             raise ValueError(f"abe {idx} uses undeclared variable(s) {', '.join(sorted(unknown))}")
-        lines.append(f"abe {format_expr(expr)} {comp.symbol} 0")
+        lines.append(f"abe {text} {comp.symbol} 0")
     return "\n".join(lines) + "\n"
 
 
@@ -392,8 +425,9 @@ def compile_spec(spec: ProblemSpec) -> CoverageProblem:
     """Build the coverage problem a spec denotes.
 
     Raises CompileError when the initial valuation is invalid (a variable
-    declared twice, or an init value its type does not hold), when an ABE
-    uses an undeclared variable, or when the initial valuation does not
+    declared twice, or an init value its type does not hold), when an ABE's
+    program is malformed (see ``_check_program``) or uses an undeclared
+    variable, or when the initial valuation does not
     execute the trace (a prefix predicate fails) or already satisfies the
     last predicate, naming the offending ABE index.
     """
@@ -405,6 +439,10 @@ def compile_spec(spec: ProblemSpec) -> CoverageProblem:
 
     fns = []
     for idx, (expr, _) in enumerate(spec.abes, start=1):
+        try:
+            _check_program(expr)
+        except ValueError as exc:
+            raise CompileError(f"abe {idx}: {exc}") from exc
         names = free_vars(expr)
         # undeclared names stay, last, for CoverageProblem to name
         params = tuple(n for n in declared if n in names) + tuple(sorted(names - declared.keys()))

@@ -7,14 +7,14 @@ form at the nearest point of each bit's plane, random samples), and
 accepts the first candidate that either solves the problem or brings the
 last function's value strictly closer to satisfying its comparator.  The
 generators only propose vectors; the candidate loop tries each once,
-clipping pattern, grad-step and random candidates into the prefix
-constraints and lifting them to root space only when it reaches them.  The
-pattern and grad-step candidates are clipped and lifted one at a time, and
-a grad-step candidate's line step waits for the loop too: the first one
-usually solves or improves, and the loop stops there.  The random samples
-are clipped and lifted as one block once the loop reaches their generator,
-and so are the bit mutations, unclipped: the search tries them only when
-nothing before them was accepted, and then often all of them.
+clipping pattern and grad-step candidates into the prefix constraints and
+lifting candidates to root space only when it reaches them.  The pattern
+and grad-step candidates are clipped and lifted one at a time, and a
+grad-step candidate's line step waits for the loop too: the first one
+usually solves or improves, and the loop stops there.  The bit mutations
+and the random samples are each lifted as one block, unclipped, once the
+loop reaches their generator: the search tries them only when nothing
+before them was accepted, and then often all of them.
 
 Ahead of the paper's three generators comes a pattern move (Korel,
 "Automated Software Test Data Generation", IEEE TSE 1990): when the last
@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .constraints import Constraint, clip, clip_rows, transform_constraint
+from .constraints import Constraint, clip, transform_constraint
 from .localspace import BasisChain, dot, next_basis, rescaled, vector_norm
 from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from .problem import BlackBoxFn, CoverageProblem, Outcome, eval_prefix
@@ -373,14 +373,15 @@ def _candidates(state: IterationState, rng: np.random.Generator,
     on a candidate waits until the loop reaches it.  The pattern candidate
     and each grad-step candidate are clipped and lifted one at a time, and a
     grad-step candidate's line step waits with them: each one is called
-    here, when its turn comes.  The bit mutations are lifted as one block,
-    and the random samples clipped and lifted as one, once the loop reaches
-    their generator: dead ends try every sample, and a block's arithmetic
-    is each row's, bit for bit.  The pattern and grad-step candidates are
-    clipped along the gradient's tangent in the first round, so that the
-    prefix predicates keep holding at the descent target, and random
-    samples are clipped too.  Bit mutations stay unclipped: clipping them
-    solved no more problems in the benchmark and cost extra evaluations.
+    here, when its turn comes.  The bit mutations and the random samples
+    are each lifted as one block once the loop reaches their generator:
+    dead ends try every sample, and a block's arithmetic is each row's, bit
+    for bit.  The pattern and grad-step candidates are clipped along the
+    gradient's tangent in the first round, so that the prefix predicates
+    keep holding at the descent target.  Bit mutations and random samples
+    are tried as drawn: clipping either solved no more problems in the
+    benchmark and cost extra evaluations.  A sample that breaks the first
+    prefix predicate costs one call, since ``eval_prefix`` stops there.
     """
     constraints, vec, chain = state.constraints, state.vec, state.chain
     if move is not None:
@@ -389,7 +390,7 @@ def _candidates(state: IterationState, rng: np.random.Generator,
         yield GRAD_STEP, vec + chain.lift(clip(candidate(), constraints))
     for point in vec + chain.lift_rows(bit_mutation_candidates(state)):
         yield BIT_MUT, point
-    for point in vec + chain.lift_rows(clip_rows(random_candidates(state, rng), constraints)):
+    for point in vec + chain.lift_rows(random_candidates(state, rng)):
         yield RANDOM, point
 
 

@@ -3,12 +3,10 @@
 ``finite_diff_gradient`` skips basis rows that move none of a function's
 ``params``; ``solve`` starts from the prefix values the problem's
 construction obtained at ``init``, hands each accepted candidate's prefix
-values to the next iteration, and tries each random sample once, clipped.
+values to the next iteration, and tries each random sample once, raw.
 None of this changed the search at the tested seeds: the full gradient
 loop, a ``build_spaces`` that evaluates the prefix at every entry and a
-candidate loop that also tries every raw sample stay here as oracles.
-The raw samples are the one part that could change a search, had one of
-them been accepted.
+candidate loop that lifts every candidate on its own stay here as oracles.
 
 The candidate loop skips a candidate that extracts, bit for bit, to the
 current valuation or to one already tried in the iteration.  With the skip
@@ -107,9 +105,10 @@ def reevaluating_build_spaces(problem, valuation, values, *, fns=None):
 
 
 def every_raw_candidates(state, rng, move=None):
-    """``solver._candidates`` also trying every random sample raw after its clipped form.
+    """``solver._candidates`` with every candidate lifted on its own.
 
-    Every candidate is clipped and lifted on its own, random samples too.
+    Pattern and grad-step candidates are clipped first; bit mutations and
+    random samples are tried once each, raw.
     """
     constraints = state.constraints
 
@@ -123,7 +122,6 @@ def every_raw_candidates(state, rng, move=None):
     for u in bit_mutation_candidates(state):
         yield BIT_MUT, point(u)
     for u in random_candidates(state, rng):
-        yield RANDOM, point(clip(u, constraints))
         yield RANDOM, point(u)
 
 
@@ -330,7 +328,7 @@ class TestAbsorbedRetake:
 
 # x1 <= x2 from (0, 1), as in test_solver's LE_EQ_TRACE, but the last
 # function is flat at the start: no grad-step candidate exists, the random
-# samples are reached, and clipping moves those that leave x1 <= x2
+# samples are reached, and some of them leave x1 <= x2
 LE_FLAT_TRACE = """
 var x1 : f64
 var x2 : f64
@@ -346,9 +344,8 @@ class TestSearchUnchanged:
         """Only the count changes, and only downwards.
 
         The oracle takes every partial by a call, evaluates the prefix at
-        the start of every iteration and tries every random sample raw
-        after its clipped form.  The evaluation budget is large enough
-        that it is never reached.
+        the start of every iteration and lifts every candidate on its own.
+        The evaluation budget is large enough that it is never reached.
         """
         def both(problem, config):
             ours = solve(problem, config)
@@ -370,7 +367,7 @@ class TestSearchUnchanged:
         flat = compile_spec(parse_spec(LE_FLAT_TRACE))
         saved = [both(flat, SolverConfig(rng_seed=seed, max_iterations=8))
                  for seed in range(10)]
-        assert any(saved)  # the raw samples the oracle tries cost calls
+        assert any(saved)  # the oracle's gradients and prefix evaluations cost calls
 
     def test_carried_values_save_one_prefix_per_iteration(self, monkeypatch):
         """The first iteration starts from the values construction obtained at

@@ -8,13 +8,12 @@ from covsolve.constraints import (
     CLIP_ROUNDS,
     Constraint,
     clip,
-    clip_rows,
     satisfies,
     satisfies_all,
     transform_constraint,
 )
-from covsolve.localspace import next_basis
-from covsolve.numerics import epsilon_from_value
+from covsolve.localspace import dot, next_basis
+from covsolve.numerics import _HALF_DIGITS, _SMALLEST_SUBNORMAL, epsilon_from_value
 from covsolve.probelang import compile_spec, parse_spec
 from covsolve.solver import build_spaces
 from covsolve.vecspace import Comparator
@@ -194,8 +193,79 @@ def _random_constraint(rng, m):
                       comp, direction)
 
 
+def _epsilon_from_values(a):
+    """``epsilon_from_value`` of each entry of a finite array.
+
+    ``np.frexp`` gives 0 the exponent 0 too, and exact powers of two are
+    exact in ``np.ldexp`` as in ``math.ldexp``.
+    """
+    m, e = np.frexp(a)
+    eps = np.ldexp(1.0, e - (np.abs(m) == 0.5) - _HALF_DIGITS)
+    return np.where(eps == 0.0, _SMALLEST_SUBNORMAL, eps)
+
+
+def _violated(residuals, comp):
+    """Where ``comp`` fails to hold at a residual; a non-finite residual fails every one."""
+    signs = np.sign(residuals)
+    held = signs == comp.signs[0]
+    for sign in comp.signs[1:]:
+        held |= signs == sign
+    return ~(held & np.isfinite(residuals))
+
+
+def clip_rows(U, cs):
+    """``clip`` of each row of ``U``, taken over the block at once: ``clip``'s oracle.
+
+    A round runs over the rows still active.  Each constraint in turn
+    tests them all at their rows as they stand, then moves and nudges the
+    ones it finds violated with ``clip``'s arithmetic, row by row.  A row
+    that violates nothing in a round leaves the active set, as ``clip`` stops
+    there, and a row that is not finite is returned as it came.
+    """
+    U = np.array(U, dtype=np.float64)
+    # n . n, and n . m in the first round; later rounds move along n itself
+    products = [(float(dot(c.normal, c.normal)), float(dot(c.normal, c.direction)))
+                for c in cs]
+    guard = constraints.DIVISION_GUARD
+    active = np.flatnonzero(np.isfinite(U).all(axis=1))
+    for round_no in range(constraints.CLIP_ROUNDS):
+        if not active.size:
+            break
+        relax = 1.0 if round_no == 0 else constraints.RELAXATION
+        V = U[active]
+        violated = np.zeros(active.size, dtype=bool)
+        for c, (nn, first_nm) in zip(cs, products):
+            n, comp = c.normal, c.comp
+            nu = dot(V, n)
+            hit = np.flatnonzero(_violated(nu - c.bound, comp))
+            if not hit.size:
+                continue
+            violated[hit] = True
+            m, nm = (c.direction, first_nm) if round_no == 0 else (n, nn)
+            if abs(nm) < guard:
+                continue
+            nu = nu[hit]
+            if nn >= guard:
+                moving = np.isfinite(coord := nu / nn)
+                hit, nu, coord = hit[moving], nu[moving], coord[moving]
+            else:
+                coord = np.zeros(hit.size)
+            shift = comp.side * _epsilon_from_values(coord) if comp.strict else np.zeros(hit.size)
+            V[hit] += (relax * (-(nu - c.bound) / nm + shift))[:, None] * m
+            if nn < guard:
+                continue
+            # the ulp nudge of ``clip``, for the rows the move left outside
+            nu = dot(V[hit], n)
+            outside = _violated(nu - c.bound, comp)
+            moving = np.isfinite(coord := nu[outside] / nn)
+            V[hit[outside][moving]] += (comp.side * _epsilon_from_values(coord[moving]))[:, None] * n
+        U[active] = V
+        active = active[violated]
+    return U
+
+
 class TestClipRows:
-    """``clip_rows`` against ``clip``, the scalar routine it replaces on a block, row by row."""
+    """``clip`` against ``clip_rows``, its differential oracle over a block, row by row."""
 
     def test_rows_match_scalar_clip_byte_for_byte(self, monkeypatch):
         rng = np.random.default_rng(2027)

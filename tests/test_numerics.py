@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import sys
 
 import numpy as np
@@ -113,6 +114,26 @@ class TestEpsilonFromValue:
         eps = epsilon_from_value(5e-324)
         assert eps > 0.0
         assert 5e-324 + eps != 5e-324
+
+    def test_matches_the_normalised_exponent_bit_for_bit(self):
+        # the docstring's definition, with a branch for zero
+        def defined(a):
+            if a == 0.0:
+                n = 0
+            else:
+                m, e = math.frexp(a)
+                n = e - 1 if abs(m) == 0.5 else e
+            return math.ldexp(1.0, n - 26) or 5e-324
+
+        rng = random.Random(33)
+        values = [0.0, -0.0] + [s * math.ldexp(1.0, e) for e in range(-1074, 1024)
+                                for s in (1.0, -1.0)]
+        values += [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(52) | sign))[0]
+                   for sign in (0, 1 << 63) for _ in range(2000)]  # subnormals
+        values += [v for v in (struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+                               for _ in range(20000)) if math.isfinite(v)]
+        for value in values:
+            assert epsilon_from_value(value).hex() == defined(value).hex(), value
 
     @given(st.floats(min_value=-300, max_value=300),
            st.floats(min_value=0.5, max_value=1.0, exclude_min=True))

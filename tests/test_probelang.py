@@ -309,6 +309,28 @@ class TestNesting:
         assert parse_from_below(300) == self._abe(expr)
 
 
+# hand-built programs that compute no single value, or hold a variable or literal of
+# the wrong kind
+MALFORMED_PROGRAMS = [
+    pytest.param((("var", "x"), ("+", None)), "step 2 ('+', None) finds 1 of its 2 operands",
+                 id="plus-of-one"),
+    pytest.param((("var", "x"), ("min", None)), "step 2 ('min', None) finds 1 of its 2 operands",
+                 id="min-of-one"),
+    pytest.param((("neg", None),), "step 1 ('neg', None) finds 0 of its 1 operands",
+                 id="neg-of-none"),
+    pytest.param((), "program leaves 0 values, not one", id="empty"),
+    pytest.param((("var", "x"), ("var", "x")), "program leaves 2 values, not one",
+                 id="two-values"),
+    pytest.param((("lit", "1"),), "literal '1' is not a float", id="text-literal"),
+    pytest.param((("lit", True),), "literal True is not a float", id="bool-literal"),
+    pytest.param((("var", 3),), "variable 3 is not a name", id="int-variable"),
+    pytest.param((("var", "x"), 5), "step 2 5 is not an (op, arg) pair", id="bare-step"),
+    pytest.param((("var",),), "step 1 ('var',) is not an (op, arg) pair", id="short-step"),
+    pytest.param(((["+"], None),), "step 1 (['+'], None) is not an (op, arg) pair",
+                 id="list-op"),
+]
+
+
 class TestRoundTrip:
     def test_basic_document(self):
         spec = parse_spec(EQ_GE_TRACE)
@@ -412,6 +434,23 @@ abe abs(min(a, b) - max(a, -b)) > 0
         # parse_spec would reject the text of each, so format_spec refuses it by name
         with pytest.raises(ValueError, match=re.escape(fragment)):
             format_spec(ProblemSpec(variables, abes))
+
+    @pytest.mark.parametrize("program, fragment", MALFORMED_PROGRAMS)
+    def test_malformed_program_is_refused(self, program, fragment):
+        # each would print text that fails to parse, or parses back to another spec
+        spec = ProblemSpec((("x", F64, 0.0),), ((program, Comparator.GE),))
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            format_spec(spec)
+
+    def test_numpy_floats_print_as_numbers(self):
+        # their repr is np.float64(...), which parse_spec rejects
+        import numpy as np
+        spec = ProblemSpec((("x", F64, np.float64(1.5)),),
+                           (((("var", "x"), ("lit", np.float64(2.0)), ("-", None)),
+                             Comparator.GE),))
+        text = format_spec(spec)
+        assert text == "var x : f64\ninit x = 1.5\nabe x - 2.0 >= 0\n"
+        assert parse_spec(text) == spec
 
     @pytest.mark.parametrize("type_name", sorted(TYPES_BY_NAME))
     def test_edge_inits_parse_back(self, type_name):
@@ -558,6 +597,14 @@ class TestCompileHandBuiltSpecs:
     def test_variable_declared_twice(self):
         message = self.compile_error(ProblemSpec(self.X * 2, (self.TARGET,)))
         assert "declared twice" in message and "variable(s) x " in message
+
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("program, fragment", MALFORMED_PROGRAMS)
+    def test_malformed_program(self, program, fragment, at):
+        abes = [self.TARGET, self.TARGET]
+        abes[at] = (program, Comparator.LE)
+        message = self.compile_error(ProblemSpec(self.X, tuple(abes)))
+        assert message.startswith(f"abe {at + 1}: ") and fragment in message
 
     @pytest.mark.parametrize("typ, value", [(F64, 0), (I32, 0.5), (I32, 2**31), (F64, math.inf)])
     def test_init_value_of_the_wrong_type(self, typ, value):

@@ -14,7 +14,7 @@ prints, and say so in CHANGES.md.
 
 import run_digest
 
-DIGEST_AT_SEEDS_0_7 = "54228dc197f350bbc8029c38e154666cc3d5fa6d86e32c15ea589eb52f9a0830"
+DIGEST_AT_SEEDS_0_7 = "96d333db68c289e6b89618108fd6af3446df375fd5e38309e2a83771f3e55d3c"
 
 
 def test_benchmark_runs_match_the_pinned_digest():
