@@ -11,6 +11,8 @@ that clipping's first round moves along: the part of its normal orthogonal
 to the last function's gradient, fixed for the whole iteration.  The
 solver's pattern and grad-step candidates are pushed into the feasible
 region by iterated projection (clipping), one vector at a time by ``clip``.
+A projection lands on its boundary; one epsilon-sized push along the normal
+then makes a point strictly inside where its comparator asks for that.
 """
 
 from __future__ import annotations
@@ -100,10 +102,12 @@ def clip(u: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
 
     A round tests each constraint once, at u as it stands, and a round that
     finds none violated ends clipping.  Each violated constraint moves u
-    along a direction m by u += relax * ((b - n . u) / (n . m) + h(P)) * m,
-    which with relax = 1 lands exactly on its boundary, shifted by
-    h(P) = epsilon toward the comparator's side for strict comparators.
-    The first round uses relax = 1 and the constraint's own direction;
+    along a direction m by u += relax * ((b - n . u) / (n . m)) * m, which
+    with relax = 1 lands exactly on its boundary.  A point the move leaves
+    outside, as it leaves every boundary point of a strict comparator and
+    some others by an ulp of rounding, is pushed by one epsilon along n
+    toward the comparator's side: the one rule that makes a point strictly
+    inside.  The first round uses relax = 1 and the constraint's own direction;
     later rounds over-relax along the normal n (the tangent direction
     converges poorly), overshooting the boundary, which turns the
     asymptotic zig-zag between acute constraint pairs into convergence
@@ -131,10 +135,10 @@ def clip(u: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
             nm = float(dot(n, m))
             if abs(nm) < DIVISION_GUARD:
                 continue
-            shift = c.comp.side * epsilon_from_value(coord) if c.comp.strict else 0.0
-            u = u + relax * (-residual / nm + shift) * m
-            # rounding can leave the projection an ulp outside; one epsilon-sized
-            # push along the normal, toward the side, dominates that noise
+            u = u + relax * (-residual / nm) * m
+            # a strict comparator's projection lands on the boundary, and rounding can
+            # leave any an ulp outside; one epsilon-sized push along the normal, toward
+            # the side, makes it hold
             nu = float(dot(n, u))
             if math.isfinite(residual := nu - c.bound) and c.comp.holds(residual):
                 continue

@@ -9,12 +9,14 @@ last function's value strictly closer to satisfying its comparator.  The
 generators only propose vectors; the candidate loop tries each once,
 clipping pattern and grad-step candidates into the prefix constraints and
 lifting candidates to root space only when it reaches them.  The pattern
-and grad-step candidates are clipped and lifted one at a time, and a
-grad-step candidate's line step waits for the loop too: the first one
-usually solves or improves, and the loop stops there.  The bit mutations
-and the random samples are each lifted as one block, unclipped, once the
-loop reaches their generator: the search tries them only when nothing
-before them was accepted, and then often all of them.
+and grad-step candidates are clipped and lifted one at a time, and the
+grad-step generator hands the loop plain directions, whose landing points
+and the one line step each direction's landings share wait for the loop
+too: the first candidate usually solves or improves, and the loop stops
+there.  The bit mutations and the random samples are each lifted as one
+block, unclipped, once the loop reaches their generator: the search tries
+them only when nothing before them was accepted, and then often all of
+them.
 
 Ahead of the paper's three generators comes a pattern move (Korel,
 "Automated Software Test Data Generation", IEEE TSE 1990): when the last
@@ -41,8 +43,7 @@ import enum
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -256,65 +257,51 @@ def build_spaces(problem: CoverageProblem, valuation: Valuation,
     return IterationState(problem, valuation, vec, chain, constraints, grad_n, values)
 
 
-def _landing_point(state: IterationState, t: float, k: int, axis: int | None,
-                   entry: float) -> np.ndarray:
-    """The k-th landing point of the step t along one grad-step direction, times the direction.
+def grad_step_candidates(state: IterationState) -> list[int | None]:
+    """The directions of one linearised descent step of the last function, in trial order.
 
-    ``axis`` None is the full gradient, as ``rescaled`` gives it; otherwise
-    the direction is zero but for ``entry`` at ``axis``.  A landing at t
-    itself (sign 0) takes no line step and no lift.
+    None stands for the full gradient; it is followed by the index of every
+    axis with a nonzero partial derivative, whose single-axis step helps
+    escaping local minima.  A zero gradient gives no direction.  The list
+    holds no vector: ``_landings`` builds a direction's candidates when the
+    candidate loop reaches it.
     """
-    comp = state.problem.comps[-1]
+    axes = np.flatnonzero(state.grad_n).tolist()
+    return [None, *axes] if axes else []
+
+
+def _landings(state: IterationState, axis: int | None) -> Iterator[np.ndarray]:
+    """Unclipped grad-step candidates along one direction, one per landing point.
+
+    The direction is the gradient for ``axis`` None, and otherwise zero but
+    for the gradient's entry at ``axis``.  The step length t solves the
+    linear model F[I + t*w] = 0 along w, the direction as ``rescaled``
+    gives it, so t is finite wherever t*w is; a direction without a finite
+    t yields nothing.  The comparator's landing points decide which of t,
+    t-eps, t+eps are tried, in its order.  A landing at t itself takes no
+    line step; the first one that moves off t takes the direction's line
+    step, and every later landing reuses it.
+    """
+    grad = state.grad_n
     if axis is None:
-        w = rescaled(state.grad_n)[0]
+        direction = grad
     else:
-        w = np.zeros(len(state.grad_n))
-        w[axis] = entry
-    eps = 0.0
-    if comp.signs[k]:
-        # a single axis lifts to its one row; + 0.0 makes a zero +0.0, as the sum does
-        d_root = state.chain.lift(w) if axis is None else entry * state.chain.rows[axis] + 0.0
-        z = (1.0 - ALPHA) * float(np.max(np.abs(state.vec + t * d_root))) + ALPHA * abs(state.f_n)
-        if math.isfinite(z):
-            with suppress(NoStepError):
-                eps = epsilon_along_line(state.valuation, d_root, epsilon_from_value(z))
-    return comp.landing(t, eps)[k] * w
-
-
-def grad_step_candidates(state: IterationState) -> list[Callable[[], np.ndarray]]:
-    """Unclipped candidates from one linearised descent step of the last function.
-
-    The step length t solves the linear model F[I + t*w] = 0 along w, the
-    direction as ``rescaled`` gives it, so t is finite wherever t*w is;
-    the comparator's landing points decide which of t, t-eps, t+eps are
-    tried.  Besides the full gradient direction, a step is taken along
-    every single axis with a nonzero partial derivative, which helps
-    escaping local minima.
-
-    Each candidate is a zero-argument callable that builds its vector from
-    scratch when called, so that, like clipping, its lift and line step wait
-    until the candidate loop reaches it.  The list has one entry per
-    candidate, in trial order, and no two candidates share any work.
-    """
-    grad, f_n = state.grad_n, state.f_n
-    steps = []  # (t, axis, entry) per direction
-    _, ww, scale = rescaled(grad)
-    if 0.0 < ww < math.inf and math.isfinite(t := -f_n / (scale * ww)):
-        steps.append((t, None, 0.0))
-    axes = np.flatnonzero(grad)
-    for j, g in zip(axes.tolist(), grad[axes].tolist()):
-        # the same step along the one-hot direction, in plain floats: ``rescaled``
-        # keeps g*g in the normal range and otherwise divides by |g|
-        gg = g * g
-        if 2.0 ** -1022 <= gg < math.inf:
-            entry, t = g, -f_n / gg
-        else:
-            entry, t = g / abs(g), -f_n / abs(g)
-        if math.isfinite(t):
-            steps.append((t, j, entry))
-    points = range(len(state.problem.comps[-1].signs))
-    return [partial(_landing_point, state, t, k, axis, entry)
-            for t, axis, entry in steps for k in points]
+        direction = np.zeros(len(grad))
+        direction[axis] = grad[axis]
+    w, ww, scale = rescaled(direction)
+    if not (0.0 < ww < math.inf and math.isfinite(t := -state.f_n / (scale * ww))):
+        return
+    comp = state.problem.comps[-1]
+    eps, stepped = 0.0, False
+    for k, sign in enumerate(comp.signs):
+        if sign and not stepped:
+            stepped = True
+            d_root = state.chain.lift(w)
+            z = (1.0 - ALPHA) * float(np.max(np.abs(state.vec + t * d_root))) + ALPHA * abs(state.f_n)
+            if math.isfinite(z):
+                with suppress(NoStepError):
+                    eps = epsilon_along_line(state.valuation, d_root, epsilon_from_value(z))
+        yield comp.landing(t, eps)[k] * w
 
 
 def bit_mutation_candidates(state: IterationState) -> np.ndarray:
@@ -371,10 +358,11 @@ def _candidates(state: IterationState, rng: np.random.Generator,
     local space, whose rows are orthonormal, comes first as the pattern
     candidate.  The loop stops at the first accepted candidate, so the work
     on a candidate waits until the loop reaches it.  The pattern candidate
-    and each grad-step candidate are clipped and lifted one at a time, and a
-    grad-step candidate's line step waits with them: each one is called
-    here, when its turn comes.  The bit mutations and the random samples
-    are each lifted as one block once the loop reaches their generator:
+    and each grad-step candidate are clipped and lifted one at a time.  The
+    grad-step directions are walked here, each by ``_landings``, so a
+    direction's line step waits until the loop reaches the first landing
+    that needs it.  The bit mutations and the random samples are each
+    lifted as one block once the loop reaches their generator:
     dead ends try every sample, and a block's arithmetic is each row's, bit
     for bit.  The pattern and grad-step candidates are clipped along the
     gradient's tangent in the first round, so that the prefix predicates
@@ -386,8 +374,9 @@ def _candidates(state: IterationState, rng: np.random.Generator,
     constraints, vec, chain = state.constraints, state.vec, state.chain
     if move is not None:
         yield PATTERN, vec + chain.lift(clip(dot(chain.rows, move), constraints))
-    for candidate in grad_step_candidates(state):
-        yield GRAD_STEP, vec + chain.lift(clip(candidate(), constraints))
+    for axis in grad_step_candidates(state):
+        for u in _landings(state, axis):
+            yield GRAD_STEP, vec + chain.lift(clip(u, constraints))
     for point in vec + chain.lift_rows(bit_mutation_candidates(state)):
         yield BIT_MUT, point
     for point in vec + chain.lift_rows(random_candidates(state, rng)):

@@ -117,8 +117,9 @@ def every_raw_candidates(state, rng, move=None):
 
     if move is not None:
         yield PATTERN, point(clip(dot(state.chain.rows, move), constraints))
-    for candidate in grad_step_candidates(state):
-        yield GRAD_STEP, point(clip(candidate(), constraints))
+    for axis in grad_step_candidates(state):
+        for u in solver._landings(state, axis):
+            yield GRAD_STEP, point(clip(u, constraints))
     for u in bit_mutation_candidates(state):
         yield BIT_MUT, point(u)
     for u in random_candidates(state, rng):

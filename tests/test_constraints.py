@@ -5,7 +5,6 @@ import pytest
 
 from covsolve import constraints
 from covsolve.constraints import (
-    CLIP_ROUNDS,
     Constraint,
     clip,
     satisfies,
@@ -132,7 +131,7 @@ class TestClip:
         c = Constraint(n, 0.0, Comparator.GT, n)
         u = np.array([0.0, -1.0])
         out = clip(u, (c,))
-        eps = epsilon_from_value(-1.0)  # step from the projection coordinate
+        eps = epsilon_from_value(0.0)  # the push steps from the boundary's coordinate
         assert out == pytest.approx([0.0, eps], abs=1e-18)
         residual = float(c.normal @ out)
         assert residual > 0.0
@@ -246,12 +245,9 @@ def clip_rows(U, cs):
                 continue
             nu = nu[hit]
             if nn >= guard:
-                moving = np.isfinite(coord := nu / nn)
-                hit, nu, coord = hit[moving], nu[moving], coord[moving]
-            else:
-                coord = np.zeros(hit.size)
-            shift = comp.side * _epsilon_from_values(coord) if comp.strict else np.zeros(hit.size)
-            V[hit] += (relax * (-(nu - c.bound) / nm + shift))[:, None] * m
+                moving = np.isfinite(nu / nn)
+                hit, nu = hit[moving], nu[moving]
+            V[hit] += (relax * (-(nu - c.bound) / nm))[:, None] * m
             if nn < guard:
                 continue
             # the ulp nudge of ``clip``, for the rows the move left outside

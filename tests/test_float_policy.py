@@ -1,6 +1,6 @@
 """The search's float policy is set in one place, by ``solve``.
 
-Descent steps, random cubes, clipping shifts and doubled moves can all
+Descent steps, random cubes, clipping moves and doubled moves can all
 leave the float range, and the search checks every such value with
 ``math.isfinite``.  So ``solve`` runs its iteration loop under one
 ``np.errstate`` that silences overflow and invalid results, and no

@@ -87,6 +87,11 @@ abe x1 + x3 - 10 >= 0
 """
 
 
+def grad_step_landings(state):
+    """Every unclipped grad-step candidate, walked direction by direction in trial order."""
+    return [u for axis in grad_step_candidates(state) for u in solver._landings(state, axis)]
+
+
 def problem_of(text):
     return compile_spec(parse_spec(text))
 
@@ -309,11 +314,12 @@ class TestGradStepCandidates:
     def test_first_candidate_reaches_linear_target(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
-        candidates = grad_step_candidates(state)
-        assert candidates, "gradient present, candidates expected"
-        landing = state.vec + state.chain.lift(candidates[0]())
+        directions = grad_step_candidates(state)
+        assert directions, "gradient present, directions expected"
+        landing = state.vec + state.chain.lift(grad_step_landings(state)[0])
         assert landing == pytest.approx([10.0, 10.0], rel=1e-5)
-        assert len(candidates) <= 2 * (1 + state.chain.rows.shape[0])
+        assert len(directions) <= 1 + state.chain.rows.shape[0]
+        assert len(grad_step_landings(state)) <= 2 * (1 + state.chain.rows.shape[0])
 
     def test_zero_gradient_means_no_candidates(self):
         problem = problem_of("""
@@ -332,8 +338,7 @@ init x = 0
 abe 2 * x - 6 == 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
-        candidates = grad_step_candidates(state)
-        landing = state.vec + state.chain.lift(candidates[0]())
+        landing = state.vec + state.chain.lift(grad_step_landings(state)[0])
         record = eval_prefix(problem.fns, problem.comps,
                              type(problem.init)(problem.init.signature,
                                                 (float(landing[0]),)))
@@ -344,7 +349,8 @@ abe 2 * x - 6 == 0
     def test_line_steps_wait_for_the_candidate_reached(self, monkeypatch, comp, line_steps):
         """The first grad-step candidate solves the 200-variable sum: a landing at t
         itself (the first of ``>=`` and ``==``) takes no line step, any other landing
-        one, not one per direction; and each candidate called alone takes its own."""
+        one, not one per direction; and each direction walked alone takes one line
+        step, when it first reaches a landing off t, which its later landings share."""
         names = [f"x{i}" for i in range(200)]
         shift = {"<=": " + 400", "<": " + 400", "!=": ""}.get(comp, " - 400")  # fails at 0
         problem = problem_of("\n".join(
@@ -372,16 +378,18 @@ abe 2 * x - 6 == 0
 
         state = build_spaces(problem, problem.init, problem.init_values)
         calls.clear()
-        candidates = grad_step_candidates(state)
-        assert len(candidates) == 201 * len(signs) and calls == []
-        first = candidates[0]()
+        directions = grad_step_candidates(state)
+        assert len(directions) == 201 and calls == []
+        first = next(solver._landings(state, directions[0]))
         assert len(calls) == line_steps
         landing = extract(state.vec + state.chain.lift(first), problem.init.signature)
         assert is_solution(problem, landing)
-        for k in reversed(range(len(candidates))):
+        for axis in reversed(directions):
             calls.clear()
-            candidates[k]()
-            assert len(calls) == (signs[k % len(signs)] != 0)
+            walked = 0
+            for walked, _ in enumerate(solver._landings(state, axis), 1):
+                assert len(calls) == any(signs[:walked])
+            assert walked == len(signs)
 
     def test_the_list_stays_small(self):
         """1001 directions of a 1000-variable sum: the list holds no vector."""
@@ -392,28 +400,12 @@ abe 2 * x - 6 == 0
         state = build_spaces(problem, problem.init, problem.init_values)
         tracemalloc.start()
         try:
-            candidates = grad_step_candidates(state)
+            directions = grad_step_candidates(state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(candidates) == 2 * 1001
+        assert len(directions) == 1001
         assert peak < 1e6
-
-    def test_single_axis_lift_matches_the_one_hot_product(self):
-        """A single-axis direction lifts as its entry times its row; ``lift`` of
-        the one-hot vector, an (m, D) product, is the oracle."""
-        rand, rng = random.Random(2121), np.random.default_rng(2121)
-        for _ in range(200):
-            problem = _typed_linear_problem(rand, rng)
-            state = build_spaces(problem, problem.init, problem.init_values)
-            rows = state.chain.rows
-            for j in range(rows.shape[0]):
-                for entry in (state.grad_n[j], 1.0, -2.5e-170, 3e200):
-                    if entry == 0.0:
-                        continue
-                    w = np.zeros(rows.shape[0])
-                    w[j] = entry
-                    assert (w[j] * rows[j] + 0.0).tobytes() == state.chain.lift(w).tobytes()
 
 
 class TestBitMutationCandidates:
@@ -778,7 +770,8 @@ abe a + b - 50 >= 0
         state = build_spaces(problem, problem.init, problem.init_values)
         dim_local = state.chain.rows.shape[0]
         n_params = len(problem.fns[-1].params)
-        assert len(grad_step_candidates(state)) <= 2 * (1 + dim_local)
+        assert len(grad_step_candidates(state)) <= 1 + dim_local
+        assert len(grad_step_landings(state)) <= 2 * (1 + dim_local)
         assert len(bit_mutation_candidates(state)) <= 64 * n_params
         rng = np.random.default_rng(0)
         assert len(random_candidates(state, rng)) <= solver.SAMPLES_PER_CUBE
@@ -813,7 +806,7 @@ init x = 0
 abe 2 * x - 6 >= 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
-        assert len(grad_step_candidates(state)) == 4
+        assert len(grad_step_landings(state)) == 4
         calls = []
 
         def counting_clip(*args, **kwargs):
@@ -887,7 +880,8 @@ class TestComparatorTableAgainstOldRules:
 
     @pytest.mark.parametrize("comp", [c for c in Comparator if c is not Comparator.EQ])
     def test_shift_and_nudge(self, comp):
-        """The shift and nudge of ``clip``: epsilon toward the side of a strict comparator."""
+        """The strict shift ``clip`` once took and its push: epsilon toward the side of
+        the comparator, for the shift only where it is strict."""
         assert comp.side == old_nudge_sign(comp)
         for coord in EDGE_VALUES:
             shift = comp.side * epsilon_from_value(coord) if comp.strict else 0.0
@@ -935,11 +929,11 @@ def two_branch_clip(u, constraints, grad, *, rounds=CLIP_ROUNDS):
                     nm = float(dot(n, m))
                     if abs(nm) < DIVISION_GUARD:
                         continue
-                    u = u + ((c.bound - nu) / nm + old_shift(c.comp, coord)) * m
+                    u = u + ((c.bound - nu) / nm) * m
                 else:
                     if nn < DIVISION_GUARD:
                         continue
-                    u = u + relax * ((c.bound - nu) / nn + old_shift(c.comp, coord)) * n
+                    u = u + relax * ((c.bound - nu) / nn) * n
                 if not satisfies(u, c):
                     u = _nudge_inside(u, c)
             if satisfies_all(u, constraints):
@@ -1082,36 +1076,39 @@ class TestCandidatesAgainstEagerGenerators:
             outside += any(not satisfies_all(u, state.constraints) for u in samples)
         assert constrained >= 200 and outside >= 100
 
-    def test_one_entry_per_eager_candidate(self):
-        """The tracer counts grad-step candidates with ``len``: the deferred list has
-        the eager one's length on the same 300 problems."""
+    def test_landings_match_the_eager_candidates(self):
+        """The tracer counts grad-step directions with ``len``; walked direction by
+        direction, their landings are the eager list's candidates, in number and in
+        bytes, on the same 300 problems."""
         rand = random.Random(1010)
         rng = np.random.default_rng(1010)
         for _ in range(300):
             problem = _typed_linear_problem(rand, rng)
             state = build_spaces(problem, problem.init, problem.init_values)
-            assert len(grad_step_candidates(state)) == len(eager_grad_step_candidates(state))
+            ours = [clip(u, state.constraints).tobytes() for u in grad_step_landings(state)]
+            assert ours == [u.tobytes() for u in eager_grad_step_candidates(state)]
 
-    def test_deferred_candidates_repeat_and_commute(self):
-        """A candidate called twice, or after the ones behind it, has the bytes of
-        the list called once in order."""
+    def test_rewalked_directions_repeat(self):
+        """A direction's landings walked twice, in the reverse order of directions,
+        have the bytes of the list walked once in order."""
         rand = random.Random(1212)
         rng = np.random.default_rng(1212)
-        called = 0
+        walked = 0
         for _ in range(150):
             problem = _typed_linear_problem(rand, rng)
             state = build_spaces(problem, problem.init, problem.init_values)
-            in_order = [candidate().tobytes() for candidate in grad_step_candidates(state)]
-            candidates = grad_step_candidates(state)
-            for k in reversed(range(len(candidates))):
-                assert candidates[k]().tobytes() == in_order[k]
-                assert candidates[k]().tobytes() == in_order[k]
-            called += len(candidates)
-        assert called >= 300
+            directions = grad_step_candidates(state)
+            in_order = {axis: [u.tobytes() for u in solver._landings(state, axis)]
+                        for axis in directions}
+            for axis in reversed(directions):
+                for _ in range(2):
+                    assert [u.tobytes() for u in solver._landings(state, axis)] == in_order[axis]
+            walked += sum(map(len, in_order.values()))
+        assert walked >= 300
 
     def test_neq_directions_match_the_eager_oracle(self, monkeypatch):
-        """Both landings of a ``!=`` direction, t - eps and t + eps, take their own
-        line step: called second first, each has the eager oracle's bytes."""
+        """Both landings of a ``!=`` direction, t - eps and t + eps, share one line
+        step, and each has the eager oracle's bytes."""
         rand = random.Random(1313)
         rng = np.random.default_rng(1313)
         calls = []
@@ -1127,16 +1124,17 @@ class TestCandidatesAgainstEagerGenerators:
                 continue
             state = build_spaces(problem, problem.init, problem.init_values)
             theirs = [u.tobytes() for u in eager_grad_step_candidates(state)]
-            candidates = grad_step_candidates(state)
-            assert len(candidates) == len(theirs)
+            ours = []
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "epsilon_along_line", counting)
-                for k in range(0, len(candidates), 2):
-                    for j in (k + 1, k):
-                        calls.clear()
-                        assert clip(candidates[j](), state.constraints).tobytes() == theirs[j]
-                        assert len(calls) == 1
-            directions += len(candidates) // 2
+                for axis in grad_step_candidates(state):
+                    calls.clear()
+                    landings = [clip(u, state.constraints).tobytes()
+                                for u in solver._landings(state, axis)]
+                    assert len(landings) == 2 and len(calls) == 1
+                    ours += landings
+                    directions += 1
+            assert ours == theirs
 
     def test_merged_clip_matches_two_branches(self, monkeypatch):
         rng = np.random.default_rng(77)
@@ -1263,7 +1261,7 @@ class TestGradientsWhoseSquaresUnderflow:
     def test_step_along_the_rescaled_direction(self):
         problem = problem_of(FAR_TINY_SLOPE)
         state = build_spaces(problem, problem.init, problem.init_values)
-        first = state.chain.lift(grad_step_candidates(state)[0]())
+        first = state.chain.lift(grad_step_landings(state)[0])
         assert first == pytest.approx([1e5], rel=1e-2)
         result = solve(problem, SolverConfig(rng_seed=0))
         assert result.solved and is_solution(problem, result.solution)
@@ -1273,7 +1271,7 @@ class TestGradientsWhoseSquaresUnderflow:
         problem = problem_of(TINY_SLOPE)
         state = build_spaces(problem, problem.init, problem.init_values)
         assert state.grad_n == pytest.approx([1e-170], rel=1e-9)
-        first = state.chain.lift(grad_step_candidates(state)[0]())
+        first = state.chain.lift(grad_step_landings(state)[0])
         assert first == pytest.approx([1e-130], rel=1e-9)  # x * 1e-170 reaches 1e-300
         samples = random_candidates(state, np.random.default_rng(0))
         assert len(samples) == solver.SAMPLES_PER_CUBE  # one cube, around the origin
