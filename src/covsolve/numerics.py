@@ -5,11 +5,14 @@ machine-typed values, so a useful perturbation must be large enough to
 survive both 64-bit float addition and the type rounding.  Two step sizes
 are provided: one relative to a single value, and one along a line from a
 valuation, the first sampled step that moves the rounded point.  The
-solver's finite-difference gradient takes its steps from the latter.  A
-valuation's embedding lies on the typed grid, so the line's origin is never
-rounded, and a sample rounds only what it moves, the coordinates where the
-direction is nonzero, each through its type in plain floats.  A step along
-one axis of a wide space costs what it costs in one dimension.
+solver's finite-difference gradient takes its steps from the latter, handing
+it each row's nonzero coordinates and squared norm as it read them, once per
+gradient and in plain floats.  A valuation's embedding lies on the typed
+grid, so the line's origin is never rounded, and a sample rounds only what
+it moves, the coordinates where the direction is nonzero, each through its
+type in plain floats.  Along one axis the epsilon is taken in plain floats
+too, so a gradient's step along one axis makes no numpy call, and costs in
+a wide space what it costs in one dimension.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ def epsilon_from_value(a: float) -> float:
     return eps if eps != 0.0 else _SMALLEST_SUBNORMAL
 
 
-def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) -> float:
+def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float,
+                       line: tuple[list[int], list[float], float, float] | None = None) -> float:
     """Step size along ``embed(origin) + eps*direction`` that moves the rounded point.
 
     Samples up to ``2 * dim`` points on the line, the first at ``eps1``,
@@ -63,16 +67,27 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) ->
     A sample rounds only what it moves: the coordinates where ``direction``
     is nonzero, each through its type, walked in plain floats.
     Every other coordinate stays the origin's, which is on the grid by
-    type.  The returned epsilon is read from the full-length step, so it is
-    the same as a walk over every coordinate gives.
+    type.  The returned epsilon is the one a walk over every coordinate
+    gives, read from the full-length ``dot(step, w)`` of ``rescaled``.
+    Along one axis that sum holds one nonzero product, which it returns
+    as it is, so the epsilon is taken in plain floats there.
+
+    ``line``, when given, is what the caller already read off ``direction``:
+    its nonzero coordinates, the direction's entries there, and ``w . w``
+    and ``scale`` as ``rescaled(direction)`` gives them.
 
     Raises NoStepError when every sample rounds back onto the origin, or
     when the first that moves lies farther than a float can measure.  Runs
     under ``solve``'s float policy, as ``rescaled`` does.
     """
     signature = origin.signature
-    direction = np.asarray(direction, dtype=np.float64)
-    w, ww, scale = rescaled(direction)
+    if line is None:
+        direction = np.asarray(direction, dtype=np.float64)
+        _, ww, scale = rescaled(direction)
+        support = direction.nonzero()[0]
+        indices, moves = support.tolist(), direction[support].tolist()
+    else:
+        indices, moves, ww, scale = line
     if ww == 0.0:
         raise ValueError("line direction must be nonzero")
     if not math.isfinite(ww):
@@ -80,8 +95,6 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) ->
     if eps1 <= 0.0:
         raise ValueError("initial epsilon must be positive")
 
-    support = direction.nonzero()[0]
-    indices, moves = support.tolist(), direction[support].tolist()
     types = [signature.types[i] for i in indices]
     # the origin's floats, as embed gives them: compared as an int, a clamped
     # i64 would read 2**63 - 1 where its embedding reads 2**63
@@ -93,9 +106,12 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) ->
         except ExtractionError:
             break
         if rounded != start:
-            step = np.zeros(len(signature))
-            step[support] = [x - x0 for x, x0 in zip(point, start)]
-            eps = float(dot(step, w)) / (scale * ww)
+            if len(indices) == 1 and (p := (point[0] - start[0]) * (moves[0] / scale)):
+                eps = p / (scale * ww)
+            else:  # several products, or one that underflowed to a signed zero
+                step = np.zeros(len(signature))
+                step[indices] = [x - x0 for x, x0 in zip(point, start)]
+                eps = float(dot(step, direction / scale)) / (scale * ww)
             if math.isfinite(eps * scale * math.sqrt(ww)):
                 return eps
             break

@@ -106,12 +106,39 @@ def eval_expr(program: Program, valuation: Valuation) -> float | None:
     call, realising black-box functions that are partial on their inputs.
     """
     stack: list[float] = []
+    push, pop, isfinite = stack.append, stack.pop, math.isfinite
     values, positions = valuation.values, valuation.signature.positions
     for op, arg in program:
         if op == "var":
-            stack.append(float(values[positions[arg]]))
+            push(float(values[positions[arg]]))
         elif op == "lit":
-            stack.append(arg)
+            push(arg)
+        elif op == "+":
+            b = pop()
+            a = stack[-1] + b
+            if not isfinite(a):
+                return None
+            stack[-1] = a
+        elif op == "-":
+            b = pop()
+            a = stack[-1] - b
+            if not isfinite(a):
+                return None
+            stack[-1] = a
+        elif op == "*":
+            b = pop()
+            a = stack[-1] * b
+            if not isfinite(a):
+                return None
+            stack[-1] = a
+        elif op == "/":
+            b = pop()
+            if b == 0.0:
+                return None
+            a = stack[-1] / b
+            if not isfinite(a):
+                return None
+            stack[-1] = a
         elif op == "neg":
             stack[-1] = -stack[-1]
         elif op == "abs":
@@ -119,24 +146,8 @@ def eval_expr(program: Program, valuation: Valuation) -> float | None:
         elif op == "f64":
             pass  # already wide
         else:
-            b = stack.pop()
-            a = stack[-1]
-            if op == "+":
-                a = a + b
-            elif op == "-":
-                a = a - b
-            elif op == "*":
-                a = a * b
-            elif op == "/":
-                if b == 0.0:
-                    return None
-                a = a / b
-            else:
-                stack[-1] = min(a, b) if op == "min" else max(a, b)
-                continue
-            if not math.isfinite(a):
-                return None
-            stack[-1] = a
+            b = pop()
+            stack[-1] = min(stack[-1], b) if op == "min" else max(stack[-1], b)
     return stack[-1]
 
 

@@ -13,10 +13,10 @@ and grad-step candidates are clipped and lifted one at a time, and the
 grad-step generator hands the loop plain directions, whose landing points
 and the one line step each direction's landings share wait for the loop
 too: the first candidate usually solves or improves, and the loop stops
-there.  The bit mutations and the random samples are each lifted as one
-block, unclipped, once the loop reaches their generator: the search tries
-them only when nothing before them was accepted, and then often all of
-them.
+there.  The bit mutations and the random samples are each lifted and
+rounded to typed values as one block, unclipped, once the loop reaches
+their generator: the search tries them only when nothing before them was
+accepted, and then often all of them.
 
 Ahead of the paper's three generators comes a pattern move (Korel,
 "Automated Software Test Data Generation", IEEE TSE 1990): when the last
@@ -34,7 +34,14 @@ later one from those its accepted candidate obtained, so no iteration calls
 the prefix at its start.  A candidate that extracts, bit for bit, to the
 current valuation or to one already tried in the iteration is skipped: under
 ``BlackBoxFn``'s purity contract its call could only repeat a result that
-was not accepted.
+was not accepted.  Its key is its values tuple with the positions of any
+-0.0 appended, since ``==`` does not tell -0.0 from 0.0.
+
+Per black-box call, the search's own work mostly sits in two loops over
+rows.  A gradient reads its live basis rows once, as plain floats, and a
+line step along one axis takes its epsilon in plain floats; a block of
+candidates is rounded by type columns in numpy and keyed from its rows,
+with no work per value.
 """
 
 from __future__ import annotations
@@ -43,7 +50,8 @@ import enum
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import compress
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,7 +59,7 @@ from .constraints import Constraint, clip, transform_constraint
 from .localspace import BasisChain, dot, next_basis, rescaled, vector_norm
 from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from .problem import BlackBoxFn, CoverageProblem, Outcome, eval_prefix
-from .vecspace import ExtractionError, Valuation, embed, extract
+from .vecspace import ExtractionError, Signature, Valuation, embed, extract, extract_rows
 
 #: A variable whose root coordinates in the last local space all lie below
 #: this magnitude is out of reach of bit mutations.
@@ -178,19 +186,30 @@ def finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: float,
 
     A step rounds only the row's nonzero coordinates, each from its value
     as a float.  Every other coordinate keeps ``origin``'s value exactly.
+    The live rows are read once, as plain floats: each row's nonzero
+    coordinates and entries, and its square, taken by ``dot`` only where the
+    row moves several axes.  ``rescaled`` is called only for a square
+    outside the normal range.  Each line step takes them as its ``line``.
     """
     signature, values = origin.signature, origin.values
     types, starts = signature.types, [float(v) for v in values]
     grad = np.zeros(lifted.shape[0], dtype=np.float64)
     cols = [signature.positions[name] for name in fn.params]
-    for j in np.flatnonzero(lifted[:, cols].any(axis=1)):
+    live = np.flatnonzero(lifted[:, cols].any(axis=1))
+    axes = range(lifted.shape[1])
+    for j, entries in zip(live.tolist(), lifted[live].tolist()):
         row = lifted[j]
-        moved = np.flatnonzero(row)
-        moves, moved = row[moved].tolist(), moved.tolist()
+        moved, moves = list(compress(axes, entries)), list(compress(entries, entries))
+        # numpy's sum of one nonzero product is that product
+        square = moves[0] * moves[0] if len(moves) == 1 else float(dot(row, row))
+        scale = 1.0
+        if not 2.0 ** -1022 <= square < math.inf:  # rescaled's own test
+            _, square, scale = rescaled(row)
+        line = (moved, moves, square, scale)
         seed = eps_seed
         for _ in range(2):  # the first step, then at most one retake
             try:
-                eps = epsilon_along_line(origin, row, seed)
+                eps = epsilon_along_line(origin, row, seed, line)
             except NoStepError:
                 break
             if eps == 0.0:
@@ -350,42 +369,65 @@ def random_candidates(state: IterationState, rng: np.random.Generator) -> np.nda
 
 
 def _candidates(state: IterationState, rng: np.random.Generator,
-                move: np.ndarray | None = None) -> Iterable[tuple[str, np.ndarray]]:
-    """Every generator's proposals in trial order, each tried once, as root-space points.
+                move: np.ndarray | None = None) -> Iterator[tuple[str, tuple, tuple]]:
+    """Every generator's proposals in trial order, each tried once, as typed values.
 
+    Each candidate comes as (source, values, key): the values its root-space
+    point extracts to, and their repeat key (see ``_key``); a point that
+    does not extract is passed over.
     ``move``, when given, is a root-space step: twice the move of the last
     accepted grad-step or pattern candidate.  Its projection onto the last
     local space, whose rows are orthonormal, comes first as the pattern
     candidate.  The loop stops at the first accepted candidate, so the work
     on a candidate waits until the loop reaches it.  The pattern candidate
-    and each grad-step candidate are clipped and lifted one at a time.  The
-    grad-step directions are walked here, each by ``_landings``, so a
-    direction's line step waits until the loop reaches the first landing
-    that needs it.  The bit mutations and the random samples are each
-    lifted as one block once the loop reaches their generator:
-    dead ends try every sample, and a block's arithmetic is each row's, bit
-    for bit.  The pattern and grad-step candidates are clipped along the
-    gradient's tangent in the first round, so that the prefix predicates
-    keep holding at the descent target.  Bit mutations and random samples
-    are tried as drawn: clipping either solved no more problems in the
-    benchmark and cost extra evaluations.  A sample that breaks the first
-    prefix predicate costs one call, since ``eval_prefix`` stops there.
+    and each grad-step candidate are clipped, lifted and extracted one at a
+    time.  The grad-step directions are walked here, each by ``_landings``,
+    so a direction's line step waits until the loop reaches the first
+    landing that needs it.  The bit mutations and the random samples are
+    each lifted and extracted as one block once the loop reaches their
+    generator: dead ends try every sample, and a block's arithmetic and
+    rounding are each row's, bit for bit.  The pattern and grad-step
+    candidates are clipped along the gradient's tangent in the first round,
+    so that the prefix predicates keep holding at the descent target.  Bit
+    mutations and random samples are tried as drawn: clipping either solved
+    no more problems in the benchmark and cost extra evaluations.  A sample
+    that breaks the first prefix predicate costs one call, since
+    ``eval_prefix`` stops there.
     """
     constraints, vec, chain = state.constraints, state.vec, state.chain
+    signature = state.valuation.signature
     if move is not None:
-        yield PATTERN, vec + chain.lift(clip(dot(chain.rows, move), constraints))
+        yield from _extracted(PATTERN, vec + chain.lift(clip(dot(chain.rows, move), constraints)),
+                              signature)
     for axis in grad_step_candidates(state):
         for u in _landings(state, axis):
-            yield GRAD_STEP, vec + chain.lift(clip(u, constraints))
-    for point in vec + chain.lift_rows(bit_mutation_candidates(state)):
-        yield BIT_MUT, point
-    for point in vec + chain.lift_rows(random_candidates(state, rng)):
-        yield RANDOM, point
+            yield from _extracted(GRAD_STEP, vec + chain.lift(clip(u, constraints)), signature)
+    for values, zeros in zip(*extract_rows(
+            vec + chain.lift_rows(bit_mutation_candidates(state)), signature)):
+        yield BIT_MUT, values, values + zeros
+    for values, zeros in zip(*extract_rows(
+            vec + chain.lift_rows(random_candidates(state, rng)), signature)):
+        yield RANDOM, values, values + zeros
 
 
-def _bits(valuation: Valuation) -> tuple:
-    """``valuation``'s values, keyed bit for bit: -0.0 and 0.0 differ."""
-    return tuple(v.hex() if isinstance(v, float) else v for v in valuation.values)
+def _extracted(source: str, point: np.ndarray,
+               signature: Signature) -> Iterator[tuple[str, tuple, tuple]]:
+    """``point``'s candidate as ``_candidates`` yields it, or nothing if it does not extract."""
+    try:
+        values = extract(point, signature).values
+    except ExtractionError:
+        return
+    yield source, values, _key(values)
+
+
+def _key(values: tuple) -> tuple:
+    """``values`` keyed bit for bit: the tuple, then the positions of any -0.0 in it.
+
+    ``==`` does not tell -0.0 from 0.0, so two keys are equal exactly when
+    the values are, bit for bit.  ``extract_rows`` gives a block's positions.
+    """
+    return values + tuple(i for i, v in enumerate(values)
+                          if v == 0 and math.copysign(1.0, v) < 0.0)
 
 
 def _doubled_move(origin: np.ndarray, accepted: Valuation, source: str) -> np.ndarray | None:
@@ -417,6 +459,7 @@ def solve(problem: CoverageProblem,
     comps = problem.comps
     comp_last = comps[-1]
     rng = np.random.default_rng(config.rng_seed)
+    signature = problem.init.signature
 
     current, current_values = problem.init, problem.init_values
     move: np.ndarray | None = None  # twice the last grad-step or pattern move
@@ -428,16 +471,12 @@ def solve(problem: CoverageProblem,
                 iteration += 1
                 state = build_spaces(problem, current, current_values, fns=fns)
                 accepted: Valuation | None = None
-                tried = {_bits(current)}
-                for source, point in _candidates(state, rng, move):
-                    try:
-                        candidate = extract(point, current.signature)
-                    except ExtractionError:
-                        continue
-                    key = _bits(candidate)
+                tried = {_key(current.values)}
+                for source, values, key in _candidates(state, rng, move):
                     if key in tried:
                         continue
                     tried.add(key)
+                    candidate = Valuation._rounded(signature, values)
                     record = eval_prefix(fns, comps, candidate)
                     if record.outcome is Outcome.DIVERGED:
                         continue

@@ -11,7 +11,8 @@ A comparator is one row of a table, the signs of a for which a P 0 holds,
 and every comparator rule of the search is read from that row here.
 
 Scalars are plain Python ints and floats, and numpy is used only for
-vectors: float32 rounding is one standard-size ``struct`` round trip.
+vectors and blocks of them: a scalar's float32 rounding is one standard-size
+``struct`` round trip, and a block's one cast per column of its type.
 """
 
 from __future__ import annotations
@@ -146,10 +147,10 @@ class Comparator(enum.Enum):
     """``a <comparator> 0`` for a real ``a``, stated by one table: the signs of ``a`` where it holds.
 
     Every comparator rule of the search reads ``signs``: ``holds``, the
-    ``opposite`` (the other signs), ``strict`` (0 is not among them), the
-    ``side`` a value moves toward to make it hold (the last nonzero sign: +1
-    for NEQ, and 0 for EQ, which no half-space holds), the descent step's
-    ``landing`` points, and whether a value ``improves`` on another.
+    ``opposite`` (the other signs), the ``side`` a value moves toward to make
+    it hold (the last nonzero sign: +1 for NEQ, and 0 for EQ, which no
+    half-space holds), the descent step's ``landing`` points, and whether a
+    value ``improves`` on another.
     """
 
     EQ = "==", (0,)
@@ -163,7 +164,6 @@ class Comparator(enum.Enum):
         member = object.__new__(cls)
         member._value_ = symbol
         member.signs = signs
-        member.strict = 0 not in signs
         member.side = signs[-1] or signs[0]
         return member
 
@@ -295,6 +295,70 @@ def extract(vector: Sequence[float] | np.ndarray, signature: Signature) -> Valua
             f"vector of dimension {vec.shape} does not match signature of {len(signature)}")
     return Valuation._rounded(signature, tuple(
         [t.nearest(x) for t, x in zip(signature.types, vec.tolist())]))
+
+
+def extract_rows(block: np.ndarray,
+                 signature: Signature) -> tuple[list[tuple], list[tuple[int, ...]]]:
+    """``extract`` of every row of ``block`` whose coordinates are all finite, in row order.
+
+    Returns two lists with an entry per such row: its values, bit for bit
+    ``extract(row).values``, and the positions of -0.0 among them, which
+    ``==`` does not tell from 0.0.  A row ``extract`` would refuse, one with
+    a non-finite coordinate, is left out.  The block is rounded by the columns
+    of each type at once, by ``ScalarType.nearest``'s rules: integers half
+    away from zero and clamped, in floats and, for 64 bits, again as Python
+    ints, since the float of 2**63 - 1 is 2**63; float32 through a cast, an
+    overflow clamped, a tie moved away from zero.  Runs under ``solve``'s
+    float policy: called alone, a float32 overflow warns as numpy does.
+    """
+    finite = np.isfinite(block)
+    if not finite.all():
+        block = block[finite.all(axis=1)]
+    groups: dict[ScalarType, list[int]] = {}
+    for i, typ in enumerate(signature.types):
+        groups.setdefault(typ, []).append(i)
+    columns: list[list] = [[]] * len(signature)
+    negative = None
+    for typ, at in groups.items():
+        sub = block.T[at]  # one row per column
+        if typ.is_integer:
+            magnitude = np.abs(sub)
+            floor = np.floor(magnitude)
+            sub = np.copysign(floor + (magnitude - floor >= 0.5), sub)  # exact, as in nearest
+            sub = np.minimum(np.maximum(sub, float(typ.min_value)), float(typ.max_value))
+            if typ.bit_width == 64:
+                lists = [[min(int(x), typ.max_value) for x in col] for col in sub.tolist()]
+            else:
+                lists = sub.astype(np.int64).tolist()
+        else:
+            if typ.bit_width == 32:
+                sub = _nearest_float32_block(sub)
+            lists = sub.tolist()
+            zero = sub == 0.0
+            if zero.any():
+                zero &= np.signbit(sub)
+                if negative is None:
+                    negative = np.zeros(block.shape[::-1], dtype=bool)
+                negative[at] = zero
+        for i, col in zip(at, lists):
+            columns[i] = col
+    zeros: list[tuple[int, ...]] = [()] * block.shape[0]
+    if negative is not None:
+        for r in np.flatnonzero(negative.any(axis=0)).tolist():
+            zeros[r] = tuple(np.flatnonzero(negative[:, r]).tolist())
+    return list(zip(*columns)), zeros
+
+
+def _nearest_float32_block(x: np.ndarray) -> np.ndarray:
+    """``_nearest_float32`` of every entry of ``x``, a finite float64 array."""
+    c = x.astype(np.float32).astype(np.float64)
+    over = np.isinf(c)
+    if over.any():
+        c[over] = np.copysign(_FLOAT32_MAX, x[over])
+    mirror = x + (x - c)
+    size = np.abs(mirror)
+    tie = (np.abs(c) < size) & (size <= _FLOAT32_MAX) & (mirror.astype(np.float32) == mirror)
+    return np.where(tie, mirror, c) if tie.any() else c
 
 
 def round_vector(values: Sequence[float], types: Sequence[ScalarType]) -> list[float]:

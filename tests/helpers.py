@@ -41,6 +41,11 @@ def record_levels(monkeypatch) -> list:
     return levels
 
 
+def bits_key(values) -> tuple:
+    """The candidate loop's repeat key as it was: each float by ``hex``, so -0.0 and 0.0 differ."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
 def dense_step(origin: Valuation, point: np.ndarray, row: np.ndarray) -> Valuation:
     """A finite-difference step as the dense oracles take it: ``point`` extracted whole,
     then ``origin``'s own value wherever ``row`` is zero.

@@ -10,7 +10,9 @@ candidate loop that lifts every candidate on its own stay here as oracles.
 
 The candidate loop skips a candidate that extracts, bit for bit, to the
 current valuation or to one already tried in the iteration.  With the skip
-switched off the search must be the same, at no fewer calls.
+switched off the search must be the same, at no fewer calls.  The oracle
+loop rounds each candidate with ``extract`` and keys it with ``bits_key``,
+one value at a time.
 
 ``finite_diff_gradient`` also retakes a partial its step left absorbed in a
 large value.  That does change searches, so the gradient loop without the
@@ -36,9 +38,9 @@ from covsolve.solver import (
 )
 from covsolve.vecspace import (
     F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, Comparator, ExtractionError,
-    Valuation, embed, extract,
+    Valuation, embed, extract, extract_rows,
 )
-from helpers import dense_step, record_levels
+from helpers import bits_key, dense_step, record_levels
 
 TYPES = (I8, I16, I32, I64, U8, U16, U32, U64, F32, F64)
 
@@ -105,25 +107,43 @@ def reevaluating_build_spaces(problem, valuation, values, *, fns=None):
 
 
 def every_raw_candidates(state, rng, move=None):
-    """``solver._candidates`` with every candidate lifted on its own.
+    """``solver._candidates`` with every candidate lifted and extracted on its own,
+    and keyed by ``bits_key``.
 
     Pattern and grad-step candidates are clipped first; bit mutations and
-    random samples are tried once each, raw.
+    random samples are tried once each, raw.  A point ``extract`` refuses is
+    passed over.
     """
     constraints = state.constraints
 
-    def point(u):
-        return state.vec + state.chain.lift(u)
+    def points():
+        def point(u):
+            return state.vec + state.chain.lift(u)
 
-    if move is not None:
-        yield PATTERN, point(clip(dot(state.chain.rows, move), constraints))
-    for axis in grad_step_candidates(state):
-        for u in solver._landings(state, axis):
-            yield GRAD_STEP, point(clip(u, constraints))
-    for u in bit_mutation_candidates(state):
-        yield BIT_MUT, point(u)
-    for u in random_candidates(state, rng):
-        yield RANDOM, point(u)
+        if move is not None:
+            yield PATTERN, point(clip(dot(state.chain.rows, move), constraints))
+        for axis in grad_step_candidates(state):
+            for u in solver._landings(state, axis):
+                yield GRAD_STEP, point(clip(u, constraints))
+        for u in bit_mutation_candidates(state):
+            yield BIT_MUT, point(u)
+        for u in random_candidates(state, rng):
+            yield RANDOM, point(u)
+
+    for source, p in points():
+        try:
+            values = extract(p, state.valuation.signature).values
+        except ExtractionError:
+            continue
+        yield source, values, bits_key(values)
+
+
+def unkeyed(candidates):
+    """``candidates`` with every key a new object, so no candidate is a repeat."""
+    def each_new(state, rng, move=None):
+        for source, values, _ in candidates(state, rng, move):
+            yield source, values, object()
+    return each_new
 
 
 def _random_value(rand, typ):
@@ -354,6 +374,7 @@ class TestSearchUnchanged:
                 patch.setattr(solver, "finite_diff_gradient", full_loop_gradient)
                 patch.setattr(solver, "build_spaces", reevaluating_build_spaces)
                 patch.setattr(solver, "_candidates", every_raw_candidates)
+                patch.setattr(solver, "_key", bits_key)
                 theirs = solve(problem, config)
             assert theirs.evaluations_used < config.max_evaluations
             assert (ours.status, ours.solution, ours.iterations_used, ours.log) \
@@ -431,7 +452,8 @@ class TestRepeatSkip:
             for keys in iterations:
                 assert len(set(keys)) == len(keys)
             with monkeypatch.context() as patch:
-                patch.setattr(solver, "_bits", lambda valuation: object())
+                patch.setattr(solver, "_key", lambda values: object())
+                patch.setattr(solver, "_candidates", unkeyed(solver._candidates))
                 theirs = solve(problem, config)
             assert (ours.status, ours.solution, ours.iterations_used, ours.log) \
                 == (theirs.status, theirs.solution, theirs.iterations_used, theirs.log)
@@ -444,8 +466,13 @@ class TestRepeatSkip:
         def at(x):
             return Valuation.of([("x", F64, x), ("k", I32, 0)])
 
-        assert solver._bits(at(-0.0)) != solver._bits(at(0.0))
-        assert solver._bits(at(0.0)) == solver._bits(at(0.0))
+        assert solver._key(at(-0.0).values) != solver._key(at(0.0).values)
+        assert solver._key(at(0.0).values) == solver._key(at(0.0).values)
+        # a block's keys, from extract_rows, are the scalar keys of its rows
+        values, zeros = extract_rows(np.array([[-0.0, 0.0], [0.0, -0.0]]), at(0.0).signature)
+        keys = [v + z for v, z in zip(values, zeros)]
+        assert keys == [solver._key(at(-0.0).values), solver._key(at(0.0).values)]
+        assert keys[0] != keys[1]
 
 
 class TestCallAccounting:

@@ -291,7 +291,7 @@ class TestClipRows:
                 got = clip_rows(U, cs)
                 assert got.shape == U.shape and got.dtype == np.float64
                 assert U.tobytes() == given.tobytes()
-                non_strict = all(not c.comp.strict for c in cs)
+                non_strict = all(0 in c.comp.signs for c in cs)
                 for u, row in zip(U, got):
                     nudges.clear()
                     with monkeypatch.context() as patch:

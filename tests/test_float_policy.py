@@ -18,9 +18,10 @@ import numpy as np
 
 import covsolve
 from covsolve import (
-    F64, BlackBoxFn, Comparator, CoverageProblem, SolverResult, Valuation, localspace, numerics,
-    solve,
+    F64, BlackBoxFn, Comparator, CoverageProblem, SolverResult, Valuation, localspace, solve,
+    solver,
 )
+from covsolve.numerics import NoStepError
 
 SOURCES = sorted(Path(covsolve.__file__).parent.glob("*.py"))
 
@@ -116,18 +117,24 @@ def test_a_prefix_gradient_whose_square_overflows_is_rescaled(monkeypatch):
 
 
 def test_a_line_step_whose_offset_overflows_finds_no_step(monkeypatch):
-    dot, overflows = numerics.dot, []
+    line_step, outcomes = solver.epsilon_along_line, []
 
-    def counting(a, b, axis=-1):
-        product = dot(a, b, axis)
-        overflows.append(not np.all(np.isfinite(product)))
-        return product
+    def recording(origin, direction, *rest):
+        size = float(np.abs(direction).max())
+        try:
+            eps = line_step(origin, direction, *rest)
+        except NoStepError:
+            outcomes.append((size, "NoStepError"))
+            raise
+        outcomes.append((size, eps))
+        return eps
 
-    monkeypatch.setattr(numerics, "dot", counting)
+    monkeypatch.setattr(solver, "epsilon_along_line", recording)
     # the strict target's line step seeds near 1e66 along a gradient of 1e150:
-    # the sample moves x by about 1e216, whose product with the gradient is inf
+    # the sample moves x by about 1e216, whose product with the gradient is
+    # inf, taken in plain floats along this one axis
     problem = CoverageProblem(
         (BlackBoxFn(("x",), lambda v: 1e150 * v["x"] - 1e76),), (Comparator.GT,),
         Valuation.of([("x", F64, 0.0)]))
     assert isinstance(solve_with_warnings_as_errors(problem), SolverResult)
-    assert any(overflows)
+    assert any(size > 1e149 and end == "NoStepError" for size, end in outcomes)

@@ -37,8 +37,10 @@ from covsolve.solver import (
     solve,
 )
 from covsolve.vecspace import (
-    F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, Comparator, Valuation, extract,
+    F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, Comparator, ExtractionError, Valuation,
+    extract,
 )
+from helpers import bits_key
 
 SQ2 = math.sqrt(2.0)
 
@@ -788,11 +790,12 @@ abe 0 * x1 - 3 >= 0
         the constraints."""
         problem = problem_of(text)
         state = build_spaces(problem, problem.init, problem.init_values)
-        tried = [point for source, point in solver._candidates(state, np.random.default_rng(3))
-                 if source == solver.RANDOM]
+        tried = [values for source, values, _ in
+                 solver._candidates(state, np.random.default_rng(3)) if source == solver.RANDOM]
         samples = random_candidates(state, np.random.default_rng(3))
-        expected = [state.vec + state.chain.lift(u) for u in samples]
-        assert [p.tobytes() for p in tried] == [p.tobytes() for p in expected]
+        expected = [extract(state.vec + state.chain.lift(u), problem.signature).values
+                    for u in samples]
+        assert [bits_key(v) for v in tried] == [bits_key(v) for v in expected]
         outside = sum(not satisfies_all(u, state.constraints) for u in samples)
         if constrained:  # some samples satisfy the constraint, others do not
             assert 0 < outside < len(samples)
@@ -884,7 +887,7 @@ class TestComparatorTableAgainstOldRules:
         the comparator, for the shift only where it is strict."""
         assert comp.side == old_nudge_sign(comp)
         for coord in EDGE_VALUES:
-            shift = comp.side * epsilon_from_value(coord) if comp.strict else 0.0
+            shift = comp.side * epsilon_from_value(coord) if 0 not in comp.signs else 0.0
             assert _bits([shift]) == _bits([old_shift(comp, coord)])
 
 
@@ -1001,11 +1004,18 @@ def eager_random_candidates(state, rng):
 
 def eager_candidates(state, rng):
     """Every candidate in trial order, built list by list with the grad-step clipping
-    inside its generator, and each lifted on its own to a root-space point."""
-    return [(source, state.vec + state.chain.lift(u)) for source, u in
-            [(solver.GRAD_STEP, u) for u in eager_grad_step_candidates(state)]
-            + [(solver.BIT_MUT, u) for u in bit_mutation_candidates(state)]
-            + [(solver.RANDOM, u) for u in eager_random_candidates(state, rng)]]
+    inside its generator, each lifted on its own to a root-space point and extracted
+    from there; a point ``extract`` refuses is left out."""
+    out = []
+    for source, u in ([(solver.GRAD_STEP, u) for u in eager_grad_step_candidates(state)]
+                      + [(solver.BIT_MUT, u) for u in bit_mutation_candidates(state)]
+                      + [(solver.RANDOM, u) for u in eager_random_candidates(state, rng)]):
+        try:
+            out.append((source, extract(state.vec + state.chain.lift(u),
+                                        state.valuation.signature).values))
+        except ExtractionError:
+            pass
+    return out
 
 
 TYPED_CHOICES = (I8, I16, I32, I64, U8, U16, U32, U64, F32, F32)  # f32 one draw in five
@@ -1064,13 +1074,13 @@ class TestCandidatesAgainstEagerGenerators:
             theirs_rng = np.random.default_rng(seed)
             ours = list(solver._candidates(state, ours_rng))
             theirs = eager_candidates(state, theirs_rng)
-            assert [s for s, _ in ours] == [s for s, _ in theirs]
-            for (_, a), (_, b) in zip(ours, theirs):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+            assert [s for s, _, _ in ours] == [s for s, _ in theirs]
+            for (_, values, key), (_, expected) in zip(ours, theirs):
+                assert bits_key(values) == bits_key(expected)
+                assert key == solver._key(values)
             assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
             constrained += bool(state.constraints)
-            randoms = [point for s, point in ours if s == solver.RANDOM]
+            randoms = [values for s, values, _ in ours if s == solver.RANDOM]
             samples = random_candidates(state, np.random.default_rng(seed))
             assert len(randoms) == len(samples)
             outside += any(not satisfies_all(u, state.constraints) for u in samples)
@@ -1308,9 +1318,9 @@ class TestPatternMove:
 
         def recorded(state, rng, move=None):
             iterations.append((state.vec, move, []))
-            for source, u in candidates(state, rng, move):
+            for source, *candidate in candidates(state, rng, move):
                 iterations[-1][2].append(source)
-                yield source, u
+                yield source, *candidate
 
         monkeypatch.setattr(solver, "_candidates", recorded)
         return iterations
@@ -1345,13 +1355,13 @@ abe x1 + x2 - 100 >= 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
         move = np.array([20.0, 0.0])  # alone it breaks x1 <= x2
-        source, point = next(iter(solver._candidates(state, np.random.default_rng(0), move)))
+        source, values, _ = next(iter(solver._candidates(state, np.random.default_rng(0), move)))
         assert source == solver.PATTERN
         assert not satisfies_all(dot(state.chain.rows, move), state.constraints)
         u = clip(dot(state.chain.rows, move), state.constraints)
-        assert point.tobytes() == (state.vec + state.chain.lift(u)).tobytes()
+        candidate = extract(state.vec + state.chain.lift(u), problem.signature)
+        assert bits_key(values) == bits_key(candidate.values)
         assert satisfies_all(u, state.constraints)
-        candidate = extract(point, problem.signature)
         assert problem.comps[0].holds(problem.fns[0].eval(candidate))
         assert problem.fns[1].eval(candidate) > problem.init_values[1]
 

@@ -23,7 +23,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covsolve.localspace import next_basis
+from covsolve import solver
+from covsolve.localspace import dot, next_basis
 from covsolve.numerics import (
     NoStepError, epsilon_along_line, epsilon_from_value,
 )
@@ -333,6 +334,43 @@ class TestGradientAgainstDenseSteps:
             log_sizes.add(len(compare_gradients(origin, ["a", "b"], [1e-300, 1.0], offset,
                                                 lifted, 2.0**-26)))
         assert log_sizes == {1}
+
+    def test_rows_whose_square_leaves_the_normal_range(self, monkeypatch):
+        """The row pass squares every live row, in plain floats along one axis, and
+        calls ``rescaled`` only for a square outside the normal range, as for rows
+        of 1e-170 (the square underflows) and 1e160 (it overflows), along one axis
+        and several: the dense gradient's bytes and calls either way."""
+        rescaled, rescales = solver.rescaled, []
+
+        def counting(v):
+            rescales.append(v.tobytes())
+            return rescaled(v)
+
+        monkeypatch.setattr(solver, "rescaled", counting)
+        calls = {"axis": 0, "pair": 0, "dense": 0}
+        for seed in range(240):
+            rand = random.Random(seed)
+            dim = rand.choice([1, 2, 3, 5, 8, 12])
+            origin = random_valuation(rand, dim)
+            params = list(origin.signature.names)
+            shape = rand.choice(["axis", "pair", "dense"])
+            size = rand.choice([1e-170, 1e160])
+            lifted = np.array([random_direction(rand, dim, shape) for _ in range(3)])
+            lifted = np.where(lifted != 0.0, size * np.sign(lifted) * rand.uniform(0.5, 1.0),
+                              lifted)
+            abnormal = {row.tobytes() for row in lifted}
+            lifted = np.concatenate([lifted, [random_direction(rand, dim, "axis")]])
+            rescales.clear()
+            calls[shape] += len(compare_gradients(
+                origin, params, [rand.gauss(0.0, 1.0) for _ in params], 0.0, lifted,
+                random_seed_step(rand, origin) * rand.choice([1.0, size])))
+            # for every row whose square is outside the normal range, and never
+            # for one whose square is normal, as the last row's mostly is
+            with np.errstate(over="ignore", under="ignore"):
+                squares = [float(dot(np.frombuffer(v), np.frombuffer(v))) for v in rescales]
+            assert not any(2.0**-1022 <= square < math.inf for square in squares)
+            assert set(rescales) >= abnormal
+        assert min(calls.values()) >= 50
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from covsolve.vecspace import (
     BOOL, F32, F64, I8, I16, I32, I64, U8, U16, U32, U64,
     Comparator, ExtractionError, ScalarType, Signature, Valuation,
-    embed, extract, round_vector,
+    embed, extract, extract_rows, round_vector,
 )
+from helpers import bits_key
 
 ALL_TYPES = [I8, I16, I32, I64, U8, U16, U32, U64, F32, F64]
 
@@ -253,6 +254,96 @@ class TestEmbedExtract:
     def test_round_trip_identity_simple(self):
         v = Valuation.of([("x1", I32, 2), ("x2", I32, -3)])
         assert extract(embed(v), v.signature) == v
+
+
+#: Where a block's rounding can part from ``ScalarType.nearest``: ties, 2**52 and
+#: 2**53, the ends of the 64-bit ranges and past them, signed zeros, float32
+#: ties and its overflow threshold, and the non-finite values a row is left out for.
+BLOCK_EDGES = sorted({
+    *(s * x for s in (1.0, -1.0) for x in (
+        0.3, 0.5, 1.5, 2.5, 2.0**52 - 0.5, 2.0**52 + 0.5, 2.0**52 + 1.5, 2.0**53, 2.0**53 + 2,
+        2.0**63 - 1024, 2.0**63, 2.0**64 - 2048, 2.0**64, 2.0**65, 1e300,
+        1.0 + 2.0**-24, 1.0 + 3 * 2.0**-24, 2.0**-150, 3 * 2.0**-150, 2.0**-149,
+        2.0**128 - 2.0**104, 2.0**128 - 2.0**103, np.nextafter(2.0**128 - 2.0**103, 0.0),
+        2.0**128)),
+    0.0, 127.5, 255.5, 32767.5, 65535.5, 2.0**31 - 0.5, 2.0**32 - 0.5}, key=float.hex) + [
+    -0.0, -0.3, math.inf, -math.inf, math.nan]
+
+
+def _block_outcomes(block, signature):
+    """``extract`` row by row, each row's values as ``bits_key``: the oracle."""
+    out = []
+    for row in block:
+        try:
+            out.append(bits_key(extract(row, signature).values))
+        except ExtractionError:
+            pass
+    return out
+
+
+class TestExtractRows:
+    """The block rounding against ``extract`` and the old repeat key, row by row."""
+
+    @staticmethod
+    def check(block, signature):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = list(zip(*extract_rows(block, signature)))
+        assert [bits_key(values) for values, _ in rows] == _block_outcomes(block, signature)
+        for values, zeros in rows:
+            assert zeros == tuple(i for i, v in enumerate(values)
+                                  if isinstance(v, float) and v == 0.0
+                                  and math.copysign(1.0, v) < 0.0)
+            assert [type(v) for v in values] \
+                == [int if t.is_integer else float for t in signature.types]
+        return rows
+
+    @pytest.mark.parametrize("typ", ALL_TYPES)
+    def test_every_type_at_every_edge_value(self, typ):
+        signature = Signature.of([("a", typ)])
+        block = np.array(BLOCK_EDGES)[:, None]
+        rows = self.check(block, signature)
+        assert len(rows) == len(BLOCK_EDGES) - 3  # every row but inf, -inf and nan
+
+    def test_mixed_rows_and_their_keys(self):
+        """Two keys are equal exactly when the old keys are."""
+        rng = np.random.default_rng(35)
+        types = ALL_TYPES * 2
+        signature = Signature.of([(f"x{i}", t) for i, t in enumerate(types)])
+        edges = np.array(BLOCK_EDGES)
+        block = edges[rng.integers(0, len(edges), size=(400, len(types)))]
+        block[rng.random(block.shape) < 0.5] = 0.0  # rows that share their values
+        block[rng.random(block.shape) < 0.2] = -0.0
+        zero, signed, rounded = np.zeros((3, len(types)))
+        signed[types.index(F64)] = -0.0  # a different key from the zero row
+        rounded[types.index(I32)] = -0.3  # the zero row's key
+        block = np.concatenate([block, block[:50], [zero, signed, rounded]])  # and repeats
+        rows = self.check(block, signature)
+        old = [bits_key(values) for values, _ in rows]
+        keys = [values + zeros for values, zeros in rows]
+        assert 100 <= len(rows) < len(block)
+        assert keys[-3] == keys[-1] != keys[-2]
+        equal = 0
+        for i in range(len(rows)):
+            for j in range(len(rows)):
+                assert (keys[i] == keys[j]) == (old[i] == old[j])
+                equal += i != j and old[i] == old[j]
+        assert equal >= 50
+        assert len(set(keys)) == len(set(old))
+
+    def test_float32_differential_sample(self):
+        """Every float32 tie, midpoint, subnormal and overflow of the sample rounds
+        as ``F32.nearest`` does."""
+        sample = np.array(_differential_sample())
+        sample = sample[:len(sample) // 4 * 4]
+        for typ in (F32, I64, U64):
+            self.check(sample.reshape(-1, 4), Signature.of([(c, typ) for c in "abcd"]))
+
+    def test_empty_and_refused_blocks(self):
+        signature = Signature.of([("a", I8), ("b", F32)])
+        assert extract_rows(np.empty((0, 2)), signature) == ([], [])
+        assert extract_rows(np.array([[math.nan, 1.0], [2.0, math.inf]]), signature) == ([], [])
+        assert extract_rows(np.array([[math.nan, 1.0], [-2.5, -0.0]]), signature) \
+            == ([(-3, -0.0)], [(1,)])
 
 
 def _value_strategy(typ: ScalarType):
