@@ -13,10 +13,16 @@ and grad-step candidates are clipped and lifted one at a time, and the
 grad-step generator hands the loop plain directions, whose landing points
 and the one line step each direction's landings share wait for the loop
 too: the first candidate usually solves or improves, and the loop stops
-there.  The bit mutations and the random samples are each lifted and
-rounded to typed values as one block, unclipped, once the loop reaches
-their generator: the search tries them only when nothing before them was
-accepted, and then often all of them.
+there.  After the full landings the loop backtracks, as an Armijo line
+search does (Nocedal & Wright, *Numerical Optimization*, ch. 3): it walks
+the same landings again, scaled by 1/2, 1/4 and 1/8, so that a full step
+that leaves a rounded prefix link by a few ulps lands inside it.
+The bit mutations and the random samples are each lifted and rounded to
+typed values as one block, unclipped, once the loop reaches their
+generator: the search tries them only when nothing before them was
+accepted, and then often all of them.  Of the random block only the first
+``SAMPLES_TRIED`` rows are tried, since an accepted sample comes early; all
+``SAMPLES_PER_CUBE`` are drawn, so later iterations draw the same.
 
 Ahead of the paper's three generators comes a pattern move (Korel,
 "Automated Software Test Data Generation", IEEE TSE 1990): when the last
@@ -70,6 +76,12 @@ ALPHA = 0.01
 
 #: Random samples drawn from the cube in each iteration.
 SAMPLES_PER_CUBE = 100
+
+#: The first drawn samples that are tried; the rest are drawn, never tried.
+SAMPLES_TRIED = 48
+
+#: Grad-step landings are tried again scaled by 2**-k, k = 1 .. this.
+BACKTRACK_HALVINGS = 3
 
 #: Random cube half-edge per unit of log(|F_n| + 1).
 CUBE_SCALE = 100.0
@@ -355,11 +367,13 @@ def bit_mutation_candidates(state: IterationState) -> np.ndarray:
 def random_candidates(state: IterationState, rng: np.random.Generator) -> np.ndarray:
     """``SAMPLES_PER_CUBE`` uniform samples from a cube around the origin, one per row.
 
-    The cube half-edge grows logarithmically with the last function's
-    magnitude.  The paper samples a second cube, around the linearised
-    descent target; the grad-step candidates already try that target, and
-    no sample of that cube was ever accepted in the benchmark.  A level of
-    size 0 draws nothing.
+    The candidate loop tries the first ``SAMPLES_TRIED`` rows.  All are
+    drawn, so the generator's stream, and every later iteration's draw, does
+    not depend on how many are tried.  The cube half-edge grows
+    logarithmically with the last function's magnitude.  The paper samples
+    a second cube, around the linearised descent target; the grad-step
+    candidates already try that target, and no sample of that cube was ever
+    accepted in the benchmark.  A level of size 0 draws nothing.
     """
     dim_local = state.chain.rows.shape[0]
     if dim_local == 0:
@@ -383,30 +397,39 @@ def _candidates(state: IterationState, rng: np.random.Generator,
     and each grad-step candidate are clipped, lifted and extracted one at a
     time.  The grad-step directions are walked here, each by ``_landings``,
     so a direction's line step waits until the loop reaches the first
-    landing that needs it.  The bit mutations and the random samples are
-    each lifted and extracted as one block once the loop reaches their
-    generator: dead ends try every sample, and a block's arithmetic and
-    rounding are each row's, bit for bit.  The pattern and grad-step
-    candidates are clipped along the gradient's tangent in the first round,
-    so that the prefix predicates keep holding at the descent target.  Bit
-    mutations and random samples are tried as drawn: clipping either solved
-    no more problems in the benchmark and cost extra evaluations.  A sample
-    that breaks the first prefix predicate costs one call, since
-    ``eval_prefix`` stops there.
+    landing that needs it.  The walk keeps every landing, and the loop then
+    backtracks: for k = 1 .. ``BACKTRACK_HALVINGS``, every kept landing
+    scaled by 2**-k is clipped, lifted and extracted, labelled ``grad-step``
+    too, so no line step is taken twice.  The bit mutations and the first
+    ``SAMPLES_TRIED`` random samples are each lifted and extracted as one
+    block once the loop reaches their generator: dead ends try every row,
+    and a block's arithmetic and rounding are each row's, bit for bit.
+    The pattern and grad-step candidates are clipped along the gradient's
+    tangent in the first round, so that the prefix predicates keep holding
+    at the descent target.  Bit mutations and random samples are tried as
+    drawn: clipping either solved no more problems in the benchmark and
+    cost extra evaluations.  A sample that breaks the first prefix
+    predicate costs one call, since ``eval_prefix`` stops there.
     """
     constraints, vec, chain = state.constraints, state.vec, state.chain
     signature = state.valuation.signature
     if move is not None:
         yield from _extracted(PATTERN, vec + chain.lift(clip(dot(chain.rows, move), constraints)),
                               signature)
+    landings: list[np.ndarray] = []  # every direction's, in the first walk's order
     for axis in grad_step_candidates(state):
         for u in _landings(state, axis):
+            landings.append(u)
             yield from _extracted(GRAD_STEP, vec + chain.lift(clip(u, constraints)), signature)
+    for k in range(1, BACKTRACK_HALVINGS + 1):
+        for u in landings:
+            yield from _extracted(GRAD_STEP, vec + chain.lift(clip(2.0 ** -k * u, constraints)),
+                                  signature)
     for values, zeros in zip(*extract_rows(
             vec + chain.lift_rows(bit_mutation_candidates(state)), signature)):
         yield BIT_MUT, values, values + zeros
     for values, zeros in zip(*extract_rows(
-            vec + chain.lift_rows(random_candidates(state, rng)), signature)):
+            vec + chain.lift_rows(random_candidates(state, rng)[:SAMPLES_TRIED]), signature)):
         yield RANDOM, values, values + zeros
 
 

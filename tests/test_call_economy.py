@@ -110,9 +110,10 @@ def every_raw_candidates(state, rng, move=None):
     """``solver._candidates`` with every candidate lifted and extracted on its own,
     and keyed by ``bits_key``.
 
-    Pattern and grad-step candidates are clipped first; bit mutations and
-    random samples are tried once each, raw.  A point ``extract`` refuses is
-    passed over.
+    Pattern and grad-step candidates are clipped first; the backtracked
+    landings are walked again for each halving, their line steps taken
+    afresh.  Bit mutations and the first ``SAMPLES_TRIED`` random samples
+    are tried once each, raw.  A point ``extract`` refuses is passed over.
     """
     constraints = state.constraints
 
@@ -122,12 +123,13 @@ def every_raw_candidates(state, rng, move=None):
 
         if move is not None:
             yield PATTERN, point(clip(dot(state.chain.rows, move), constraints))
-        for axis in grad_step_candidates(state):
-            for u in solver._landings(state, axis):
-                yield GRAD_STEP, point(clip(u, constraints))
+        for scale in [2.0 ** -k for k in range(solver.BACKTRACK_HALVINGS + 1)]:
+            for axis in grad_step_candidates(state):
+                for u in solver._landings(state, axis):
+                    yield GRAD_STEP, point(clip(scale * u, constraints))
         for u in bit_mutation_candidates(state):
             yield BIT_MUT, point(u)
-        for u in random_candidates(state, rng):
+        for u in random_candidates(state, rng)[:solver.SAMPLES_TRIED]:
             yield RANDOM, point(u)
 
     for source, p in points():

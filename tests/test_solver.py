@@ -126,6 +126,8 @@ class TestSolverConfig:
             "max_iterations", "max_evaluations", "rng_seed"]
         assert CLIP_ROUNDS == 10
         assert solver.SAMPLES_PER_CUBE == 100
+        assert solver.SAMPLES_TRIED == 48
+        assert solver.BACKTRACK_HALVINGS == 3
         assert solver.ALPHA == 0.01
         assert solver.CUBE_SCALE == 100.0
 
@@ -740,11 +742,33 @@ abe x > 0
         for ua, ub in zip(a, b):
             assert np.array_equal(ua, ub)
 
-    @pytest.mark.parametrize("typ, calls", [("f64", 151), ("i32", 247)])
+    def test_untried_samples_are_still_drawn(self):
+        """An iteration that tries only the first ``SAMPLES_TRIED`` samples leaves
+        the generator where drawing all ``SAMPLES_PER_CUBE`` leaves it, so every
+        later iteration draws what it drew before."""
+        problem = problem_of(LE_EQ_TRACE)
+        state = build_spaces(problem, problem.init, problem.init_values)
+        rng, drawn = np.random.default_rng(9), np.random.default_rng(9)
+        tried = [s for s, _, _ in solver._candidates(state, rng) if s == solver.RANDOM]
+        assert len(tried) == solver.SAMPLES_TRIED < solver.SAMPLES_PER_CUBE
+        drawn.uniform(size=(solver.SAMPLES_PER_CUBE, state.chain.rows.shape[0]))
+        assert rng.bit_generator.state == drawn.bit_generator.state
+
+    # 4 gradient calls, two per function.  The full gradient and the one axis
+    # direction are one direction here, so its two landings and their three
+    # halvings give 8 distinct grad-step candidates at 2 calls each; in i32
+    # only 3 are distinct, since the halvings round onto (-1, 1) and then onto
+    # the current valuation.  i32 has 64 bit mutations, 32 of which keep the
+    # prefix and call the target too: 96 calls.  The 48 samples tried make 70,
+    # since 22 keep the prefix.
+    @pytest.mark.parametrize("typ, calls", [("f64", 4 + 16 + 70), ("i32", 4 + 6 + 96 + 70)],
+                             ids=["f64", "i32"])
     def test_dead_end_tries_one_cube(self, typ, calls):
         """No candidate can satisfy both x1 - x2 <= 0 and x1 - x2 >= 5, so the
-        one iteration tries every candidate, and a second cube would cost 100
-        more calls."""
+        one iteration tries every candidate: each grad-step landing, full and
+        halved, and the first ``SAMPLES_TRIED`` samples of one cube.  Trying
+        all 100 drawn samples would cost at least 52 calls more, and a second
+        cube at least 48 more."""
         problem = problem_of(f"""
 var x1 : {typ}
 var x2 : {typ}
@@ -786,13 +810,13 @@ init x1 = 0
 abe 0 * x1 - 3 >= 0
 """, False), (LE_EQ_TRACE, True)])
     def test_each_random_sample_tried_once_unclipped(self, text, constrained):
-        """Each sample is tried once, lifted as drawn, whether or not it lies inside
-        the constraints."""
+        """Each of the first ``SAMPLES_TRIED`` samples is tried once, lifted as drawn,
+        whether or not it lies inside the constraints."""
         problem = problem_of(text)
         state = build_spaces(problem, problem.init, problem.init_values)
         tried = [values for source, values, _ in
                  solver._candidates(state, np.random.default_rng(3)) if source == solver.RANDOM]
-        samples = random_candidates(state, np.random.default_rng(3))
+        samples = random_candidates(state, np.random.default_rng(3))[:solver.SAMPLES_TRIED]
         expected = [extract(state.vec + state.chain.lift(u), problem.signature).values
                     for u in samples]
         assert [bits_key(v) for v in tried] == [bits_key(v) for v in expected]
@@ -951,8 +975,8 @@ def with_tangent(c, grad):
     return Constraint(c.normal, c.bound, c.comp, direction)
 
 
-def eager_grad_step_candidates(state):
-    """The grad-step candidates, each clipped as soon as it is built."""
+def eager_grad_step_candidates(state, k=0):
+    """The grad-step candidates, each scaled by 2**-k and clipped as soon as it is built."""
     grad = state.grad_n
     with np.errstate(over="ignore"):
         gg = float(dot(grad, grad))
@@ -978,7 +1002,7 @@ def eager_grad_step_candidates(state):
         except NoStepError:
             eps = 0.0
         for p in OLD_P_VALUES[comp](t, eps):
-            out.append(two_branch_clip(p * direction, state.constraints, grad))
+            out.append(two_branch_clip(2.0 ** -k * (p * direction), state.constraints, grad))
 
     with np.errstate(over="ignore", invalid="ignore"):
         steps_along(grad)
@@ -991,7 +1015,8 @@ def eager_grad_step_candidates(state):
 
 
 def eager_random_candidates(state, rng):
-    """The random samples drawn one at a time, each as drawn."""
+    """The random samples drawn one at a time, each as drawn; all are drawn, and the
+    first ``SAMPLES_TRIED`` returned."""
     dim_local = state.chain.rows.shape[0]
     if dim_local == 0:
         return []
@@ -999,15 +1024,18 @@ def eager_random_candidates(state, rng):
     out = []
     for _ in range(solver.SAMPLES_PER_CUBE):
         out.append(rng.uniform(-half_edge, half_edge, size=dim_local))
-    return out
+    return out[:solver.SAMPLES_TRIED]
 
 
 def eager_candidates(state, rng):
     """Every candidate in trial order, built list by list with the grad-step clipping
     inside its generator, each lifted on its own to a root-space point and extracted
-    from there; a point ``extract`` refuses is left out."""
+    from there; a point ``extract`` refuses is left out.  The grad-step list is built
+    again for each backtracking halving, its line steps taken afresh."""
     out = []
-    for source, u in ([(solver.GRAD_STEP, u) for u in eager_grad_step_candidates(state)]
+    steps = [u for k in range(solver.BACKTRACK_HALVINGS + 1)
+             for u in eager_grad_step_candidates(state, k)]
+    for source, u in ([(solver.GRAD_STEP, u) for u in steps]
                       + [(solver.BIT_MUT, u) for u in bit_mutation_candidates(state)]
                       + [(solver.RANDOM, u) for u in eager_random_candidates(state, rng)]):
         try:
@@ -1081,7 +1109,7 @@ class TestCandidatesAgainstEagerGenerators:
             assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
             constrained += bool(state.constraints)
             randoms = [values for s, values, _ in ours if s == solver.RANDOM]
-            samples = random_candidates(state, np.random.default_rng(seed))
+            samples = random_candidates(state, np.random.default_rng(seed))[:solver.SAMPLES_TRIED]
             assert len(randoms) == len(samples)
             outside += any(not satisfies_all(u, state.constraints) for u in samples)
         assert constrained >= 200 and outside >= 100
@@ -1326,10 +1354,15 @@ class TestPatternMove:
         return iterations
 
     def test_move_is_carried_only_after_grad_step_or_pattern(self, monkeypatch):
+        """At least 150 problems are drawn, and more, up to a cap, until the move
+        was dropped after 20 bit-mutation and 3 random acceptances: backtracked
+        grad steps leave random samples few acceptances."""
         iterations = self.recording(monkeypatch)
         rand, rng = random.Random(3), np.random.default_rng(3)
         dropped = Counter()
-        for seed in range(150):
+        for seed in range(600):
+            if seed >= 150 and dropped[solver.BIT_MUT] >= 20 and dropped[solver.RANDOM] >= 3:
+                break
             problem = _typed_linear_problem(rand, rng)
             iterations.clear()
             result = solve(problem, SolverConfig(rng_seed=seed, max_iterations=20))
@@ -1578,10 +1611,16 @@ class TestAbsorbedDifferences:
         assert result.evaluations_used == 2
 
     @pytest.mark.parametrize("typ, offset, evaluations", [
-        ("f64", "5", 101),  # steps 2**-26 and 1 lie above ulp(5): no retake
-        ("i32", "5", 120),  # 13 random samples round onto an integer already tried
-        ("f64", "1e20", 102),  # one retake call, which reads the same value again
-    ])
+        # 1 gradient call and the 48 samples tried: steps 2**-26 and 1 lie
+        # above ulp(5), so no retake
+        ("f64", "5", 1 + 48),
+        # 1 gradient call, 32 bit mutations, and 43 of the 48 samples: 5 round
+        # onto an integer already tried
+        ("i32", "5", 1 + 32 + 43),
+        # 2 gradient calls, the second a retake that reads the same value
+        # again, and the 48 samples
+        ("f64", "1e20", 2 + 48),
+    ], ids=["f64-5", "i32-5", "f64-1e20"])
     def test_flat_function_keeps_its_calls(self, typ, offset, evaluations):
         problem = problem_of(f"var x : {typ}\ninit x = 0\nabe x - x - {offset} >= 0\n")
         result = solve(problem, SolverConfig(rng_seed=0))
