@@ -113,8 +113,11 @@ def clip(u: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
     asymptotic zig-zag between acute constraint pairs into convergence
     within the round limit.  The result may still violate the set if it
     is empty or concave; callers tolerate that.  Runs under ``solve``'s
-    float policy, as ``satisfies`` does.
+    float policy, as ``satisfies`` does.  An empty set returns ``u`` as it is,
+    as a float array.
     """
+    if not constraints:
+        return np.asarray(u, dtype=np.float64)
     u = np.array(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
         return u  # nothing meaningful to project; callers filter these out

@@ -72,29 +72,66 @@ def next_basis(grad: np.ndarray, *, append_gradient: bool) -> np.ndarray:
     (r_{j+1} / r_j) e_j - (a_j / r_j) (a_i / r_{j+1}) e_i, summed over the
     axes i after j.  With ``append_gradient`` the unit gradient a / r_0 is
     the final row, an explicit axis for inequality comparators to constrain.
+
+    The norms are summed in plain floats over the gradient's nonzero entries
+    alone, by one ``np.hypot.accumulate`` (two when the dropped axis has
+    nonzero entries after it): hypot(r, 0) is r, so a run of zero entries
+    takes the norm of the nonzero entry after it.  The rows are built in the
+    gradient's own axis order, each row's own axis written by a strided
+    store.  A gradient with a non-finite entry raises ValueError.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.ndim != 1:
         raise ValueError(f"gradient of shape {grad.shape} is not a vector")
-    prev_dim = len(grad)
-    scale = float(np.abs(grad).max(initial=0.0))
-    if scale == 0.0:
-        return np.eye(prev_dim, dtype=np.float64)
-    r = np.hypot.accumulate(np.abs(grad[::-1]) / scale)[::-1]
-    # the last nonzero axis qualifies, and the one found is nonzero, so r > 0 below
-    dropped = int(np.argmax(np.append(r[1:] <= ZERO_NORM * r[:-1], True)))
-    order = np.arange(prev_dim) + (np.arange(prev_dim) >= dropped)
-    order[-1] = dropped
-    a = grad[order] / scale
-    r = np.hypot.accumulate(np.abs(a[::-1]))[::-1]
-    after = np.arange(prev_dim) > np.arange(prev_dim - 1)[:, None]
-    rows = np.where(after, np.multiply.outer(-a[:-1] / r[:-1], a), 0.0) / r[1:, None]
-    np.fill_diagonal(rows, r[1:] / r[:-1])
-    basis = np.empty((prev_dim - 1 + append_gradient, prev_dim))
-    basis[:prev_dim - 1, order] = rows
+    size = len(grad)
+    support = grad.nonzero()[0].tolist()
+    if not support:
+        return np.eye(size, dtype=np.float64)
+    entries = grad[support].tolist()
+    scale = max(map(abs, entries))
+    mags = [abs(g) / scale for g in entries]
+    r = _tail_norms(mags)
+    if not math.isfinite(r[0]):
+        raise ValueError("gradient is not finite")
+    # the last nonzero axis qualifies, so an axis is found, and it is nonzero
+    k = next(k for k in range(len(support)) if r[k + 1] <= ZERO_NORM * r[k])
+    dropped = support[k]
+    if k + 1 < len(support):  # the dropped axis moves past later nonzero ones
+        support = support[:k] + support[k + 1:] + [dropped]
+        r = _tail_norms(mags[:k] + mags[k + 1:] + [mags[k]])
+    norms, filled = [], 0  # r at each position of the order
+    for i, r_i in zip(support, r):
+        position = size - 1 if i == dropped else i - (i > dropped)
+        norms += [r_i] * (position + 1 - filled)
+        filled = position + 1
+    norms = np.array(norms)
+    a = grad / scale
+    c = np.concatenate((a[:dropped], a[dropped + 1:]))
+    np.divide(c, norms[:-1], out=c)
+    np.negative(c, out=c)
+    # row j is axis j before the dropped axis and axis j + 1 from it on.  Its
+    # entries lie on the axes after its own in the order: the larger ones, and
+    # the dropped axis, which comes last.  From the dropped axis on, j < i
+    # also marks the row's own axis, which the strided store below rewrites
+    axes = np.arange(size)
+    after = axes[:-1, None] < axes
+    after[dropped:, dropped] = True
+    basis = np.zeros((size - 1 + append_gradient, size))
+    rows = basis[:size - 1]
+    np.multiply(c[:, None], a, out=rows, where=after)
+    np.divide(rows, norms[1:, None], out=rows)
+    own = norms[1:] / norms[:-1]
+    flat = basis.reshape(-1)
+    flat[:dropped * (size + 1):size + 1] = own[:dropped]
+    flat[dropped * (size + 1) + 1:(size - 1) * size:size + 1] = own[dropped:]
     if append_gradient:
-        basis[-1, order] = a / r[0]
+        np.divide(a, norms[0], out=basis[-1])
     return basis
+
+
+def _tail_norms(mags: list[float]) -> list[float]:
+    """The norm of ``mags`` from each entry on, then 0.0, as ``np.hypot`` sums them."""
+    return np.hypot.accumulate(mags[::-1]).tolist()[::-1] + [0.0]
 
 
 class BasisChain:

@@ -10,9 +10,13 @@ it each row's nonzero coordinates and squared norm as it read them, once per
 gradient and in plain floats.  A valuation's embedding lies on the typed
 grid, so the line's origin is never rounded, and a sample rounds only what
 it moves, the coordinates where the direction is nonzero, each through its
-type in plain floats.  Along one axis the epsilon is taken in plain floats
+type in plain floats.  A line that moves one coordinate walks in scalars:
+each sample is one ``nearest`` of that coordinate and, when it rounds home,
+one ``next_value``, with no list, and its epsilon is taken in plain floats
 too, so a gradient's step along one axis makes no numpy call, and costs in
-a wide space what it costs in one dimension.
+a wide space what it costs in one dimension.  A line over several
+coordinates rounds them through ``round_vector`` and advances to the
+nearest next typed value of any of them.
 """
 
 from __future__ import annotations
@@ -65,9 +69,9 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float,
     nearer the line than this one.
 
     A sample rounds only what it moves: the coordinates where ``direction``
-    is nonzero, each through its type, walked in plain floats.
-    Every other coordinate stays the origin's, which is on the grid by
-    type.  The returned epsilon is the one a walk over every coordinate
+    is nonzero, each through its type, walked in plain floats, and along
+    one coordinate in scalars (``_axis_offset``).  Every other coordinate
+    stays the origin's, which is on the grid by type.  The returned epsilon is the one a walk over every coordinate
     gives, read from the full-length ``dot(step, w)`` of ``rescaled``.
     Along one axis that sum holds one nonzero product, which it returns
     as it is, so the epsilon is taken in plain floats there.
@@ -95,45 +99,78 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float,
     if eps1 <= 0.0:
         raise ValueError("initial epsilon must be positive")
 
-    types = [signature.types[i] for i in indices]
-    # the origin's floats, as embed gives them: compared as an int, a clamped
-    # i64 would read 2**63 - 1 where its embedding reads 2**63
-    start = [float(origin.values[i]) for i in indices]
-    point = [x + eps1 * g for x, g in zip(start, moves)]
-    for _ in range(2 * len(signature)):
-        try:
-            rounded = round_vector(point, types)
-        except ExtractionError:
-            break
-        if rounded != start:
-            if len(indices) == 1 and (p := (point[0] - start[0]) * (moves[0] / scale)):
-                eps = p / (scale * ww)
-            else:  # several products, or one that underflowed to a signed zero
-                step = np.zeros(len(signature))
-                step[indices] = [x - x0 for x, x0 in zip(point, start)]
-                eps = float(dot(step, direction / scale)) / (scale * ww)
-            if math.isfinite(eps * scale * math.sqrt(ww)):
-                return eps
-            break
-        increment = _min_coordinate_step(rounded, moves, types)
-        if increment is None or increment <= 0.0 or not math.isfinite(increment):
-            break
-        point = [x + increment * g for x, g in zip(point, moves)]
-
+    samples = 2 * len(signature)
+    if len(indices) == 1:
+        offsets = _axis_offset(signature.types[indices[0]], float(origin.values[indices[0]]),
+                               moves[0], eps1, samples)
+    else:
+        offsets = _offsets([signature.types[i] for i in indices],
+                           # the origin's floats, as embed gives them: compared as an int, a
+                           # clamped i64 would read 2**63 - 1 where its embedding reads 2**63
+                           [float(origin.values[i]) for i in indices], moves, eps1, samples)
+    if offsets is not None:
+        if len(offsets) == 1 and (p := offsets[0] * (moves[0] / scale)):
+            eps = p / (scale * ww)
+        else:  # several products, or one that underflowed to a signed zero
+            step = np.zeros(len(signature))
+            step[indices] = offsets
+            w = direction if scale == 1.0 else direction / scale  # v / 1.0 is v, bit for bit
+            eps = float(dot(step, w)) / (scale * ww)
+        if math.isfinite(eps * scale * math.sqrt(ww)):
+            return eps
     raise NoStepError("no sample along the line changes the rounded vector")
 
 
-def _min_coordinate_step(rounded: Sequence[float], direction: Sequence[float],
-                         types: Sequence[ScalarType]) -> float | None:
-    """Smallest line step advancing some coordinate to its next typed value."""
-    best = None
-    for j, g_j in enumerate(direction):
-        if g_j == 0.0:
-            continue
-        nxt = types[j].next_value(float(rounded[j]), math.copysign(1.0, g_j))
+def _axis_offset(typ: ScalarType, start: float, g: float, eps1: float,
+                 samples: int) -> list[float] | None:
+    """The one-coordinate walk: the first sample's move off ``start`` that rounds
+    elsewhere, as a one-element list, or None when no sample moves.
+
+    Each sample is one ``nearest`` and, if it rounds home, one ``next_value``,
+    which reads only the sign of ``g``.
+    """
+    point = start + eps1 * g
+    for _ in range(samples):
+        try:
+            rounded = float(typ.nearest(point))
+        except ExtractionError:
+            return None
+        if rounded != start:
+            return [point - start]
+        nxt = typ.next_value(rounded, g)
         if nxt is None:
-            continue
-        step = (nxt - float(rounded[j])) / g_j
-        if best is None or step < best:
-            best = step
-    return best
+            return None
+        increment = (nxt - rounded) / g
+        if increment <= 0.0 or not math.isfinite(increment):
+            return None
+        point = point + increment * g
+    return None
+
+
+def _offsets(types: Sequence[ScalarType], start: list[float], moves: list[float], eps1: float,
+             samples: int) -> list[float] | None:
+    """The walk over several coordinates: the first sample's moves off ``start``
+    when it rounds elsewhere, or None when no sample does.
+
+    A sample that rounds home advances by the smallest line step that takes
+    some coordinate to its type's next value.
+    """
+    point = [x + eps1 * g for x, g in zip(start, moves)]
+    for _ in range(samples):
+        try:
+            rounded = round_vector(point, types)
+        except ExtractionError:
+            return None
+        if rounded != start:
+            return [x - x0 for x, x0 in zip(point, start)]
+        increment = None
+        for x, g, typ in zip(rounded, moves, types):
+            nxt = typ.next_value(x, g)
+            if nxt is not None:
+                step = (nxt - x) / g
+                if increment is None or step < increment:
+                    increment = step
+        if increment is None or increment <= 0.0 or not math.isfinite(increment):
+            return None
+        point = [x + increment * g for x, g in zip(point, moves)]
+    return None

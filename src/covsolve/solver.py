@@ -198,7 +198,8 @@ def finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: float,
 
     A step rounds only the row's nonzero coordinates, each from its value
     as a float.  Every other coordinate keeps ``origin``'s value exactly.
-    The live rows are read once, as plain floats: each row's nonzero
+    The live rows, every nonzero row when ``fn.params`` name every
+    variable, are read once, as plain floats: each row's nonzero
     coordinates and entries, and its square, taken by ``dot`` only where the
     row moves several axes.  ``rescaled`` is called only for a square
     outside the normal range.  Each line step takes them as its ``line``.
@@ -207,11 +208,17 @@ def finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: float,
     types, starts = signature.types, [float(v) for v in values]
     grad = np.zeros(lifted.shape[0], dtype=np.float64)
     cols = [signature.positions[name] for name in fn.params]
-    live = np.flatnonzero(lifted[:, cols].any(axis=1))
+    if len(set(cols)) == lifted.shape[1]:  # fn reads every variable: no column mask
+        rows = enumerate(lifted.tolist())
+    else:
+        live = np.flatnonzero(lifted[:, cols].any(axis=1))
+        rows = zip(live.tolist(), lifted[live].tolist())
     axes = range(lifted.shape[1])
-    for j, entries in zip(live.tolist(), lifted[live].tolist()):
-        row = lifted[j]
-        moved, moves = list(compress(axes, entries)), list(compress(entries, entries))
+    for j, entries in rows:
+        moves = list(compress(entries, entries))
+        if not moves:  # a zero row moves nothing
+            continue
+        row, moved = lifted[j], list(compress(axes, entries))
         # numpy's sum of one nonzero product is that product
         square = moves[0] * moves[0] if len(moves) == 1 else float(dot(row, row))
         scale = 1.0
@@ -293,11 +300,16 @@ def grad_step_candidates(state: IterationState) -> list[int | None]:
 
     None stands for the full gradient; it is followed by the index of every
     axis with a nonzero partial derivative, whose single-axis step helps
-    escaping local minima.  A zero gradient gives no direction.  The list
-    holds no vector: ``_landings`` builds a direction's candidates when the
-    candidate loop reaches it.
+    escaping local minima.  A gradient with one nonzero partial and no -0.0
+    is its own axis direction, bit for bit, and gives None alone: the axis
+    would only build the same landings again.  A zero gradient gives no
+    direction.  The list holds no vector: ``_landings`` builds a direction's
+    candidates when the candidate loop reaches it.
     """
-    axes = np.flatnonzero(state.grad_n).tolist()
+    grad = state.grad_n
+    axes = np.flatnonzero(grad).tolist()
+    if len(axes) == 1 and not np.signbit(grad[grad == 0.0]).any():
+        return [None]
     return [None, *axes] if axes else []
 
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 
 from covsolve.localspace import BasisChain, dot, rescaled
-from covsolve.numerics import NoStepError, _min_coordinate_step
-from covsolve.vecspace import ExtractionError, Valuation, embed, extract, round_vector
+from covsolve.numerics import NoStepError
+from covsolve.vecspace import ExtractionError, ScalarType, Valuation, embed, extract, round_vector
 
 
 def orthonormality_error(vectors: np.ndarray) -> float:
@@ -58,6 +58,22 @@ def dense_step(origin: Valuation, point: np.ndarray, row: np.ndarray) -> Valuati
         for kept, moved, g in zip(origin.values, stepped, row.tolist())))
 
 
+def min_coordinate_step(rounded, direction, types: list[ScalarType]) -> float | None:
+    """Smallest line step advancing some coordinate to its next typed value, as the
+    dense walks take it; ``epsilon_along_line`` takes it inline over the moved ones."""
+    best = None
+    for j, g_j in enumerate(direction):
+        if g_j == 0.0:
+            continue
+        nxt = types[j].next_value(float(rounded[j]), math.copysign(1.0, g_j))
+        if nxt is None:
+            continue
+        step = (nxt - float(rounded[j])) / g_j
+        if best is None or step < best:
+            best = step
+    return best
+
+
 def dense_epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float) -> float:
     """``epsilon_along_line`` as it was when its origin was an array and every
     sample rounded every coordinate."""
@@ -83,7 +99,7 @@ def dense_epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: flo
                 if math.isfinite(eps * scale * math.sqrt(ww)):
                     return eps
                 break
-            increment = _min_coordinate_step(rounded, direction, types)
+            increment = min_coordinate_step(rounded, direction, types)
             if increment is None or increment <= 0.0 or not math.isfinite(increment):
                 break
             point = point + increment * direction

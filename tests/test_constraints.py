@@ -118,6 +118,12 @@ class TestClip:
         out = clip(u, (c,))
         assert out.tobytes() == u.tobytes()
 
+    def test_empty_set_returns_u_as_it_is(self):
+        u = np.array([0.3, -0.0, np.inf])
+        assert clip(u, ()) is u
+        out = clip([1, -2], [])
+        assert out.dtype == np.float64 and out.tolist() == [1.0, -2.0]
+
     def test_le_projects_onto_boundary(self):
         n = np.array([0.0, 1.0])
         c = Constraint(n, 0.0, Comparator.LE, n)

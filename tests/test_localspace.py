@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covsolve import cli, localspace, solver
 from covsolve.localspace import ZERO_NORM, BasisChain, dot, next_basis, vector_norm
@@ -49,6 +51,32 @@ def gram_schmidt_basis(grad, prev_dim, *, append_gradient):
     if append_gradient:
         emitted.append(unit_grad)
     return np.array(emitted, dtype=np.float64).reshape(len(emitted), prev_dim)
+
+
+def dense_next_basis(grad, *, append_gradient):
+    """The former ``next_basis``: the closed form over every axis, zero or not, kept as
+    an oracle.  Its norms run ``np.hypot.accumulate`` over the whole gradient."""
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.ndim != 1:
+        raise ValueError(f"gradient of shape {grad.shape} is not a vector")
+    prev_dim = len(grad)
+    scale = float(np.abs(grad).max(initial=0.0))
+    if scale == 0.0:
+        return np.eye(prev_dim, dtype=np.float64)
+    r = np.hypot.accumulate(np.abs(grad[::-1]) / scale)[::-1]
+    dropped = int(np.argmax(np.append(r[1:] <= ZERO_NORM * r[:-1], True)))
+    order = np.arange(prev_dim) + (np.arange(prev_dim) >= dropped)
+    order[-1] = dropped
+    a = grad[order] / scale
+    r = np.hypot.accumulate(np.abs(a[::-1]))[::-1]
+    after = np.arange(prev_dim) > np.arange(prev_dim - 1)[:, None]
+    rows = np.where(after, np.multiply.outer(-a[:-1] / r[:-1], a), 0.0) / r[1:, None]
+    np.fill_diagonal(rows, r[1:] / r[:-1])
+    basis = np.empty((prev_dim - 1 + append_gradient, prev_dim))
+    basis[:prev_dim - 1, order] = rows
+    if append_gradient:
+        basis[-1, order] = a / r[0]
+    return basis
 
 
 class MultiLevelChain:
@@ -240,6 +268,70 @@ class TestUnderflowingGradients:
                 big = next_basis(grad * 2.0 ** 600, append_gradient=append)
                 assert small.tobytes() == big.tobytes()
                 assert small.shape[0] == grad.size - 1 + append
+
+
+#: Entries where the order of the support is delicate: signed zeros, a
+#: negligible tail that drops an axis before the last nonzero one, subnormals,
+#: and magnitudes whose squares leave the float range.
+DELICATE_ENTRIES = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 1e-13, -1e-13, 1e-200, 5e-324, -1e-310,
+                    2.0**-1022, 1e300, -1e300, 1.7e308, 3.0, -0.5]
+
+
+def sparse_gradient(rng, size):
+    """A gradient of ``size`` entries, most of them signed zeros, the rest drawn from
+    ``DELICATE_ENTRIES`` or at random over 600 decades."""
+    grad = rng.choice([0.0, -0.0], size=size)
+    count = int(rng.integers(1, min(size, 4) + 1)) if rng.random() < 0.8 else size
+    for i in rng.choice(size, size=count, replace=False):
+        if rng.random() < 0.5:
+            grad[i] = DELICATE_ENTRIES[int(rng.integers(len(DELICATE_ENTRIES)))]
+        else:
+            grad[i] = rng.normal() * 10.0 ** float(rng.integers(-300, 300))
+    return grad
+
+
+class TestAgainstDenseClosedForm:
+    """The sparse norms and the rows built in axis order give the dense form's bytes."""
+
+    @staticmethod
+    def assert_same_bytes(grad):
+        for append in (False, True):
+            want = dense_next_basis(grad, append_gradient=append)
+            got = next_basis(grad, append_gradient=append)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (grad.tolist(), append)
+
+    def test_drawn_sparse_gradients(self):
+        rng = np.random.default_rng(38)
+        dropped_early = 0
+        for size in range(1, 65):
+            for _ in range(60):
+                grad = sparse_gradient(rng, size)
+                self.assert_same_bytes(grad)
+                support = np.flatnonzero(grad)
+                if support.size > 1:
+                    r = np.hypot.accumulate(np.abs(grad[::-1]) / np.abs(grad).max())[::-1]
+                    dropped_early += bool(
+                        np.any(r[support[:-1] + 1] <= ZERO_NORM * r[support[:-1]]))
+        # the axis dropped before the last nonzero one, where the order moves past it
+        assert dropped_early >= 100
+
+    def test_seeded_and_edge_gradients(self):
+        for grad in [*seeded_gradients(), *map(np.array, EDGE_GRADIENTS)]:
+            self.assert_same_bytes(np.asarray(grad, dtype=np.float64))
+
+    @given(st.lists(st.one_of(st.sampled_from(DELICATE_ENTRIES),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=64))
+    @settings(max_examples=400, deadline=None)
+    def test_hypothesis_gradients(self, entries):
+        self.assert_same_bytes(np.array(entries))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_gradient_raises(self, bad):
+        for grad in ([bad], [0.0, bad, 1.0], [1e308, 0.0, bad]):
+            with pytest.raises(ValueError, match="not finite"):
+                next_basis(np.array(grad), append_gradient=True)
 
 
 #: next_basis of a few fixed gradients, as float.hex of each entry.  The

@@ -9,19 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covsolve.localspace import dot
-from covsolve.numerics import (
-    NoStepError,
-    _min_coordinate_step,
-    epsilon_along_line,
-    epsilon_from_value,
-)
+from covsolve.numerics import NoStepError, epsilon_along_line, epsilon_from_value
 from covsolve.problem import BlackBoxFn
 from covsolve.solver import finite_diff_gradient
 from covsolve.vecspace import (
     F32, F64, I8, I16, I32, I64, U8, U16, U32, U64,
     ExtractionError, Signature, embed, extract, round_vector,
 )
-from helpers import dense_epsilon_along_line
+from helpers import dense_epsilon_along_line, min_coordinate_step
 
 ALL_TYPES = [I8, I16, I32, I64, U8, U16, U32, U64, F32, F64]
 
@@ -55,7 +50,7 @@ def full_walk_epsilon_along_line(valuation, direction, eps1):
                 if score < best_score:
                     best_score = score
                     best_eps = eps
-            increment = _min_coordinate_step(rounded, direction, types)
+            increment = min_coordinate_step(rounded, direction, types)
             if increment is None or increment <= 0.0 or not math.isfinite(increment):
                 break
             point = point + increment * direction

@@ -335,6 +335,23 @@ abe 0 * x1 - 3 >= 0
         assert np.array_equal(state.grad_n, np.zeros(1))
         assert grad_step_candidates(state) == []
 
+    def test_one_nonzero_partial_walks_the_gradient_alone(self):
+        """A gradient with one nonzero partial and no -0.0 builds the same landings
+        along its axis as along itself, bit for bit, so the axis is left out; a -0.0
+        elsewhere makes the axis direction differ in the sign of a zero, and keeps it."""
+        problem = problem_of("var x : f64\nvar y : i32\nvar z : f64\n"
+                             "init x = 1\ninit y = 2\ninit z = 3\nabe x + y + z - 50 >= 0\n")
+        state = build_spaces(problem, problem.init, problem.init_values)
+        for grad, directions in (([0.0, -2.5, 0.0], [None]), ([4.0, 0.0, 0.0], [None]),
+                                 ([-0.0, -2.5, 0.0], [None, 1]), ([0.0, 1.0, 3.0], [None, 1, 2]),
+                                 ([0.0, 0.0, 0.0], [])):
+            one = dataclasses.replace(state, grad_n=np.array(grad))
+            assert grad_step_candidates(one) == directions
+            if directions == [None]:
+                axis = int(np.flatnonzero(one.grad_n)[0])
+                assert [u.tobytes() for u in solver._landings(one, axis)] \
+                    == [u.tobytes() for u in solver._landings(one, None)]
+
     def test_eq_linear_lands_exactly(self):
         problem = problem_of("""
 var x : f64
@@ -833,7 +850,9 @@ init x = 0
 abe 2 * x - 6 >= 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
-        assert len(grad_step_landings(state)) == 4
+        # one variable: the gradient is its own axis direction, so only its two
+        # landings, t and t + eps, are walked
+        assert len(grad_step_landings(state)) == 2
         calls = []
 
         def counting_clip(*args, **kwargs):
@@ -1004,13 +1023,18 @@ def eager_grad_step_candidates(state, k=0):
         for p in OLD_P_VALUES[comp](t, eps):
             out.append(two_branch_clip(2.0 ** -k * (p * direction), state.constraints, grad))
 
+    # a gradient with one nonzero partial and no -0.0 is its own axis step, bit
+    # for bit, and that axis is not stepped along again
+    entries = grad.tolist()
+    axes = [j for j, g in enumerate(entries) if g != 0.0]
+    if len(axes) == 1 and not any(g == 0.0 and math.copysign(1.0, g) < 0.0 for g in entries):
+        axes = []
     with np.errstate(over="ignore", invalid="ignore"):
         steps_along(grad)
-        for j in range(grad.shape[0]):
-            if grad[j] != 0.0:
-                axis_step = np.zeros_like(grad)
-                axis_step[j] = grad[j]
-                steps_along(axis_step)
+        for j in axes:
+            axis_step = np.zeros_like(grad)
+            axis_step[j] = grad[j]
+            steps_along(axis_step)
     return out
 
 

@@ -23,8 +23,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covsolve import solver
-from covsolve.localspace import dot, next_basis
+from covsolve import numerics, solver
+from covsolve.localspace import dot, next_basis, rescaled
 from covsolve.numerics import (
     NoStepError, epsilon_along_line, epsilon_from_value,
 )
@@ -281,6 +281,93 @@ def direction_entry():
                      st.floats(allow_nan=False, allow_infinity=False))
 
 
+def axis_line(direction: np.ndarray) -> tuple:
+    """``line`` for a direction, as ``finite_diff_gradient`` reads it off a row."""
+    with np.errstate(over="ignore", under="ignore"):  # as under solve's float policy
+        _, ww, scale = rescaled(direction)
+    moved = np.flatnonzero(direction)
+    return moved.tolist(), direction[moved].tolist(), ww, scale
+
+
+def tie_steps(typ: ScalarType, value) -> list:
+    """Steps from ``value`` to the midpoints between it and its neighbours in ``typ``,
+    where ``nearest`` breaks a tie away from zero."""
+    steps = []
+    for toward in (1.0, -1.0):
+        nxt = typ.next_value(float(value), toward)
+        if nxt is not None:
+            steps.append(abs(nxt - float(value)) / 2.0)
+    return steps
+
+
+class TestAxisWalkAgainstDenseWalk:
+    """A line that moves one coordinate walks in scalars, one ``nearest`` and one
+    ``next_value`` a sample, and gives the dense walk's epsilon or its NoStepError,
+    with ``line`` read off the row or not."""
+
+    def test_every_type_at_edges_ties_and_clamps(self):
+        seen = {"step": 0, "NoStepError": 0}
+        for typ in TYPES:
+            values = edge_values(typ) + ([2**53 + 3, -(2**62) - 1] if typ is I64 else [])
+            if typ is F32:
+                values += [1.0, 1.0 + 2.0**-23, 2.0**24, -(2.0**-126)]
+            for value in values:
+                for other, start in ((I32, 5), (F64, -0.0)):
+                    origin = Valuation.of([("a", other, start), ("x", typ, value)])
+                    for g in (1.0, -1.0, 0.75, -3e-5, 1e-300, -1e300):
+                        seeds = [2.0**-26, 0.5, 1.0, 2.0**70, 2.0**1000]
+                        seeds += [step / abs(g) for step in tie_steps(typ, value)]
+                        for eps1 in seeds:
+                            if not 0.0 < eps1 < math.inf:
+                                continue
+                            direction = np.array([0.0, g])
+                            want = outcome(dense_epsilon_along_line, origin, direction, eps1)
+                            assert outcome(epsilon_along_line, origin, direction, eps1) == want
+                            assert outcome(epsilon_along_line, origin, direction, eps1,
+                                           axis_line(direction)) == want
+                            seen["NoStepError" if want == "NoStepError" else "step"] += 1
+        assert seen["step"] >= 3000 and seen["NoStepError"] >= 300
+
+    def test_clamped_at_a_bound_no_sample_moves(self):
+        for typ in TYPES:
+            top = typ.max_value if typ.is_integer else (F32.max_value if typ is F32
+                                                          else sys.float_info.max)
+            origin = Valuation.of([("x", typ, top)])
+            # every sample rounds onto the bound, or leaves the float range
+            assert outcome(epsilon_along_line, origin, np.array([1.0]), 0.5) == "NoStepError"
+            assert outcome(dense_epsilon_along_line, origin, np.array([1.0]), 0.5) \
+                == "NoStepError"
+
+    def test_float32_ties_round_away_from_zero(self):
+        # 1 + 2**-24 ties between 1 and 1 + 2**-23 and rounds up at once.  Below 1
+        # the spacing halves: 1 - 2**-25 ties and rounds home, and the next sample,
+        # 1 - 3 * 2**-25, ties again and rounds to 1 - 2**-24
+        for g, eps1, moved in ((1.0, 2.0**-24, 2.0**-24), (-1.0, 2.0**-25, 3 * 2.0**-25)):
+            origin = Valuation.of([("x", F32, 1.0)])
+            eps = epsilon_along_line(origin, np.array([g]), eps1)
+            assert eps == moved
+            assert eps == dense_epsilon_along_line(origin, np.array([g]), eps1)
+
+    def test_i64_past_2_53_steps_by_the_float_spacing(self):
+        for value in (2**53 + 1, 2**60 + 3, -(2**62) - 1, 2**63 - 1):
+            origin = Valuation.of([("x", I64, value), ("y", U8, 1)])
+            for g in (1.0, -1.0):
+                args = (origin, np.array([g, 0.0]), 0.5)
+                assert outcome(epsilon_along_line, *args) \
+                    == outcome(dense_epsilon_along_line, *args), (value, g)
+
+    def test_one_coordinate_rounds_no_vector(self, monkeypatch):
+        vectors = []
+        round_vector = numerics.round_vector
+        monkeypatch.setattr(numerics, "round_vector",
+                            lambda *args: vectors.append(args) or round_vector(*args))
+        origin = Valuation.of([("x", I32, 3), ("y", F32, 0.5), ("z", U16, 7)])
+        epsilon_along_line(origin, np.array([0.0, 0.0, 0.25]), 0.5)
+        assert vectors == []
+        epsilon_along_line(origin, np.array([0.0, 1.0, 0.25]), 0.5)
+        assert vectors
+
+
 class TestGradientAgainstDenseSteps:
     def test_random_gradients_match_bit_for_bit(self):
         calls = 0
@@ -371,6 +458,23 @@ class TestGradientAgainstDenseSteps:
             assert not any(2.0**-1022 <= square < math.inf for square in squares)
             assert set(rescales) >= abnormal
         assert min(calls.values()) >= 50
+
+    def test_zero_rows_stay_dead_when_params_cover_every_variable(self):
+        """Where ``params`` name every variable, no column mask is taken and every
+        nonzero row is live; a zero row still makes no step, no call and no error."""
+        origin = Valuation.of([("x", I8, -3)])
+        for zero in (0.0, -0.0):
+            log = []
+            fn = recording_box(["x"], [1.0], 0.0, log)
+            grad = finite_diff_gradient(fn, origin, -3.0, np.array([[zero]]), 2.0**-26)
+            assert grad.tobytes() == np.zeros(1).tobytes() and log == []
+        origin = Valuation.of([("x", I8, -3), ("y", F32, 0.5), ("z", U64, 2**63)])
+        lifted = np.array([[0.0, -0.0, 0.0], [1.0, 0.0, 0.0], [-0.0, -0.0, -0.0],
+                           [0.0, 0.6, -0.8], [0.0, 0.0, 1.0]])
+        for params in (["x", "y", "z"], ["z", "x", "y"], ["x", "z"]):
+            log = compare_gradients(origin, params, [1.0, -2.0, 0.5][:len(params)], 0.0,
+                                    lifted, 2.0**-26)
+            assert log
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
