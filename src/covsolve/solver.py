@@ -17,12 +17,16 @@ there.  After the full landings the loop backtracks, as an Armijo line
 search does (Nocedal & Wright, *Numerical Optimization*, ch. 3): it walks
 the same landings again, scaled by 1/2, 1/4 and 1/8, so that a full step
 that leaves a rounded prefix link by a few ulps lands inside it.
-The bit mutations and the random samples are each lifted and rounded to
-typed values as one block, unclipped, once the loop reaches their
-generator: the search tries them only when nothing before them was
-accepted, and then often all of them.  Of the random block only the first
-``SAMPLES_TRIED`` rows are tried, since an accepted sample comes early; all
-``SAMPLES_PER_CUBE`` are drawn, so later iterations draw the same.
+The bit mutations and the random samples are tried unclipped, and only
+when nothing before them was accepted.  The bit-mutation generator hands
+the loop plain data, each variable's local row and its bits' offsets; the
+loop builds, lifts and rounds one variable's rows at a time, so a variable
+after an accepted candidate is never built.  The random samples are lifted
+and rounded as one block; only the first ``SAMPLES_TRIED`` rows are tried,
+since an accepted sample comes early, but all ``SAMPLES_PER_CUBE`` are
+drawn, so later iterations draw the same.  A solve makes its random
+generator at its first draw, so one that never reaches the samples does not
+import numpy.random.
 
 Ahead of the paper's three generators comes a pattern move (Korel,
 "Automated Software Test Data Generation", IEEE TSE 1990): when the last
@@ -347,20 +351,24 @@ def _landings(state: IterationState, axis: int | None) -> Iterator[np.ndarray]:
         yield comp.landing(t, eps)[k] * w
 
 
-def bit_mutation_candidates(state: IterationState) -> np.ndarray:
-    """One candidate per bit of each integer parameter of the last function, one per row.
+def bit_mutation_candidates(state: IterationState) -> list[tuple[np.ndarray, list[float]]]:
+    """The bit mutations of each integer parameter of the last function, one entry per variable.
 
-    Flipping bit j of a value changes it by y = +-2**(j-1) (in unsigned
+    Flipping bit j of a value changes it by y = +-2**j (in unsigned
     arithmetic), so the mutated inputs lie on the root-space plane where
     coordinate i moved by exactly y.  With c the root-space i-th
     coordinates of the basis vectors, every local vector u with u . c = y
     lifts onto that plane, and since the lifted rows are orthonormal the
     one lifting closest to y*e_i is the least-norm solution y*c/(c . c).
+    An entry is plain data, ``(u, ys)`` with u = c/(c . c) and each bit's y in
+    bit order: bit j's candidate is the row ``ys[j] * u + 0.0``.  The list
+    holds no row: ``_lifted_bit_mutations`` builds and lifts a variable's
+    rows, and ``_candidates`` rounds them, when the loop reaches that variable.
     """
     signature = state.valuation.signature
     lifted = state.chain.rows
     params = set(state.problem.fns[-1].params)
-    out: list[np.ndarray] = []
+    out: list[tuple[np.ndarray, list[float]]] = []
 
     for i, (name, typ) in enumerate(zip(signature.names, signature.types)):
         if name not in params or not typ.is_integer:
@@ -368,24 +376,51 @@ def bit_mutation_candidates(state: IterationState) -> np.ndarray:
         coords = lifted[:, i]
         if float(np.abs(coords).max(initial=0.0)) < PIVOT_GUARD:
             continue  # no basis vector reaches this variable's axis
-        u = coords / float(dot(coords, coords))
         width = typ.bit_width
         raw = int(state.valuation.values[i]) & ((1 << width) - 1)
         ys = [float((1 - 2 * ((raw >> j) & 1)) * (1 << j)) for j in range(width)]
-        out.append(np.outer(ys, u) + 0.0)  # a negative y makes -0.0 of a zero; + 0.0 undoes it
-    return np.concatenate(out) if out else np.empty((0, lifted.shape[0]))
+        out.append((coords / float(dot(coords, coords)), ys))
+    return out
 
 
-def random_candidates(state: IterationState, rng: np.random.Generator) -> np.ndarray:
+def _lifted_bit_mutations(state: IterationState) -> Iterator[np.ndarray]:
+    """Each variable's bit mutations in root coordinates, one variable's rows at a time."""
+    for u, ys in bit_mutation_candidates(state):
+        # a negative y makes -0.0 of a zero; + 0.0 undoes it
+        yield state.chain.lift_rows(np.outer(ys, u) + 0.0)
+
+
+class _LazyGenerator:
+    """A solve's ``np.random.default_rng(seed)``, made at its first draw.
+
+    ``random_candidates`` draws through ``uniform``, as from the generator
+    itself, so the stream is the generator's.  A solve that never reaches
+    the random samples neither builds a generator nor imports numpy.random.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.generator: np.random.Generator | None = None
+
+    def uniform(self, low: float, high: float, size: tuple[int, int]) -> np.ndarray:
+        if self.generator is None:
+            self.generator = np.random.default_rng(self.seed)
+        return self.generator.uniform(low, high, size=size)
+
+
+def random_candidates(state: IterationState,
+                      rng: np.random.Generator | _LazyGenerator) -> np.ndarray:
     """``SAMPLES_PER_CUBE`` uniform samples from a cube around the origin, one per row.
 
     The candidate loop tries the first ``SAMPLES_TRIED`` rows.  All are
     drawn, so the generator's stream, and every later iteration's draw, does
-    not depend on how many are tried.  The cube half-edge grows
-    logarithmically with the last function's magnitude.  The paper samples
-    a second cube, around the linearised descent target; the grad-step
-    candidates already try that target, and no sample of that cube was ever
-    accepted in the benchmark.  A level of size 0 draws nothing.
+    not depend on how many are tried.  ``solve`` hands in a
+    ``_LazyGenerator``, which makes its numpy generator at the first draw.
+    The cube half-edge grows logarithmically with the last function's
+    magnitude.  The paper samples a second cube, around the linearised
+    descent target; the grad-step candidates already try that target, and
+    no sample of that cube was ever accepted in the benchmark.  A level of
+    size 0 draws nothing.
     """
     dim_local = state.chain.rows.shape[0]
     if dim_local == 0:
@@ -394,7 +429,7 @@ def random_candidates(state: IterationState, rng: np.random.Generator) -> np.nda
     return rng.uniform(-half_edge, half_edge, size=(SAMPLES_PER_CUBE, dim_local))
 
 
-def _candidates(state: IterationState, rng: np.random.Generator,
+def _candidates(state: IterationState, rng: np.random.Generator | _LazyGenerator,
                 move: np.ndarray | None = None) -> Iterator[tuple[str, tuple, tuple]]:
     """Every generator's proposals in trial order, each tried once, as typed values.
 
@@ -412,10 +447,13 @@ def _candidates(state: IterationState, rng: np.random.Generator,
     landing that needs it.  The walk keeps every landing, and the loop then
     backtracks: for k = 1 .. ``BACKTRACK_HALVINGS``, every kept landing
     scaled by 2**-k is clipped, lifted and extracted, labelled ``grad-step``
-    too, so no line step is taken twice.  The bit mutations and the first
-    ``SAMPLES_TRIED`` random samples are each lifted and extracted as one
-    block once the loop reaches their generator: dead ends try every row,
-    and a block's arithmetic and rounding are each row's, bit for bit.
+    too, so no line step is taken twice.  The bit mutations are built,
+    lifted (``_lifted_bit_mutations``) and extracted one variable's rows at
+    a time, at most 64 rows, so the variables after an accepted candidate
+    are never built.  The first ``SAMPLES_TRIED`` random samples are lifted
+    and extracted as one block once the loop reaches their generator, since
+    dead ends try every row.  A block's arithmetic and rounding are each
+    row's, bit for bit.
     The pattern and grad-step candidates are clipped along the gradient's
     tangent in the first round, so that the prefix predicates keep holding
     at the descent target.  Bit mutations and random samples are tried as
@@ -437,9 +475,9 @@ def _candidates(state: IterationState, rng: np.random.Generator,
         for u in landings:
             yield from _extracted(GRAD_STEP, vec + chain.lift(clip(2.0 ** -k * u, constraints)),
                                   signature)
-    for values, zeros in zip(*extract_rows(
-            vec + chain.lift_rows(bit_mutation_candidates(state)), signature)):
-        yield BIT_MUT, values, values + zeros
+    for rows in _lifted_bit_mutations(state):
+        for values, zeros in zip(*extract_rows(vec + rows, signature)):
+            yield BIT_MUT, values, values + zeros
     for values, zeros in zip(*extract_rows(
             vec + chain.lift_rows(random_candidates(state, rng)[:SAMPLES_TRIED]), signature)):
         yield RANDOM, values, values + zeros
@@ -484,6 +522,8 @@ def solve(problem: CoverageProblem,
     The problem should be reduced first (see ``problem.reduce_problem``);
     solving works on unreduced problems too, just in more dimensions.
     Identical problem, configuration and seed give an identical result.
+    The random generator is seeded with ``config.rng_seed`` at the solve's
+    first random draw, so a solve that draws nothing builds none.
     Each call runs the search, black-box calls included, under one float
     policy: numpy does not warn about overflow or invalid results, which the
     search expects and checks for itself.
@@ -493,7 +533,7 @@ def solve(problem: CoverageProblem,
     fns = tuple(_counted(fn, budget) for fn in problem.fns)
     comps = problem.comps
     comp_last = comps[-1]
-    rng = np.random.default_rng(config.rng_seed)
+    rng = _LazyGenerator(config.rng_seed)
     signature = problem.init.signature
 
     current, current_values = problem.init, problem.init_values

@@ -6,6 +6,7 @@ import numpy as np
 
 from covsolve.localspace import BasisChain, dot, rescaled
 from covsolve.numerics import NoStepError
+from covsolve.solver import PIVOT_GUARD
 from covsolve.vecspace import ExtractionError, ScalarType, Valuation, embed, extract, round_vector
 
 
@@ -105,3 +106,29 @@ def dense_epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: flo
             point = point + increment * direction
 
     raise NoStepError("no sample along the line changes the rounded vector")
+
+
+def bit_mutation_block(state) -> np.ndarray:
+    """Every bit mutation of the last function's integer parameters as one block, one per row,
+    as ``solver.bit_mutation_candidates`` built them before it returned one entry per variable.
+
+    A variable's rows are ``np.outer(ys, u) + 0.0`` over its ``(u, ys)``,
+    variable after variable; the oracle of the rows the candidate loop lifts.
+    """
+    signature = state.valuation.signature
+    lifted = state.chain.rows
+    params = set(state.problem.fns[-1].params)
+    out: list[np.ndarray] = []
+
+    for i, (name, typ) in enumerate(zip(signature.names, signature.types)):
+        if name not in params or not typ.is_integer:
+            continue
+        coords = lifted[:, i]
+        if float(np.abs(coords).max(initial=0.0)) < PIVOT_GUARD:
+            continue  # no basis vector reaches this variable's axis
+        u = coords / float(dot(coords, coords))
+        width = typ.bit_width
+        raw = int(state.valuation.values[i]) & ((1 << width) - 1)
+        ys = [float((1 - 2 * ((raw >> j) & 1)) * (1 << j)) for j in range(width)]
+        out.append(np.outer(ys, u) + 0.0)  # a negative y makes -0.0 of a zero; + 0.0 undoes it
+    return np.concatenate(out) if out else np.empty((0, lifted.shape[0]))

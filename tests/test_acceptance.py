@@ -46,7 +46,7 @@ from covsolve.vecspace import (
     extract,
     round_vector,
 )
-from helpers import orthonormality_error
+from helpers import bit_mutation_block, orthonormality_error
 
 SQ2 = math.sqrt(2.0)
 
@@ -300,7 +300,10 @@ class TestBitMutationTargetProperty:
             fn = BlackBoxFn((f"x{i}",), lambda v: 0.0)
             state = SimpleNamespace(valuation=valuation, chain=chain,
                                     problem=SimpleNamespace(fns=(fn,)))
-            candidates = bit_mutation_candidates(state)
+            # the variable's rows as the old block held them; the entry
+            # bit_mutation_candidates returns builds them (test_bit_mutation_rows.py)
+            assert len(bit_mutation_candidates(state)) == 1
+            candidates = bit_mutation_block(state)
             assert len(candidates) == 32
 
             kkt = np.zeros((dim_local + 1, dim_local + 1))

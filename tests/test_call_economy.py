@@ -33,14 +33,14 @@ from covsolve.numerics import NoStepError, epsilon_along_line
 from covsolve.probelang import compile_spec, parse_spec
 from covsolve.problem import BlackBoxFn, CoverageProblem, eval_prefix
 from covsolve.solver import (
-    BIT_MUT, GRAD_STEP, PATTERN, RANDOM, SolverConfig, bit_mutation_candidates,
-    build_spaces, grad_step_candidates, random_candidates, solve,
+    BIT_MUT, GRAD_STEP, PATTERN, RANDOM, SolverConfig, build_spaces,
+    grad_step_candidates, random_candidates, solve,
 )
 from covsolve.vecspace import (
     F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, Comparator, ExtractionError,
     Valuation, embed, extract, extract_rows,
 )
-from helpers import bits_key, dense_step, record_levels
+from helpers import bit_mutation_block, bits_key, dense_step, record_levels
 
 TYPES = (I8, I16, I32, I64, U8, U16, U32, U64, F32, F64)
 
@@ -127,7 +127,9 @@ def every_raw_candidates(state, rng, move=None):
             for axis in grad_step_candidates(state):
                 for u in solver._landings(state, axis):
                     yield GRAD_STEP, point(clip(scale * u, constraints))
-        for u in bit_mutation_candidates(state):
+        # the old block of every variable's rows, each lifted on its own; the loop
+        # builds and lifts one variable's rows at a time
+        for u in bit_mutation_block(state):
             yield BIT_MUT, point(u)
         for u in random_candidates(state, rng)[:solver.SAMPLES_TRIED]:
             yield RANDOM, point(u)

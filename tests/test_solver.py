@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,7 +43,7 @@ from covsolve.vecspace import (
     F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, Comparator, ExtractionError, Valuation,
     extract,
 )
-from helpers import bits_key
+from helpers import bit_mutation_block, bits_key
 
 SQ2 = math.sqrt(2.0)
 
@@ -437,7 +440,10 @@ init x = 0
 abe x - 100 >= 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
-        candidates = bit_mutation_candidates(state)
+        [(u, ys)] = bit_mutation_candidates(state)
+        assert u.tolist() == [1.0]
+        assert ys == [float(2 ** j) for j in range(32)]
+        candidates = bit_mutation_block(state)
         assert len(candidates) == 32
         for j, u in enumerate(candidates, start=1):
             assert u == pytest.approx([float(2 ** (j - 1))])
@@ -455,7 +461,8 @@ abe x1 + x2 - 5 >= 0
         state = build_spaces(problem, problem.init, problem.init_values)
         assert state.chain.rows[0] == pytest.approx(
             [1 / SQ2, 1 / SQ2], abs=1e-9)
-        candidates = bit_mutation_candidates(state)
+        assert len(bit_mutation_candidates(state)) == 2  # one entry per variable
+        candidates = bit_mutation_block(state)
         assert len(candidates) == 64  # two i32 variables
         lifted = state.chain.lift(candidates[0])
         assert lifted == pytest.approx([1.0, 1.0], abs=1e-9)
@@ -473,13 +480,15 @@ abe x1 + x2 - 5 >= 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
         # B_2 = {(0,1)}: x1's axis is unreachable, only x2 mutates
-        candidates = bit_mutation_candidates(state)
-        assert len(candidates) == 32
+        [(u, ys)] = bit_mutation_candidates(state)
+        assert u.tolist() == [1.0] and len(ys) == 32
+        assert len(bit_mutation_block(state)) == 32
 
     def test_float_variables_skipped(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
-        assert bit_mutation_candidates(state).shape == (0, state.chain.rows.shape[0])
+        assert bit_mutation_candidates(state) == []
+        assert bit_mutation_block(state).shape == (0, state.chain.rows.shape[0])
 
     def test_empty_level_gives_an_empty_block(self):
         # the equality leaves no axis: no candidate, and a block the level lifts
@@ -491,7 +500,8 @@ abe x - 5 >= 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
         assert state.chain.rows.shape == (0, 1)
-        candidates = bit_mutation_candidates(state)
+        assert bit_mutation_candidates(state) == []
+        candidates = bit_mutation_block(state)
         assert candidates.shape == (0, 0)
         assert state.chain.lift_rows(candidates).shape == (0, 1)
 
@@ -502,8 +512,10 @@ init x = 5
 abe x - 100 >= 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
-        candidates = bit_mutation_candidates(state)
         # x = 0b101: bits 1 and 3 are set, so y is negative there
+        [(_, ys)] = bit_mutation_candidates(state)
+        assert ys[:3] == [-1.0, 2.0, -4.0]
+        candidates = bit_mutation_block(state)
         assert candidates[0] == pytest.approx([-1.0])
         assert candidates[1] == pytest.approx([2.0])
         assert candidates[2] == pytest.approx([-4.0])
@@ -646,7 +658,7 @@ class TestBitMutationsAgainstPerBitDescent:
         for seed in range(150):
             state = _bit_mutation_state(seed, axis_gradients=False)
             lifted = state.chain.rows
-            got = bit_mutation_candidates(state)
+            got = bit_mutation_block(state)
             expected = per_bit_bit_mutations(state, scaled_guard)
             assert len(got) == len(expected)
             for u, (i, y, descent_u) in zip(got, expected):
@@ -661,7 +673,7 @@ class TestBitMutationsAgainstPerBitDescent:
     def test_axis_chains_match_absolute_guard(self):
         for seed in range(100):
             state = _bit_mutation_state(seed, axis_gradients=True)
-            _assert_same_bits(bit_mutation_candidates(state),
+            _assert_same_bits(bit_mutation_block(state),
                               per_bit_bit_mutations(state, absolute_guard))
 
     def test_diagonal_subspace_matches_absolute_guard(self):
@@ -674,7 +686,7 @@ abe x1 - x2 == 0
 abe x1 + x2 - 5 >= 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
-        _assert_same_bits(bit_mutation_candidates(state),
+        _assert_same_bits(bit_mutation_block(state),
                           per_bit_bit_mutations(state, absolute_guard))
 
 
@@ -799,6 +811,36 @@ abe x1 - x2 - 5 >= 0
         assert (result.iterations_used, result.evaluations_used) == (1, calls)
 
 
+class TestLazyGenerator:
+    def test_draws_the_seeded_stream(self):
+        lazy, eager = solver._LazyGenerator(11), np.random.default_rng(11)
+        assert lazy.generator is None
+        for size in [(100, 3), (100, 1), (7, 2)]:
+            assert (lazy.uniform(-2.0, 5.0, size=size).tobytes()
+                    == eager.uniform(-2.0, 5.0, size=size).tobytes())
+        assert lazy.generator.bit_generator.state == eager.bit_generator.state
+
+    # a chain the first grad step solves, and a dead end that tries the samples
+    @pytest.mark.parametrize("text, status, loaded", [
+        (EQ_LE_GE_TRACE, "SOLVED", False),
+        ("var x1 : f64\nvar x2 : f64\ninit x1 = 0\ninit x2 = 0\n"
+         "abe x1 - x2 <= 0\nabe x1 - x2 - 5 >= 0\n", "FAILED_NO_PROGRESS", True),
+    ], ids=["chain", "dead-end"])
+    def test_numpy_random_is_imported_at_the_first_draw(self, text, status, loaded):
+        """A solve that never reaches the random samples neither builds a generator
+        nor imports numpy.random; one that draws does both."""
+        script = (
+            "import sys\n"
+            "from covsolve import SolverConfig, compile_spec, parse_spec, solve\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            f"result = solve(compile_spec(parse_spec({text!r})), SolverConfig(rng_seed=0))\n"
+            "print(result.status.value, 'numpy.random' in sys.modules)\n")
+        src = str(Path(solver.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.split() == [status, str(loaded)]
+
+
 class TestCandidateBounds:
     @pytest.mark.parametrize("text", [EQ_GE_TRACE, LE_EQ_TRACE, LE_EQ_EQ_TRACE, """
 var a : i16
@@ -815,7 +857,8 @@ abe a + b - 50 >= 0
         n_params = len(problem.fns[-1].params)
         assert len(grad_step_candidates(state)) <= 1 + dim_local
         assert len(grad_step_landings(state)) <= 2 * (1 + dim_local)
-        assert len(bit_mutation_candidates(state)) <= 64 * n_params
+        assert len(bit_mutation_candidates(state)) <= n_params  # one entry per variable
+        assert len(bit_mutation_block(state)) <= 64 * n_params
         rng = np.random.default_rng(0)
         assert len(random_candidates(state, rng)) <= solver.SAMPLES_PER_CUBE
 
@@ -1055,12 +1098,14 @@ def eager_candidates(state, rng):
     """Every candidate in trial order, built list by list with the grad-step clipping
     inside its generator, each lifted on its own to a root-space point and extracted
     from there; a point ``extract`` refuses is left out.  The grad-step list is built
-    again for each backtracking halving, its line steps taken afresh."""
+    again for each backtracking halving, its line steps taken afresh.  The bit
+    mutations come from ``helpers.bit_mutation_block``, every variable's rows as one
+    block, where the loop builds and lifts one variable's rows at a time."""
     out = []
     steps = [u for k in range(solver.BACKTRACK_HALVINGS + 1)
              for u in eager_grad_step_candidates(state, k)]
     for source, u in ([(solver.GRAD_STEP, u) for u in steps]
-                      + [(solver.BIT_MUT, u) for u in bit_mutation_candidates(state)]
+                      + [(solver.BIT_MUT, u) for u in bit_mutation_block(state)]
                       + [(solver.RANDOM, u) for u in eager_random_candidates(state, rng)]):
         try:
             out.append((source, extract(state.vec + state.chain.lift(u),
