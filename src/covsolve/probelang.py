@@ -20,10 +20,12 @@ listed expression is the one the solver tries to flip.
 Each expression is held as a flat program: a tuple of postfix steps
 ``(op, arg)``, namely ``("var", name)``, ``("lit", value)``, ``("neg", None)``,
 ``("+" | "-" | "*" | "/", None)`` and ``("abs" | "min" | "max" | "f64", None)``.
-``x1 - 10`` is ``(("var", "x1"), ("lit", 10.0), ("-", None))``.  Parsing is
-one ``findall`` scan of a line into token texts and one operator-precedence
-loop over them; evaluating, printing and listing variables are single loops
-over the steps; and programs compare, hash and print as plain tuples.
+``x1 - 10`` is ``(("var", "x1"), ("lit", 10.0), ("-", None))``.  Parsing a
+line is one ``findall``, one regex match a token, and one operator-precedence
+``for`` loop over the token texts, which also collects the line's variable
+names; checking a program and listing its variables is one loop over its
+steps, and so are evaluating and printing; and programs compare, hash and
+print as plain tuples.
 Programs share their steps: every operator has one step object, and within
 a line so has every distinct variable and literal text, so a program of n
 steps holds n pointers rather than n fresh tuples.  Nothing recurses, so
@@ -37,7 +39,9 @@ from __future__ import annotations
 import io
 import math
 import re
+from collections.abc import KeysView
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .problem import BlackBoxFn, CoverageProblem, InvalidProblemError
 from .vecspace import Comparator, ScalarType, TYPES_BY_NAME, Valuation, round_float32
@@ -64,39 +68,44 @@ Program = tuple[Step, ...]
 _FUNCTIONS = {"abs": 1, "min": 2, "max": 2, "f64": 1}
 
 
-def _check_program(program: Program) -> None:
-    """Raise ValueError unless ``program`` computes one value.
+#: The operands each step takes off the value stack.
+_OPERANDS = {"var": 0, "lit": 0, "neg": 1, "+": 2, "-": 2, "*": 2, "/": 2, **_FUNCTIONS}
+
+
+def _check_program(program: Program) -> set[str]:
+    """The names of ``program``'s variables; ValueError unless it computes one value.
 
     Each step must be an ``(op, arg)`` step of the language and find its
     operands on the value stack, a variable must be named by a string and a
     literal must be a float, and one value must be left at the end.
     ``parse_spec`` builds only such programs; a hand-built one is checked
-    before it is printed or compiled.
+    before it is printed or compiled.  One loop over the steps does both.
     """
+    names: set[str] = set()
     depth = 0
     for index, step in enumerate(program, start=1):
         if not (isinstance(step, tuple) and len(step) == 2 and isinstance(step[0], str)):
             raise ValueError(f"step {index} {step!r} is not an (op, arg) pair")
         op, arg = step
-        if op == "var" and not isinstance(arg, str):
-            raise ValueError(f"variable {arg!r} is not a name")
-        if op == "lit" and not isinstance(arg, float):
-            raise ValueError(f"literal {arg!r} is not a float")
-        if op in ("var", "lit"):
-            operands = 0
-        elif op in _OP_STEPS:
-            operands = 1 if op == "neg" else _FUNCTIONS.get(op, 2)
-        else:
-            raise ValueError(f"step {step!r} has no .prob spelling")
-        if depth < operands:
+        operands = _OPERANDS.get(op)
+        if not operands:  # a leaf, or no step of the language
+            if op == "var":
+                if not isinstance(arg, str):
+                    raise ValueError(f"variable {arg!r} is not a name")
+                names.add(arg)
+            elif op == "lit":
+                if not isinstance(arg, float):
+                    raise ValueError(f"literal {arg!r} is not a float")
+            else:
+                raise ValueError(f"step {step!r} has no .prob spelling")
+            depth += 1
+        elif depth < operands:
             raise ValueError(f"step {index} {step!r} finds {depth} of its {operands} operands")
-        depth += 1 - operands
+        else:
+            depth += 1 - operands
     if depth != 1:
         raise ValueError(f"program leaves {depth} values, not one")
-
-
-def free_vars(program: Program) -> set[str]:
-    return {arg for op, arg in program if op == "var"}
+    return names
 
 
 def eval_expr(program: Program, valuation: Valuation) -> float | None:
@@ -155,9 +164,10 @@ def eval_expr(program: Program, valuation: Valuation) -> float | None:
 
 _NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
 
-# no groups, so findall returns the token texts; a character that starts no
-# token is skipped, and the parser finds it by length
-_TOKEN_RE = re.compile(rf"{_NUMBER}|[A-Za-z_][A-Za-z_0-9]*|==|!=|<=|>=|[-+*/(),<>]")
+# one match a token, with the blanks before it; findall returns the token
+# texts, and a character that starts no token matches as an empty one
+_TOKEN_RE = re.compile(
+    rf"\s*([-+*/(),]|{_NUMBER}|[A-Za-z_][A-Za-z_0-9]*|==|!=|<=|>=|[<>]|(?=\S))")
 
 #: Precedences; all operators are left-associative, and unary minus binds tightest.
 _BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -165,6 +175,11 @@ _NEG = 3
 
 #: The one step of each operator, shared by every program.
 _OP_STEPS = {op: (op, None) for op in ("neg", *_BINARY, *_FUNCTIONS)}
+
+#: The parser's stack entry of each operator token after an operand,
+#: (precedence, step), and of each one that can start an operand.
+_INFIX = {op: (prec, _OP_STEPS[op]) for op, prec in _BINARY.items()}
+_PREFIX = {"-": (_NEG, _OP_STEPS["neg"]), "(": (0, "(", 1)}
 
 
 @dataclass(frozen=True)
@@ -180,7 +195,7 @@ def parse_spec(text: str) -> ProblemSpec:
     # name -> [type, initial value], the value None until its init line
     declared: dict[str, list] = {}
     abes: list[tuple[Program, Comparator]] = []
-    abe_lines: list[int] = []
+    abe_names: list[tuple[KeysView[str], int]] = []  # each abe's variables, and its line
 
     # universal newlines: text.splitlines() also breaks at \f, \v, \x1c-\x1e, \x85, \u2028, \u2029
     lines = io.StringIO(text, newline=None).readlines()
@@ -203,8 +218,9 @@ def parse_spec(text: str) -> ProblemSpec:
                 raise ParseError(lineno, f"variable {name!r} initialised twice")
             declared[name][1] = _coerce_literal(literal, declared[name][0], lineno)
         elif keyword == "abe":
-            abes.append(_parse_abe_line(rest, lineno))
-            abe_lines.append(lineno)
+            program, comp, names = _parse_abe_line(rest, lineno)
+            abes.append((program, comp))
+            abe_names.append((names, lineno))
         else:
             raise ParseError(lineno, f"unknown directive {keyword!r}")
 
@@ -214,9 +230,8 @@ def parse_spec(text: str) -> ProblemSpec:
     if missing:
         raise ParseError(len(lines) + 1,
                          f"missing init for variable(s) {', '.join(missing)}")
-    for (expr, _), lineno in zip(abes, abe_lines):
-        unknown = free_vars(expr) - declared.keys()
-        if unknown:
+    for names, lineno in abe_names:
+        if unknown := names - declared.keys():
             raise ParseError(lineno, f"undeclared variable(s) {', '.join(sorted(unknown))}")
 
     return ProblemSpec(tuple((name, typ, value) for name, (typ, value) in declared.items()),
@@ -244,126 +259,128 @@ def _parse_init_line(rest: str, lineno: int) -> tuple[str, str]:
 
 def _coerce_literal(literal: str, typ: ScalarType, lineno: int) -> int | float:
     too_big = ParseError(lineno, f"initial value {literal} does not fit {typ}")
-    if typ.is_integer and re.fullmatch(r"-?\d+", literal):
-        # exact, so 64-bit values past 2**53 keep every digit
-        try:
-            value = int(literal)
-        except ValueError:  # more digits than int() converts
-            raise too_big from None
-    else:
-        real = float(literal)
-        if not math.isfinite(real):
-            raise too_big
-        if not typ.is_integer:
-            if typ.bit_width == 32:
-                try:
-                    round_float32(real)
-                except OverflowError:
-                    raise too_big from None
-            return typ.nearest(real)  # float literals round like a compiler would
-        if real != int(real):
-            raise ParseError(lineno, f"non-integer initial value {real} for {typ} variable")
-        value = int(real)
+    real = float(literal)
+    if not math.isfinite(real):  # past every type, and refused before any int is built
+        raise too_big
+    if not typ.is_integer:
+        if typ.bit_width == 32:
+            try:
+                round_float32(real)
+            except OverflowError:
+                raise too_big from None
+        return typ.nearest(real)  # float literals round like a compiler would
+    # an integer is read from the literal's exact value, so 64-bit values past
+    # 2**53 keep every digit; a float of 0.0 is zero or a fraction whose
+    # exponent may be past Decimal's, and only its digits tell which
+    exact = Decimal(literal) if real else Decimal(re.split("[eE]", literal)[0])
+    if exact != exact.to_integral_value() or (exact and not real):
+        shown = literal if real.is_integer() else real  # its float, unless that is whole
+        raise ParseError(lineno, f"non-integer initial value {shown} for {typ} variable")
+    value = int(exact)
     if not typ.contains(value):
         raise too_big
     return value
 
 
-def _parse_abe_line(rest: str, lineno: int) -> tuple[Program, Comparator]:
+def _parse_abe_line(rest: str, lineno: int) -> tuple[Program, Comparator, KeysView[str]]:
     """Parse ``<expr> <comparator> 0`` in one operator-precedence loop.
 
-    One findall scan gives the line's token texts, closed by the end marker
-    "", and the loop classifies each where it reads it: a number starts with
-    a digit or ".", a name is an identifier, and any other token is an
-    operator.  The stack holds pending operators as (precedence, step) and
-    open groups as (0, name, argument count), with name "(" for a
-    parenthesis, so every pop stops at the innermost open group.  Each
-    distinct variable and literal text gets one step per line, and each
-    operator its step in ``_OP_STEPS``, so programs share their steps.
+    One findall match a token gives the line's token texts, and one ``for``
+    loop over them classifies each where it reads it: an operator by one
+    dict lookup, a number by its first character, and a name by the token
+    after it, which is "(" only for a function call.  The stack holds
+    pending operators as (precedence, step) and open groups as (0, name,
+    argument count), with name "(" for a parenthesis, so every pop stops at
+    the innermost open group.  Each distinct variable and literal text gets
+    one step per line, and each operator its step in ``_OP_STEPS``, so
+    programs share their steps.  Returns the program, its comparator and
+    the names of its variables.
     """
     tokens = _TOKEN_RE.findall(rest)
-    if sum(map(len, tokens)) != len("".join(rest.split())):
-        # the pieces between tokens hold the characters that start none
-        bad = "".join(_TOKEN_RE.split(rest)).split()[0][0]
-        raise ParseError(lineno, f"unexpected character {bad!r}")
-    tokens.append("")
+    if "" in tokens:
+        bad = next(m.end() for m in _TOKEN_RE.finditer(rest) if not m.group(1))
+        raise ParseError(lineno, f"unexpected character {rest[bad]!r}")
     variables: dict[str, Step] = {}  # name -> its ("var", name) step
     literals: dict[str, Step] = {}  # literal text -> its ("lit", value) step
     out: list[Step] = []
+    emit = out.append
     stack: list[tuple] = []
     operand = True  # whether the next token starts an operand
-    pos = 0
-    while True:
-        text = tokens[pos]
-        pos += 1
-        if not text:
-            raise ParseError(lineno, "unexpected end of line")
+    texts = iter(tokens)
+    for text in texts:
         if operand:
-            if text == "-":
-                stack.append((_NEG, _OP_STEPS["neg"]))
-            elif text == "(":
-                stack.append((0, "(", 1))
-            elif text[0].isdigit() or text[0] == ".":
+            entry = _PREFIX.get(text)
+            if entry is not None:
+                stack.append(entry)
+                continue
+            if text[0].isdigit() or text[0] == ".":
                 step = literals.get(text)
                 if step is None:
                     value = float(text)
                     if not math.isfinite(value):  # no literal prints back as infinity
                         raise ParseError(lineno, f"literal {text} is out of range")
                     step = literals[text] = ("lit", value)
-                out.append(step)
+                emit(step)
                 operand = False
-            elif not text.isidentifier():
+                continue
+            if not text.isidentifier():
                 raise ParseError(lineno, f"unexpected token {text!r}")
-            elif tokens[pos] == "(":
+            following = next(texts, "")
+            if following == "(":
                 if text not in _FUNCTIONS:
                     raise ParseError(lineno, f"unknown function {text!r}")
                 stack.append((0, text, 1))
-                pos += 1
-            else:
-                step = variables.get(text)
-                if step is None:
-                    step = variables[text] = ("var", text)
-                out.append(step)
-                operand = False
-            continue
-        # after an operand: emit the pending operators that bind at least as
-        # tightly as a binary operator here, or all of them before a closer
-        floor = _BINARY.get(text, 1)
-        while stack and stack[-1][0] >= floor:
-            out.append(stack.pop()[1])
-        if text in _BINARY:
-            stack.append((floor, _OP_STEPS[text]))
+                continue
+            step = variables.get(text)
+            if step is None:
+                step = variables[text] = ("var", text)
+            emit(step)
+            operand = False
+            if not following:
+                raise ParseError(lineno, "unexpected end of line")
+            text = following  # read in the operator's place below
+        entry = _INFIX.get(text)
+        if entry is not None:
+            # emit the pending operators that bind at least as tightly
+            prec = entry[0]
+            while stack and stack[-1][0] >= prec:
+                emit(stack.pop()[1])
+            stack.append(entry)
             operand = True
-        elif not stack:
+            continue
+        # a closer, a comma or the comparator: emit every pending operator
+        while stack and stack[-1][0]:
+            emit(stack.pop()[1])
+        if not stack:
             break  # the expression is complete
+        _, name, n_args = stack[-1]
+        if text == "," and name != "(":
+            stack[-1] = (0, name, n_args + 1)
+            operand = True
+        elif text != ")":
+            raise ParseError(lineno, f"expected ')', found {text!r}")
+        elif name == "(":
+            stack.pop()
+        elif n_args != _FUNCTIONS[name]:
+            raise ParseError(lineno, f"{name} takes {_FUNCTIONS[name]} argument(s), got {n_args}")
         else:
-            _, name, n_args = stack[-1]
-            if text == "," and name != "(":
-                stack[-1] = (0, name, n_args + 1)
-                operand = True
-            elif text != ")":
-                raise ParseError(lineno, f"expected ')', found {text!r}")
-            elif name == "(":
-                stack.pop()
-            elif n_args != _FUNCTIONS[name]:
-                raise ParseError(
-                    lineno, f"{name} takes {_FUNCTIONS[name]} argument(s), got {n_args}")
-            else:
-                stack.pop()
-                out.append(_OP_STEPS[name])
+            stack.pop()
+            emit(_OP_STEPS[name])
+    else:
+        raise ParseError(lineno, "unexpected end of line")
 
     try:
         comp = Comparator.from_symbol(text)
     except ValueError:
         raise ParseError(lineno, f"expected a comparator, found {text!r}") from None
-    zero = tokens[pos]
+    zero = next(texts, "")
     if not zero:
         raise ParseError(lineno, "unexpected end of line")
     if not (zero[0].isdigit() or zero[0] == ".") or float(zero) != 0.0:
         raise ParseError(lineno, "abe lines must compare against 0")
-    if tokens[pos + 1]:
+    if next(texts, ""):
         raise ParseError(lineno, "trailing tokens after abe")
-    return tuple(out), comp
+    return tuple(out), comp, variables.keys()
 
 
 # --- printing -------------------------------------------------------------
@@ -378,6 +395,11 @@ def format_expr(program: Program) -> str:
     as the ``repr`` of its plain float, so a numpy float prints as a number.
     """
     _check_program(program)
+    return _infix(program)
+
+
+def _infix(program: Program) -> str:
+    """``format_expr`` of a program that ``_check_program`` accepts."""
     stack: list[tuple[str, int]] = []  # (text, precedence) per pending operand
     for op, arg in program:
         if op == "var":  # an atom, like a negation, is never parenthesised as an operand
@@ -423,8 +445,9 @@ def format_spec(spec: ProblemSpec) -> str:
     lines += [f"init {name} = {(float(value) if isinstance(value, float) else value)!r}"
               for name, _, value in spec.variables]
     for idx, (expr, comp) in enumerate(spec.abes, start=1):
-        text = format_expr(expr)
-        if unknown := free_vars(expr) - declared.keys():
+        names = _check_program(expr)
+        text = _infix(expr)
+        if unknown := names - declared.keys():
             raise ValueError(f"abe {idx} uses undeclared variable(s) {', '.join(sorted(unknown))}")
         lines.append(f"abe {text} {comp.symbol} 0")
     return "\n".join(lines) + "\n"
@@ -451,10 +474,9 @@ def compile_spec(spec: ProblemSpec) -> CoverageProblem:
     fns = []
     for idx, (expr, _) in enumerate(spec.abes, start=1):
         try:
-            _check_program(expr)
+            names = _check_program(expr)
         except ValueError as exc:
             raise CompileError(f"abe {idx}: {exc}") from exc
-        names = free_vars(expr)
         # undeclared names stay, last, for CoverageProblem to name
         params = tuple(n for n in declared if n in names) + tuple(sorted(names - declared.keys()))
         fns.append(BlackBoxFn(

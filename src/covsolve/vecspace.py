@@ -309,9 +309,10 @@ def extract_rows(block: np.ndarray,
     ``==`` does not tell from 0.0.  A row ``extract`` would refuse, one with
     a non-finite coordinate, is left out.  The block is rounded by the columns
     of each type at once, by ``ScalarType.nearest``'s rules: integers half
-    away from zero and clamped, in floats and, for 64 bits, again as Python
-    ints, since the float of 2**63 - 1 is 2**63; float32 through a cast, an
-    overflow clamped, a tie moved away from zero.  Runs under ``solve``'s
+    away from zero and clamped in floats, then cast, with a 64-bit type's
+    largest value written where the float reached 2**63 or 2**64, which no
+    cast holds; float32 through a cast, an overflow clamped, a tie moved
+    away from zero.  Runs under ``solve``'s
     float policy: called alone, a float32 overflow warns as numpy does.
     """
     finite = np.isfinite(block)
@@ -329,8 +330,12 @@ def extract_rows(block: np.ndarray,
             floor = np.floor(magnitude)
             sub = np.copysign(floor + (magnitude - floor >= 0.5), sub)  # exact, as in nearest
             sub = np.minimum(np.maximum(sub, float(typ.min_value)), float(typ.max_value))
-            if typ.bit_width == 64:
-                lists = [[min(int(x), typ.max_value) for x in col] for col in sub.tolist()]
+            if typ.bit_width == 64:  # the float of the largest value, 2**63 or 2**64, is past it
+                top = sub == float(typ.max_value)
+                cast = np.uint64 if typ.min_value == 0 else np.int64
+                lists = np.where(top, 0.0, sub).astype(cast).tolist()
+                for i, r in np.argwhere(top).tolist():
+                    lists[i][r] = typ.max_value
             else:
                 lists = sub.astype(np.int64).tolist()
         else:

@@ -177,6 +177,18 @@ abe a - 1 >= 0
         assert spec.variables == (("a", TYPES_BY_NAME[typ], int(literal)),)
         assert parse_spec(format_spec(spec)) == spec
 
+    @pytest.mark.parametrize("typ,literal,value", [
+        ("i64", "9007199254740993.0", 2**53 + 1),
+        ("i64", "9223372036854775807.0", 2**63 - 1),
+        ("i64", "-9.223372036854775808e18", -2**63),
+        ("u64", "1.8446744073709551615e19", 2**64 - 1),
+        ("i32", "0e-99999999999999999999", 0),
+    ])
+    def test_integer_inits_keep_the_literals_exact_value(self, typ, literal, value):
+        spec = parse_spec(f"var a : {typ}\ninit a = {literal}\nabe a == 0\n")
+        assert spec.variables == (("a", TYPES_BY_NAME[typ], value),)
+        assert type(spec.variables[0][2]) is int
+
     def test_f32_max_literal_parses_without_warnings(self):
         import numpy as np
         with warnings.catch_warnings():
@@ -214,6 +226,15 @@ abe a + 5 == 0   # distance
         ("var a : u8\ninit a = 300\n", "does not fit"),
         ("var a : i32\ninit a = 1e400\n", "does not fit"),
         ("var a : u64\ninit a = 18446744073709551616\n", "does not fit"),
+        # an integer init is judged by the literal's exact value, not by its float
+        ("var a : i64\ninit a = 9007199254740993.5\n",
+         "line 2: non-integer initial value 9007199254740993.5 for i64 variable"),
+        ("var a : i64\ninit a = 9223372036854775808.0\n", "does not fit"),
+        ("var a : u64\ninit a = 1.8446744073709551616e19\n", "does not fit"),
+        ("var a : i64\ninit a = 1e999999999\n", "does not fit"),
+        ("var a : i64\ninit a = 1e99999999999999999999\n", "does not fit"),
+        ("var a : i64\ninit a = 1e-99999999999999999999\n", "non-integer"),
+        ("var a : i32\ninit a = .5\n", "line 2: non-integer initial value 0.5 for i32 variable"),
         ("var a : f32\ninit a = 1e39\n", "does not fit"),
         ("var a : f32\ninit a = -1e39\n", "does not fit"),
         ("var a : i32\ninit a = 0\n", "no abe"),
@@ -764,7 +785,7 @@ def _recursive_descent(scan):
             raise ParseError(lineno, "abe lines must compare against 0")
         if not toks.at_end():
             raise ParseError(lineno, "trailing tokens after abe")
-        return tuple(steps), comp
+        return tuple(steps), comp, {arg for op, arg in steps if op == "var"}
 
     return parse_abe_line
 
@@ -790,6 +811,23 @@ def _tokenize(text, line):
     return tokens
 
 
+# --- the findall scan that the one match a token replaced ----------------------
+
+_FINDALL_TOKEN_RE = re.compile(
+    r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|==|!=|<=|>=|[-+*/(),<>]")
+
+
+def _findall_scan(text, line):
+    """The (kind, text) tokens of ``text``; findall skips what starts no token."""
+    tokens = _FINDALL_TOKEN_RE.findall(text)
+    if sum(map(len, tokens)) != len("".join(text.split())):
+        # the pieces between tokens hold the characters that start none
+        bad = "".join(_FINDALL_TOKEN_RE.split(text)).split()[0][0]
+        raise ParseError(line, f"unexpected character {bad!r}")
+    return [("num" if t[0].isdigit() or t[0] == "." else "name" if t.isidentifier() else "op", t)
+            for t in tokens]
+
+
 def _outcome(text):
     """The spec ``text`` parses to, or its error's message and line."""
     try:
@@ -801,7 +839,7 @@ def _outcome(text):
 def _oracle_outcomes(text):
     """The outcomes under recursive descent, over each oracle's tokens."""
     outcomes = []
-    for scan in (_scan, _tokenize):
+    for scan in (_scan, _tokenize, _findall_scan):
         with mock.patch.object(probelang, "_parse_abe_line", _recursive_descent(scan)):
             outcomes.append(_outcome(text))
     return outcomes
@@ -809,7 +847,7 @@ def _oracle_outcomes(text):
 
 def assert_parsers_agree(text):
     expected = _oracle_outcomes(text)
-    assert expected[0] == expected[1]
+    assert expected[0] == expected[1] == expected[2]
     if isinstance(expected[0], tuple) and "nested too deeply" in expected[0][0]:
         return
     assert _outcome(text) == expected[0]
@@ -876,8 +914,9 @@ _SOUP = st.one_of(
 class TestParserAgainstRecursiveDescent:
     """The operator-precedence loop against the recursive-descent parser it replaced.
 
-    The parser runs over two oracle tokenizers: its own scan, and the
-    finditer tokenizer that the one findall scan replaced.
+    The parser runs over three oracle tokenizers: its own scan, the
+    finditer tokenizer that a findall scan replaced, and that findall scan,
+    which the one match a token replaced.
     """
 
     def test_bundled_files(self):

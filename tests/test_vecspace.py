@@ -338,6 +338,15 @@ class TestExtractRows:
         for typ in (F32, I64, U64):
             self.check(sample.reshape(-1, 4), Signature.of([(c, typ) for c in "abcd"]))
 
+    @pytest.mark.parametrize("typ", [I64, U64])
+    def test_64_bit_columns_cast_without_a_warning(self, typ):
+        column = [v for v in BLOCK_EDGES if math.isfinite(v)]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            values, _ = extract_rows(np.array(column)[:, None], Signature.of([("a", typ)]))
+        assert values == [(typ.nearest(v),) for v in column]
+        assert (typ.max_value,) in values and (typ.min_value,) in values
+
     def test_empty_and_refused_blocks(self):
         signature = Signature.of([("a", I8), ("b", F32)])
         assert extract_rows(np.empty((0, 2)), signature) == ([], [])
