@@ -3,10 +3,7 @@
 The package models an executed path as a vector of black-box signed
 distances with comparators (a coverage problem), and searches for a new
 input valuation keeping every prefix predicate true while flipping the
-last one.  The search works in a chain of orthonormal local spaces that
-factor out prefix gradients, with half-space constraints approximating the
-prefix predicates; each iteration tries a pattern move that doubles the
-last accepted step, then three candidate generators.
+last one.  README.md describes the search.
 
 The package root exports the user API: the typed grid, coverage problems,
 ``solve`` with its result types, and the text format; the search's stages

@@ -1,18 +1,11 @@
 """Half-space constraints in local spaces: transformation and clipping.
 
 A constraint (n, b, P) holds at u when P(n . u - b, 0) is true.  Each
-non-equality prefix predicate becomes one half-space in root coordinates:
-its normal is the predicate's unit gradient axis and b is where the
-linearised function crosses zero along it.  Projecting the normal onto a
-space's lifted basis rows, which are orthonormal, restricts the half-space
-to that space with the same bound, so one projection carries a constraint
-into the last local space.  There each constraint also gets the direction
-that clipping's first round moves along: the part of its normal orthogonal
-to the last function's gradient, fixed for the whole iteration.  The
-solver's pattern and grad-step candidates are pushed into the feasible
-region by iterated projection (clipping), one vector at a time by ``clip``.
-A projection lands on its boundary; one epsilon-sized push along the normal
-then makes a point strictly inside where its comparator asks for that.
+non-equality prefix predicate becomes one half-space in root coordinates,
+and one projection carries it into the last local space with the same
+bound (README.md, step 2 of the search).  ``clip`` pushes a vector into
+the region by iterated projection; a point a projection leaves outside,
+as on a strict comparator's boundary, is pushed one epsilon inside.
 """
 
 from __future__ import annotations
@@ -106,15 +99,12 @@ def clip(u: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
     with relax = 1 lands exactly on its boundary.  A point the move leaves
     outside, as it leaves every boundary point of a strict comparator and
     some others by an ulp of rounding, is pushed by one epsilon along n
-    toward the comparator's side: the one rule that makes a point strictly
-    inside.  The first round uses relax = 1 and the constraint's own direction;
-    later rounds over-relax along the normal n (the tangent direction
-    converges poorly), overshooting the boundary, which turns the
-    asymptotic zig-zag between acute constraint pairs into convergence
-    within the round limit.  The result may still violate the set if it
-    is empty or concave; callers tolerate that.  Runs under ``solve``'s
-    float policy, as ``satisfies`` does.  An empty set returns ``u`` as it is,
-    as a float array.
+    toward the comparator's side.  The first round uses relax = 1 and the
+    constraint's own direction; later rounds over-relax along the normal n
+    by ``RELAXATION``.  The result may still violate the set if it is empty
+    or concave; callers tolerate that.  Runs under ``solve``'s float
+    policy, as ``satisfies`` does.  An empty set returns ``u`` as it is, as
+    a float array.
     """
     if not constraints:
         return np.asarray(u, dtype=np.float64)

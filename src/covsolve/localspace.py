@@ -1,15 +1,12 @@
 """Chains of orthonormal local bases and lifting between them.
 
-Each prefix function gets a local space: an orthonormal basis whose vectors
-are expressed in the coordinates of the previous level's space.  The first
-level is the axis basis of the input space.  Subsequent levels remove the
-previous function's gradient direction (keeping it as an explicit final
-axis for inequality comparators), so that search in the last space
-approximately preserves all earlier predicates.  Each basis is built in
-closed form.  The search reads only the last space, so a chain keeps one
-level: its rows in root coordinates, replaced as each level is built.
-Every inner product of the search sums through ``dot``, and every division
-by a squared norm goes through ``rescaled``.
+Each prefix function gets a local space: an orthonormal basis, in the
+coordinates of the previous level's space, orthogonal to the function's
+gradient there (README.md, step 1 of the search).  A chain keeps one
+level, its rows in root coordinates.  Every inner product of the search
+sums through ``dot``, in numpy's order, so a run is the same on every BLAS
+kernel, and every division by a squared norm goes through ``rescaled``.
+Lifting a block of rows gives, bit for bit, the rows ``lift`` gives.
 """
 
 from __future__ import annotations
@@ -73,12 +70,9 @@ def next_basis(grad: np.ndarray, *, append_gradient: bool) -> np.ndarray:
     axes i after j.  With ``append_gradient`` the unit gradient a / r_0 is
     the final row, an explicit axis for inequality comparators to constrain.
 
-    The norms are summed in plain floats over the gradient's nonzero entries
-    alone, by one ``np.hypot.accumulate`` (two when the dropped axis has
-    nonzero entries after it): hypot(r, 0) is r, so a run of zero entries
-    takes the norm of the nonzero entry after it.  The rows are built in the
-    gradient's own axis order, each row's own axis written by a strided
-    store.  A gradient with a non-finite entry raises ValueError.
+    The norms are summed by ``np.hypot`` over the gradient's nonzero entries
+    alone: hypot(r, 0) is r.  A gradient with a non-finite entry raises
+    ValueError.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.ndim != 1:

@@ -1,22 +1,12 @@
 """Numerically robust step sizes.
 
-The search works on real vectors whose coordinates ultimately round back to
-machine-typed values, so a useful perturbation must be large enough to
-survive both 64-bit float addition and the type rounding.  Two step sizes
-are provided: one relative to a single value, and one along a line from a
-valuation, the first sampled step that moves the rounded point.  The
-solver's finite-difference gradient takes its steps from the latter, handing
-it each row's nonzero coordinates and squared norm as it read them, once per
-gradient and in plain floats.  A valuation's embedding lies on the typed
-grid, so the line's origin is never rounded, and a sample rounds only what
-it moves, the coordinates where the direction is nonzero, each through its
-type in plain floats.  A line that moves one coordinate walks in scalars:
-each sample is one ``nearest`` of that coordinate and, when it rounds home,
-one ``next_value``, with no list, and its epsilon is taken in plain floats
-too, so a gradient's step along one axis makes no numpy call, and costs in
-a wide space what it costs in one dimension.  A line over several
-coordinates rounds them through ``round_vector`` and advances to the
-nearest next typed value of any of them.
+A useful perturbation must survive both 64-bit float addition and the
+rounding of each coordinate to its type.  ``epsilon_from_value`` gives the
+smallest step that changes one value; ``epsilon_along_line`` gives the
+first sampled step along a line from a valuation that moves its rounded
+point.  README.md describes where the search takes each.  A sample rounds
+only the coordinates its line moves, and the epsilon is, bit for bit, that
+of a walk over every coordinate.
 """
 
 from __future__ import annotations
@@ -64,17 +54,13 @@ def epsilon_along_line(origin: Valuation, direction: np.ndarray, eps1: float,
     each next one advanced by the smallest coordinate step that reaches the
     next representable value of some coordinate's type, and returns the
     epsilon of the first sample whose rounded vector differs from the
-    origin.  A valuation lies on the typed grid, so no rounded point lies
-    farther from the line than its own step, and no later sample lands
-    nearer the line than this one.
+    origin.
 
-    A sample rounds only what it moves: the coordinates where ``direction``
-    is nonzero, each through its type, walked in plain floats, and along
-    one coordinate in scalars (``_axis_offset``).  Every other coordinate
-    stays the origin's, which is on the grid by type.  The returned epsilon is the one a walk over every coordinate
-    gives, read from the full-length ``dot(step, w)`` of ``rescaled``.
-    Along one axis that sum holds one nonzero product, which it returns
-    as it is, so the epsilon is taken in plain floats there.
+    A sample rounds only the coordinates where ``direction`` is nonzero,
+    each through its type.  Every other coordinate stays the origin's,
+    which is on the grid by type.  The returned epsilon is, bit for bit, the
+    one a walk over every coordinate gives, from the full-length
+    ``dot(step, w)`` of ``rescaled``.
 
     ``line``, when given, is what the caller already read off ``direction``:
     its nonzero coordinates, the direction's entries there, and ``w . w``

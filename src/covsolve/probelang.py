@@ -27,8 +27,7 @@ names; checking a program and listing its variables is one loop over its
 steps, and so are evaluating and printing; and programs compare, hash and
 print as plain tuples.
 Programs share their steps: every operator has one step object, and within
-a line so has every distinct variable and literal text, so a program of n
-steps holds n pointers rather than n fresh tuples.  Nothing recurses, so
+a line so has every distinct variable and literal text.  Nothing recurses, so
 neither a sum as long as its line nor parentheses nested to any depth hit
 Python's stack limit.  A line ends at ``\r\n``, ``\r`` or ``\n``, and any
 other character ``str.split`` splits on is whitespace, after a keyword too.
@@ -386,20 +385,13 @@ def _parse_abe_line(rest: str, lineno: int) -> tuple[Program, Comparator, KeysVi
 # --- printing -------------------------------------------------------------
 
 
-def format_expr(program: Program) -> str:
-    """Infix text for ``program``, parenthesised only where the parser's precedences need it.
-
-    Raises ValueError for a program that ``_check_program`` refuses, and for
-    a literal that no ``.prob`` number spells: a negative one or -0.0, which
-    would parse back as a negation, or a non-finite one.  A literal prints
-    as the ``repr`` of its plain float, so a numpy float prints as a number.
-    """
-    _check_program(program)
-    return _infix(program)
-
-
 def _infix(program: Program) -> str:
-    """``format_expr`` of a program that ``_check_program`` accepts."""
+    """Infix text for a program that ``_check_program`` accepts.
+
+    Parenthesised only where the parser's precedences need it.  A literal
+    prints as the ``repr`` of its plain float; ValueError for one that no
+    ``.prob`` number spells.
+    """
     stack: list[tuple[str, int]] = []  # (text, precedence) per pending operand
     for op, arg in program:
         if op == "var":  # an atom, like a negation, is never parenthesised as an operand
@@ -433,7 +425,11 @@ def _infix(program: Program) -> str:
 def format_spec(spec: ProblemSpec) -> str:
     """Render a spec as ``.prob`` text that parses back to an equal spec.
 
-    Raises ValueError, naming what is at fault, for a spec whose text ``parse_spec`` rejects.
+    Raises ValueError, naming what is at fault, for a spec whose text
+    ``parse_spec`` rejects: among others a program ``_check_program``
+    refuses, and a literal that no ``.prob`` number spells, which is a
+    negative value or -0.0 (either would parse back as a negation) or a
+    non-finite value.
     """
     declared = Valuation.of(spec.variables).signature.positions
     for name in declared:

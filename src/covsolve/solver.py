@@ -1,57 +1,21 @@
-"""Iterative search for a solution of a coverage problem.
+"""The search for a solution of a coverage problem.
 
-Each iteration rebuilds the chain of local spaces and the prefix constraints
-at the current valuation, generates candidate vectors in the last local space by
-three strategies (a gradient-descent step, bit mutations aimed in closed
-form at the nearest point of each bit's plane, random samples), and
-accepts the first candidate that either solves the problem or brings the
-last function's value strictly closer to satisfying its comparator.  The
-generators only propose vectors; the candidate loop tries each once,
-clipping pattern and grad-step candidates into the prefix constraints and
-lifting candidates to root space only when it reaches them.  The pattern
-and grad-step candidates are clipped and lifted one at a time, and the
-grad-step generator hands the loop plain directions, whose landing points
-and the one line step each direction's landings share wait for the loop
-too: the first candidate usually solves or improves, and the loop stops
-there.  After the full landings the loop backtracks, as an Armijo line
-search does (Nocedal & Wright, *Numerical Optimization*, ch. 3): it walks
-the same landings again, scaled by 1/2, 1/4 and 1/8, so that a full step
-that leaves a rounded prefix link by a few ulps lands inside it.
-The bit mutations and the random samples are tried unclipped, and only
-when nothing before them was accepted.  The bit-mutation generator hands
-the loop plain data, each variable's local row and its bits' offsets; the
-loop builds, lifts and rounds one variable's rows at a time, so a variable
-after an accepted candidate is never built.  The random samples are lifted
-and rounded as one block; only the first ``SAMPLES_TRIED`` rows are tried,
-since an accepted sample comes early, but all ``SAMPLES_PER_CUBE`` are
-drawn, so later iterations draw the same.  A solve makes its random
-generator at its first draw, so one that never reaches the samples does not
-import numpy.random.
+README.md ("The problem and the search") states one iteration's steps in
+trial order.  ``build_spaces`` derives an iteration's state from the
+current valuation.  The generators hand the candidate loop plain data, and
+``_candidates`` clips, lifts and extracts each candidate only when the
+loop reaches it, so nothing after the accepted candidate is built.
 
-Ahead of the paper's three generators comes a pattern move (Korel,
-"Automated Software Test Data Generation", IEEE TSE 1990): when the last
-iteration accepted a grad-step or pattern candidate, its root-space move is
-tried again, doubled, projected onto the last local space and clipped.  A
-gradient step that closes only part of the gap, as on ``max(x1, x2) - 5``
-from (0, 0), then doubles instead of creeping.
+The tests pin these invariants:
 
-Black-box calls are the search's cost.  A gradient skips the directions
-that move none of a function's ``params``, and retakes a partial only when
-its step vanished in the function's value, once and with at most two more
-calls.  The first iteration starts from
-the prefix values the problem's construction obtained at ``init``, and each
-later one from those its accepted candidate obtained, so no iteration calls
-the prefix at its start.  A candidate that extracts, bit for bit, to the
-current valuation or to one already tried in the iteration is skipped: under
-``BlackBoxFn``'s purity contract its call could only repeat a result that
-was not accepted.  Its key is its values tuple with the positions of any
--0.0 appended, since ``==`` does not tell -0.0 from 0.0.
-
-Per black-box call, the search's own work mostly sits in two loops over
-rows.  A gradient reads its live basis rows once, as plain floats, and a
-line step along one axis takes its epsilon in plain floats; a block of
-candidates is rounded by type columns in numpy and keyed from its rows,
-with no work per value.
+- the same problem and ``SolverConfig`` give the same ``SolverResult``;
+- a block of candidates is lifted and rounded, bit for bit, as its rows
+  would be one at a time;
+- every iteration draws all ``SAMPLES_PER_CUBE`` random samples, however
+  many the loop tries;
+- no call is made at ``init``, at an accepted candidate, or at a candidate
+  equal, bit for bit, to one already tried in the iteration: under
+  ``BlackBoxFn``'s purity contract it could only repeat a known result.
 """
 
 from __future__ import annotations
@@ -186,27 +150,17 @@ def finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: float,
 
     ``origin_value`` is the already-known value at ``origin``.  Row j's step
     is the line step from ``origin`` along the row, seeded with
-    ``eps_seed``.  A failing call at ``origin + eps*row``, or one whose
-    difference quotient overflows, is retried at ``origin - eps*row``; with
-    no step, or both attempts failing, the partial derivative is zero.  A
-    row with no component on any of ``fn.params`` moves no input ``fn``
-    reads, so its partial is zero without a step or a call.
+    ``eps_seed``; it rounds only the row's nonzero coordinates, and every
+    other coordinate keeps ``origin``'s value exactly.  A failing call at
+    ``origin + eps*row``, or one whose difference quotient overflows, is
+    retried at ``origin - eps*row``; with no step, or both attempts
+    failing, the partial derivative is zero.  A row with no component on
+    any of ``fn.params`` has partial zero without a step or a call.
 
     A partial is *absorbed* when its call returned exactly ``origin_value``
-    and its step lies below ``math.ulp(origin_value)``: the value is too
-    large for that step to register in it, as with x1 + x2 - 3.2e18 moved
-    by 1.  An absorbed partial is retaken once, with the same two calls,
-    at the line step seeded with ``epsilon_from_value(origin_value)``, so
-    that the step is scaled to the function's value rather than to the
-    point's.  A partial that is not absorbed costs nothing more.
-
-    A step rounds only the row's nonzero coordinates, each from its value
-    as a float.  Every other coordinate keeps ``origin``'s value exactly.
-    The live rows, every nonzero row when ``fn.params`` name every
-    variable, are read once, as plain floats: each row's nonzero
-    coordinates and entries, and its square, taken by ``dot`` only where the
-    row moves several axes.  ``rescaled`` is called only for a square
-    outside the normal range.  Each line step takes them as its ``line``.
+    and its step lies below ``math.ulp(origin_value)``.  It is retaken once,
+    with the same two calls, at the line step seeded with
+    ``epsilon_from_value(origin_value)``.
     """
     signature, values = origin.signature, origin.values
     types, starts = signature.types, [float(v) for v in values]
@@ -303,12 +257,10 @@ def grad_step_candidates(state: IterationState) -> list[int | None]:
     """The directions of one linearised descent step of the last function, in trial order.
 
     None stands for the full gradient; it is followed by the index of every
-    axis with a nonzero partial derivative, whose single-axis step helps
-    escaping local minima.  A gradient with one nonzero partial and no -0.0
-    is its own axis direction, bit for bit, and gives None alone: the axis
-    would only build the same landings again.  A zero gradient gives no
-    direction.  The list holds no vector: ``_landings`` builds a direction's
-    candidates when the candidate loop reaches it.
+    axis with a nonzero partial derivative.  A gradient with one nonzero
+    partial and no -0.0 is its own axis direction, bit for bit, and gives
+    None alone.  A zero gradient gives no direction.  ``_landings`` builds
+    a direction's candidates when the candidate loop reaches it.
     """
     grad = state.grad_n
     axes = np.flatnonzero(grad).tolist()
@@ -354,16 +306,13 @@ def _landings(state: IterationState, axis: int | None) -> Iterator[np.ndarray]:
 def bit_mutation_candidates(state: IterationState) -> list[tuple[np.ndarray, list[float]]]:
     """The bit mutations of each integer parameter of the last function, one entry per variable.
 
-    Flipping bit j of a value changes it by y = +-2**j (in unsigned
-    arithmetic), so the mutated inputs lie on the root-space plane where
-    coordinate i moved by exactly y.  With c the root-space i-th
-    coordinates of the basis vectors, every local vector u with u . c = y
-    lifts onto that plane, and since the lifted rows are orthonormal the
-    one lifting closest to y*e_i is the least-norm solution y*c/(c . c).
-    An entry is plain data, ``(u, ys)`` with u = c/(c . c) and each bit's y in
-    bit order: bit j's candidate is the row ``ys[j] * u + 0.0``.  The list
-    holds no row: ``_lifted_bit_mutations`` builds and lifts a variable's
-    rows, and ``_candidates`` rounds them, when the loop reaches that variable.
+    Flipping bit j of variable i changes it by y = +-2**j (in unsigned
+    arithmetic).  With c the root-space i-th coordinates of the basis rows,
+    the local vector whose lift moves coordinate i by exactly y and lies
+    closest to y*e_i is the least-norm solution y*c/(c . c).  An entry is
+    ``(u, ys)`` with u = c/(c . c) and each bit's y in bit order: bit j's
+    candidate is the row ``ys[j] * u + 0.0``.  A variable whose coordinates
+    all lie below ``PIVOT_GUARD`` in magnitude gets no entry.
     """
     signature = state.valuation.signature
     lifted = state.chain.rows
@@ -412,15 +361,9 @@ def random_candidates(state: IterationState,
                       rng: np.random.Generator | _LazyGenerator) -> np.ndarray:
     """``SAMPLES_PER_CUBE`` uniform samples from a cube around the origin, one per row.
 
-    The candidate loop tries the first ``SAMPLES_TRIED`` rows.  All are
-    drawn, so the generator's stream, and every later iteration's draw, does
-    not depend on how many are tried.  ``solve`` hands in a
-    ``_LazyGenerator``, which makes its numpy generator at the first draw.
-    The cube half-edge grows logarithmically with the last function's
-    magnitude.  The paper samples a second cube, around the linearised
-    descent target; the grad-step candidates already try that target, and
-    no sample of that cube was ever accepted in the benchmark.  A level of
-    size 0 draws nothing.
+    The cube's half-edge is ``CUBE_SCALE * log(|F_n| + 1)``.  All rows are
+    drawn, so the generator's stream does not depend on how many the
+    candidate loop tries.  A level of size 0 draws nothing.
     """
     dim_local = state.chain.rows.shape[0]
     if dim_local == 0:
@@ -434,32 +377,14 @@ def _candidates(state: IterationState, rng: np.random.Generator | _LazyGenerator
     """Every generator's proposals in trial order, each tried once, as typed values.
 
     Each candidate comes as (source, values, key): the values its root-space
-    point extracts to, and their repeat key (see ``_key``); a point that
-    does not extract is passed over.
-    ``move``, when given, is a root-space step: twice the move of the last
-    accepted grad-step or pattern candidate.  Its projection onto the last
-    local space, whose rows are orthonormal, comes first as the pattern
-    candidate.  The loop stops at the first accepted candidate, so the work
-    on a candidate waits until the loop reaches it.  The pattern candidate
-    and each grad-step candidate are clipped, lifted and extracted one at a
-    time.  The grad-step directions are walked here, each by ``_landings``,
-    so a direction's line step waits until the loop reaches the first
-    landing that needs it.  The walk keeps every landing, and the loop then
-    backtracks: for k = 1 .. ``BACKTRACK_HALVINGS``, every kept landing
-    scaled by 2**-k is clipped, lifted and extracted, labelled ``grad-step``
-    too, so no line step is taken twice.  The bit mutations are built,
-    lifted (``_lifted_bit_mutations``) and extracted one variable's rows at
-    a time, at most 64 rows, so the variables after an accepted candidate
-    are never built.  The first ``SAMPLES_TRIED`` random samples are lifted
-    and extracted as one block once the loop reaches their generator, since
-    dead ends try every row.  A block's arithmetic and rounding are each
-    row's, bit for bit.
-    The pattern and grad-step candidates are clipped along the gradient's
-    tangent in the first round, so that the prefix predicates keep holding
-    at the descent target.  Bit mutations and random samples are tried as
-    drawn: clipping either solved no more problems in the benchmark and
-    cost extra evaluations.  A sample that breaks the first prefix
-    predicate costs one call, since ``eval_prefix`` stops there.
+    point extracts to and their repeat key (``_key``); a point that does not
+    extract is passed over.  ``move``, when given, is twice the last
+    accepted grad-step or pattern move in root space; its projection onto
+    the last local space comes first.  Then come every direction's grad-step
+    landings, all of them again scaled by 2**-k for k = 1 ..
+    ``BACKTRACK_HALVINGS`` with no line step taken twice, the bit mutations
+    one variable at a time, and the first ``SAMPLES_TRIED`` random samples.
+    Pattern and grad-step candidates are clipped; the others are not.
     """
     constraints, vec, chain = state.constraints, state.vec, state.chain
     signature = state.valuation.signature

@@ -147,7 +147,7 @@ TYPES_BY_NAME = {t.name: t for t in (I8, I16, I32, I64, U8, U16, U32, U64, F32, 
 
 
 class Comparator(enum.Enum):
-    """``a <comparator> 0`` for a real ``a``, stated by one table: the signs of ``a`` where it holds.
+    """``a <comparator> 0`` for a real ``a``, stated as the signs of ``a`` where it holds.
 
     Every comparator rule of the search reads ``signs``: ``holds``, the
     ``opposite`` (the other signs), the ``side`` a value moves toward to make
