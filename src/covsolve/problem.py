@@ -35,15 +35,17 @@ class BlackBoxFn:
 
     - ``params`` lists every variable ``eval`` reads.  A partial derivative
       along a direction that moves none of them is taken as 0 without a
-      call, so a variable read but not listed is silently ignored.
-    - ``eval`` is pure: equal valuations yield equal results.  The only
-      results kept are the prefix values that construction obtains at
-      ``init``, where the search starts, and those of each accepted
-      candidate, where the next iteration starts; the prefix is not called
-      again at either, nor at a candidate equal, bit for bit, to one
-      already tried in the same iteration.  A box that is not pure still
-      ends ``solve`` in a result, but a solution it reports may fail a
-      later check.
+      call.
+    - ``eval`` is pure: equal valuations yield equal results.
+
+    Under both, a result depends only on the ``params`` values, so a solve
+    calls the function once per distinct valuation of its ``params``, bit
+    for bit, and answers each repeat with the result it kept; the value at
+    ``init`` is the one construction obtained.  A box that reads a variable
+    it does not list gets a stale result there, one kept from a valuation
+    that differed only in that variable.  A box that breaks either contract
+    still ends ``solve`` in a result, but a solution it reports may fail a
+    later check.
     """
 
     params: tuple[str, ...]
@@ -98,6 +100,18 @@ class PrefixEvalRecord:
     values: tuple[float, ...]
     diverged_at: int | None = None  # 1-based index of the failing step
 
+    @classmethod
+    def _of(cls, outcome: Outcome, values: list[float],
+            diverged_at: int | None = None) -> "PrefixEvalRecord":
+        """A record of ``values`` written to the instance's ``__dict__``, as the
+        frozen ``__init__`` writes them, without its ``object.__setattr__`` calls."""
+        record = object.__new__(cls)
+        fields = record.__dict__
+        fields["outcome"] = outcome
+        fields["values"] = tuple(values)
+        fields["diverged_at"] = diverged_at
+        return record
+
 
 def eval_prefix(fns: Sequence[BlackBoxFn], comps: Sequence[Comparator],
                 valuation: Valuation) -> PrefixEvalRecord:
@@ -110,13 +124,13 @@ def eval_prefix(fns: Sequence[BlackBoxFn], comps: Sequence[Comparator],
     for i, (fn, comp) in enumerate(zip(fns, comps), start=1):
         value = fn.call(valuation)
         if value is None:
-            return PrefixEvalRecord(Outcome.DIVERGED, tuple(values), diverged_at=i)
+            return PrefixEvalRecord._of(Outcome.DIVERGED, values, i)
         values.append(value)
         if not comp.holds(value):
             if i < n:
-                return PrefixEvalRecord(Outcome.DIVERGED, tuple(values), diverged_at=i)
-            return PrefixEvalRecord(Outcome.LAST_FALSE, tuple(values))
-    return PrefixEvalRecord(Outcome.FULL_TRUE, tuple(values))
+                return PrefixEvalRecord._of(Outcome.DIVERGED, values, i)
+            return PrefixEvalRecord._of(Outcome.LAST_FALSE, values)
+    return PrefixEvalRecord._of(Outcome.FULL_TRUE, values)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ The tests pin these invariants:
   would be one at a time;
 - every iteration draws all ``SAMPLES_PER_CUBE`` random samples, however
   many the loop tries;
-- no call is made at ``init``, at an accepted candidate, or at a candidate
-  equal, bit for bit, to one already tried in the iteration: under
-  ``BlackBoxFn``'s purity contract it could only repeat a known result.
+- a solve calls each function once per distinct valuation of its
+  ``params``, bit for bit, and never at ``init`` (``_Ledger``): under
+  ``BlackBoxFn``'s contracts a repeat could only return a known result.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -130,18 +131,70 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def charge(self) -> None:
-        if self.used >= self.limit:
-            raise _BudgetExhausted
-        self.used += 1
+
+_MISS = object()  # a key the ledger holds no result for
 
 
-def _counted(fn: BlackBoxFn, budget: _Budget) -> BlackBoxFn:
-    def charged_eval(valuation: Valuation) -> float | None:
-        budget.charge()
-        return fn.eval(valuation)
+class _Ledger:
+    """One black-box function's calls in one solve: one call per distinct ``params`` valuation.
 
-    return BlackBoxFn(fn.params, charged_eval, fn.name)
+    Under ``BlackBoxFn``'s contracts a result depends only on the ``params``
+    values, bit for bit, so a repeat is answered from the ledger without a
+    call or a charge.  A call is keyed by those values: the valuation's own
+    tuple when the function reads every variable, its ``params`` columns
+    otherwise, followed by the positions of any -0.0 among them.  A miss is
+    charged to the budget, then called, and its result is stored, None
+    included; a call that raises is not stored.  ``origin``'s key holds
+    ``value`` from the start.  ``floats`` holds the positions of the float
+    variables.
+    """
+
+    __slots__ = ("params", "call")
+
+    def __init__(self, fn: BlackBoxFn, budget: _Budget, origin: Valuation, value: float,
+                 floats: set[int]):
+        positions = origin.signature.positions
+        cols = [positions[name] for name in fn.params]
+        if len(cols) >= len(positions) and len(set(cols)) == len(positions):
+            columns = None  # the function reads every variable
+        elif len(cols) > 1:
+            columns = itemgetter(*cols)
+        else:  # itemgetter of one index gives the entry, not a tuple
+            columns = itemgetter(slice(cols[0], cols[0] + 1) if cols else slice(0))
+        signed = not floats.isdisjoint(cols)  # a key may hold -0.0
+        key = origin.values if columns is None else columns(origin.values)
+        if signed and not all(key):
+            key += _negative_zeros(key)
+        results = {key: value}
+        known, evaluate = results.get, fn.call
+
+        def call(valuation: Valuation) -> float | None:
+            values = valuation.values
+            key = values if columns is None else columns(values)
+            if signed and not all(key):  # a zero, which may be -0.0
+                key += _negative_zeros(key)
+            result = known(key, _MISS)
+            if result is _MISS:
+                if budget.used >= budget.limit:
+                    raise _BudgetExhausted
+                budget.used += 1
+                result = results[key] = evaluate(valuation)
+            return result
+
+        self.params, self.call = fn.params, call
+
+
+def _negative_zeros(key: tuple) -> tuple[int, ...]:
+    """The positions of -0.0 in ``key``: neither ``==`` nor ``hash`` tells it from 0.0."""
+    return tuple(k for k, v in enumerate(key) if v == 0.0 and math.copysign(1.0, v) < 0.0)
+
+
+def _ledgers(problem: CoverageProblem, budget: _Budget) -> tuple[_Ledger, ...]:
+    """A ledger for each of ``problem``'s functions, holding its value at ``init``."""
+    init = problem.init
+    floats = {i for i, typ in enumerate(init.signature.types) if not typ.is_integer}
+    return tuple(_Ledger(fn, budget, init, value, floats)
+                 for fn, value in zip(problem.fns, problem.init_values))
 
 
 def finite_diff_gradient(fn: BlackBoxFn, origin: Valuation, origin_value: float,
@@ -373,18 +426,19 @@ def random_candidates(state: IterationState,
 
 
 def _candidates(state: IterationState, rng: np.random.Generator | _LazyGenerator,
-                move: np.ndarray | None = None) -> Iterator[tuple[str, tuple, tuple]]:
+                move: np.ndarray | None = None) -> Iterator[tuple[str, tuple]]:
     """Every generator's proposals in trial order, each tried once, as typed values.
 
-    Each candidate comes as (source, values, key): the values its root-space
-    point extracts to and their repeat key (``_key``); a point that does not
-    extract is passed over.  ``move``, when given, is twice the last
-    accepted grad-step or pattern move in root space; its projection onto
-    the last local space comes first.  Then come every direction's grad-step
-    landings, all of them again scaled by 2**-k for k = 1 ..
-    ``BACKTRACK_HALVINGS`` with no line step taken twice, the bit mutations
-    one variable at a time, and the first ``SAMPLES_TRIED`` random samples.
-    Pattern and grad-step candidates are clipped; the others are not.
+    Each candidate comes as (source, values), the values its root-space
+    point extracts to; a point that does not extract is passed over.
+    ``move``, when given, is twice the last accepted grad-step or pattern
+    move in root space; its projection onto the last local space comes
+    first.  Then come every direction's grad-step landings, all of them
+    again scaled by 2**-k for k = 1 .. ``BACKTRACK_HALVINGS`` with no line
+    step taken twice, the bit mutations one variable at a time, and the
+    first ``SAMPLES_TRIED`` random samples.  Pattern and grad-step
+    candidates are clipped; the others are not.  A candidate may repeat an
+    earlier one: the ledgers answer its calls.
     """
     constraints, vec, chain = state.constraints, state.vec, state.chain
     signature = state.valuation.signature
@@ -401,31 +455,21 @@ def _candidates(state: IterationState, rng: np.random.Generator | _LazyGenerator
             yield from _extracted(GRAD_STEP, vec + chain.lift(clip(2.0 ** -k * u, constraints)),
                                   signature)
     for rows in _lifted_bit_mutations(state):
-        for values, zeros in zip(*extract_rows(vec + rows, signature)):
-            yield BIT_MUT, values, values + zeros
-    for values, zeros in zip(*extract_rows(
-            vec + chain.lift_rows(random_candidates(state, rng)[:SAMPLES_TRIED]), signature)):
-        yield RANDOM, values, values + zeros
+        for values in extract_rows(vec + rows, signature):
+            yield BIT_MUT, values
+    for values in extract_rows(
+            vec + chain.lift_rows(random_candidates(state, rng)[:SAMPLES_TRIED]), signature):
+        yield RANDOM, values
 
 
 def _extracted(source: str, point: np.ndarray,
-               signature: Signature) -> Iterator[tuple[str, tuple, tuple]]:
+               signature: Signature) -> Iterator[tuple[str, tuple]]:
     """``point``'s candidate as ``_candidates`` yields it, or nothing if it does not extract."""
     try:
         values = extract(point, signature).values
     except ExtractionError:
         return
-    yield source, values, _key(values)
-
-
-def _key(values: tuple) -> tuple:
-    """``values`` keyed bit for bit: the tuple, then the positions of any -0.0 in it.
-
-    ``==`` does not tell -0.0 from 0.0, so two keys are equal exactly when
-    the values are, bit for bit.  ``extract_rows`` gives a block's positions.
-    """
-    return values + tuple(i for i, v in enumerate(values)
-                          if v == 0 and math.copysign(1.0, v) < 0.0)
+    yield source, values
 
 
 def _doubled_move(origin: np.ndarray, accepted: Valuation, source: str) -> np.ndarray | None:
@@ -455,7 +499,7 @@ def solve(problem: CoverageProblem,
     """
     config = config or SolverConfig()
     budget = _Budget(config.max_evaluations)
-    fns = tuple(_counted(fn, budget) for fn in problem.fns)
+    fns = _ledgers(problem, budget)
     comps = problem.comps
     comp_last = comps[-1]
     rng = _LazyGenerator(config.rng_seed)
@@ -471,11 +515,7 @@ def solve(problem: CoverageProblem,
                 iteration += 1
                 state = build_spaces(problem, current, current_values, fns=fns)
                 accepted: Valuation | None = None
-                tried = {_key(current.values)}
-                for source, values, key in _candidates(state, rng, move):
-                    if key in tried:
-                        continue
-                    tried.add(key)
+                for source, values in _candidates(state, rng, move):
                     candidate = Valuation._rounded(signature, values)
                     record = eval_prefix(fns, comps, candidate)
                     if record.outcome is Outcome.DIVERGED:

@@ -252,10 +252,15 @@ class Valuation:
 
     @classmethod
     def _rounded(cls, signature: Signature, values: tuple[int | float, ...]) -> "Valuation":
-        """A valuation of values each type's ``nearest`` returned: not checked again."""
+        """A valuation of values each type's ``nearest`` returned: not checked again.
+
+        The fields are written to the instance's ``__dict__``, as the frozen
+        ``__init__`` writes them, without its ``object.__setattr__`` calls.
+        """
         valuation = object.__new__(cls)
-        object.__setattr__(valuation, "signature", signature)
-        object.__setattr__(valuation, "values", values)
+        fields = valuation.__dict__
+        fields["signature"] = signature
+        fields["values"] = values
         return valuation
 
     @classmethod
@@ -300,20 +305,18 @@ def extract(vector: Sequence[float] | np.ndarray, signature: Signature) -> Valua
         [t.nearest(x) for t, x in zip(signature.types, vec.tolist())]))
 
 
-def extract_rows(block: np.ndarray,
-                 signature: Signature) -> tuple[list[tuple], list[tuple[int, ...]]]:
+def extract_rows(block: np.ndarray, signature: Signature) -> list[tuple]:
     """``extract`` of every row of ``block`` whose coordinates are all finite, in row order.
 
-    Returns two lists with an entry per such row: its values, bit for bit
-    ``extract(row).values``, and the positions of -0.0 among them, which
-    ``==`` does not tell from 0.0.  A row ``extract`` would refuse, one with
-    a non-finite coordinate, is left out.  The block is rounded by the columns
-    of each type at once, by ``ScalarType.nearest``'s rules: integers half
-    away from zero and clamped in floats, then cast, with a 64-bit type's
-    largest value written where the float reached 2**63 or 2**64, which no
-    cast holds; float32 through a cast, an overflow clamped, a tie moved
-    away from zero.  Runs under ``solve``'s
-    float policy: called alone, a float32 overflow warns as numpy does.
+    Each entry is a row's values, bit for bit ``extract(row).values``.  A
+    row ``extract`` would refuse, one with a non-finite coordinate, is left
+    out.  The block is rounded by the columns of each type at once, by
+    ``ScalarType.nearest``'s rules: integers half away from zero and clamped
+    in floats, then cast, with a 64-bit type's largest value written where
+    the float reached 2**63 or 2**64, which no cast holds; float32 through a
+    cast, an overflow clamped, a tie moved away from zero.  Runs under
+    ``solve``'s float policy: called alone, a float32 overflow warns as
+    numpy does.
     """
     finite = np.isfinite(block)
     if not finite.all():
@@ -322,7 +325,6 @@ def extract_rows(block: np.ndarray,
     for i, typ in enumerate(signature.types):
         groups.setdefault(typ, []).append(i)
     columns: list[list] = [[]] * len(signature)
-    negative = None
     for typ, at in groups.items():
         sub = block.T[at]  # one row per column
         if typ.is_integer:
@@ -342,19 +344,9 @@ def extract_rows(block: np.ndarray,
             if typ.bit_width == 32:
                 sub = _nearest_float32_block(sub)
             lists = sub.tolist()
-            zero = sub == 0.0
-            if zero.any():
-                zero &= np.signbit(sub)
-                if negative is None:
-                    negative = np.zeros(block.shape[::-1], dtype=bool)
-                negative[at] = zero
         for i, col in zip(at, lists):
             columns[i] = col
-    zeros: list[tuple[int, ...]] = [()] * block.shape[0]
-    if negative is not None:
-        for r in np.flatnonzero(negative.any(axis=0)).tolist():
-            zeros[r] = tuple(np.flatnonzero(negative[:, r]).tolist())
-    return list(zip(*columns)), zeros
+    return list(zip(*columns))
 
 
 def _nearest_float32_block(x: np.ndarray) -> np.ndarray:

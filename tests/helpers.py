@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 
+from covsolve import solver
 from covsolve.localspace import BasisChain, dot, rescaled
 from covsolve.numerics import NoStepError
-from covsolve.solver import PIVOT_GUARD
+from covsolve.problem import BlackBoxFn, Outcome, eval_prefix
+from covsolve.solver import PIVOT_GUARD, IterationRecord, SolverResult, Status
 from covsolve.vecspace import ExtractionError, ScalarType, Valuation, embed, extract, round_vector
 
 
@@ -132,3 +134,66 @@ def bit_mutation_block(state) -> np.ndarray:
         ys = [float((1 - 2 * ((raw >> j) & 1)) * (1 << j)) for j in range(width)]
         out.append(np.outer(ys, u) + 0.0)  # a negative y makes -0.0 of a zero; + 0.0 undoes it
     return np.concatenate(out) if out else np.empty((0, lifted.shape[0]))
+
+
+def counted_solve(problem, config) -> SolverResult:
+    """``solver.solve`` as it was before the call ledger: the oracle of its calls.
+
+    Every function is wrapped to charge each call it makes.  The prefix
+    values at ``init`` and at each accepted candidate are carried, and a
+    candidate whose values, by ``bits_key``, equal the current valuation's
+    or an earlier candidate's of the iteration is skipped without a call;
+    every other call is charged, repeats included.
+    """
+    budget = solver._Budget(config.max_evaluations)
+
+    def counted(fn):
+        def charged_eval(valuation):
+            if budget.used >= budget.limit:
+                raise solver._BudgetExhausted
+            budget.used += 1
+            return fn.eval(valuation)
+
+        return BlackBoxFn(fn.params, charged_eval, fn.name)
+
+    fns = tuple(counted(fn) for fn in problem.fns)
+    comps = problem.comps
+    rng = solver._LazyGenerator(config.rng_seed)
+    signature = problem.init.signature
+    current, current_values = problem.init, problem.init_values
+    move = None
+    log = []
+    iteration = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            while iteration < config.max_iterations:
+                iteration += 1
+                state = solver.build_spaces(problem, current, current_values, fns=fns)
+                accepted = None
+                tried = {bits_key(current.values)}
+                for source, values in solver._candidates(state, rng, move):
+                    key = bits_key(values)
+                    if key in tried:
+                        continue
+                    tried.add(key)
+                    candidate = Valuation._rounded(signature, values)
+                    record = eval_prefix(fns, comps, candidate)
+                    if record.outcome is Outcome.DIVERGED:
+                        continue
+                    value = record.values[-1]
+                    if record.outcome is Outcome.FULL_TRUE:
+                        log.append(IterationRecord(iteration, source, value))
+                        return SolverResult(Status.SOLVED, candidate, iteration,
+                                            budget.used, tuple(log))
+                    if comps[-1].improves(state.f_n, value):
+                        log.append(IterationRecord(iteration, source, value))
+                        accepted, current_values = candidate, record.values
+                        move = solver._doubled_move(state.vec, candidate, source)
+                        break
+                if accepted is None:
+                    return SolverResult(Status.FAILED_NO_PROGRESS, None, iteration,
+                                        budget.used, tuple(log))
+                current = accepted
+        except solver._BudgetExhausted:
+            pass
+    return SolverResult(Status.FAILED_BUDGET, None, iteration, budget.used, tuple(log))

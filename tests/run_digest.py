@@ -1,18 +1,21 @@
 """One sha256 over every benchmark search, to show that a change leaves runs identical.
 
-Usage: ``python tests/run_digest.py [--seeds 0 7]``
+Usage: ``python tests/run_digest.py [--seeds 0 7] [--same-search]``
 
 For each workload in ``BENCHMARK.json`` order, then for each seed, every
 problem of ``perfbench/workloads.generate`` is parsed, compiled, reduced
 and solved with ``SolverConfig(max_iterations=100, rng_seed=(seed + index)
 % 2**32)``.  The digest is taken over the ``repr`` of each ``SolverResult``
 in that order, concatenated, and printed as one hex line.  Equal digests
-mean equal statuses, solutions, iterations, evaluations and logs.  The
+mean equal statuses, solutions, iterations, evaluations and logs.  With
+``--same-search`` each result's ``evaluations_used`` is set to 0 first, so
+equal digests mean the same searches, whatever they cost in calls.  The
 script builds its problems from the checkout it lives in.  pytest does not
-collect it; ``test_run_digest.py`` pins its digest at seeds 0 and 7.
+collect it; ``test_run_digest.py`` pins both digests at seeds 0 and 7.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -26,7 +29,7 @@ from covsolve import SolverConfig, compile_spec, parse_spec, reduce_problem, sol
 from covsolve.cli import bundled_suite_dir  # noqa: E402
 
 
-def digest(seeds) -> str:
+def digest(seeds, same_search: bool = False) -> str:
     names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     h = hashlib.sha256()
     for name in names:
@@ -34,7 +37,10 @@ def digest(seeds) -> str:
             for index, p in enumerate(workloads.generate(name, seed, bundled_suite_dir())):
                 problem = reduce_problem(compile_spec(parse_spec(p.text))).problem
                 config = SolverConfig(max_iterations=100, rng_seed=(seed + index) % 2**32)
-                h.update(repr(solve(problem, config)).encode())
+                result = solve(problem, config)
+                if same_search:
+                    result = dataclasses.replace(result, evaluations_used=0)
+                h.update(repr(result).encode())
     return h.hexdigest()
 
 
@@ -42,7 +48,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 7],
                         help="workload seeds, in order (default: 0 7)")
-    print(digest(parser.parse_args(argv).seeds))
+    parser.add_argument("--same-search", action="store_true",
+                        help="take every evaluations_used as 0")
+    args = parser.parse_args(argv)
+    print(digest(args.seeds, args.same_search))
     return 0
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from covsolve import solver
 from covsolve.probelang import compile_spec, parse_spec
-from covsolve.problem import reduce_problem
+from covsolve.problem import BlackBoxFn, CoverageProblem, reduce_problem
 from covsolve.solver import SolverConfig, Status, solve
 
 sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "perfbench")]
@@ -47,16 +47,17 @@ def test_a_halved_landing_already_tried_costs_no_call(monkeypatch):
     evaluated, at two calls."""
     problem = compile_spec(parse_spec("var x1 : i32\nvar x2 : i32\ninit x1 = 0\ninit x2 = 0\n"
                                       "abe x1 - x2 <= 0\nabe x1 - x2 - 5 >= 0\n"))
-    charged = []
-    charge = solver._Budget.charge
-    monkeypatch.setattr(solver._Budget, "charge", lambda self: charged.append(1) or charge(self))
+    charged = []  # one entry per black-box call
+    problem = CoverageProblem(
+        tuple(BlackBoxFn(fn.params, lambda v, call=fn.eval: charged.append(1) or call(v))
+              for fn in problem.fns), problem.comps, problem.init)
     steps = []  # each grad-step candidate's values, and the calls charged while it was tried
     candidates = solver._candidates
 
     def recorded(state, rng, move=None):
-        for source, values, key in candidates(state, rng, move):
+        for source, values in candidates(state, rng, move):
             before = len(charged)
-            yield source, values, key
+            yield source, values
             if source == solver.GRAD_STEP:
                 steps.append((values, len(charged) - before))
 

@@ -177,13 +177,17 @@ _MISBEHAVIOURS = {
 def _black_box(init, coefs, shift, trigger, bad, k):
     """An affine distance that misbehaves as ``trigger`` says, with ``bad``.
 
-    ``pure`` misbehaves at a fixed set of valuations other than ``init``;
-    ``after`` misbehaves on every call after the k-th; ``noise`` adds a
-    different random offset to every call after the first.  The first call,
-    which the problem's construction makes at ``init``, is always clean.
+    ``pure`` misbehaves at a fixed set of values of its ``params`` other
+    than ``init``'s, and so keeps both ``BlackBoxFn`` contracts;
+    ``unlisted`` misbehaves at a fixed set of whole valuations other than
+    ``init``, and so reads variables it does not list; ``after`` misbehaves
+    on every call after the k-th; ``noise`` adds a different random offset
+    to every call after the first.  The first call, which the problem's
+    construction makes at ``init``, is always clean.
     """
     calls = 0
     offsets = random.Random(k)
+    at_init = tuple(init[name] for name in coefs)
 
     def evaluate(v):
         nonlocal calls
@@ -191,9 +195,11 @@ def _black_box(init, coefs, shift, trigger, bad, k):
         value = sum(c * float(v[name]) for name, c in coefs.items()) - shift
         if trigger == "noise" and calls > 1:
             return value + offsets.uniform(-k, k)
+        read, start = ((tuple(v[name] for name in coefs), at_init) if trigger == "pure"
+                       else (v.values, init.values))
         if ((trigger == "after" and calls > k)
-                or (trigger == "pure" and v.values != init.values
-                    and hash(v.values) % k == 0)):
+                or (trigger in ("pure", "unlisted") and read != start
+                    and hash(read) % k == 0)):
             return _MISBEHAVIOURS[bad]()
         return value
 
@@ -216,7 +222,7 @@ def misbehaving_problems(draw):
         margin = draw(st.sampled_from([0.5, 3.0, 40.0])) * draw(st.sampled_from([-1.0, 1.0]))
         shift = sum(c * float(init[name]) for name, c in coefs.items()) + margin
         comp = draw(st.sampled_from([c for c in Comparator if c.holds(-margin) == (i < n - 1)]))
-        trigger = draw(st.sampled_from(["clean", "pure", "after", "noise"]))
+        trigger = draw(st.sampled_from(["clean", "pure", "unlisted", "after", "noise"]))
         bad = draw(st.sampled_from(sorted(_MISBEHAVIOURS)))
         k = draw(st.integers(1, 4))
         fns.append(BlackBoxFn(tuple(params), _black_box(init, coefs, shift, trigger, bad, k),
@@ -234,7 +240,7 @@ def test_misbehaving_black_boxes_end_in_a_result_or_a_documented_error(
         drawn, iterations, evals, seed):
     problem, kinds, pure = drawn
     config = SolverConfig(max_iterations=iterations, max_evaluations=evals, rng_seed=seed)
-    misbehaving = {bad for trigger, bad in kinds if trigger in ("pure", "after")}
+    misbehaving = {bad for trigger, bad in kinds if trigger in ("pure", "unlisted", "after")}
     try:
         result = solve(problem, config)
     except TypeError as exc:  # a result that is not a real number

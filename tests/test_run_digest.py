@@ -1,21 +1,31 @@
-"""The run digest of the benchmark's searches, pinned: a differential oracle for refactors.
+"""The run digests of the benchmark's searches, pinned: differential oracles for refactors.
 
 ``run_digest.digest([0, 7])`` is one sha256 over every ``SolverResult`` that
 the benchmark's workloads give at seeds 0 and 7: statuses, solutions,
 iterations, evaluations and logs (see ``run_digest.py``).  A change that
-alters it changes a search, not just its code.
+alters it changes a search, or what a search costs in calls.  The
+same-search digest takes every ``evaluations_used`` as 0: a change that
+saves calls and keeps every search leaves it as it is.
 
-If a search is changed on purpose, set ``DIGEST_AT_SEEDS_0_7`` to what::
+If a search is changed on purpose, set ``DIGEST_AT_SEEDS_0_7`` and
+``SAME_SEARCH_AT_SEEDS_0_7`` to what::
 
     python tests/run_digest.py --seeds 0 7
+    python tests/run_digest.py --seeds 0 7 --same-search
 
-prints, and say so in CHANGES.md.
+print, and say so in CHANGES.md.  If only the calls change, only the first
+digest moves.
 """
 
 import run_digest
 
-DIGEST_AT_SEEDS_0_7 = "5a664abea9d3367540f228c3ea709c40033ea7b7300ef1c7fe72881535579fca"
+DIGEST_AT_SEEDS_0_7 = "cfce3a9a301e0095486ae052ae0f7f05306fd1c02b433ad7e6462462c8a3f503"
+SAME_SEARCH_AT_SEEDS_0_7 = "30476e3fc30551de5bfd1d459438f0d3b370f92eb67654e447a605a7099eb637"
 
 
 def test_benchmark_runs_match_the_pinned_digest():
     assert run_digest.digest([0, 7]) == DIGEST_AT_SEEDS_0_7
+
+
+def test_benchmark_searches_match_the_pinned_same_search_digest():
+    assert run_digest.digest([0, 7], same_search=True) == SAME_SEARCH_AT_SEEDS_0_7

@@ -778,7 +778,7 @@ abe x > 0
         problem = problem_of(LE_EQ_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
         rng, drawn = np.random.default_rng(9), np.random.default_rng(9)
-        tried = [s for s, _, _ in solver._candidates(state, rng) if s == solver.RANDOM]
+        tried = [s for s, _ in solver._candidates(state, rng) if s == solver.RANDOM]
         assert len(tried) == solver.SAMPLES_TRIED < solver.SAMPLES_PER_CUBE
         drawn.uniform(size=(solver.SAMPLES_PER_CUBE, state.chain.rows.shape[0]))
         assert rng.bit_generator.state == drawn.bit_generator.state
@@ -788,9 +788,10 @@ abe x > 0
     # halvings give 8 distinct grad-step candidates at 2 calls each; in i32
     # only 3 are distinct, since the halvings round onto (-1, 1) and then onto
     # the current valuation.  i32 has 64 bit mutations, 32 of which keep the
-    # prefix and call the target too: 96 calls.  The 48 samples tried make 70,
-    # since 22 keep the prefix.
-    @pytest.mark.parametrize("typ, calls", [("f64", 4 + 16 + 70), ("i32", 4 + 6 + 96 + 70)],
+    # prefix and call the target too: 96 calls, less the 2 prefix calls at
+    # (1, 0) and (0, 1), which repeat its gradient steps.  The 48 samples
+    # tried make 70, since 22 keep the prefix.
+    @pytest.mark.parametrize("typ, calls", [("f64", 4 + 16 + 70), ("i32", 4 + 6 + 94 + 70)],
                              ids=["f64", "i32"])
     def test_dead_end_tries_one_cube(self, typ, calls):
         """No candidate can satisfy both x1 - x2 <= 0 and x1 - x2 >= 5, so the
@@ -874,7 +875,7 @@ abe 0 * x1 - 3 >= 0
         whether or not it lies inside the constraints."""
         problem = problem_of(text)
         state = build_spaces(problem, problem.init, problem.init_values)
-        tried = [values for source, values, _ in
+        tried = [values for source, values in
                  solver._candidates(state, np.random.default_rng(3)) if source == solver.RANDOM]
         samples = random_candidates(state, np.random.default_rng(3))[:solver.SAMPLES_TRIED]
         expected = [extract(state.vec + state.chain.lift(u), problem.signature).values
@@ -1171,13 +1172,12 @@ class TestCandidatesAgainstEagerGenerators:
             theirs_rng = np.random.default_rng(seed)
             ours = list(solver._candidates(state, ours_rng))
             theirs = eager_candidates(state, theirs_rng)
-            assert [s for s, _, _ in ours] == [s for s, _ in theirs]
-            for (_, values, key), (_, expected) in zip(ours, theirs):
+            assert [s for s, _ in ours] == [s for s, _ in theirs]
+            for (_, values), (_, expected) in zip(ours, theirs):
                 assert bits_key(values) == bits_key(expected)
-                assert key == solver._key(values)
             assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
             constrained += bool(state.constraints)
-            randoms = [values for s, values, _ in ours if s == solver.RANDOM]
+            randoms = [values for s, values in ours if s == solver.RANDOM]
             samples = random_candidates(state, np.random.default_rng(seed))[:solver.SAMPLES_TRIED]
             assert len(randoms) == len(samples)
             outside += any(not satisfies_all(u, state.constraints) for u in samples)
@@ -1457,7 +1457,7 @@ abe x1 + x2 - 100 >= 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
         move = np.array([20.0, 0.0])  # alone it breaks x1 <= x2
-        source, values, _ = next(iter(solver._candidates(state, np.random.default_rng(0), move)))
+        source, values = next(iter(solver._candidates(state, np.random.default_rng(0), move)))
         assert source == solver.PATTERN
         assert not satisfies_all(dot(state.chain.rows, move), state.constraints)
         u = clip(dot(state.chain.rows, move), state.constraints)
@@ -1683,9 +1683,9 @@ class TestAbsorbedDifferences:
         # 1 gradient call and the 48 samples tried: steps 2**-26 and 1 lie
         # above ulp(5), so no retake
         ("f64", "5", 1 + 48),
-        # 1 gradient call, 32 bit mutations, and 43 of the 48 samples: 5 round
-        # onto an integer already tried
-        ("i32", "5", 1 + 32 + 43),
+        # 1 gradient call, at x = 1; 31 bit mutations, since bit 0's is x = 1;
+        # and 43 of the 48 samples: 5 round onto an integer already called
+        ("i32", "5", 1 + 31 + 43),
         # 2 gradient calls, the second a retake that reads the same value
         # again, and the 48 samples
         ("f64", "1e20", 2 + 48),

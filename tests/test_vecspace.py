@@ -2,6 +2,7 @@ import math
 import struct
 import sys
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covsolve import solver
+from covsolve.problem import BlackBoxFn
 from covsolve.vecspace import (
     BOOL, F32, F64, I8, I16, I32, I64, U8, U16, U32, U64,
     Comparator, ExtractionError, ScalarType, Signature, Valuation,
@@ -282,17 +285,14 @@ def _block_outcomes(block, signature):
 
 
 class TestExtractRows:
-    """The block rounding against ``extract`` and the old repeat key, row by row."""
+    """The block rounding against ``extract``, row by row."""
 
     @staticmethod
     def check(block, signature):
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = list(zip(*extract_rows(block, signature)))
-        assert [bits_key(values) for values, _ in rows] == _block_outcomes(block, signature)
-        for values, zeros in rows:
-            assert zeros == tuple(i for i, v in enumerate(values)
-                                  if isinstance(v, float) and v == 0.0
-                                  and math.copysign(1.0, v) < 0.0)
+            rows = extract_rows(block, signature)
+        assert [bits_key(values) for values in rows] == _block_outcomes(block, signature)
+        for values in rows:
             assert [type(v) for v in values] \
                 == [int if t.is_integer else float for t in signature.types]
         return rows
@@ -305,7 +305,8 @@ class TestExtractRows:
         assert len(rows) == len(BLOCK_EDGES) - 3  # every row but inf, -inf and nan
 
     def test_mixed_rows_and_their_keys(self):
-        """Two keys are equal exactly when the old keys are."""
+        """A call ledger over every variable calls a row exactly when no earlier row,
+        nor its origin, has the same ``bits_key``: -0.0 and 0.0 are keyed apart."""
         rng = np.random.default_rng(35)
         types = ALL_TYPES * 2
         signature = Signature.of([(f"x{i}", t) for i, t in enumerate(types)])
@@ -318,17 +319,18 @@ class TestExtractRows:
         rounded[types.index(I32)] = -0.3  # the zero row's key
         block = np.concatenate([block, block[:50], [zero, signed, rounded]])  # and repeats
         rows = self.check(block, signature)
-        old = [bits_key(values) for values, _ in rows]
-        keys = [values + zeros for values, zeros in rows]
+        old = [bits_key(values) for values in rows]
         assert 100 <= len(rows) < len(block)
-        assert keys[-3] == keys[-1] != keys[-2]
-        equal = 0
-        for i in range(len(rows)):
-            for j in range(len(rows)):
-                assert (keys[i] == keys[j]) == (old[i] == old[j])
-                equal += i != j and old[i] == old[j]
-        assert equal >= 50
-        assert len(set(keys)) == len(set(old))
+        assert old[-3] == old[-1] != old[-2]
+        assert sum(n * (n - 1) for n in Counter(old).values()) >= 50  # ordered pairs of repeats
+        calls = []
+        fn = BlackBoxFn(signature.names, lambda v: calls.append(bits_key(v.values)) or 1.0)
+        floats = {i for i, t in enumerate(types) if not t.is_integer}
+        origin = Valuation._rounded(signature, rows[-3])  # the zero row
+        ledger = solver._Ledger(fn, solver._Budget(len(rows)), origin, 1.0, floats)
+        for values in rows:
+            assert ledger.call(Valuation._rounded(signature, values)) == 1.0
+        assert calls == [key for key in dict.fromkeys(old) if key != old[-3]]
 
     def test_float32_differential_sample(self):
         """Every float32 tie, midpoint, subnormal and overflow of the sample rounds
@@ -343,16 +345,16 @@ class TestExtractRows:
         column = [v for v in BLOCK_EDGES if math.isfinite(v)]
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            values, _ = extract_rows(np.array(column)[:, None], Signature.of([("a", typ)]))
+            values = extract_rows(np.array(column)[:, None], Signature.of([("a", typ)]))
         assert values == [(typ.nearest(v),) for v in column]
         assert (typ.max_value,) in values and (typ.min_value,) in values
 
     def test_empty_and_refused_blocks(self):
         signature = Signature.of([("a", I8), ("b", F32)])
-        assert extract_rows(np.empty((0, 2)), signature) == ([], [])
-        assert extract_rows(np.array([[math.nan, 1.0], [2.0, math.inf]]), signature) == ([], [])
-        assert extract_rows(np.array([[math.nan, 1.0], [-2.5, -0.0]]), signature) \
-            == ([(-3, -0.0)], [(1,)])
+        assert extract_rows(np.empty((0, 2)), signature) == []
+        assert extract_rows(np.array([[math.nan, 1.0], [2.0, math.inf]]), signature) == []
+        [row] = extract_rows(np.array([[math.nan, 1.0], [-2.5, -0.0]]), signature)
+        assert bits_key(row) == bits_key((-3, -0.0))
 
 
 def _value_strategy(typ: ScalarType):
