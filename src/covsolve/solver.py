@@ -9,8 +9,8 @@ loop reaches it, so nothing after the accepted candidate is built.
 The tests pin these invariants:
 
 - the same problem and ``SolverConfig`` give the same ``SolverResult``;
-- a block of candidates is lifted and rounded, bit for bit, as its rows
-  would be one at a time;
+- a block of candidates is lifted, bit for bit, as its rows would be one
+  at a time;
 - every iteration draws all ``SAMPLES_PER_CUBE`` random samples, however
   many the loop tries;
 - a solve calls each function once per distinct valuation of its
@@ -25,7 +25,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -63,18 +63,23 @@ RANDOM = "random"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budgets and seed of the search."""
+    """Budgets and seed of the search, each an integer (a bool is not one)."""
 
     max_iterations: int = 100
     max_evaluations: int = 100_000
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iterations", "max_evaluations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+        for name, least in (("max_iterations", 1), ("max_evaluations", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            try:
+                index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, not {value!r}") from None
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, not a bool")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}")
 
 
 class Status(enum.Enum):

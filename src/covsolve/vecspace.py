@@ -12,7 +12,7 @@ and every comparator rule of the search is read from that row here.
 
 Scalars are plain Python ints and floats, and numpy is used only for
 vectors and blocks of them: a scalar's float32 rounding is one standard-size
-``struct`` round trip, and a block's one cast per column of its type.
+``struct`` round trip.
 """
 
 from __future__ import annotations
@@ -308,57 +308,15 @@ def extract(vector: Sequence[float] | np.ndarray, signature: Signature) -> Valua
 def extract_rows(block: np.ndarray, signature: Signature) -> list[tuple]:
     """``extract`` of every row of ``block`` whose coordinates are all finite, in row order.
 
-    Each entry is a row's values, bit for bit ``extract(row).values``.  A
-    row ``extract`` would refuse, one with a non-finite coordinate, is left
-    out.  The block is rounded by the columns of each type at once, by
-    ``ScalarType.nearest``'s rules: integers half away from zero and clamped
-    in floats, then cast, with a 64-bit type's largest value written where
-    the float reached 2**63 or 2**64, which no cast holds; float32 through a
-    cast, an overflow clamped, a tie moved away from zero.  Runs under
-    ``solve``'s float policy: called alone, a float32 overflow warns as
-    numpy does.
+    Each entry is a row's values, ``extract(row).values``, rounded column by
+    column through ``ScalarType.nearest``.  A row ``extract`` would refuse,
+    one with a non-finite coordinate, is left out.
     """
     finite = np.isfinite(block)
     if not finite.all():
         block = block[finite.all(axis=1)]
-    groups: dict[ScalarType, list[int]] = {}
-    for i, typ in enumerate(signature.types):
-        groups.setdefault(typ, []).append(i)
-    columns: list[list] = [[]] * len(signature)
-    for typ, at in groups.items():
-        sub = block.T[at]  # one row per column
-        if typ.is_integer:
-            magnitude = np.abs(sub)
-            floor = np.floor(magnitude)
-            sub = np.copysign(floor + (magnitude - floor >= 0.5), sub)  # exact, as in nearest
-            sub = np.minimum(np.maximum(sub, float(typ.min_value)), float(typ.max_value))
-            if typ.bit_width == 64:  # the float of the largest value, 2**63 or 2**64, is past it
-                top = sub == float(typ.max_value)
-                cast = np.uint64 if typ.min_value == 0 else np.int64
-                lists = np.where(top, 0.0, sub).astype(cast).tolist()
-                for i, r in np.argwhere(top).tolist():
-                    lists[i][r] = typ.max_value
-            else:
-                lists = sub.astype(np.int64).tolist()
-        else:
-            if typ.bit_width == 32:
-                sub = _nearest_float32_block(sub)
-            lists = sub.tolist()
-        for i, col in zip(at, lists):
-            columns[i] = col
-    return list(zip(*columns))
-
-
-def _nearest_float32_block(x: np.ndarray) -> np.ndarray:
-    """``_nearest_float32`` of every entry of ``x``, a finite float64 array."""
-    c = x.astype(np.float32).astype(np.float64)
-    over = np.isinf(c)
-    if over.any():
-        c[over] = np.copysign(_FLOAT32_MAX, x[over])
-    mirror = x + (x - c)
-    size = np.abs(mirror)
-    tie = (np.abs(c) < size) & (size <= _FLOAT32_MAX) & (mirror.astype(np.float32) == mirror)
-    return np.where(tie, mirror, c) if tie.any() else c
+    return list(zip(*[map(t.nearest, column)
+                      for t, column in zip(signature.types, block.T.tolist())]))
 
 
 def round_vector(values: Sequence[float], types: Sequence[ScalarType]) -> list[float]:

@@ -140,6 +140,15 @@ class TestSolverConfig:
         with pytest.raises(TypeError):
             SolverConfig(alpha=1.0)  # a module constant, no longer a setting
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", math.nan), ("max_iterations", 5.0), ("max_iterations", True),
+        ("max_evaluations", math.inf), ("max_evaluations", 100.5), ("max_evaluations", True),
+        ("rng_seed", 0.5), ("rng_seed", math.nan), ("rng_seed", 0.0), ("rng_seed", False)])
+    def test_non_integers_are_refused(self, field, value):
+        """Refused at construction, not by the first solve that uses the field."""
+        with pytest.raises(TypeError, match=field):
+            SolverConfig(**{field: value})
+
 
 class TestBuildSpaces:
     def test_equality_prefix_basis(self):

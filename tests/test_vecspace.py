@@ -340,8 +340,8 @@ class TestExtractRows:
         for typ in (F32, I64, U64):
             self.check(sample.reshape(-1, 4), Signature.of([(c, typ) for c in "abcd"]))
 
-    @pytest.mark.parametrize("typ", [I64, U64])
-    def test_64_bit_columns_cast_without_a_warning(self, typ):
+    @pytest.mark.parametrize("typ", [I64, U64, F32])
+    def test_values_past_the_range_round_without_a_warning(self, typ):
         column = [v for v in BLOCK_EDGES if math.isfinite(v)]
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
