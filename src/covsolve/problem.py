@@ -12,7 +12,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .vecspace import Comparator, ScalarType, Signature, Valuation
 
@@ -87,30 +87,18 @@ class Outcome(enum.Enum):
     LAST_FALSE = "last-false"      # prefix holds, last predicate fails
 
 
-@dataclass(frozen=True)
-class PrefixEvalRecord:
+class PrefixEvalRecord(NamedTuple):
     """Result of calling F_1..F_n in order at one valuation.
 
     ``values`` holds the obtained results; when the final attempted call
     failed it yields no value, so ``diverged_at`` (or, without divergence,
-    ``len(values)``) counts the attempted calls.
+    ``len(values)``) counts the attempted calls.  A named tuple, it also
+    compares and unpacks as ``(outcome, values, diverged_at)``.
     """
 
     outcome: Outcome
     values: tuple[float, ...]
     diverged_at: int | None = None  # 1-based index of the failing step
-
-    @classmethod
-    def _of(cls, outcome: Outcome, values: list[float],
-            diverged_at: int | None = None) -> "PrefixEvalRecord":
-        """A record of ``values`` written to the instance's ``__dict__``, as the
-        frozen ``__init__`` writes them, without its ``object.__setattr__`` calls."""
-        record = object.__new__(cls)
-        fields = record.__dict__
-        fields["outcome"] = outcome
-        fields["values"] = tuple(values)
-        fields["diverged_at"] = diverged_at
-        return record
 
 
 def eval_prefix(fns: Sequence[BlackBoxFn], comps: Sequence[Comparator],
@@ -124,13 +112,13 @@ def eval_prefix(fns: Sequence[BlackBoxFn], comps: Sequence[Comparator],
     for i, (fn, comp) in enumerate(zip(fns, comps), start=1):
         value = fn.call(valuation)
         if value is None:
-            return PrefixEvalRecord._of(Outcome.DIVERGED, values, i)
+            return PrefixEvalRecord(Outcome.DIVERGED, tuple(values), i)
         values.append(value)
         if not comp.holds(value):
             if i < n:
-                return PrefixEvalRecord._of(Outcome.DIVERGED, values, i)
-            return PrefixEvalRecord._of(Outcome.LAST_FALSE, values)
-    return PrefixEvalRecord._of(Outcome.FULL_TRUE, values)
+                return PrefixEvalRecord(Outcome.DIVERGED, tuple(values), i)
+            return PrefixEvalRecord(Outcome.LAST_FALSE, tuple(values))
+    return PrefixEvalRecord(Outcome.FULL_TRUE, tuple(values))
 
 
 @dataclass(frozen=True)

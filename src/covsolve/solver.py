@@ -3,8 +3,8 @@
 README.md ("The problem and the search") states one iteration's steps in
 trial order.  ``build_spaces`` derives an iteration's state from the
 current valuation.  The generators hand the candidate loop plain data, and
-``_candidates`` clips, lifts and extracts each candidate only when the
-loop reaches it, so nothing after the accepted candidate is built.
+``_candidates`` clips, lifts and extracts each candidate to a valuation only
+when the loop reaches it, so nothing after the accepted candidate is built.
 
 The tests pin these invariants:
 
@@ -12,7 +12,7 @@ The tests pin these invariants:
 - a block of candidates is lifted, bit for bit, as its rows would be one
   at a time;
 - every iteration draws all ``SAMPLES_PER_CUBE`` random samples, however
-  many the loop tries;
+  many the loop tries, and a solve that draws none builds no generator;
 - a solve calls each function once per distinct valuation of its
   ``params``, bit for bit, and never at ``init`` (``_Ledger``): under
   ``BlackBoxFn``'s contracts a repeat could only return a known result.
@@ -24,9 +24,10 @@ import enum
 import math
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from operator import index, itemgetter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -397,44 +398,27 @@ def _lifted_bit_mutations(state: IterationState) -> Iterator[np.ndarray]:
         yield state.chain.lift_rows(np.outer(ys, u) + 0.0)
 
 
-class _LazyGenerator:
-    """A solve's ``np.random.default_rng(seed)``, made at its first draw.
-
-    ``random_candidates`` draws through ``uniform``, as from the generator
-    itself, so the stream is the generator's.  A solve that never reaches
-    the random samples neither builds a generator nor imports numpy.random.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.generator: np.random.Generator | None = None
-
-    def uniform(self, low: float, high: float, size: tuple[int, int]) -> np.ndarray:
-        if self.generator is None:
-            self.generator = np.random.default_rng(self.seed)
-        return self.generator.uniform(low, high, size=size)
-
-
 def random_candidates(state: IterationState,
-                      rng: np.random.Generator | _LazyGenerator) -> np.ndarray:
+                      rng: Callable[[], np.random.Generator]) -> np.ndarray:
     """``SAMPLES_PER_CUBE`` uniform samples from a cube around the origin, one per row.
 
-    The cube's half-edge is ``CUBE_SCALE * log(|F_n| + 1)``.  All rows are
-    drawn, so the generator's stream does not depend on how many the
-    candidate loop tries.  A level of size 0 draws nothing.
+    The cube's half-edge is ``CUBE_SCALE * log(|F_n| + 1)``.  ``rng`` is a
+    zero-argument factory of the generator, called only for a draw.  All
+    rows are drawn, so the generator's stream does not depend on how many
+    the candidate loop tries.  A level of size 0 draws nothing.
     """
     dim_local = state.chain.rows.shape[0]
     if dim_local == 0:
         return np.empty((0, 0))
     half_edge = CUBE_SCALE * math.log(abs(state.f_n) + 1.0)
-    return rng.uniform(-half_edge, half_edge, size=(SAMPLES_PER_CUBE, dim_local))
+    return rng().uniform(-half_edge, half_edge, size=(SAMPLES_PER_CUBE, dim_local))
 
 
-def _candidates(state: IterationState, rng: np.random.Generator | _LazyGenerator,
-                move: np.ndarray | None = None) -> Iterator[tuple[str, tuple]]:
-    """Every generator's proposals in trial order, each tried once, as typed values.
+def _candidates(state: IterationState, rng: Callable[[], np.random.Generator],
+                move: np.ndarray | None = None) -> Iterator[tuple[str, Valuation]]:
+    """Every generator's proposals in trial order, each tried once, as valuations.
 
-    Each candidate comes as (source, values), the values its root-space
+    Each candidate comes as (source, valuation), the valuation its root-space
     point extracts to; a point that does not extract is passed over.
     ``move``, when given, is twice the last accepted grad-step or pattern
     move in root space; its projection onto the last local space comes
@@ -461,20 +445,20 @@ def _candidates(state: IterationState, rng: np.random.Generator | _LazyGenerator
                                   signature)
     for rows in _lifted_bit_mutations(state):
         for values in extract_rows(vec + rows, signature):
-            yield BIT_MUT, values
+            yield BIT_MUT, Valuation._rounded(signature, values)
     for values in extract_rows(
             vec + chain.lift_rows(random_candidates(state, rng)[:SAMPLES_TRIED]), signature):
-        yield RANDOM, values
+        yield RANDOM, Valuation._rounded(signature, values)
 
 
 def _extracted(source: str, point: np.ndarray,
-               signature: Signature) -> Iterator[tuple[str, tuple]]:
+               signature: Signature) -> Iterator[tuple[str, Valuation]]:
     """``point``'s candidate as ``_candidates`` yields it, or nothing if it does not extract."""
     try:
-        values = extract(point, signature).values
+        valuation = extract(point, signature)
     except ExtractionError:
         return
-    yield source, values
+    yield source, valuation
 
 
 def _doubled_move(origin: np.ndarray, accepted: Valuation, source: str) -> np.ndarray | None:
@@ -496,8 +480,9 @@ def solve(problem: CoverageProblem,
     The problem should be reduced first (see ``problem.reduce_problem``);
     solving works on unreduced problems too, just in more dimensions.
     Identical problem, configuration and seed give an identical result.
-    The random generator is seeded with ``config.rng_seed`` at the solve's
-    first random draw, so a solve that draws nothing builds none.
+    The random generator, seeded with ``config.rng_seed``, is made through a
+    cached factory at the solve's first random draw, so a solve that draws
+    nothing builds none.
     Each call runs the search, black-box calls included, under one float
     policy: numpy does not warn about overflow or invalid results, which the
     search expects and checks for itself.
@@ -507,8 +492,7 @@ def solve(problem: CoverageProblem,
     fns = _ledgers(problem, budget)
     comps = problem.comps
     comp_last = comps[-1]
-    rng = _LazyGenerator(config.rng_seed)
-    signature = problem.init.signature
+    rng = cache(lambda: np.random.default_rng(config.rng_seed))
 
     current, current_values = problem.init, problem.init_values
     move: np.ndarray | None = None  # twice the last grad-step or pattern move
@@ -519,9 +503,7 @@ def solve(problem: CoverageProblem,
             while iteration < config.max_iterations:
                 iteration += 1
                 state = build_spaces(problem, current, current_values, fns=fns)
-                accepted: Valuation | None = None
-                for source, values in _candidates(state, rng, move):
-                    candidate = Valuation._rounded(signature, values)
+                for source, candidate in _candidates(state, rng, move):
                     record = eval_prefix(fns, comps, candidate)
                     if record.outcome is Outcome.DIVERGED:
                         continue
@@ -532,13 +514,12 @@ def solve(problem: CoverageProblem,
                                             budget.used, tuple(log))
                     if comp_last.improves(state.f_n, value):
                         log.append(IterationRecord(iteration, source, value))
-                        accepted, current_values = candidate, record.values
+                        current, current_values = candidate, record.values
                         move = _doubled_move(state.vec, candidate, source)
                         break
-                if accepted is None:
+                else:
                     return SolverResult(Status.FAILED_NO_PROGRESS, None, iteration,
                                         budget.used, tuple(log))
-                current = accepted
         except _BudgetExhausted:
             pass
     return SolverResult(Status.FAILED_BUDGET, None, iteration, budget.used,

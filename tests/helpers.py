@@ -158,8 +158,7 @@ def counted_solve(problem, config) -> SolverResult:
 
     fns = tuple(counted(fn) for fn in problem.fns)
     comps = problem.comps
-    rng = solver._LazyGenerator(config.rng_seed)
-    signature = problem.init.signature
+    rng = np.random.default_rng(config.rng_seed)
     current, current_values = problem.init, problem.init_values
     move = None
     log = []
@@ -171,12 +170,11 @@ def counted_solve(problem, config) -> SolverResult:
                 state = solver.build_spaces(problem, current, current_values, fns=fns)
                 accepted = None
                 tried = {bits_key(current.values)}
-                for source, values in solver._candidates(state, rng, move):
-                    key = bits_key(values)
+                for source, candidate in solver._candidates(state, lambda: rng, move):
+                    key = bits_key(candidate.values)
                     if key in tried:
                         continue
                     tried.add(key)
-                    candidate = Valuation._rounded(signature, values)
                     record = eval_prefix(fns, comps, candidate)
                     if record.outcome is Outcome.DIVERGED:
                         continue

@@ -55,11 +55,11 @@ def test_a_halved_landing_already_tried_costs_no_call(monkeypatch):
     candidates = solver._candidates
 
     def recorded(state, rng, move=None):
-        for source, values in candidates(state, rng, move):
+        for source, candidate in candidates(state, rng, move):
             before = len(charged)
-            yield source, values
+            yield source, candidate
             if source == solver.GRAD_STEP:
-                steps.append((values, len(charged) - before))
+                steps.append((candidate.values, len(charged) - before))
 
     monkeypatch.setattr(solver, "_candidates", recorded)
     result = solve(problem, SolverConfig(rng_seed=0))

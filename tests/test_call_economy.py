@@ -138,10 +138,10 @@ def every_raw_candidates(state, rng, move=None):
 
     for source, p in points():
         try:
-            values = extract(p, state.valuation.signature).values
+            candidate = extract(p, state.valuation.signature)
         except ExtractionError:
             continue
-        yield source, values
+        yield source, candidate
 
 
 def _random_value(rand, typ):

@@ -750,13 +750,13 @@ abe 0 * x1 - 3 >= 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
         rng = np.random.default_rng(0)
-        candidates = random_candidates(state, rng)
+        candidates = random_candidates(state, lambda: rng)
         assert len(candidates) == 100
 
     def test_one_cube_with_gradient(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
-        candidates = random_candidates(state, np.random.default_rng(0))
+        candidates = random_candidates(state, lambda: np.random.default_rng(0))
         assert len(candidates) == solver.SAMPLES_PER_CUBE
 
     def test_zero_distance_samples_centers(self):
@@ -767,15 +767,15 @@ abe x > 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
         assert state.f_n == 0.0
-        candidates = random_candidates(state, np.random.default_rng(5))
+        candidates = random_candidates(state, lambda: np.random.default_rng(5))
         for u in candidates:
             assert u == pytest.approx(np.zeros(1))
 
     def test_seeded_determinism(self):
         problem = problem_of(EQ_GE_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
-        a = random_candidates(state, np.random.default_rng(42))
-        b = random_candidates(state, np.random.default_rng(42))
+        a = random_candidates(state, lambda: np.random.default_rng(42))
+        b = random_candidates(state, lambda: np.random.default_rng(42))
         assert len(a) == len(b)
         for ua, ub in zip(a, b):
             assert np.array_equal(ua, ub)
@@ -787,7 +787,7 @@ abe x > 0
         problem = problem_of(LE_EQ_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
         rng, drawn = np.random.default_rng(9), np.random.default_rng(9)
-        tried = [s for s, _ in solver._candidates(state, rng) if s == solver.RANDOM]
+        tried = [s for s, _ in solver._candidates(state, lambda: rng) if s == solver.RANDOM]
         assert len(tried) == solver.SAMPLES_TRIED < solver.SAMPLES_PER_CUBE
         drawn.uniform(size=(solver.SAMPLES_PER_CUBE, state.chain.rows.shape[0]))
         assert rng.bit_generator.state == drawn.bit_generator.state
@@ -821,21 +821,39 @@ abe x1 - x2 - 5 >= 0
         assert (result.iterations_used, result.evaluations_used) == (1, calls)
 
 
-class TestLazyGenerator:
-    def test_draws_the_seeded_stream(self):
-        lazy, eager = solver._LazyGenerator(11), np.random.default_rng(11)
-        assert lazy.generator is None
-        for size in [(100, 3), (100, 1), (7, 2)]:
-            assert (lazy.uniform(-2.0, 5.0, size=size).tobytes()
-                    == eager.uniform(-2.0, 5.0, size=size).tobytes())
-        assert lazy.generator.bit_generator.state == eager.bit_generator.state
+class TestGeneratorAtTheFirstDraw:
+    def test_draws_the_seeded_stream(self, monkeypatch):
+        """A solve whose five iterations each accept a random sample builds one
+        generator, seeded with ``rng_seed``, and each iteration draws all
+        ``SAMPLES_PER_CUBE`` samples from it."""
+        fn = BlackBoxFn(("x",), lambda v: math.floor(v["x"] / 50.0) - 10.0)
+        problem = CoverageProblem((fn,), (Comparator.GE,), Valuation.of([("x", F64, 0.0)]))
+        made = []
+        default_rng = np.random.default_rng
 
-    # a chain the first grad step solves, and a dead end that tries the samples
+        def counted(seed):
+            made.append((seed, default_rng(seed)))
+            return made[-1][1]
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        result = solve(problem, SolverConfig(rng_seed=3))
+        assert (result.status, result.iterations_used, result.evaluations_used) \
+            == (Status.SOLVED, 5, 20)
+        assert [e.source for e in result.log] == [solver.RANDOM] * 5
+        [(seed, generator)] = made
+        drawn = default_rng(3)
+        for _ in range(5):
+            drawn.uniform(size=(solver.SAMPLES_PER_CUBE, 1))
+        assert seed == 3 and generator.bit_generator.state == drawn.bit_generator.state
+
+    # a chain the first grad step solves, a dead end that tries the samples, and
+    # one whose last level has size 0, so that its random step draws nothing
     @pytest.mark.parametrize("text, status, loaded", [
         (EQ_LE_GE_TRACE, "SOLVED", False),
         ("var x1 : f64\nvar x2 : f64\ninit x1 = 0\ninit x2 = 0\n"
          "abe x1 - x2 <= 0\nabe x1 - x2 - 5 >= 0\n", "FAILED_NO_PROGRESS", True),
-    ], ids=["chain", "dead-end"])
+        ("var x : f64\ninit x = 0\nabe x == 0\nabe x - 1 >= 0\n", "FAILED_NO_PROGRESS", False),
+    ], ids=["chain", "dead-end", "size-0"])
     def test_numpy_random_is_imported_at_the_first_draw(self, text, status, loaded):
         """A solve that never reaches the random samples neither builds a generator
         nor imports numpy.random; one that draws does both."""
@@ -870,7 +888,7 @@ abe a + b - 50 >= 0
         assert len(bit_mutation_candidates(state)) <= n_params  # one entry per variable
         assert len(bit_mutation_block(state)) <= 64 * n_params
         rng = np.random.default_rng(0)
-        assert len(random_candidates(state, rng)) <= solver.SAMPLES_PER_CUBE
+        assert len(random_candidates(state, lambda: rng)) <= solver.SAMPLES_PER_CUBE
 
 
 class TestCandidateLoopClipping:
@@ -884,9 +902,10 @@ abe 0 * x1 - 3 >= 0
         whether or not it lies inside the constraints."""
         problem = problem_of(text)
         state = build_spaces(problem, problem.init, problem.init_values)
-        tried = [values for source, values in
-                 solver._candidates(state, np.random.default_rng(3)) if source == solver.RANDOM]
-        samples = random_candidates(state, np.random.default_rng(3))[:solver.SAMPLES_TRIED]
+        tried = [candidate.values for source, candidate in
+                 solver._candidates(state, lambda: np.random.default_rng(3))
+                 if source == solver.RANDOM]
+        samples = random_candidates(state, lambda: np.random.default_rng(3))[:solver.SAMPLES_TRIED]
         expected = [extract(state.vec + state.chain.lift(u), problem.signature).values
                     for u in samples]
         assert [bits_key(v) for v in tried] == [bits_key(v) for v in expected]
@@ -1179,15 +1198,16 @@ class TestCandidatesAgainstEagerGenerators:
             state = build_spaces(problem, problem.init, problem.init_values)
             ours_rng = np.random.default_rng(seed)
             theirs_rng = np.random.default_rng(seed)
-            ours = list(solver._candidates(state, ours_rng))
+            ours = list(solver._candidates(state, lambda: ours_rng))
             theirs = eager_candidates(state, theirs_rng)
             assert [s for s, _ in ours] == [s for s, _ in theirs]
-            for (_, values), (_, expected) in zip(ours, theirs):
-                assert bits_key(values) == bits_key(expected)
+            for (_, candidate), (_, expected) in zip(ours, theirs):
+                assert bits_key(candidate.values) == bits_key(expected)
             assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
             constrained += bool(state.constraints)
-            randoms = [values for s, values in ours if s == solver.RANDOM]
-            samples = random_candidates(state, np.random.default_rng(seed))[:solver.SAMPLES_TRIED]
+            randoms = [candidate for s, candidate in ours if s == solver.RANDOM]
+            samples = random_candidates(
+                state, lambda: np.random.default_rng(seed))[:solver.SAMPLES_TRIED]
             assert len(randoms) == len(samples)
             outside += any(not satisfies_all(u, state.constraints) for u in samples)
         assert constrained >= 200 and outside >= 100
@@ -1389,7 +1409,7 @@ class TestGradientsWhoseSquaresUnderflow:
         assert state.grad_n == pytest.approx([1e-170], rel=1e-9)
         first = state.chain.lift(grad_step_landings(state)[0])
         assert first == pytest.approx([1e-130], rel=1e-9)  # x * 1e-170 reaches 1e-300
-        samples = random_candidates(state, np.random.default_rng(0))
+        samples = random_candidates(state, lambda: np.random.default_rng(0))
         assert len(samples) == solver.SAMPLES_PER_CUBE  # one cube, around the origin
 
     def test_line_step_along_a_tiny_direction(self):
@@ -1466,12 +1486,13 @@ abe x1 + x2 - 100 >= 0
 """)
         state = build_spaces(problem, problem.init, problem.init_values)
         move = np.array([20.0, 0.0])  # alone it breaks x1 <= x2
-        source, values = next(iter(solver._candidates(state, np.random.default_rng(0), move)))
+        source, tried = next(iter(solver._candidates(state, lambda: np.random.default_rng(0),
+                                                     move)))
         assert source == solver.PATTERN
         assert not satisfies_all(dot(state.chain.rows, move), state.constraints)
         u = clip(dot(state.chain.rows, move), state.constraints)
         candidate = extract(state.vec + state.chain.lift(u), problem.signature)
-        assert bits_key(values) == bits_key(candidate.values)
+        assert bits_key(tried.values) == bits_key(candidate.values)
         assert satisfies_all(u, state.constraints)
         assert problem.comps[0].holds(problem.fns[0].eval(candidate))
         assert problem.fns[1].eval(candidate) > problem.init_values[1]
