@@ -141,7 +141,7 @@ class BasisChain:
             raise ValueError("dimension must be at least 1")
         self.rows = self._axes = np.eye(dim, dtype=np.float64)
 
-    def extend(self, basis: np.ndarray) -> np.ndarray:
+    def extend(self, basis: np.ndarray) -> None:
         """Move to the next level; the basis rows must live in the current space.
 
         From the axis basis no product is taken: for a finite basis each of
@@ -157,7 +157,6 @@ class BasisChain:
             self.rows, self._axes = basis + 0.0, None
         else:
             self.rows = self.lift_rows(basis)
-        return basis
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         """Express a current-level vector in root coordinates (the * operator)."""

@@ -33,7 +33,8 @@ class BlackBoxFn:
 
     Two contracts let the solver save calls:
 
-    - ``params`` lists every variable ``eval`` reads.  A partial derivative
+    - ``params`` lists every variable ``eval`` reads, each once (a
+      ``CoverageProblem`` refuses a repeat).  A partial derivative
       along a direction that moves none of them is taken as 0 without a
       call.
     - ``eval`` is pure: equal valuations yield equal results.
@@ -146,7 +147,12 @@ class CoverageProblem:
                 f"{self._fn_name(n)} (the flip target) uses no variables")
         declared = set(self.init.signature.names)
         for i, fn in enumerate(self.fns, start=1):
-            missing = set(fn.params) - declared
+            params = set(fn.params)
+            if len(params) < len(fn.params):
+                repeated = sorted(name for name in params if fn.params.count(name) > 1)
+                raise InvalidProblemError(
+                    f"{self._fn_name(i)} lists variables {repeated} more than once")
+            missing = params - declared
             if missing:
                 raise InvalidProblemError(
                     f"{self._fn_name(i)} uses undeclared variables {sorted(missing)}")

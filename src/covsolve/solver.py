@@ -11,8 +11,8 @@ The tests pin these invariants:
 - the same problem and ``SolverConfig`` give the same ``SolverResult``;
 - a block of candidates is lifted, bit for bit, as its rows would be one
   at a time;
-- every iteration draws all ``SAMPLES_PER_CUBE`` random samples, however
-  many the loop tries, and a solve that draws none builds no generator;
+- an iteration that reaches the random samples draws its whole block of
+  ``SAMPLES_PER_CUBE``, and a solve that draws none builds no generator;
 - a solve calls each function once per distinct valuation of its
   ``params``, bit for bit, and never at ``init`` (``_Ledger``): under
   ``BlackBoxFn``'s contracts a repeat could only return a known result.
@@ -44,11 +44,8 @@ PIVOT_GUARD = 1e-12
 #: Weight of |F_n| against the landing point's magnitude in the grad-step epsilon.
 ALPHA = 0.01
 
-#: Random samples drawn from the cube in each iteration.
-SAMPLES_PER_CUBE = 100
-
-#: The first drawn samples that are tried; the rest are drawn, never tried.
-SAMPLES_TRIED = 48
+#: Random samples drawn from the cube, and tried, in each iteration.
+SAMPLES_PER_CUBE = 48
 
 #: Grad-step landings are tried again scaled by 2**-k, k = 1 .. this.
 BACKTRACK_HALVINGS = 3
@@ -146,13 +143,13 @@ class _Ledger:
 
     Under ``BlackBoxFn``'s contracts a result depends only on the ``params``
     values, bit for bit, so a repeat is answered from the ledger without a
-    call or a charge.  A call is keyed by those values: the valuation's own
-    tuple when the function reads every variable, its ``params`` columns
-    otherwise, followed by the positions of any -0.0 among them.  A miss is
-    charged to the budget, then called, and its result is stored, None
-    included; a call that raises is not stored.  ``origin``'s key holds
-    ``value`` from the start.  ``floats`` holds the positions of the float
-    variables.
+    call or a charge.  A call is keyed by the ``params`` columns, followed
+    by the positions of any -0.0 among them.  A run of consecutive columns
+    is taken as one slice; the whole valuation's slice is its own tuple, so
+    that key costs no copy.  A miss is charged to the budget, then called,
+    and its result is stored, None included; a call that raises is not
+    stored.  ``origin``'s key holds ``value`` from the start.  ``floats``
+    holds the positions of the float variables.
     """
 
     __slots__ = ("params", "call")
@@ -161,22 +158,20 @@ class _Ledger:
                  floats: set[int]):
         positions = origin.signature.positions
         cols = [positions[name] for name in fn.params]
-        if len(cols) >= len(positions) and len(set(cols)) == len(positions):
-            columns = None  # the function reads every variable
-        elif len(cols) > 1:
+        start = cols[0] if cols else 0
+        if cols == list(range(start, start + len(cols))):
+            columns = itemgetter(slice(start, start + len(cols)))
+        else:
             columns = itemgetter(*cols)
-        else:  # itemgetter of one index gives the entry, not a tuple
-            columns = itemgetter(slice(cols[0], cols[0] + 1) if cols else slice(0))
         signed = not floats.isdisjoint(cols)  # a key may hold -0.0
-        key = origin.values if columns is None else columns(origin.values)
+        key = columns(origin.values)
         if signed and not all(key):
             key += _negative_zeros(key)
         results = {key: value}
         known, evaluate = results.get, fn.call
 
         def call(valuation: Valuation) -> float | None:
-            values = valuation.values
-            key = values if columns is None else columns(values)
+            key = columns(valuation.values)
             if signed and not all(key):  # a zero, which may be -0.0
                 key += _negative_zeros(key)
             result = known(key, _MISS)
@@ -403,9 +398,8 @@ def random_candidates(state: IterationState,
     """``SAMPLES_PER_CUBE`` uniform samples from a cube around the origin, one per row.
 
     The cube's half-edge is ``CUBE_SCALE * log(|F_n| + 1)``.  ``rng`` is a
-    zero-argument factory of the generator, called only for a draw.  All
-    rows are drawn, so the generator's stream does not depend on how many
-    the candidate loop tries.  A level of size 0 draws nothing.
+    zero-argument factory of the generator, called only for a draw.  A
+    level of size 0 draws nothing.
     """
     dim_local = state.chain.rows.shape[0]
     if dim_local == 0:
@@ -425,9 +419,9 @@ def _candidates(state: IterationState, rng: Callable[[], np.random.Generator],
     first.  Then come every direction's grad-step landings, all of them
     again scaled by 2**-k for k = 1 .. ``BACKTRACK_HALVINGS`` with no line
     step taken twice, the bit mutations one variable at a time, and the
-    first ``SAMPLES_TRIED`` random samples.  Pattern and grad-step
-    candidates are clipped; the others are not.  A candidate may repeat an
-    earlier one: the ledgers answer its calls.
+    random samples.  Pattern and grad-step candidates are clipped; the
+    others are not.  A candidate may repeat an earlier one: the ledgers
+    answer its calls.
     """
     constraints, vec, chain = state.constraints, state.vec, state.chain
     signature = state.valuation.signature
@@ -446,8 +440,7 @@ def _candidates(state: IterationState, rng: Callable[[], np.random.Generator],
     for rows in _lifted_bit_mutations(state):
         for values in extract_rows(vec + rows, signature):
             yield BIT_MUT, Valuation._rounded(signature, values)
-    for values in extract_rows(
-            vec + chain.lift_rows(random_candidates(state, rng)[:SAMPLES_TRIED]), signature):
+    for values in extract_rows(vec + chain.lift_rows(random_candidates(state, rng)), signature):
         yield RANDOM, Valuation._rounded(signature, values)
 
 

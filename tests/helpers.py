@@ -35,9 +35,8 @@ def record_levels(monkeypatch) -> list:
         levels[:] = [self.rows]
 
     def recording_extend(self, basis):
-        out = extend(self, basis)
+        extend(self, basis)
         levels.append(self.rows)
-        return out
 
     monkeypatch.setattr(BasisChain, "__init__", recording_init)
     monkeypatch.setattr(BasisChain, "extend", recording_extend)

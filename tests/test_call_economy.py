@@ -114,8 +114,8 @@ def every_raw_candidates(state, rng, move=None):
 
     Pattern and grad-step candidates are clipped first; the backtracked
     landings are walked again for each halving, their line steps taken
-    afresh.  Bit mutations and the first ``SAMPLES_TRIED`` random samples
-    are tried once each, raw.  A point ``extract`` refuses is passed over.
+    afresh.  Bit mutations and the ``SAMPLES_PER_CUBE`` random samples are
+    tried once each, raw.  A point ``extract`` refuses is passed over.
     """
     constraints = state.constraints
 
@@ -133,7 +133,7 @@ def every_raw_candidates(state, rng, move=None):
         # builds and lifts one variable's rows at a time
         for u in bit_mutation_block(state):
             yield BIT_MUT, point(u)
-        for u in random_candidates(state, rng)[:solver.SAMPLES_TRIED]:
+        for u in random_candidates(state, rng):
             yield RANDOM, point(u)
 
     for source, p in points():
@@ -510,6 +510,22 @@ class TestLedger:
         ledger, budget = _ledger_of(fn, _at(5.0), 6.0)
         assert [ledger.call(_at(2.0, y)) for y in (0.0, -0.0, 7.0)] == [3.0] * 3
         assert len(calls) == 1 and budget.used == 1
+
+    @pytest.mark.parametrize("params", [("x",), ("y",), ("x", "y"), ("y", "x")])
+    def test_one_charge_per_distinct_params_valuation(self, params):
+        """Every key form, one column, the whole valuation and columns out of order,
+        charges once per distinct ``params`` valuation, bit for bit: -0.0 is keyed
+        apart from 0.0, and ``init``'s valuation is never called."""
+        calls = []
+        fn = BlackBoxFn(params, lambda v: calls.append(tuple(v[n] for n in params)) or 1.0)
+        ledger, budget = _ledger_of(fn, _at(5.0, 7.0), 1.0)
+        points = [{"x": x, "y": y} for x in (-0.0, 0.0, 2.0, 5.0) for y in (0.0, 7.0, -0.0, 3.0)]
+        for point in points * 2:
+            assert ledger.call(_at(point["x"], point["y"])) == 1.0
+        keys = dict.fromkeys(bits_key([point[n] for n in params]) for point in points)
+        del keys[bits_key([{"x": 5.0, "y": 7.0}[n] for n in params])]
+        assert [bits_key(c) for c in calls] == list(keys)
+        assert budget.used == len(calls)
 
     def test_a_hit_is_never_charged(self):
         fn, calls = _counting(lambda x: x)

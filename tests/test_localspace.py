@@ -131,7 +131,8 @@ def three_level_chain():
     """
     chain = BasisChain(2)
     chain.extend(next_basis(np.array([1.0, -1.0]), append_gradient=True))
-    basis3 = chain.extend(next_basis(np.array([1.0, 1.0]) / SQ2, append_gradient=False))
+    basis3 = next_basis(np.array([1.0, 1.0]) / SQ2, append_gradient=False)
+    chain.extend(basis3)
     return chain, basis3
 
 
@@ -657,7 +658,7 @@ class TestExtendFromTheAxisBasis:
             negative_zeros += int(np.count_nonzero(np.signbit(basis) & (basis == 0.0)))
             expected = dot(basis[:, :, None], np.eye(dim), axis=1)
             chain = BasisChain(dim)
-            assert chain.extend(basis) is basis
+            assert chain.extend(basis) is None
             assert chain.rows is not basis
             assert chain.rows.tobytes() == expected.tobytes()
         assert negative_zeros > 1000

@@ -208,6 +208,12 @@ class TestCoverageProblem:
         with pytest.raises(InvalidProblemError):
             CoverageProblem(fns, comps, init)
 
+    def test_repeated_params_rejected_naming_the_function(self):
+        fns, comps, init = eq_ge_pair()
+        twice = fn(("x2", "x1", "x2"), fns[1].eval, "f2")
+        with pytest.raises(InvalidProblemError, match=r"^f2 lists variables \['x2'\] more than once"):
+            CoverageProblem((fns[0], twice), comps, init)
+
     def test_is_solution(self):
         fns, comps, init = eq_ge_pair()
         problem = CoverageProblem(fns, comps, init)

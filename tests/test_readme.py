@@ -60,7 +60,7 @@ def test_each_kind_of_name_is_found():
     names = set(cited_names())
     assert {"localspace.BasisChain", "covsolve.from_trace",
             "covsolve.vecspace.TYPES_BY_NAME"} <= names  # dotted
-    assert {"SAMPLES_TRIED", "BACKTRACK_HALVINGS"} <= names  # constants
+    assert {"SAMPLES_PER_CUBE", "BACKTRACK_HALVINGS"} <= names  # constants
     assert {"BlackBoxFn", "Status.SOLVED"} <= names  # classes
     assert not names & {"ValueError", "None", "PAPER.md"}
 

@@ -7,14 +7,21 @@ alters it changes a search, or what a search costs in calls.  The
 same-search digest takes every ``evaluations_used`` as 0: a change that
 saves calls and keeps every search leaves it as it is.
 
-If a search is changed on purpose, set ``DIGEST_AT_SEEDS_0_7`` and
-``SAME_SEARCH_AT_SEEDS_0_7`` to what::
+Seeds 0 and 7 can miss a change to a search: CI's step "Identical
+searches under two hash seeds" (``.github/workflows/tests.yml``) pins both
+digests at seeds 0-19 too, as ``DIGEST_AT_SEEDS_0_19`` and
+``SAME_SEARCH_AT_SEEDS_0_19``.
+
+If a search is changed on purpose, set the pins here and in that step to
+what::
 
     python tests/run_digest.py --seeds 0 7
     python tests/run_digest.py --seeds 0 7 --same-search
+    python tests/run_digest.py --seeds $(seq 0 19)
+    python tests/run_digest.py --seeds $(seq 0 19) --same-search
 
-print, and say so in CHANGES.md.  If only the calls change, only the first
-digest moves.
+print, and say so in CHANGES.md.  If only the calls change, only the
+digests without ``--same-search`` move.
 """
 
 import run_digest

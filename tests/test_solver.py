@@ -128,8 +128,7 @@ class TestSolverConfig:
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
             "max_iterations", "max_evaluations", "rng_seed"]
         assert CLIP_ROUNDS == 10
-        assert solver.SAMPLES_PER_CUBE == 100
-        assert solver.SAMPLES_TRIED == 48
+        assert solver.SAMPLES_PER_CUBE == 48
         assert solver.BACKTRACK_HALVINGS == 3
         assert solver.ALPHA == 0.01
         assert solver.CUBE_SCALE == 100.0
@@ -751,7 +750,7 @@ abe 0 * x1 - 3 >= 0
         state = build_spaces(problem, problem.init, problem.init_values)
         rng = np.random.default_rng(0)
         candidates = random_candidates(state, lambda: rng)
-        assert len(candidates) == 100
+        assert len(candidates) == 48
 
     def test_one_cube_with_gradient(self):
         problem = problem_of(EQ_GE_TRACE)
@@ -780,15 +779,15 @@ abe x > 0
         for ua, ub in zip(a, b):
             assert np.array_equal(ua, ub)
 
-    def test_untried_samples_are_still_drawn(self):
-        """An iteration that tries only the first ``SAMPLES_TRIED`` samples leaves
-        the generator where drawing all ``SAMPLES_PER_CUBE`` leaves it, so every
-        later iteration draws what it drew before."""
+    def test_a_dead_end_tries_one_whole_block(self):
+        """An iteration that accepts no candidate tries exactly ``SAMPLES_PER_CUBE``
+        random samples and leaves the generator where one draw of that block leaves
+        it, so every later iteration draws what it would draw alone."""
         problem = problem_of(LE_EQ_TRACE)
         state = build_spaces(problem, problem.init, problem.init_values)
         rng, drawn = np.random.default_rng(9), np.random.default_rng(9)
         tried = [s for s, _ in solver._candidates(state, lambda: rng) if s == solver.RANDOM]
-        assert len(tried) == solver.SAMPLES_TRIED < solver.SAMPLES_PER_CUBE
+        assert len(tried) == solver.SAMPLES_PER_CUBE
         drawn.uniform(size=(solver.SAMPLES_PER_CUBE, state.chain.rows.shape[0]))
         assert rng.bit_generator.state == drawn.bit_generator.state
 
@@ -805,9 +804,8 @@ abe x > 0
     def test_dead_end_tries_one_cube(self, typ, calls):
         """No candidate can satisfy both x1 - x2 <= 0 and x1 - x2 >= 5, so the
         one iteration tries every candidate: each grad-step landing, full and
-        halved, and the first ``SAMPLES_TRIED`` samples of one cube.  Trying
-        all 100 drawn samples would cost at least 52 calls more, and a second
-        cube at least 48 more."""
+        halved, and the ``SAMPLES_PER_CUBE`` samples of one cube.  A second cube
+        would cost at least 48 calls more."""
         problem = problem_of(f"""
 var x1 : {typ}
 var x2 : {typ}
@@ -838,7 +836,7 @@ class TestGeneratorAtTheFirstDraw:
         monkeypatch.setattr(np.random, "default_rng", counted)
         result = solve(problem, SolverConfig(rng_seed=3))
         assert (result.status, result.iterations_used, result.evaluations_used) \
-            == (Status.SOLVED, 5, 20)
+            == (Status.SOLVED, 5, 12)
         assert [e.source for e in result.log] == [solver.RANDOM] * 5
         [(seed, generator)] = made
         drawn = default_rng(3)
@@ -898,14 +896,15 @@ init x1 = 0
 abe 0 * x1 - 3 >= 0
 """, False), (LE_EQ_TRACE, True)])
     def test_each_random_sample_tried_once_unclipped(self, text, constrained):
-        """Each of the first ``SAMPLES_TRIED`` samples is tried once, lifted as drawn,
+        """Each of the ``SAMPLES_PER_CUBE`` samples is tried once, lifted as drawn,
         whether or not it lies inside the constraints."""
         problem = problem_of(text)
         state = build_spaces(problem, problem.init, problem.init_values)
         tried = [candidate.values for source, candidate in
                  solver._candidates(state, lambda: np.random.default_rng(3))
                  if source == solver.RANDOM]
-        samples = random_candidates(state, lambda: np.random.default_rng(3))[:solver.SAMPLES_TRIED]
+        samples = random_candidates(state, lambda: np.random.default_rng(3))
+        assert len(samples) == solver.SAMPLES_PER_CUBE
         expected = [extract(state.vec + state.chain.lift(u), problem.signature).values
                     for u in samples]
         assert [bits_key(v) for v in tried] == [bits_key(v) for v in expected]
@@ -1111,16 +1110,13 @@ def eager_grad_step_candidates(state, k=0):
 
 
 def eager_random_candidates(state, rng):
-    """The random samples drawn one at a time, each as drawn; all are drawn, and the
-    first ``SAMPLES_TRIED`` returned."""
+    """The ``SAMPLES_PER_CUBE`` random samples drawn one at a time, each as drawn."""
     dim_local = state.chain.rows.shape[0]
     if dim_local == 0:
         return []
     half_edge = solver.CUBE_SCALE * math.log(abs(state.f_n) + 1.0)
-    out = []
-    for _ in range(solver.SAMPLES_PER_CUBE):
-        out.append(rng.uniform(-half_edge, half_edge, size=dim_local))
-    return out[:solver.SAMPLES_TRIED]
+    return [rng.uniform(-half_edge, half_edge, size=dim_local)
+            for _ in range(solver.SAMPLES_PER_CUBE)]
 
 
 def eager_candidates(state, rng):
@@ -1206,8 +1202,7 @@ class TestCandidatesAgainstEagerGenerators:
             assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state
             constrained += bool(state.constraints)
             randoms = [candidate for s, candidate in ours if s == solver.RANDOM]
-            samples = random_candidates(
-                state, lambda: np.random.default_rng(seed))[:solver.SAMPLES_TRIED]
+            samples = random_candidates(state, lambda: np.random.default_rng(seed))
             assert len(randoms) == len(samples)
             outside += any(not satisfies_all(u, state.constraints) for u in samples)
         assert constrained >= 200 and outside >= 100
