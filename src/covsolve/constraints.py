@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +38,9 @@ RELAXATION = 1.8
 class Constraint:
     """Half-space (or hyperplane complement) ``comp.holds(normal . u - bound)``.
 
-    Clipping's first round moves along ``direction``, later rounds along the normal.
+    Clipping's first round moves along ``direction``, later rounds along the
+    normal; ``nn`` and ``nd``, the normal's products with itself and with
+    ``direction``, are taken once, at their first use.
     """
 
     normal: np.ndarray
@@ -48,6 +51,14 @@ class Constraint:
     def __post_init__(self):
         if not self.comp.side:  # no half-space holds an equality, and no shift has a side
             raise ValueError("EQ constraints are never constructed")
+
+    @cached_property
+    def nn(self) -> float:
+        return float(dot(self.normal, self.normal))
+
+    @cached_property
+    def nd(self) -> float:
+        return float(dot(self.normal, self.direction))
 
 
 ConstraintSet = Sequence[Constraint]
@@ -83,11 +94,10 @@ def transform_constraint(constraint: Constraint, rows: np.ndarray,
     when the gradient is zero.  Runs under ``solve``'s float policy.
     """
     m = dot(rows, constraint.normal)
-    if float(dot(m, m)) < DIVISION_GUARD:
-        return None
     w, ww, scale = rescaled(grad)
     direction = m - (float(dot(m, w)) / (scale * ww)) * grad if ww > 0.0 else m
-    return Constraint(m, constraint.bound, constraint.comp, direction)
+    moved = Constraint(m, constraint.bound, constraint.comp, direction)
+    return None if moved.nn < DIVISION_GUARD else moved
 
 
 def clip(u: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
@@ -120,12 +130,11 @@ def clip(u: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
             if math.isfinite(residual := nu - c.bound) and c.comp.holds(residual):
                 continue
             violated = True
-            nn = float(dot(n, n))
+            nn = c.nn
             coord = nu / nn if nn >= DIVISION_GUARD else 0.0
             if not math.isfinite(coord):
                 continue
-            m = c.direction if round_no == 0 else n
-            nm = float(dot(n, m))
+            m, nm = (c.direction, c.nd) if round_no == 0 else (n, nn)
             if abs(nm) < DIVISION_GUARD:
                 continue
             u = u + relax * (-residual / nm) * m

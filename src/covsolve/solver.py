@@ -13,6 +13,8 @@ The tests pin these invariants:
   at a time;
 - an iteration that reaches the random samples draws its whole block of
   ``SAMPLES_PER_CUBE``, and a solve that draws none builds no generator;
+- the samples are numpy's ``default_rng(rng_seed)`` uniform stream, bit for
+  bit, computed by ``pcg64.PCG64``, so no solve imports ``numpy.random``;
 - a solve calls each function once per distinct valuation of its
   ``params``, bit for bit, and never at ``init`` (``_Ledger``): under
   ``BlackBoxFn``'s contracts a repeat could only return a known result.
@@ -34,6 +36,7 @@ import numpy as np
 from .constraints import Constraint, clip, transform_constraint
 from .localspace import BasisChain, dot, next_basis, rescaled, vector_norm
 from .numerics import NoStepError, epsilon_along_line, epsilon_from_value
+from .pcg64 import PCG64
 from .problem import BlackBoxFn, CoverageProblem, Outcome, eval_prefix
 from .vecspace import ExtractionError, Signature, Valuation, embed, extract, extract_rows
 
@@ -393,13 +396,13 @@ def _lifted_bit_mutations(state: IterationState) -> Iterator[np.ndarray]:
         yield state.chain.lift_rows(np.outer(ys, u) + 0.0)
 
 
-def random_candidates(state: IterationState,
-                      rng: Callable[[], np.random.Generator]) -> np.ndarray:
+def random_candidates(state: IterationState, rng: Callable[[], PCG64]) -> np.ndarray:
     """``SAMPLES_PER_CUBE`` uniform samples from a cube around the origin, one per row.
 
     The cube's half-edge is ``CUBE_SCALE * log(|F_n| + 1)``.  ``rng`` is a
-    zero-argument factory of the generator, called only for a draw.  A
-    level of size 0 draws nothing.
+    zero-argument factory of the generator, called only for a draw: ``solve``
+    makes a ``PCG64``, and a numpy ``Generator`` serves as well.  A level of
+    size 0 draws nothing.
     """
     dim_local = state.chain.rows.shape[0]
     if dim_local == 0:
@@ -408,7 +411,7 @@ def random_candidates(state: IterationState,
     return rng().uniform(-half_edge, half_edge, size=(SAMPLES_PER_CUBE, dim_local))
 
 
-def _candidates(state: IterationState, rng: Callable[[], np.random.Generator],
+def _candidates(state: IterationState, rng: Callable[[], PCG64],
                 move: np.ndarray | None = None) -> Iterator[tuple[str, Valuation]]:
     """Every generator's proposals in trial order, each tried once, as valuations.
 
@@ -473,9 +476,10 @@ def solve(problem: CoverageProblem,
     The problem should be reduced first (see ``problem.reduce_problem``);
     solving works on unreduced problems too, just in more dimensions.
     Identical problem, configuration and seed give an identical result.
-    The random generator, seeded with ``config.rng_seed``, is made through a
-    cached factory at the solve's first random draw, so a solve that draws
-    nothing builds none.
+    The random generator, a ``PCG64`` seeded with ``config.rng_seed``, draws
+    numpy's ``default_rng(rng_seed)`` stream without importing
+    ``numpy.random``; it is made through a cached factory at the solve's
+    first random draw, so a solve that draws nothing builds none.
     Each call runs the search, black-box calls included, under one float
     policy: numpy does not warn about overflow or invalid results, which the
     search expects and checks for itself.
@@ -485,7 +489,7 @@ def solve(problem: CoverageProblem,
     fns = _ledgers(problem, budget)
     comps = problem.comps
     comp_last = comps[-1]
-    rng = cache(lambda: np.random.default_rng(config.rng_seed))
+    rng = cache(lambda: PCG64(index(config.rng_seed)))
 
     current, current_values = problem.init, problem.init_values
     move: np.ndarray | None = None  # twice the last grad-step or pattern move

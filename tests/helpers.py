@@ -7,6 +7,7 @@ import numpy as np
 from covsolve import solver
 from covsolve.localspace import BasisChain, dot, rescaled
 from covsolve.numerics import NoStepError
+from covsolve.pcg64 import PCG64
 from covsolve.problem import BlackBoxFn, Outcome, eval_prefix
 from covsolve.solver import PIVOT_GUARD, IterationRecord, SolverResult, Status
 from covsolve.vecspace import ExtractionError, ScalarType, Valuation, embed, extract, round_vector
@@ -133,6 +134,24 @@ def bit_mutation_block(state) -> np.ndarray:
         ys = [float((1 - 2 * ((raw >> j) & 1)) * (1 << j)) for j in range(width)]
         out.append(np.outer(ys, u) + 0.0)  # a negative y makes -0.0 of a zero; + 0.0 undoes it
     return np.concatenate(out) if out else np.empty((0, lifted.shape[0]))
+
+
+def record_generators(monkeypatch) -> tuple[list, list]:
+    """``(seeds, draws)``: the seed of every ``PCG64`` that ``solver`` builds after this
+    call, and every ``uniform`` draw from them as ``((low, high, size), block)``."""
+    seeds, draws = [], []
+
+    class Recorded(PCG64):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+        def uniform(self, low, high, size):
+            draws.append(((low, high, size), super().uniform(low, high, size)))
+            return draws[-1][1]
+
+    monkeypatch.setattr(solver, "PCG64", Recorded)
+    return seeds, draws
 
 
 def counted_solve(problem, config) -> SolverResult:

@@ -43,7 +43,7 @@ from covsolve.vecspace import (
     F32, F64, I8, I16, I32, I64, U8, U16, U32, U64, Comparator, ExtractionError, Valuation,
     extract,
 )
-from helpers import bit_mutation_block, bits_key
+from helpers import bit_mutation_block, bits_key, record_generators
 
 SQ2 = math.sqrt(2.0)
 
@@ -823,48 +823,47 @@ class TestGeneratorAtTheFirstDraw:
     def test_draws_the_seeded_stream(self, monkeypatch):
         """A solve whose five iterations each accept a random sample builds one
         generator, seeded with ``rng_seed``, and each iteration draws all
-        ``SAMPLES_PER_CUBE`` samples from it."""
+        ``SAMPLES_PER_CUBE`` samples from it: numpy's ``default_rng`` stream."""
         fn = BlackBoxFn(("x",), lambda v: math.floor(v["x"] / 50.0) - 10.0)
         problem = CoverageProblem((fn,), (Comparator.GE,), Valuation.of([("x", F64, 0.0)]))
-        made = []
-        default_rng = np.random.default_rng
-
-        def counted(seed):
-            made.append((seed, default_rng(seed)))
-            return made[-1][1]
-
-        monkeypatch.setattr(np.random, "default_rng", counted)
+        seeds, draws = record_generators(monkeypatch)
         result = solve(problem, SolverConfig(rng_seed=3))
         assert (result.status, result.iterations_used, result.evaluations_used) \
             == (Status.SOLVED, 5, 12)
         assert [e.source for e in result.log] == [solver.RANDOM] * 5
-        [(seed, generator)] = made
-        drawn = default_rng(3)
-        for _ in range(5):
-            drawn.uniform(size=(solver.SAMPLES_PER_CUBE, 1))
-        assert seed == 3 and generator.bit_generator.state == drawn.bit_generator.state
+        assert seeds == [3]
+        assert [size for (_, _, size), _ in draws] == [(solver.SAMPLES_PER_CUBE, 1)] * 5
+        oracle = np.random.default_rng(3)
+        for (low, high, size), block in draws:
+            assert block.tobytes() == oracle.uniform(low, high, size=size).tobytes()
 
     # a chain the first grad step solves, a dead end that tries the samples, and
     # one whose last level has size 0, so that its random step draws nothing
-    @pytest.mark.parametrize("text, status, loaded", [
-        (EQ_LE_GE_TRACE, "SOLVED", False),
+    @pytest.mark.parametrize("text, status, made", [
+        (EQ_LE_GE_TRACE, "SOLVED", 0),
         ("var x1 : f64\nvar x2 : f64\ninit x1 = 0\ninit x2 = 0\n"
-         "abe x1 - x2 <= 0\nabe x1 - x2 - 5 >= 0\n", "FAILED_NO_PROGRESS", True),
-        ("var x : f64\ninit x = 0\nabe x == 0\nabe x - 1 >= 0\n", "FAILED_NO_PROGRESS", False),
+         "abe x1 - x2 <= 0\nabe x1 - x2 - 5 >= 0\n", "FAILED_NO_PROGRESS", 1),
+        ("var x : f64\ninit x = 0\nabe x == 0\nabe x - 1 >= 0\n", "FAILED_NO_PROGRESS", 0),
     ], ids=["chain", "dead-end", "size-0"])
-    def test_numpy_random_is_imported_at_the_first_draw(self, text, status, loaded):
-        """A solve that never reaches the random samples neither builds a generator
-        nor imports numpy.random; one that draws does both."""
+    def test_never_imports_numpy_random(self, text, status, made):
+        """Only a solve that reaches the random samples builds a generator, and no
+        solve imports numpy.random, or the secrets module it would load."""
         script = (
             "import sys\n"
-            "from covsolve import SolverConfig, compile_spec, parse_spec, solve\n"
-            "assert 'numpy.random' not in sys.modules\n"
+            "from covsolve import SolverConfig, compile_spec, parse_spec, solve, solver\n"
+            "made = []\n"
+            "class Counted(solver.PCG64):\n"
+            "    def __init__(self, seed):\n"
+            "        made.append(seed)\n"
+            "        super().__init__(seed)\n"
+            "solver.PCG64 = Counted\n"
             f"result = solve(compile_spec(parse_spec({text!r})), SolverConfig(rng_seed=0))\n"
-            "print(result.status.value, 'numpy.random' in sys.modules)\n")
+            "print(result.status.value, len(made),\n"
+            "      *(name in sys.modules for name in ('numpy.random', 'secrets')))\n")
         src = str(Path(solver.__file__).resolve().parent.parent)
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert out.stdout.split() == [status, str(loaded)]
+        assert out.stdout.split() == [status, str(made), "False", "False"]
 
 
 class TestCandidateBounds:
